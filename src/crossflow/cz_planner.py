@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -131,8 +131,20 @@ def _speed_extremum_times(traj: CzTrajectory):
     return times
 
 
+def _position(traj: CzTrajectory, t: float) -> float:
+    # CzTrajectory.position on plain floats: the same operations in the same
+    # order give the same bits, without numpy-scalar overhead
+    tau = t - traj.t0
+    return ((traj.a * tau / 6.0 + 0.5 * traj.b) * tau + traj.c) * tau + traj.d
+
+
 def _gap(leader: CzTrajectory, follower: CzTrajectory, t: float) -> float:
-    return float(leader.position(t) - follower.position(t))
+    return _position(leader, t) - _position(follower, t)
+
+
+def _shared_window(leader: CzTrajectory, follower: CzTrajectory) -> Tuple[float, float]:
+    """Window where both vehicles are inside the control zone; empty when lo > hi."""
+    return max(follower.t0, leader.t0), min(follower.tm, leader.tm)
 
 
 def _min_gap(leader: CzTrajectory, follower: CzTrajectory, lo: float, hi: float):
@@ -163,8 +175,34 @@ def _min_gap(leader: CzTrajectory, follower: CzTrajectory, lo: float, hi: float)
     return best
 
 
-def _first_gap_crossing(leader, follower, lo: float, hi: float, delta: float) -> float:
-    """Earliest time in [lo, hi] at which the gap drops below delta."""
+class GapCheck(NamedTuple):
+    """Closest approach of a follower to its lane leader in the control zone."""
+
+    gap: float         # minimum of p_leader - p_follower over the shared window
+    time: float        # when that minimum occurs
+    too_close: bool    # gap below min_safe_distance by more than float slack
+
+
+def rear_end_gap(
+    leader: CzTrajectory, follower: CzTrajectory, min_safe_distance: float
+) -> Optional[GapCheck]:
+    """Rear-end check of a follower against the vehicle ahead on its lane.
+
+    The gap is minimized in closed form over the window where both are
+    inside the control zone; None when that window is empty.  This is the
+    one rule behind both the entry gate and the ``rear_end`` entry of
+    check_feasibility.
+    """
+    lo, hi = _shared_window(leader, follower)
+    if lo > hi:
+        return None
+    gap, time = _min_gap(leader, follower, lo, hi)
+    return GapCheck(gap, time, gap < min_safe_distance - _BOUND_EPS)
+
+
+def _first_gap_crossing(leader, follower, delta: float) -> float:
+    """Earliest time in the shared window at which the gap drops below delta."""
+    lo, hi = _shared_window(leader, follower)
     if _gap(leader, follower, lo) < delta:
         return lo
     a, b = lo, hi
@@ -209,12 +247,11 @@ def check_feasibility(
     min_gap = None
     min_gap_time = None
     if leader is not None:
-        lo = max(traj.t0, leader.t0)
-        hi = min(traj.tm, leader.tm)
-        if lo <= hi:
-            min_gap, min_gap_time = _min_gap(leader, traj, lo, hi)
-            if min_gap < g.min_safe_distance - _BOUND_EPS:
-                when = _first_gap_crossing(leader, traj, lo, hi, g.min_safe_distance)
+        found = rear_end_gap(leader, traj, g.min_safe_distance)
+        if found is not None:
+            min_gap, min_gap_time = found.gap, found.time
+            if found.too_close:
+                when = _first_gap_crossing(leader, traj, g.min_safe_distance)
                 violations.append(
                     Violation("rear_end", when, min_gap, g.min_safe_distance)
                 )

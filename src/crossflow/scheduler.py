@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from crossflow.geometry import (
     IntersectionGeometry,
@@ -117,20 +117,15 @@ def feasibility_bound(spec: VehicleSpec, g: IntersectionGeometry) -> float:
     return earliest_mz_arrival(spec.t0, spec.v0, g)
 
 
-def schedule(spec: VehicleSpec, q: Sequence[Schedule], g: IntersectionGeometry) -> Schedule:
-    """Assign merge-zone entry/exit times to a newly arrived vehicle.
+def conflict_candidates(
+    preds: ConflictPredecessors, transit: float, g: IntersectionGeometry
+) -> List[Tuple[str, float]]:
+    """Exit-time candidates contributed by the conflict predecessors.
 
-    The exit time is the maximum over the candidates contributed by the
-    conflict predecessors plus the feasibility bound; the entry time
-    follows at tf minus the movement's transit duration.  Ties between
-    candidates resolve toward the conflict classes in the order same-exit,
-    same-entry, lateral, fifo, feasibility.
+    One (binding_case, tf) pair per predecessor present, in tie-break
+    order.  None of them depends on the vehicle's own entry time, so a
+    caller trying several entry times can compute them once.
     """
-    preds = conflict_predecessors(spec, q)
-    transit = turn_time(spec.movement, g)
-    boundary_speed = mz_exit_speed(spec.movement, g)
-    earliest = earliest_mz_arrival(spec.t0, spec.v0, g)
-
     candidates = []
     if preds.same_exit is not None:
         e = preds.same_exit
@@ -145,6 +140,24 @@ def schedule(spec: VehicleSpec, q: Sequence[Schedule], g: IntersectionGeometry) 
         candidates.append((CASE_LATERAL, preds.lateral.tf + transit))
     if preds.fifo is not None:
         candidates.append((CASE_FIFO, preds.fifo.tf))
+    return candidates
+
+
+def schedule(spec: VehicleSpec, q: Sequence[Schedule], g: IntersectionGeometry) -> Schedule:
+    """Assign merge-zone entry/exit times to a newly arrived vehicle.
+
+    The exit time is the maximum over the candidates contributed by the
+    conflict predecessors plus the feasibility bound; the entry time
+    follows at tf minus the movement's transit duration.  Ties between
+    candidates resolve toward the conflict classes in the order same-exit,
+    same-entry, lateral, fifo, feasibility.
+    """
+    preds = conflict_predecessors(spec, q)
+    transit = turn_time(spec.movement, g)
+    boundary_speed = mz_exit_speed(spec.movement, g)
+    earliest = earliest_mz_arrival(spec.t0, spec.v0, g)
+
+    candidates = conflict_candidates(preds, transit, g)
     candidates.append((CASE_FEASIBILITY, earliest + transit))
 
     binding_case, tf = max(candidates, key=lambda item: item[1])

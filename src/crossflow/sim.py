@@ -7,8 +7,12 @@ zones.  An upstream entry gate holds a vehicle at the control-zone
 boundary until its planned approach keeps the minimum safe distance to
 the vehicle ahead on the same lane for the whole stretch where both are
 inside the control zone; beyond that gate, safety is entirely the
-scheduler's job.  After the run, an auditor re-derives the safety story
-from the sampled state table alone and reports every violation it finds.
+scheduler's job.  The gate searches entry times by a forward scan and a
+bisection; the queue is scanned once per search, and each probe then
+costs one earliest-arrival bound, one approach solve and one closed-form
+minimum gap, independent of queue length.  After the run, an auditor
+re-derives the safety story from the sampled state table alone and
+reports every violation it finds.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from crossflow.cz_planner import (
     CzTrajectory,
     FeasibilityReport,
     check_feasibility,
+    rear_end_gap,
     solve_cz,
 )
 from crossflow.geometry import (
@@ -32,6 +37,8 @@ from crossflow.geometry import (
     Movement,
     Turn,
     classify,
+    mz_exit_speed,
+    turn_time,
 )
 from crossflow.mz_planner import (
     DEFAULT_JERK_SCALE,
@@ -43,7 +50,13 @@ from crossflow.mz_planner import (
     solve_mz_jerk,
     solve_mz_weighted,
 )
-from crossflow.scheduler import Schedule, VehicleSpec
+from crossflow.scheduler import (
+    Schedule,
+    VehicleSpec,
+    conflict_candidates,
+    conflict_predecessors,
+    earliest_mz_arrival,
+)
 from crossflow.scheduler import schedule as schedule_vehicle
 
 _ARM_ORDER = (Arm.NORTH, Arm.EAST, Arm.SOUTH, Arm.WEST)
@@ -207,21 +220,6 @@ class SimRun:
     audit: AuditReport
 
 
-def _rear_end_clear(report: FeasibilityReport) -> bool:
-    return not any(v.kind == "rear_end" for v in report.violations)
-
-
-def _gate_check(
-    spec: VehicleSpec,
-    queue: Sequence[Schedule],
-    leader: Optional[CzTrajectory],
-    g: IntersectionGeometry,
-) -> bool:
-    sched = schedule_vehicle(spec, queue, g)
-    traj = solve_cz(spec.t0, spec.v0, sched.tm, sched.vm, g.cz_length)
-    return _rear_end_clear(check_feasibility(traj, g, leader=leader))
-
-
 def _gated_entry(
     spec: VehicleSpec,
     queue: Sequence[Schedule],
@@ -229,16 +227,36 @@ def _gated_entry(
     g: IntersectionGeometry,
 ) -> float:
     """Earliest control-zone entry at or after arrival that keeps the
-    planned approach at least min_safe_distance behind the lane leader."""
+    planned approach at least min_safe_distance behind the lane leader.
+
+    Only the feasibility bound of the schedule depends on the entry time,
+    so the conflict candidates are scanned out of the queue once per
+    search.  Each probe then costs one earliest_mz_arrival, one solve_cz
+    and one closed-form minimum gap, whatever the queue length, and plans
+    the same tm that schedule() would.
+    """
     if leader is None:
         return spec.t0
-    if _gate_check(spec, queue, leader, g):
+    transit = turn_time(spec.movement, g)
+    vm = mz_exit_speed(spec.movement, g)
+    floor = max(
+        (tf for _, tf in conflict_candidates(conflict_predecessors(spec, queue), transit, g)),
+        default=-math.inf,
+    )
+
+    def clear(t0: float) -> bool:
+        tf = max(floor, earliest_mz_arrival(t0, spec.v0, g) + transit)
+        traj = solve_cz(t0, spec.v0, tf - transit, vm, g.cz_length)
+        found = rear_end_gap(leader, traj, g.min_safe_distance)
+        return found is None or not found.too_close
+
+    if clear(spec.t0):
         return spec.t0
     low = spec.t0
     high = low + _GATE_SCAN_STEP
     # the gap condition holds trivially once the leader has left the
     # control zone, so the forward scan always terminates
-    while not _gate_check(replace(spec, t0=high), queue, leader, g):
+    while not clear(high):
         low = high
         high += _GATE_SCAN_STEP
         if high > leader.tm + _GATE_SCAN_STEP:
@@ -246,7 +264,7 @@ def _gated_entry(
             break
     while high - low > _GATE_RESOLUTION:
         mid = 0.5 * (low + high)
-        if _gate_check(replace(spec, t0=mid), queue, leader, g):
+        if clear(mid):
             high = mid
         else:
             low = mid
@@ -366,35 +384,29 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> Tuple[Sa
         sched = rec.schedule
         first = math.ceil(rec.spec.t0 / step - 1e-9)
         last = math.floor(rec.leave_time / step + 1e-9)
+        grid = np.arange(first, last + 1) * step
+        # the grid is increasing, so each zone is one slice of it: rows with
+        # t < tm are in the control zone, tm <= t < tf in the merge zone
+        m, f = np.searchsorted(grid, (sched.tm, sched.tf)).tolist()
+        cz_t, mz_t, out_t = grid[:m], grid[m:f], grid[f:]
+        n_out = len(out_t)
+        p_end = rec.mz.boundary.p_end
+        zone = [ZONE_CZ] * m + [ZONE_MZ] * (f - m) + [ZONE_OUT] * n_out
+        p = (
+            rec.cz.position(cz_t).tolist()
+            + rec.mz.position(mz_t).tolist()
+            + (p_end + sched.vf * (out_t - sched.tf)).tolist()
+        )
+        v = rec.cz.speed(cz_t).tolist() + rec.mz.speed(mz_t).tolist() + [sched.vf] * n_out
+        u = rec.cz.control(cz_t).tolist() + rec.mz.control(mz_t).tolist() + [0.0] * n_out
+        j = rec.cz.jerk(cz_t).tolist() + rec.mz.jerk(mz_t).tolist() + [0.0] * n_out
+        vehicle_id = rec.spec.vehicle_id
         arm = rec.spec.movement.entry_arm.value
         turn = rec.spec.movement.turn.value
-        p_end = rec.mz.boundary.p_end
-        for k in range(first, last + 1):
-            t = k * step
-            if t < sched.tm:
-                zone = ZONE_CZ
-                p = float(rec.cz.position(t))
-                v = float(rec.cz.speed(t))
-                u = float(rec.cz.control(t))
-                j = float(rec.cz.jerk(t))
-            elif t < sched.tf:
-                zone = ZONE_MZ
-                p = float(rec.mz.position(t))
-                v = float(rec.mz.speed(t))
-                u = float(rec.mz.control(t))
-                j = float(rec.mz.jerk(t))
-            else:
-                zone = ZONE_OUT
-                p = p_end + sched.vf * (t - sched.tf)
-                v = sched.vf
-                u = 0.0
-                j = 0.0
-            rows.append(
-                SampleRow(
-                    t=t, vehicle_id=rec.spec.vehicle_id, arm=arm, turn=turn,
-                    zone=zone, p=p, v=v, u=u, j=j,
-                )
-            )
+        rows.extend(
+            SampleRow(t, vehicle_id, arm, turn, zone_k, p_k, v_k, u_k, j_k)
+            for t, zone_k, p_k, v_k, u_k, j_k in zip(grid.tolist(), zone, p, v, u, j)
+        )
     rows.sort(key=lambda row: (row.t, row.vehicle_id))
     return tuple(rows)
 

@@ -2,16 +2,25 @@
 
 Everything here reaches its answer by a different route than the package
 does: dense geometric sampling instead of exact intersection algebra,
-numerical forward integration instead of closed-form arrival times, and
+numerical forward integration instead of closed-form arrival times,
 discretized trajectory optimization (KKT systems of small quadratic
-programs) instead of polynomial boundary-value solves.  Tests compare
-the two routes; neither side is derived from the other.
+programs) instead of polynomial boundary-value solves, and a full
+reschedule per entry-gate probe and one scalar evaluation per sampled row
+instead of the simulator's shortcuts.  Tests compare the two routes;
+neither side is derived from the other.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.integrate import quad, solve_ivp
+
+from crossflow.cz_planner import check_feasibility, solve_cz
+from crossflow.scheduler import schedule
+from crossflow.sim import _GATE_RESOLUTION, _GATE_SCAN_STEP, ZONE_CZ, ZONE_MZ, ZONE_OUT, SampleRow
 
 # ---------------------------------------------------------------------------
 # Intersection layout in normalized coordinates.
@@ -214,3 +223,76 @@ def quad_half_square(fn, lo: float, hi: float) -> float:
     value, _err = quad(lambda t: 0.5 * fn(t) ** 2, lo, hi,
                        limit=200, epsabs=1e-13, epsrel=1e-13)
     return value
+
+
+# ---------------------------------------------------------------------------
+# The simulator's entry gate and state sampler in their plain per-probe and
+# per-row form: every gate probe re-runs the full scheduler and feasibility
+# check, and every sample row evaluates its trajectory at one scalar time.
+# The simulator's own versions must agree with these bit for bit.
+
+
+def gated_entry_by_full_schedule(spec, queue, leader, g):
+    """Earliest gate-clear entry time, each probe rescheduled in full."""
+
+    def clear(candidate):
+        sched = schedule(candidate, queue, g)
+        traj = solve_cz(candidate.t0, candidate.v0, sched.tm, sched.vm, g.cz_length)
+        report = check_feasibility(traj, g, leader=leader)
+        return not any(v.kind == "rear_end" for v in report.violations)
+
+    if leader is None:
+        return spec.t0
+    if clear(spec):
+        return spec.t0
+    low = spec.t0
+    high = low + _GATE_SCAN_STEP
+    while not clear(replace(spec, t0=high)):
+        low = high
+        high += _GATE_SCAN_STEP
+        if high > leader.tm + _GATE_SCAN_STEP:
+            high = leader.tm + _GATE_SCAN_STEP
+            break
+    while high - low > _GATE_RESOLUTION:
+        mid = 0.5 * (low + high)
+        if clear(replace(spec, t0=mid)):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def sample_states_by_row(records, cfg):
+    """State table on the grid k * sample_step, one scalar evaluation per row."""
+    step = cfg.sample_step
+    rows = []
+    for rec in records:
+        sched = rec.schedule
+        first = math.ceil(rec.spec.t0 / step - 1e-9)
+        last = math.floor(rec.leave_time / step + 1e-9)
+        for k in range(first, last + 1):
+            t = k * step
+            if t < sched.tm:
+                zone, traj = ZONE_CZ, rec.cz
+            elif t < sched.tf:
+                zone, traj = ZONE_MZ, rec.mz
+            else:
+                zone, traj = ZONE_OUT, None
+            if traj is None:
+                p = rec.mz.boundary.p_end + sched.vf * (t - sched.tf)
+                v, u, j = sched.vf, 0.0, 0.0
+            else:
+                p = float(traj.position(t))
+                v = float(traj.speed(t))
+                u = float(traj.control(t))
+                j = float(traj.jerk(t))
+            rows.append(
+                SampleRow(
+                    t=t, vehicle_id=rec.spec.vehicle_id,
+                    arm=rec.spec.movement.entry_arm.value,
+                    turn=rec.spec.movement.turn.value,
+                    zone=zone, p=p, v=v, u=u, j=j,
+                )
+            )
+    rows.sort(key=lambda row: (row.t, row.vehicle_id))
+    return tuple(rows)

@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from crossflow import CzTrajectory, IntersectionGeometry, check_feasibility, cz_cost, solve_cz
+from crossflow.cz_planner import rear_end_gap
 
 
 def test_cruise_boundary_gives_constant_speed():
@@ -192,3 +195,89 @@ def test_cost_matches_quadrature():
         )
         ref = oracles.quad_half_square(traj.control, traj.t0, traj.tm)
         assert cz_cost(traj) == pytest.approx(ref, abs=1e-10, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the rear-end gap predicate shared by the entry gate and check_feasibility
+
+
+def _assert_gap_predicate_matches_report(leader, follower, g):
+    found = rear_end_gap(leader, follower, g.min_safe_distance)
+    report = check_feasibility(follower, g, leader=leader)
+    rear = [v for v in report.violations if v.kind == "rear_end"]
+    if found is None:
+        assert report.min_gap is None and report.min_gap_time is None
+        assert not rear
+        return found
+    assert (found.gap, found.time) == (report.min_gap, report.min_gap_time)
+    assert found.too_close == bool(rear)
+    if rear:
+        assert rear[0].value == found.gap
+    # evaluated on plain floats, the gap keeps every bit of the numpy path
+    assert type(found.gap) is float
+    assert found.gap == float(leader.position(found.time) - follower.position(found.time))
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lead_v0=st.floats(8.0, 13.0),
+    lead_vm=st.floats(6.0, 13.0),
+    lead_span=st.floats(25.0, 50.0),
+    headway=st.floats(0.0, 60.0),
+    v0=st.floats(8.0, 13.0),
+    vm=st.floats(6.0, 13.0),
+    span=st.floats(25.0, 50.0),
+)
+def test_gap_predicate_matches_rear_end_report(lead_v0, lead_vm, lead_span, headway, v0, vm, span):
+    g = IntersectionGeometry()
+    leader = solve_cz(0.0, lead_v0, lead_span, lead_vm, g.cz_length)
+    follower = solve_cz(headway, v0, headway + span, vm, g.cz_length)
+    found = _assert_gap_predicate_matches_report(leader, follower, g)
+    assert (found is None) == (headway > lead_span)
+
+
+@settings(max_examples=100, deadline=None)
+@given(offset=st.floats(-3e-9, 3e-9), speed=st.floats(8.0, 13.0))
+def test_gap_predicate_at_the_safety_distance_with_equal_profiles(offset, speed):
+    # equal cubic coefficients make quad == 0; the constant gap sits within
+    # a few _BOUND_EPS of min_safe_distance
+    g = IntersectionGeometry()
+    leader = CzTrajectory(a=0.0, b=0.0, c=speed, d=0.0, t0=0.0, tm=40.0,
+                          v0=speed, vm=speed, length=g.cz_length)
+    follower = CzTrajectory(a=0.0, b=0.0, c=speed, d=-offset,
+                            t0=g.min_safe_distance / speed, tm=41.0,
+                            v0=speed, vm=speed, length=g.cz_length)
+    found = _assert_gap_predicate_matches_report(leader, follower, g)
+    assert abs(found.gap - (g.min_safe_distance + offset)) < 1e-12
+    if offset < -2e-9:
+        assert found.too_close
+    elif offset > -0.5e-9:
+        assert not found.too_close
+
+
+def test_gap_predicate_windows():
+    g = IntersectionGeometry()
+    leader = solve_cz(0.0, 10.0, 40.0, 10.0, 400.0)
+    # follower enters after the leader has left: lo > hi, nothing to check
+    assert _assert_gap_predicate_matches_report(
+        leader, solve_cz(40.5, 10.0, 80.0, 10.0, 400.0), g
+    ) is None
+    # windows touching at one instant still get a closed-form check
+    touching = _assert_gap_predicate_matches_report(
+        leader, solve_cz(40.0, 10.0, 80.0, 10.0, 400.0), g
+    )
+    assert touching.time == 40.0 and not touching.too_close
+    # the interior dip of test_rear_end_catches_interior_minimum
+    dip = _assert_gap_predicate_matches_report(
+        leader, solve_cz(1.2, 12.0, 41.2, 8.0, 400.0), g
+    )
+    assert dip.too_close and 1.2 < dip.time < 40.0
+    # equal jerk, different control: quad == 0 and the gap is quadratic,
+    # smallest where the speeds match, inside the window
+    speeding_up = CzTrajectory(a=0.0, b=0.2, c=8.0, d=0.0, t0=0.0, tm=40.0,
+                               v0=8.0, vm=16.0, length=400.0)
+    cruising = CzTrajectory(a=0.0, b=0.0, c=10.0, d=0.0, t0=0.5, tm=40.5,
+                            v0=10.0, vm=10.0, length=400.0)
+    vertex = _assert_gap_predicate_matches_report(speeding_up, cruising, g)
+    assert vertex.time == 10.0 and vertex.too_close

@@ -3,13 +3,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from crossflow import (
+    Arm,
     IntersectionGeometry,
+    Movement,
     MzVariant,
+    Schedule,
     SimConfig,
+    Turn,
+    VehicleSpec,
     audit_run,
     boundary_from_schedule,
+    check_feasibility,
     generate_arrivals,
+    mz_exit_speed,
     run,
     solve_cz,
     solve_mz_jerk,
@@ -249,3 +257,75 @@ def test_audit_ignores_scheduler_bookkeeping(base_run):
     )
     report = sim_module._audit(BASE, records, base_run.samples)
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# the fast gate and sampler against their per-probe and per-row oracles
+
+
+def _assert_same_rows(fast, slow):
+    assert fast == slow
+    for fast_row, slow_row in zip(fast, slow):
+        assert [type(x) for x in fast_row] == [type(x) for x in slow_row]
+        for name in ("t", "p", "v", "u", "j"):
+            assert type(getattr(fast_row, name)) is float
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gate_matches_full_schedule_oracle(monkeypatch, seed, rate):
+    cfg = SimConfig(seed=seed, arrival_rate=rate, vehicle_count=24)
+    fast = run(cfg)
+    monkeypatch.setattr(sim_module, "_gated_entry", oracles.gated_entry_by_full_schedule)
+    slow = run(cfg)
+    assert any(rec.spec.t0 > rec.arrival_time for rec in slow.vehicles)
+    assert fast.vehicles == slow.vehicles
+    assert fast.samples == slow.samples
+
+
+@pytest.mark.parametrize(
+    "objective, weight",
+    [
+        (MzVariant.JERK_ONLY, None),
+        (MzVariant.FUEL_ONLY, None),
+        (MzVariant.WEIGHTED, 0.05),
+        (MzVariant.WEIGHTED, 0.5),
+        (MzVariant.WEIGHTED, 0.95),
+    ],
+)
+def test_sampler_matches_per_row_oracle(objective, weight):
+    cfg = SimConfig(seed=4, vehicle_count=12, objective=objective, weight=weight)
+    records = run(cfg).vehicles
+    _assert_same_rows(
+        sim_module._sample_states(records, cfg), oracles.sample_states_by_row(records, cfg)
+    )
+
+
+def test_sampler_zone_boundaries_on_grid_points():
+    # tm and tf sit exactly on grid points: the row at tm is the first
+    # merge-zone row and the row at tf the first row past the merge zone
+    cfg = SimConfig()
+    g = cfg.geometry
+    step = cfg.sample_step
+    movement = Movement(Arm.WEST, Turn.STRAIGHT)
+    spec = VehicleSpec(vehicle_id=1, t0=10 * step, v0=10.0, movement=movement)
+    tm, tf = 400 * step, 430 * step
+    vm = mz_exit_speed(movement, g)
+    sched = Schedule(
+        vehicle_id=1, movement=movement, t0=spec.t0, v0=spec.v0, tm=tm, tf=tf,
+        vm=vm, vf=vm, mz_transit=tf - tm, binding_case="feasibility",
+    )
+    cz = solve_cz(spec.t0, spec.v0, tm, vm, g.cz_length)
+    boundary = boundary_from_schedule(sched, g, u_start=float(cz.control(tm)))
+    record = sim_module.VehicleRecord(
+        spec=spec, arrival_time=spec.t0, schedule=sched, cz=cz,
+        mz=solve_mz_jerk(boundary), feasibility=check_feasibility(cz, g),
+        leave_time=tf + g.min_safe_distance / vm,
+    )
+    rows = sim_module._sample_states([record], cfg)
+    _assert_same_rows(rows, oracles.sample_states_by_row([record], cfg))
+    zone_at = {row.t: row.zone for row in rows}
+    assert zone_at[399 * step] == sim_module.ZONE_CZ
+    assert zone_at[tm] == sim_module.ZONE_MZ
+    assert zone_at[429 * step] == sim_module.ZONE_MZ
+    assert zone_at[tf] == sim_module.ZONE_OUT

@@ -37,7 +37,7 @@ from crossflow.mz_planner import (
 )
 from crossflow.pareto import DEFAULT_W_MAX, DEFAULT_W_MIN, default_grid, sweep
 from crossflow.scheduler import earliest_mz_arrival
-from crossflow.sim import SimConfig, run
+from crossflow.sim import SampleRow, SimConfig, run
 
 SCHEMA_VERSION = 1
 CONFIG_ENV_VAR = "CROSSFLOW_CONFIG"
@@ -277,21 +277,25 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
         writer.writerows(rows)
 
 
+# One trajectories.csv line per sample row.  '%.9g' formats a number as
+# _fmt does, and no field can hold a comma, quote or newline, so the lines
+# match what csv.writer makes of the _fmt strings.
+_TRAJECTORY_HEADER = "t,id,arm,turn,zone,p,v,u,j\n"
+_TRAJECTORY_LINE = "%.9g,%d,%s,%s,%s,%.9g,%.9g,%.9g,%.9g\n"
+
+
+def _write_trajectories(path: str, samples: Sequence[SampleRow]) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(_TRAJECTORY_HEADER)
+        fh.writelines(_TRAJECTORY_LINE % row for row in samples)
+
+
 def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optional[int]) -> int:
     sim_config, resolved = _build_sim_config(config, seed_override)
     result = run(sim_config)
     os.makedirs(out_dir, exist_ok=True)
 
-    trajectory_rows = [
-        [_fmt(row.t), str(row.vehicle_id), row.arm, row.turn, row.zone,
-         _fmt(row.p), _fmt(row.v), _fmt(row.u), _fmt(row.j)]
-        for row in result.samples
-    ]
-    _write_csv(
-        os.path.join(out_dir, "trajectories.csv"),
-        ["t", "id", "arm", "turn", "zone", "p", "v", "u", "j"],
-        trajectory_rows,
-    )
+    _write_trajectories(os.path.join(out_dir, "trajectories.csv"), result.samples)
 
     schedule_rows = []
     for rec in result.vehicles:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from crossflow.geometry import (
+    ALL_MOVEMENTS,
     IntersectionGeometry,
     Movement,
     ConflictClass,
@@ -83,16 +84,34 @@ class ConflictPredecessors(NamedTuple):
     fifo: Optional[Schedule]
 
 
+# How many conflict classes each movement has with some movement at all:
+# four, except right turns, whose arcs cross no other path.
+_CLASS_COUNT = {m: len({classify(o, m) for o in ALL_MOVEMENTS}) for m in ALL_MOVEMENTS}
+
+
 def conflict_predecessors(spec: VehicleSpec, q: Sequence[Schedule]) -> ConflictPredecessors:
-    """Scan the queue for the most recent vehicle in each conflict class."""
-    latest = {cls: None for cls in ConflictClass}
-    for entry in q:
-        latest[classify(entry.movement, spec.movement)] = entry
+    """Scan the queue for the most recent vehicle in each conflict class.
+
+    The scan runs backwards from the queue's end and stops once it has
+    found every class the vehicle's movement can have, so its cost is the
+    distance back to the oldest of those latest entries, not the queue
+    length.  The result is what a full forward scan keeping the last entry
+    per class gives.
+    """
+    movement = spec.movement
+    wanted = _CLASS_COUNT[movement]
+    latest = {}
+    for entry in reversed(q):
+        cls = classify(entry.movement, movement)
+        if cls not in latest:
+            latest[cls] = entry
+            if len(latest) == wanted:
+                break
     return ConflictPredecessors(
-        same_exit=latest[ConflictClass.SAME_EXIT],
-        same_entry=latest[ConflictClass.SAME_ENTRY],
-        lateral=latest[ConflictClass.LATERAL],
-        fifo=latest[ConflictClass.NO_CONFLICT],
+        same_exit=latest.get(ConflictClass.SAME_EXIT),
+        same_entry=latest.get(ConflictClass.SAME_ENTRY),
+        lateral=latest.get(ConflictClass.LATERAL),
+        fifo=latest.get(ConflictClass.NO_CONFLICT),
     )
 
 

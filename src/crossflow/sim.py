@@ -8,17 +8,26 @@ boundary until its planned approach keeps the minimum safe distance to
 the vehicle ahead on the same lane for the whole stretch where both are
 inside the control zone; beyond that gate, safety is entirely the
 scheduler's job.  The gate searches entry times by a forward scan and a
-bisection; the queue is scanned once per search, and each probe then
+bisection; the queue is scanned once per search, backwards and only as
+far as the latest vehicle of each conflict class, and each probe then
 costs one earliest-arrival bound, one approach solve and one closed-form
 minimum gap, independent of queue length.  After the run, an auditor
 re-derives the safety story from the sampled state table alone and
 reports every violation it finds.
+
+Past the gate, every stage is a single pass: the sampler builds each
+vehicle's rows once and orders the whole table with one sort of its
+(t, vehicle_id) keys, and the auditor walks the rows once per check and
+pairs vehicles only within a merge-zone time slice or an exit arm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -369,6 +378,10 @@ def _binding_histogram(records: Sequence[VehicleRecord]) -> Dict[str, int]:
     return histogram
 
 
+# SampleRow from a tuple of its fields, without a Python-level call per row
+_new_sample_row = partial(tuple.__new__, SampleRow)
+
+
 def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> Tuple[SampleRow, ...]:
     """State table on the shared time grid k * sample_step.
 
@@ -376,7 +389,12 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> Tuple[Sa
     the safety window past the merge-zone exit; beyond the exit the speed
     is held constant.  The shared grid means any two vehicles present at
     the same instant appear in the same time slice, which is what the
-    auditor's pairwise checks rely on.
+    auditor's pairwise checks rely on.  Rows come out ordered by
+    (t, vehicle_id), with ties in record order.
+
+    Each vehicle's rows are built in one pass over its grid, with each
+    zone slice evaluated in one call; one stable lexsort of all rows'
+    (t, vehicle_id) keys then orders the table in a single permutation.
     """
     step = cfg.sample_step
     rows: List[SampleRow] = []
@@ -403,12 +421,14 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> Tuple[Sa
         vehicle_id = rec.spec.vehicle_id
         arm = rec.spec.movement.entry_arm.value
         turn = rec.spec.movement.turn.value
-        rows.extend(
-            SampleRow(t, vehicle_id, arm, turn, zone_k, p_k, v_k, u_k, j_k)
-            for t, zone_k, p_k, v_k, u_k, j_k in zip(grid.tolist(), zone, p, v, u, j)
-        )
-    rows.sort(key=lambda row: (row.t, row.vehicle_id))
-    return tuple(rows)
+        columns = (grid.tolist(), repeat(vehicle_id), repeat(arm), repeat(turn), zone, p, v, u, j)
+        rows.extend(map(_new_sample_row, zip(*columns)))
+    n = len(rows)
+    order = np.lexsort((
+        np.fromiter(map(itemgetter(1), rows), np.int64, n),
+        np.fromiter(map(itemgetter(0), rows), np.float64, n),
+    ))
+    return tuple(map(rows.__getitem__, order.tolist()))
 
 
 def _audit(
@@ -419,12 +439,22 @@ def _audit(
     time_tol: float = 1e-6,
     min_safe_distance: Optional[float] = None,
 ) -> AuditReport:
+    """Safety findings of a run, from its state table and trajectory windows.
+
+    ``samples`` must be in time order, as _sample_states makes them.  Each
+    pass costs one walk over the rows or the vehicles plus the pairs it
+    actually checks: lane leader and follower rows for the control-zone
+    gap, pairs of vehicles inside the merge zone in the same time slice
+    for lateral exclusion, and pairs leaving into the same exit arm from
+    different entry arms for exit spacing.
+    """
     delta = cfg.geometry.min_safe_distance if min_safe_distance is None else min_safe_distance
     findings: List[AuditFinding] = []
 
-    by_vehicle: Dict[int, List[SampleRow]] = {}
+    cz_rows: Dict[int, List[SampleRow]] = {}
     for row in samples:
-        by_vehicle.setdefault(row.vehicle_id, []).append(row)
+        if row.zone == ZONE_CZ:
+            cz_rows.setdefault(row.vehicle_id, []).append(row)
     movements = {rec.spec.vehicle_id: rec.spec.movement for rec in vehicles}
 
     # Rear-end inside the control zone: each vehicle against the vehicle
@@ -437,12 +467,8 @@ def _audit(
             lane_pred[rec.spec.vehicle_id] = last_on_arm[arm]
         last_on_arm[arm] = rec.spec.vehicle_id
     for follower_id, leader_id in lane_pred.items():
-        leader_rows = {
-            row.t: row for row in by_vehicle.get(leader_id, ()) if row.zone == ZONE_CZ
-        }
-        for row in by_vehicle.get(follower_id, ()):
-            if row.zone != ZONE_CZ:
-                continue
+        leader_rows = {row.t: row for row in cz_rows.get(leader_id, ())}
+        for row in cz_rows.get(follower_id, ()):
             lead = leader_rows.get(row.t)
             if lead is None:
                 continue
@@ -456,11 +482,9 @@ def _audit(
     # Lateral mutual exclusion: no time slice may hold two crossing-path
     # vehicles inside the merge zone together.
     lateral_seen = set()
-    slice_start = 0
-    for idx in range(len(samples) + 1):
-        if idx < len(samples) and samples[idx].t == samples[slice_start].t:
-            continue
-        time_slice = [row for row in samples[slice_start:idx] if row.zone == ZONE_MZ]
+    mz_rows = [row for row in samples if row.zone == ZONE_MZ]
+    for _, group in groupby(mz_rows, key=lambda row: row.t):
+        time_slice = list(group)
         for first_idx in range(len(time_slice)):
             for second_idx in range(first_idx + 1, len(time_slice)):
                 a, b = time_slice[first_idx], time_slice[second_idx]
@@ -473,20 +497,22 @@ def _audit(
                     findings.append(
                         AuditFinding("mz_overlap", b.vehicle_id, a.vehicle_id, a.t, 0.0, 0.0)
                     )
-        slice_start = idx
 
     # Exit spacing: vehicles leaving into the same lane must be at least
     # the safety distance apart, at the leader's exit speed, when they
     # cross the merge-zone end.  Times come from the trajectory windows.
-    for later_idx in range(len(vehicles)):
-        later = vehicles[later_idx]
-        for earlier_idx in range(later_idx):
-            earlier = vehicles[earlier_idx]
-            cls = classify(earlier.spec.movement, later.spec.movement)
-            if cls is not ConflictClass.SAME_EXIT:
+    # Two movements are in the same-exit class exactly when they share the
+    # exit arm but not the entry arm, so only each exit arm's earlier
+    # vehicles need checking.
+    earlier_by_exit: Dict[Arm, List[VehicleRecord]] = {}
+    for later in vehicles:
+        movement = later.spec.movement
+        exiting = earlier_by_exit.setdefault(movement.exit_arm, [])
+        actual = later.mz.boundary.tf
+        for earlier in exiting:
+            if earlier.spec.movement.entry_arm is movement.entry_arm:
                 continue
             required = earlier.mz.boundary.tf + delta / earlier.mz.boundary.vf
-            actual = later.mz.boundary.tf
             if actual < required - time_tol:
                 findings.append(
                     AuditFinding(
@@ -498,6 +524,7 @@ def _audit(
                         delta / earlier.mz.boundary.vf,
                     )
                 )
+        exiting.append(later)
 
     findings.sort(key=lambda f: (f.time, f.kind, f.vehicle_id, f.other_id))
     return AuditReport(findings=tuple(findings))

@@ -5,11 +5,14 @@ does: dense geometric sampling instead of exact intersection algebra,
 numerical forward integration instead of closed-form arrival times,
 discretized trajectory optimization (KKT systems of small quadratic
 programs) instead of polynomial boundary-value solves, and a full
-reschedule per entry-gate probe and one scalar evaluation per sampled row
-instead of the simulator's shortcuts.  Tests compare the two routes;
-neither side is derived from the other.
+reschedule per entry-gate probe, one scalar evaluation per sampled row, a
+forward queue scan, an all-pairs audit and a csv.writer per output line
+instead of the simulator's and the command line's shortcuts.  Tests
+compare the two routes; neither side is derived from the other.
 """
 
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -19,8 +22,18 @@ import scipy.sparse.linalg
 from scipy.integrate import quad, solve_ivp
 
 from crossflow.cz_planner import check_feasibility, solve_cz
-from crossflow.scheduler import schedule
-from crossflow.sim import _GATE_RESOLUTION, _GATE_SCAN_STEP, ZONE_CZ, ZONE_MZ, ZONE_OUT, SampleRow
+from crossflow.geometry import ConflictClass, classify
+from crossflow.scheduler import ConflictPredecessors, schedule
+from crossflow.sim import (
+    _GATE_RESOLUTION,
+    _GATE_SCAN_STEP,
+    ZONE_CZ,
+    ZONE_MZ,
+    ZONE_OUT,
+    AuditFinding,
+    AuditReport,
+    SampleRow,
+)
 
 # ---------------------------------------------------------------------------
 # Intersection layout in normalized coordinates.
@@ -296,3 +309,118 @@ def sample_states_by_row(records, cfg):
             )
     rows.sort(key=lambda row: (row.t, row.vehicle_id))
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# The scheduler's predecessor scan, the run auditor and the trajectory CSV
+# writer in their plain form: a forward scan over the whole queue, every
+# vehicle pair classified, and each line through _fmt-style formatting and
+# csv.writer.  The package's versions must agree with these exactly.
+
+
+def conflict_predecessors_forward(spec, q):
+    """Latest queue entry per conflict class, by a full forward scan."""
+    latest = {cls: None for cls in ConflictClass}
+    for entry in q:
+        latest[classify(entry.movement, spec.movement)] = entry
+    return ConflictPredecessors(
+        same_exit=latest[ConflictClass.SAME_EXIT],
+        same_entry=latest[ConflictClass.SAME_ENTRY],
+        lateral=latest[ConflictClass.LATERAL],
+        fifo=latest[ConflictClass.NO_CONFLICT],
+    )
+
+
+def audit_pairwise(cfg, vehicles, samples, gap_tol=1e-3, time_tol=1e-6,
+                   min_safe_distance=None):
+    """The run audit with every time slice and every vehicle pair visited."""
+    delta = cfg.geometry.min_safe_distance if min_safe_distance is None else min_safe_distance
+    findings = []
+
+    by_vehicle = {}
+    for row in samples:
+        by_vehicle.setdefault(row.vehicle_id, []).append(row)
+    movements = {rec.spec.vehicle_id: rec.spec.movement for rec in vehicles}
+
+    lane_pred = {}
+    last_on_arm = {}
+    for rec in vehicles:
+        arm = rec.spec.movement.entry_arm
+        if arm in last_on_arm:
+            lane_pred[rec.spec.vehicle_id] = last_on_arm[arm]
+        last_on_arm[arm] = rec.spec.vehicle_id
+    for follower_id, leader_id in lane_pred.items():
+        leader_rows = {
+            row.t: row for row in by_vehicle.get(leader_id, ()) if row.zone == ZONE_CZ
+        }
+        for row in by_vehicle.get(follower_id, ()):
+            if row.zone != ZONE_CZ:
+                continue
+            lead = leader_rows.get(row.t)
+            if lead is None:
+                continue
+            gap = lead.p - row.p
+            if gap < delta - gap_tol:
+                findings.append(AuditFinding("cz_gap", follower_id, leader_id, row.t, gap, delta))
+                break
+
+    lateral_seen = set()
+    slice_start = 0
+    for idx in range(len(samples) + 1):
+        if idx < len(samples) and samples[idx].t == samples[slice_start].t:
+            continue
+        time_slice = [row for row in samples[slice_start:idx] if row.zone == ZONE_MZ]
+        for first_idx in range(len(time_slice)):
+            for second_idx in range(first_idx + 1, len(time_slice)):
+                a, b = time_slice[first_idx], time_slice[second_idx]
+                pair = (a.vehicle_id, b.vehicle_id)
+                if pair in lateral_seen:
+                    continue
+                cls = classify(movements[a.vehicle_id], movements[b.vehicle_id])
+                if cls is ConflictClass.LATERAL:
+                    lateral_seen.add(pair)
+                    findings.append(
+                        AuditFinding("mz_overlap", b.vehicle_id, a.vehicle_id, a.t, 0.0, 0.0)
+                    )
+        slice_start = idx
+
+    for later_idx in range(len(vehicles)):
+        later = vehicles[later_idx]
+        for earlier_idx in range(later_idx):
+            earlier = vehicles[earlier_idx]
+            cls = classify(earlier.spec.movement, later.spec.movement)
+            if cls is not ConflictClass.SAME_EXIT:
+                continue
+            required = earlier.mz.boundary.tf + delta / earlier.mz.boundary.vf
+            actual = later.mz.boundary.tf
+            if actual < required - time_tol:
+                findings.append(
+                    AuditFinding(
+                        "exit_spacing",
+                        later.spec.vehicle_id,
+                        earlier.spec.vehicle_id,
+                        actual,
+                        actual - earlier.mz.boundary.tf,
+                        delta / earlier.mz.boundary.vf,
+                    )
+                )
+
+    findings.sort(key=lambda f: (f.time, f.kind, f.vehicle_id, f.other_id))
+    return AuditReport(findings=tuple(findings))
+
+
+def _fmt(value):
+    return format(float(value), ".9g")
+
+
+def trajectory_csv_by_writer(samples):
+    """trajectories.csv text: every number through format(.9g), csv.writer lines."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["t", "id", "arm", "turn", "zone", "p", "v", "u", "j"])
+    writer.writerows(
+        [_fmt(row.t), str(row.vehicle_id), row.arm, row.turn, row.zone,
+         _fmt(row.p), _fmt(row.v), _fmt(row.u), _fmt(row.j)]
+        for row in samples
+    )
+    return out.getvalue()

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+import oracles
 from crossflow import MzBoundary, cli, solve_mz_jerk
+from crossflow.sim import SampleRow
 
 S_LEFT = 3.0 * math.pi * 30.0 / 8.0
 
@@ -73,6 +75,43 @@ def test_simulate_reads_env_config(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--out", str(out)]) == 0
     assert len(read_csv(out / "schedule.csv")) == 5
+
+
+def test_trajectory_lines_match_csv_writer_on_edge_values(tmp_path):
+    values = [-0.0, 0.0, 1e-7, -1e-7, 1e21, -1e21, 8, 2.0 / 3.0, 123456789.5,
+              5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    rows = [
+        SampleRow(x, k, "N", "left", zone, x, -x, x, 0.0)
+        for k, x in enumerate(values, start=1)
+        for zone in ("cz", "mz", "out")
+    ]
+    rows.append(SampleRow(0.1, 10**9, "W", "right", "out", 3, 4, 0, 0))
+    path = tmp_path / "trajectories.csv"
+    cli._write_trajectories(str(path), rows)
+    assert path.read_bytes() == oracles.trajectory_csv_by_writer(rows).encode()
+
+
+def test_trajectory_csv_matches_csv_writer_with_integer_geometry(tmp_path, monkeypatch):
+    # integer speeds in the YAML reach the state table as ints
+    cfg = write_config(
+        tmp_path,
+        "geometry:\n  mz_speed_left: 8\n  mz_speed_straight: 10\n  mz_speed_right: 6\n"
+        "sim:\n  vehicle_count: 8\n  seed: 4\n",
+    )
+    runs = []
+    run = cli.run
+
+    def capture(sim_config):
+        runs.append(run(sim_config))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run", capture)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    samples = runs[0].samples
+    assert any(type(row.v) is int for row in samples)
+    expected = oracles.trajectory_csv_by_writer(samples).encode()
+    assert (out / "trajectories.csv").read_bytes() == expected
 
 
 def test_invalid_geometry_value_is_a_usage_error(tmp_path, capsys):

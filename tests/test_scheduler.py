@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,6 +17,8 @@ from crossflow import (
     feasibility_bound,
     schedule,
 )
+from crossflow import scheduler as scheduler_module
+from crossflow.geometry import ALL_MOVEMENTS
 from crossflow.scheduler import Schedule
 
 
@@ -83,6 +85,60 @@ def test_predecessors_keep_latest_per_class():
     preds = conflict_predecessors(VehicleSpec(5, 5.0, 10.0, mv("W", "straight")), queue)
     assert preds.same_entry.vehicle_id == 4
     assert preds.lateral.vehicle_id == 3
+
+
+_RIGHT_TURNS = [m for m in ALL_MOVEMENTS if m.turn is Turn.RIGHT]
+_WEST_ARM = [m for m in ALL_MOVEMENTS if m.entry_arm is Arm.WEST]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # right turns only and one entry arm only leave some classes empty
+    movements=st.one_of(
+        st.lists(st.sampled_from(ALL_MOVEMENTS), max_size=40),
+        st.lists(st.sampled_from(_RIGHT_TURNS), max_size=40),
+        st.lists(st.sampled_from(_WEST_ARM), max_size=40),
+    ),
+    own=st.sampled_from(ALL_MOVEMENTS),
+)
+@example(movements=[], own=ALL_MOVEMENTS[0])
+def test_predecessors_match_forward_scan(movements, own):
+    queue = [
+        make_schedule(i, m, float(i), float(i) + 3.0, 10.0, GEOMETRY)
+        for i, m in enumerate(movements, start=1)
+    ]
+    spec = VehicleSpec(len(queue) + 1, 0.0, 10.0, own)
+    fast = conflict_predecessors(spec, queue)
+    slow = oracles.conflict_predecessors_forward(spec, queue)
+    assert all(a is b for a, b in zip(fast, slow))
+
+
+@pytest.mark.parametrize(
+    "own, tail",
+    [
+        # one entry per class: no conflict, lateral, same entry, same exit
+        (("W", "straight"), [("E", "straight"), ("N", "straight"), ("W", "left"), ("S", "right")]),
+        # a right turn crosses no path, so three classes are all it can have
+        (("W", "right"), [("W", "straight"), ("N", "straight"), ("E", "straight")]),
+    ],
+)
+def test_predecessor_scan_stops_once_every_class_is_found(monkeypatch, own, tail):
+    movements = [mv("W", "straight")] * 200 + [mv(*m) for m in tail]
+    queue = [
+        make_schedule(i, m, float(i), float(i) + 3.0, 10.0, GEOMETRY)
+        for i, m in enumerate(movements, start=1)
+    ]
+    calls = []
+    classify = scheduler_module.classify
+
+    def counted(a, b):
+        calls.append((a, b))
+        return classify(a, b)
+
+    monkeypatch.setattr(scheduler_module, "classify", counted)
+    preds = conflict_predecessors(VehicleSpec(len(queue) + 1, 0.0, 10.0, mv(*own)), queue)
+    assert len(calls) == len(tail)
+    assert {p.vehicle_id for p in preds if p is not None} == set(range(201, len(queue) + 1))
 
 
 # ---------------------------------------------------------------------------

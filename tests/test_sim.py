@@ -215,28 +215,32 @@ def test_weighted_objective_runs_clean():
 # independent audit
 
 
-def _tampered(base, cfg, vehicle_id, dt):
-    """Rebuild one vehicle's record with its merge entry moved by dt."""
+def _perturbed(base, cfg, vehicle_id, dt0=0.0, dtm=0.0, dtf=0.0):
+    """Records and their state table, with one vehicle's control-zone entry,
+    merge entry and merge exit moved by dt0, dtm and dtf."""
+    g = cfg.geometry
     records = []
     for rec in base.vehicles:
         if rec.spec.vehicle_id != vehicle_id:
             records.append(rec)
             continue
-        sched = replace(rec.schedule, tm=rec.schedule.tm + dt,
-                        mz_transit=rec.schedule.tf - (rec.schedule.tm + dt))
-        cz = solve_cz(sched.t0, sched.v0, sched.tm, sched.vm, cfg.geometry.cz_length)
-        boundary = boundary_from_schedule(sched, cfg.geometry,
-                                          u_start=float(cz.control(sched.tm)))
-        records.append(replace(rec, schedule=sched, cz=cz, mz=solve_mz_jerk(boundary)))
-    samples = sim_module._sample_states(records, cfg)
-    return sim_module._audit(cfg, tuple(records), samples)
+        spec = replace(rec.spec, t0=rec.spec.t0 + dt0)
+        tm, tf = rec.schedule.tm + dtm, rec.schedule.tf + dtf
+        sched = replace(rec.schedule, t0=spec.t0, tm=tm, tf=tf, mz_transit=tf - tm)
+        cz = solve_cz(spec.t0, spec.v0, tm, sched.vm, g.cz_length)
+        boundary = boundary_from_schedule(sched, g, u_start=float(cz.control(tm)))
+        records.append(replace(rec, spec=spec, schedule=sched, cz=cz,
+                               mz=solve_mz_jerk(boundary),
+                               leave_time=tf + g.min_safe_distance / sched.vf))
+    records = tuple(records)
+    return records, sim_module._sample_states(records, cfg)
 
 
 def test_audit_catches_shrunk_merge_entry(base_run):
     lateral = [r for r in base_run.vehicles if r.schedule.binding_case == "lateral"]
     assert lateral, "reference scenario should bind on a crossing at least once"
     victim = lateral[0].spec.vehicle_id
-    report = _tampered(base_run, BASE, victim, -0.5)
+    report = sim_module._audit(BASE, *_perturbed(base_run, BASE, victim, dtm=-0.5))
     assert not report.ok
     assert any(f.kind == "mz_overlap" for f in report.findings)
 
@@ -257,6 +261,68 @@ def test_audit_ignores_scheduler_bookkeeping(base_run):
     )
     report = sim_module._audit(BASE, records, base_run.samples)
     assert report.ok
+
+
+# the grouped audit against the all-pairs oracle, clean and perturbed
+
+AUDIT_RATES = (0.25, 1.0, 2.0)
+
+
+@pytest.fixture(scope="module")
+def audit_runs():
+    return {
+        rate: run(SimConfig(seed=3, arrival_rate=rate, vehicle_count=40))
+        for rate in AUDIT_RATES
+    }
+
+
+def _assert_audits_agree(cfg, records, samples, **kwargs):
+    report = sim_module._audit(cfg, records, samples, **kwargs)
+    assert report == oracles.audit_pairwise(cfg, records, samples, **kwargs)
+    return report
+
+
+@pytest.mark.parametrize("rate", AUDIT_RATES)
+def test_audit_matches_pairwise_oracle_on_clean_runs(audit_runs, rate):
+    result = audit_runs[rate]
+    report = _assert_audits_agree(result.config, result.vehicles, result.samples)
+    assert report.ok
+
+
+@pytest.mark.parametrize("rate", AUDIT_RATES)
+@pytest.mark.parametrize("factor", [0.5, 2.0, 3.0])
+def test_audit_matches_pairwise_oracle_with_spacing_override(audit_runs, rate, factor):
+    result = audit_runs[rate]
+    delta = factor * result.config.geometry.min_safe_distance
+    report = _assert_audits_agree(result.config, result.vehicles, result.samples,
+                                  min_safe_distance=delta)
+    assert report.ok == (factor < 1.0)
+
+
+@pytest.mark.parametrize(
+    "case, kind",
+    [
+        # criterion 9: a crossing-bound vehicle enters the merge zone early
+        ("lateral", "mz_overlap"),
+        # a same-exit follower leaves the merge zone early
+        ("same_exit", "exit_spacing"),
+        # a gated follower enters the control zone early
+        ("gated", "cz_gap"),
+    ],
+)
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+def test_audit_matches_pairwise_oracle_on_perturbed_records(audit_runs, rate, case, kind):
+    result = audit_runs[rate]
+    if case == "gated":
+        victims = [r for r in result.vehicles if r.spec.t0 > r.arrival_time]
+        shift = {"dt0": -0.5}
+    else:
+        victims = [r for r in result.vehicles if r.schedule.binding_case == case]
+        shift = {"dtm": -0.5} if case == "lateral" else {"dtf": -0.5}
+    assert victims
+    records, samples = _perturbed(result, result.config, victims[0].spec.vehicle_id, **shift)
+    report = _assert_audits_agree(result.config, records, samples)
+    assert kind in {f.kind for f in report.findings}
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +362,14 @@ def test_gate_matches_full_schedule_oracle(monkeypatch, seed, rate):
 def test_sampler_matches_per_row_oracle(objective, weight):
     cfg = SimConfig(seed=4, vehicle_count=12, objective=objective, weight=weight)
     records = run(cfg).vehicles
+    _assert_same_rows(
+        sim_module._sample_states(records, cfg), oracles.sample_states_by_row(records, cfg)
+    )
+
+
+def test_sampler_orders_rows_by_time_then_id_in_any_record_order():
+    cfg = SimConfig(seed=4, vehicle_count=12)
+    records = run(cfg).vehicles[::-1]
     _assert_same_rows(
         sim_module._sample_states(records, cfg), oracles.sample_states_by_row(records, cfg)
     )

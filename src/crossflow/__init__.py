@@ -18,8 +18,6 @@ from crossflow.geometry import (
     Turn,
     TurnTimeFormula,
     classify,
-    mz_exit_speed,
-    turn_time,
 )
 from crossflow.scheduler import (
     Schedule,
@@ -27,15 +25,13 @@ from crossflow.scheduler import (
     audit_queue,
     conflict_predecessors,
     earliest_mz_arrival,
-    feasibility_bound,
     schedule,
 )
 from crossflow.cz_planner import (
-    CzTrajectory,
     FeasibilityReport,
+    PolyTrajectory,
     Violation,
     check_feasibility,
-    cz_cost,
     solve_cz,
 )
 from crossflow.mz_planner import (
@@ -46,6 +42,7 @@ from crossflow.mz_planner import (
     boundary_from_schedule,
     mz_costs,
     normalization_weights,
+    solve_mz,
     solve_mz_fuel,
     solve_mz_jerk,
     solve_mz_weighted,

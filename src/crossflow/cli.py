@@ -18,12 +18,15 @@ import argparse
 import csv
 import hashlib
 import json
+import numbers
 import os
 import sys
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from crossflow import __version__
-from crossflow.cz_planner import check_feasibility, cz_cost, solve_cz
+from crossflow.cz_planner import check_feasibility, solve_cz
 from crossflow.geometry import Arm, IntersectionGeometry, Turn, TurnTimeFormula
 from crossflow.mz_planner import (
     DEFAULT_JERK_SCALE,
@@ -31,13 +34,11 @@ from crossflow.mz_planner import (
     MzVariant,
     mz_costs,
     normalization_weights,
-    solve_mz_fuel,
-    solve_mz_jerk,
-    solve_mz_weighted,
+    solve_mz,
 )
 from crossflow.pareto import DEFAULT_W_MAX, DEFAULT_W_MIN, default_grid, sweep
 from crossflow.scheduler import earliest_mz_arrival
-from crossflow.sim import SampleRow, SimConfig, run
+from crossflow.sim import SampleRow, SimConfig, evaluate_crossing, run
 
 SCHEMA_VERSION = 1
 CONFIG_ENV_VAR = "CROSSFLOW_CONFIG"
@@ -49,6 +50,10 @@ class ConfigError(ValueError):
 
 def _fmt(value: float) -> str:
     return format(float(value), ".9g")
+
+
+def _coefficient_text(coefficients: Sequence[float]) -> str:
+    return " ".join(f"{name}={_fmt(value)}" for name, value in zip("abcdef", coefficients))
 
 
 def _json_float(value: float) -> float:
@@ -76,6 +81,18 @@ _PLAN_KEYS = {
     "arm", "turn", "t0", "v0", "tm", "objective", "weight", "jerk_scale",
     "sample_step",
 }
+
+
+def _read(convert: Callable[[Any], Any], value: Any, path: str) -> Any:
+    """convert(value), with a malformed value reported against its key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path} has a malformed value: {value!r}") from None
+
+
+def _floats(raw: Any) -> Tuple[float, ...]:
+    return tuple(float(x) for x in raw)
 
 
 def _check_keys(section: Mapping[str, Any], allowed: set, path: str) -> None:
@@ -125,7 +142,7 @@ def _build_geometry(section: Mapping[str, Any]) -> IntersectionGeometry:
                 raise ConfigError(
                     "geometry.turn_times must be three values (left, straight, right) or null"
                 )
-            raw = tuple(float(x) for x in raw)
+            raw = _read(_floats, raw, "geometry.turn_times")
         kwargs["turn_times"] = raw
     formula = section.get("formula")
     if formula is not None:
@@ -213,7 +230,7 @@ def _build_sim_config(
             raw = section[key]
             if not isinstance(raw, Sequence) or len(raw) != size:
                 raise ConfigError(f"sim.{key} must be a list of {size} numbers")
-            kwargs[key] = tuple(float(x) for x in raw)
+            kwargs[key] = _read(_floats, raw, f"sim.{key}")
     if "objective" in section:
         kwargs["objective"] = _parse_objective(section["objective"], "sim.objective")
     if seed_override is not None:
@@ -340,16 +357,18 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
     geometry = _build_geometry(_section(config, "geometry", _GEOMETRY_KEYS))
     section = _section(config, "pareto", _PARETO_KEYS)
     turn = _parse_turn(section.get("turn", "left"), "pareto.turn")
-    entry_time = float(section.get("entry_time", 0.0))
+    entry_time = _read(float, section.get("entry_time", 0.0), "pareto.entry_time")
     vm = section.get("mz_entry_speed")
-    vm = geometry.mz_speed(turn) if vm is None else float(vm)
+    vm = geometry.mz_speed(turn) if vm is None else _read(float, vm, "pareto.mz_entry_speed")
     vf = section.get("mz_exit_speed")
-    vf = geometry.mz_speed(turn) if vf is None else float(vf)
-    jerk_scale = float(section.get("jerk_scale", DEFAULT_JERK_SCALE))
-    grid_size = int(section.get("grid_size", 50))
-    w_min = float(section.get("w_min", DEFAULT_W_MIN))
-    w_max = float(section.get("w_max", DEFAULT_W_MAX))
+    vf = geometry.mz_speed(turn) if vf is None else _read(float, vf, "pareto.mz_exit_speed")
+    jerk_scale = _read(float, section.get("jerk_scale", DEFAULT_JERK_SCALE), "pareto.jerk_scale")
+    grid_size = _read(int, section.get("grid_size", 50), "pareto.grid_size")
+    w_min = _read(float, section.get("w_min", DEFAULT_W_MIN), "pareto.w_min")
+    w_max = _read(float, section.get("w_max", DEFAULT_W_MAX), "pareto.w_max")
     explicit_grid = section.get("grid")
+    if explicit_grid is not None:
+        explicit_grid = _read(_floats, explicit_grid, "pareto.grid")
 
     try:
         boundary = MzBoundary(
@@ -361,7 +380,7 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
             p_end=geometry.cz_length + geometry.path_length(turn),
         )
         if explicit_grid is not None:
-            grid = tuple(float(w) for w in explicit_grid)
+            grid = explicit_grid
         else:
             grid = default_grid(grid_size, w_min, w_max)
         q1, q2 = normalization_weights(geometry.u_max, jerk_scale)
@@ -402,16 +421,18 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
     section = _section(config, "plan", _PLAN_KEYS)
     arm = _parse_arm(section.get("arm", "W"), "plan.arm")
     turn = _parse_turn(section.get("turn", "straight"), "plan.turn")
-    t0 = float(section.get("t0", 0.0))
-    v0 = float(section.get("v0", 10.0))
+    t0 = _read(float, section.get("t0", 0.0), "plan.t0")
+    v0 = _read(float, section.get("v0", 10.0), "plan.v0")
     requested_tm = section.get("tm")
     objective = _parse_objective(section.get("objective", "jerk_only"), "plan.objective")
     weight = section.get("weight")
-    jerk_scale = float(section.get("jerk_scale", DEFAULT_JERK_SCALE))
-    sample_step = float(section.get("sample_step", 0.1))
+    jerk_scale = _read(float, section.get("jerk_scale", DEFAULT_JERK_SCALE), "plan.jerk_scale")
+    sample_step = _read(float, section.get("sample_step", 0.1), "plan.sample_step")
     if sample_step <= 0.0:
         raise ConfigError("plan.sample_step must be positive")
-    if objective is MzVariant.WEIGHTED and (weight is None or not 0.0 < weight < 1.0):
+    if objective is MzVariant.WEIGHTED and not (
+        isinstance(weight, numbers.Real) and 0.0 < weight < 1.0
+    ):
         raise ConfigError("plan.weight must be strictly inside (0, 1) for the weighted objective")
 
     try:
@@ -421,7 +442,7 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
     if requested_tm is None:
         tm = bound
     else:
-        tm = float(requested_tm)
+        tm = _read(float, requested_tm, "plan.tm")
         if tm < bound:
             print(
                 f"warning: requested merge time {_fmt(tm)} is earlier than the "
@@ -431,40 +452,27 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
             tm = bound
 
     vm = geometry.mz_speed(turn)
-    transit = geometry.transit_time(turn)
+    tf = tm + geometry.transit_time(turn)
     cz = solve_cz(t0, v0, tm, vm, geometry.cz_length)
     boundary = MzBoundary(
         tm=tm,
-        tf=tm + transit,
+        tf=tf,
         vm=vm,
         vf=vm,
         p_start=geometry.cz_length,
         p_end=geometry.cz_length + geometry.path_length(turn),
         u_start=float(cz.control(tm)),
     )
-    if objective is MzVariant.FUEL_ONLY:
-        mz = solve_mz_fuel(boundary)
-    elif objective is MzVariant.JERK_ONLY:
-        mz = solve_mz_jerk(boundary)
-    else:
-        q1, q2 = normalization_weights(geometry.u_max, jerk_scale)
-        mz = solve_mz_weighted(boundary, weight, q1, q2)
+    mz = solve_mz(boundary, objective, weight, geometry.u_max, jerk_scale)
     report = check_feasibility(cz, geometry)
     costs = mz_costs(mz)
 
     print(f"movement: {arm.value}:{turn.value}")
     print(f"entry: t0={_fmt(t0)} v0={_fmt(v0)}")
-    print(f"merge window: tm={_fmt(tm)} tf={_fmt(tm + transit)} vm={_fmt(vm)}")
-    print(
-        "approach coefficients: "
-        f"a={_fmt(cz.a)} b={_fmt(cz.b)} c={_fmt(cz.c)} d={_fmt(cz.d)}"
-    )
-    coeff_text = " ".join(
-        f"{name}={_fmt(value)}"
-        for name, value in zip("abcdef", mz.coefficients)
-    )
-    print(f"merge coefficients ({mz.variant.value}): {coeff_text}")
-    print(f"approach effort: {_fmt(cz_cost(cz))}")
+    print(f"merge window: tm={_fmt(tm)} tf={_fmt(tf)} vm={_fmt(vm)}")
+    print(f"approach coefficients: {_coefficient_text(cz.coefficients)}")
+    print(f"merge coefficients ({objective.value}): {_coefficient_text(mz.coefficients)}")
+    print(f"approach effort: {_fmt(cz.half_square_integral(2))}")
     print(f"merge fuel: {_fmt(costs.fuel)}")
     print(f"merge discomfort: {_fmt(costs.discomfort)}")
     if costs.weighted is not None:
@@ -479,19 +487,12 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
             )
 
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    tf = tm + transit
     steps = int(round((tf - t0) / sample_step))
-    for k in range(steps + 1):
-        t = min(t0 + k * sample_step, tf)
-        if t < tm:
-            zone, src = "cz", cz
-        else:
-            zone, src = "mz", mz
-        rows.append([
-            _fmt(t), zone, _fmt(float(src.position(t))), _fmt(float(src.speed(t))),
-            _fmt(float(src.control(t))), _fmt(float(src.jerk(t))),
-        ])
+    times = np.minimum(t0 + np.arange(steps + 1) * sample_step, tf)
+    rows = [
+        [_fmt(t), zone, _fmt(p), _fmt(v), _fmt(u), _fmt(j)]
+        for t, zone, p, v, u, j in zip(times.tolist(), *evaluate_crossing(cz, mz, times))
+    ]
     _write_csv(os.path.join(out_dir, "plan.csv"), ["t", "zone", "p", "v", "u", "j"], rows)
 
     resolved = {

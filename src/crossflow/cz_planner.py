@@ -1,10 +1,14 @@
-"""Closed-form fuel-minimal trajectories for the control-zone approach.
+"""Polynomial trajectories, and closed-form fuel-minimal approach plans.
 
-Minimizing the squared-acceleration integral between fixed position/speed
-endpoints makes the optimal control linear in time, so the whole planning
-problem collapses to a 4x4 linear solve for the cubic position profile.
-Speed/acceleration bounds and the rear-end gap to a leader are verified
-after the fact and reported; a violating plan is surfaced, never clipped.
+Every unconstrained optimum in this package that is a polynomial is a
+Hermite interpolant: the polynomial of degree 2m-1 that matches position
+and its first m-1 derivatives at both ends of a time window.  Minimizing
+the squared-acceleration integral makes the control linear in time, so
+the approach plan is the cubic (m = 2); the merge-zone planners reuse
+the same solve for their fuel-only cubic and jerk-only quintic (m = 3).
+One PolyTrajectory type carries all of them.  Speed/acceleration bounds
+and the rear-end gap to a leader are verified after the fact and
+reported; a violating plan is surfaced, never clipped.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from functools import cache
+from operator import itemgetter
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,83 +30,118 @@ _BOUND_EPS = 1e-9
 # bisection tolerance on reported violation times
 _TIME_EPS = 1e-9
 
+_FACTORIAL = tuple(float(math.factorial(k)) for k in range(8))
+
+# Gauss-Legendre rules on [-1, 1] by node count; n nodes integrate every
+# polynomial of degree up to 2n - 1 exactly
+_GAUSS = tuple(np.polynomial.legendre.leggauss(n) for n in range(1, 7))
+
+
+def _horner(coeffs: Sequence[float], tau):
+    """sum of coeffs[i] * tau^k / k!, k = len(coeffs) - 1 - i, by Horner."""
+    degree = len(coeffs) - 1
+    if degree == 0:
+        return np.full_like(tau, coeffs[0])
+    top = _FACTORIAL[degree]
+    # dividing by 1 or 2 is exact, so the leading coefficient can be scaled
+    # before it meets tau; by 6 or more it must be scaled after
+    value = coeffs[0] / top * tau if top <= 2.0 else coeffs[0] * tau / top
+    value = value + coeffs[1] / _FACTORIAL[degree - 1]
+    for i in range(2, degree + 1):
+        value = value * tau + coeffs[i] / _FACTORIAL[degree - i]
+    return value
+
 
 @dataclass(frozen=True)
-class CzTrajectory:
-    """Cubic position profile over the approach window [t0, tm].
+class PolyTrajectory:
+    """Polynomial position profile over the window [t0, t1].
 
-    Coefficients live in shifted time tau = t - t0: u = a*tau + b,
-    v = a*tau^2/2 + b*tau + c, p = a*tau^3/6 + b*tau^2/2 + c*tau + d.
-    Shifting keeps the boundary system well-conditioned at large absolute
-    times.  Position is measured from the control-zone entrance.
+    ``coefficients`` are the derivatives of position at t0, highest order
+    first: (a, b, c, d) of a cubic are its jerk, control, speed and
+    position at t0, so p = a*tau^3/6 + b*tau^2/2 + c*tau + d in shifted
+    time tau = t - t0.  Shifting keeps the boundary system
+    well-conditioned at large absolute times.  Positions are arc length
+    from the control-zone entrance.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
     t0: float
-    tm: float
-    v0: float
-    vm: float
-    length: float
+    t1: float
+    coefficients: Tuple[float, ...]
 
     @property
     def duration(self) -> float:
-        return self.tm - self.t0
+        return self.t1 - self.t0
 
-    def control(self, t):
+    def derivative(self, t, order: int):
+        """The order-th derivative of position at t, a scalar or an array."""
         tau = np.asarray(t, dtype=float) - self.t0
-        return self.a * tau + self.b
-
-    def speed(self, t):
-        tau = np.asarray(t, dtype=float) - self.t0
-        return (0.5 * self.a * tau + self.b) * tau + self.c
+        return _horner(self.coefficients[: len(self.coefficients) - order], tau)
 
     def position(self, t):
-        tau = np.asarray(t, dtype=float) - self.t0
-        return ((self.a * tau / 6.0 + 0.5 * self.b) * tau + self.c) * tau + self.d
+        return self.derivative(t, 0)
+
+    def speed(self, t):
+        return self.derivative(t, 1)
+
+    def control(self, t):
+        return self.derivative(t, 2)
 
     def jerk(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.a)
+        return self.derivative(t, 3)
+
+    def half_square_integral(self, order: int) -> float:
+        """Half the integral of the order-th derivative squared over the
+        window, exact: a derivative of degree k is squared to degree 2k,
+        which the (k+1)-node Gauss-Legendre rule integrates exactly."""
+        coeffs = self.coefficients[: len(self.coefficients) - order]
+        nodes, weights = _GAUSS[len(coeffs) - 1]
+        half = 0.5 * self.duration
+        values = _horner(coeffs, half * (1.0 + nodes))
+        return 0.5 * half * float(np.dot(weights, values * values))
 
 
-def solve_cz(t0: float, v0: float, tm: float, vm: float, length: float) -> CzTrajectory:
-    """Solve the boundary system for the fuel-minimal approach trajectory.
-
-    Conditions: p(t0) = 0, v(t0) = v0, p(tm) = length, v(tm) = vm.
-    """
-    if not tm > t0:
-        raise ValueError(f"merge time {tm} does not exceed entry time {t0}: boundary system is singular")
-    horizon = tm - t0
-    system = np.array(
-        [
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [horizon**3 / 6.0, horizon**2 / 2.0, horizon, 1.0],
-            [horizon**2 / 2.0, horizon, 1.0, 0.0],
-        ]
+@cache
+def _hermite_layout(m: int) -> itemgetter:
+    """Picks the 2m x 2m Hermite boundary matrix, row by row, out of the
+    entries [0, 1, width, width^2/2!, width^3/3!, ...].  Rows are the m
+    start conditions, then the m end conditions; columns are derivative
+    orders, highest first, and order k enters the value of derivative r
+    at the window end with factor width^(k-r)/(k-r)!."""
+    orders = range(2 * m - 1, -1, -1)
+    return itemgetter(
+        *[1 if k == r else 0 for r in range(m) for k in orders],
+        *[k - r + 1 if k >= r else 0 for r in range(m) for k in orders],
     )
-    rhs = np.array([0.0, v0, length, vm])
-    if horizon < 1e-3:
+
+
+
+def hermite(t0: float, t1: float, start: Sequence[float], end: Sequence[float]) -> PolyTrajectory:
+    """The polynomial of degree 2m-1 whose position and first m-1
+    derivatives take the m values ``start`` at t0 and ``end`` at t1."""
+    if not t1 > t0:
+        raise ValueError(
+            f"window end {t1} does not exceed its start {t0}: boundary system is singular"
+        )
+    m = len(start)
+    n = 2 * m
+    width = t1 - t0
+    entries = [0.0, 1.0, width] + [width**k / _FACTORIAL[k] for k in range(2, n)]
+    system = np.array(_hermite_layout(m)(entries)).reshape(n, n)
+    if width < 1e-3:
         warnings.warn(
-            f"approach window of {horizon:.3g} s is extremely short; "
+            f"window of {width:.3g} s is extremely short; "
             f"boundary system condition estimate {np.linalg.cond(system):.3g}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    a, b, c, d = np.linalg.solve(system, rhs)
-    return CzTrajectory(
-        a=float(a), b=float(b), c=float(c), d=float(d),
-        t0=t0, tm=tm, v0=v0, vm=vm, length=length,
-    )
+    coeffs = np.linalg.solve(system, np.array([*start, *end]))
+    return PolyTrajectory(t0, t1, tuple(coeffs.tolist()))
 
 
-def cz_cost(traj: CzTrajectory) -> float:
-    """Control effort 0.5 * integral of u^2 over the window, in closed form."""
-    horizon = traj.duration
-    a, b = traj.a, traj.b
-    return 0.5 * (a * a * horizon**3 / 3.0 + a * b * horizon**2 + b * b * horizon)
+def solve_cz(t0: float, v0: float, tm: float, vm: float, length: float) -> PolyTrajectory:
+    """The fuel-minimal approach trajectory: the cubic with
+    p(t0) = 0, v(t0) = v0, p(tm) = length, v(tm) = vm."""
+    return hermite(t0, tm, (0.0, v0), (length, vm))
 
 
 @dataclass(frozen=True)
@@ -122,42 +163,46 @@ class FeasibilityReport:
     min_gap_time: Optional[float] = None
 
 
-def _speed_extremum_times(traj: CzTrajectory):
-    times = [traj.t0, traj.tm]
-    if traj.a != 0.0:
-        stationary = traj.t0 - traj.b / traj.a
-        if traj.t0 < stationary < traj.tm:
+def _speed_extremum_times(traj: PolyTrajectory):
+    a, b, _, _ = traj.coefficients
+    times = [traj.t0, traj.t1]
+    if a != 0.0:
+        stationary = traj.t0 - b / a
+        if traj.t0 < stationary < traj.t1:
             times.append(stationary)
     return times
 
 
-def _position(traj: CzTrajectory, t: float) -> float:
-    # CzTrajectory.position on plain floats: the same operations in the same
-    # order give the same bits, without numpy-scalar overhead
+def _position(traj: PolyTrajectory, t: float) -> float:
+    # PolyTrajectory.position of a cubic on plain floats: the same
+    # operations in the same order give the same bits, without the
+    # numpy-scalar overhead of the generic Horner loop
+    a, b, c, d = traj.coefficients
     tau = t - traj.t0
-    return ((traj.a * tau / 6.0 + 0.5 * traj.b) * tau + traj.c) * tau + traj.d
+    return ((a * tau / 6.0 + 0.5 * b) * tau + c) * tau + d
 
 
-def _gap(leader: CzTrajectory, follower: CzTrajectory, t: float) -> float:
+def _gap(leader: PolyTrajectory, follower: PolyTrajectory, t: float) -> float:
     return _position(leader, t) - _position(follower, t)
 
 
-def _shared_window(leader: CzTrajectory, follower: CzTrajectory) -> Tuple[float, float]:
+def _shared_window(leader: PolyTrajectory, follower: PolyTrajectory) -> Tuple[float, float]:
     """Window where both vehicles are inside the control zone; empty when lo > hi."""
-    return max(follower.t0, leader.t0), min(follower.tm, leader.tm)
+    return max(follower.t0, leader.t0), min(follower.t1, leader.t1)
 
 
-def _min_gap(leader: CzTrajectory, follower: CzTrajectory, lo: float, hi: float):
+def _min_gap(leader: PolyTrajectory, follower: PolyTrajectory, lo: float, hi: float):
     """Exact minimum of the leader-follower gap on [lo, hi].
 
     The gap is cubic in t, so its minimum over a closed window sits either
     at a window endpoint or at a root of the quadratic speed difference.
     """
-    quad = 0.5 * (leader.a - follower.a)
-    lin = (leader.b - leader.a * leader.t0) - (follower.b - follower.a * follower.t0)
-    const = (
-        0.5 * leader.a * leader.t0**2 - leader.b * leader.t0 + leader.c
-    ) - (0.5 * follower.a * follower.t0**2 - follower.b * follower.t0 + follower.c)
+    la, lb, lc, _ = leader.coefficients
+    fa, fb, fc, _ = follower.coefficients
+    lt0, ft0 = leader.t0, follower.t0
+    quad = 0.5 * (la - fa)
+    lin = (lb - la * lt0) - (fb - fa * ft0)
+    const = (0.5 * la * lt0**2 - lb * lt0 + lc) - (0.5 * fa * ft0**2 - fb * ft0 + fc)
     candidates = [lo, hi]
     if quad != 0.0:
         disc = lin * lin - 4.0 * quad * const
@@ -184,7 +229,7 @@ class GapCheck(NamedTuple):
 
 
 def rear_end_gap(
-    leader: CzTrajectory, follower: CzTrajectory, min_safe_distance: float
+    leader: PolyTrajectory, follower: PolyTrajectory, min_safe_distance: float
 ) -> Optional[GapCheck]:
     """Rear-end check of a follower against the vehicle ahead on its lane.
 
@@ -216,9 +261,9 @@ def _first_gap_crossing(leader, follower, delta: float) -> float:
 
 
 def check_feasibility(
-    traj: CzTrajectory,
+    traj: PolyTrajectory,
     g: IntersectionGeometry,
-    leader: Optional[CzTrajectory] = None,
+    leader: Optional[PolyTrajectory] = None,
 ) -> FeasibilityReport:
     """Verify speed/acceleration bounds and the rear-end gap to a leader.
 
@@ -231,7 +276,7 @@ def check_feasibility(
     what to do with an infeasible plan.
     """
     violations = []
-    for t in (traj.t0, traj.tm):
+    for t in (traj.t0, traj.t1):
         u = float(traj.control(t))
         if u < g.u_min - _BOUND_EPS:
             violations.append(Violation("control_low", t, u, g.u_min))

@@ -219,16 +219,6 @@ class IntersectionGeometry:
         return self.turn_time_formula.transit_time(turn)
 
 
-def turn_time(m: Movement, g: IntersectionGeometry) -> float:
-    """Scheduled merge-zone transit duration of a movement, in seconds."""
-    return g.transit_time(m.turn)
-
-
-def mz_exit_speed(m: Movement, g: IntersectionGeometry) -> float:
-    """Boundary speed of the merge-zone traversal; entry and exit speeds match."""
-    return g.mz_speed(m.turn)
-
-
 # ---------------------------------------------------------------------------
 # Merge-zone path curves and their intersection predicate.
 #

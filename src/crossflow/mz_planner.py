@@ -1,11 +1,13 @@
 """Merging-zone trajectory solvers: fuel-only, jerk-only, and weighted.
 
 All three objectives admit closed-form optima between fixed boundary
-conditions.  Minimizing squared acceleration alone gives a cubic position
-profile (four conditions: position and speed at both ends).  Minimizing
-squared jerk gives a quintic (six conditions: acceleration pinned too).
-The convex combination of the two gives a cubic particular part plus a
-pair of exponential modes exp(+A1*tau), exp(-A1*tau) whose rate
+conditions.  Minimizing squared acceleration alone gives the cubic
+Hermite interpolant of position and speed at both ends; minimizing
+squared jerk gives the quintic one, which pins acceleration too.  Both
+are PolyTrajectory instances from the same Hermite solve as the
+approach plan.  The convex combination of the two objectives gives a
+cubic particular part plus a pair of exponential modes exp(+A1*tau),
+exp(-A1*tau) whose rate
 
     A1 = sqrt(w*q1 / ((1-w)*q2))
 
@@ -23,7 +25,8 @@ six-dimensional solution space:
   the stiff solution develops as w -> 1.
 
 Both parametrizations represent {cubic} + span{exp(+-A1 tau)} exactly;
-only the conditioning of the 6x6 boundary system differs.
+only the conditioning of the 6x6 boundary system differs.  MzTrajectory
+carries this weighted form only.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from crossflow.cz_planner import PolyTrajectory, hermite
 from crossflow.geometry import IntersectionGeometry
 from crossflow.scheduler import Schedule
 
@@ -51,6 +55,7 @@ _SERIES_SPLIT = 0.5
 # Gauss-Legendre panel layout for the weighted cost integrals
 _GL_NODES = 20
 _GL_WIDTH = 10.0
+_GL_POINTS, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_NODES)
 
 
 def normalization_weights(
@@ -63,7 +68,7 @@ def normalization_weights(
 
 
 class MzVariant(enum.Enum):
-    """Which objective produced a merging-zone trajectory."""
+    """A merging-zone objective."""
 
     FUEL_ONLY = "fuel_only"
     JERK_ONLY = "jerk_only"
@@ -205,44 +210,36 @@ def _basis_pair(regime: str, rate: float, width: float, tau, deriv: int):
 
 @dataclass(frozen=True)
 class MzTrajectory:
-    """One solved merging-zone trajectory.
+    """One weighted merging-zone trajectory over the window [t0, t1].
 
-    ``coefficients`` holds the family constants per variant: (a, b, c, d)
-    of the cubic position profile for FUEL_ONLY, (a..f) of the quintic
-    position profile for JERK_ONLY, and the canonical constants (a..f) of
-    the exponential closed form for WEIGHTED, with rate_pos/rate_neg the
-    exponential rates.  Near the degenerate weights the canonical weighted
-    amplitudes grow without bound; they are reported for inspection only,
-    while evaluation always goes through the conditioned internal basis.
+    ``coefficients`` holds the canonical constants (a..f) of the
+    exponential closed form, with rate_pos/rate_neg the exponential
+    rates.  Near the degenerate weights the canonical amplitudes grow
+    without bound; they are reported for inspection only, while
+    evaluation always goes through the conditioned internal basis.
     """
 
-    variant: MzVariant
-    boundary: MzBoundary
+    t0: float
+    t1: float
     coefficients: Tuple[float, ...]
-    rate_pos: Optional[float] = None
-    rate_neg: Optional[float] = None
-    w: Optional[float] = None
-    q1: Optional[float] = None
-    q2: Optional[float] = None
-    _regime: Optional[str] = None
-    _poly: Optional[Tuple[float, float, float, float]] = None
-    _beta: Optional[Tuple[float, float]] = None
+    rate_pos: float
+    rate_neg: float
+    w: float
+    q1: float
+    q2: float
+    _regime: str
+    _poly: Tuple[float, float, float, float]
+    _beta: Tuple[float, float]
 
     @property
     def duration(self) -> float:
-        return self.boundary.duration
+        return self.t1 - self.t0
 
     def _tau(self, t):
-        return np.asarray(t, dtype=float) - self.boundary.tm
+        return np.asarray(t, dtype=float) - self.t0
 
     def position(self, t):
         tau = self._tau(t)
-        if self.variant is MzVariant.FUEL_ONLY:
-            a, b, c, d = self.coefficients
-            return ((a * tau / 6.0 + 0.5 * b) * tau + c) * tau + d
-        if self.variant is MzVariant.JERK_ONLY:
-            a, b, c, d, e, f = self.coefficients
-            return ((((a * tau / 120.0 + b / 24.0) * tau + c / 6.0) * tau + 0.5 * d) * tau + e) * tau + f
         p0, p1, p2, p3 = self._poly
         b1, b2 = self._beta
         head, tail = _basis_pair(self._regime, self.rate_pos, self.duration, tau, 0)
@@ -250,12 +247,6 @@ class MzTrajectory:
 
     def speed(self, t):
         tau = self._tau(t)
-        if self.variant is MzVariant.FUEL_ONLY:
-            a, b, c, _ = self.coefficients
-            return (0.5 * a * tau + b) * tau + c
-        if self.variant is MzVariant.JERK_ONLY:
-            a, b, c, d, e, _ = self.coefficients
-            return (((a * tau / 24.0 + b / 6.0) * tau + 0.5 * c) * tau + d) * tau + e
         _, p1, p2, p3 = self._poly
         b1, b2 = self._beta
         head, tail = _basis_pair(self._regime, self.rate_pos, self.duration, tau, 1)
@@ -263,12 +254,6 @@ class MzTrajectory:
 
     def control(self, t):
         tau = self._tau(t)
-        if self.variant is MzVariant.FUEL_ONLY:
-            a, b, _, _ = self.coefficients
-            return a * tau + b
-        if self.variant is MzVariant.JERK_ONLY:
-            a, b, c, d, _, _ = self.coefficients
-            return ((a * tau / 6.0 + 0.5 * b) * tau + c) * tau + d
         _, _, p2, p3 = self._poly
         b1, b2 = self._beta
         head, tail = _basis_pair(self._regime, self.rate_pos, self.duration, tau, 2)
@@ -276,19 +261,29 @@ class MzTrajectory:
 
     def jerk(self, t):
         tau = self._tau(t)
-        if self.variant is MzVariant.FUEL_ONLY:
-            a = self.coefficients[0]
-            return np.full_like(tau, a)
-        if self.variant is MzVariant.JERK_ONLY:
-            a, b, c, _, _, _ = self.coefficients
-            return (0.5 * a * tau + b) * tau + c
         _, _, _, p3 = self._poly
         b1, b2 = self._beta
         head, tail = _basis_pair(self._regime, self.rate_pos, self.duration, tau, 3)
         return 6.0 * p3 + np.zeros_like(tau) + b1 * head + b2 * tail
 
+    def half_square_integral(self, order: int) -> float:
+        """Half the integral of the order-th derivative of position squared
+        over the window, by panelled Gauss-Legendre quadrature sized to
+        resolve the boundary layers."""
+        fn = (self.position, self.speed, self.control, self.jerk)[order]
+        width = self.duration
+        panels = int(min(600, max(3, math.ceil(self.rate_pos * width / _GL_WIDTH))))
+        total = 0.0
+        edges = np.linspace(0.0, width, panels + 1)
+        for left, right in zip(edges[:-1], edges[1:]):
+            mid = 0.5 * (left + right)
+            half = 0.5 * (right - left)
+            values = fn(self.t0 + (mid + half * _GL_POINTS))
+            total += half * float(np.dot(_GL_WEIGHTS, values * values))
+        return 0.5 * total
 
-def solve_mz_fuel(b: MzBoundary) -> MzTrajectory:
+
+def solve_mz_fuel(b: MzBoundary) -> PolyTrajectory:
     """Acceleration-effort minimum: cubic position, no endpoint-u conditions.
 
     This objective constrains only position and speed at the window ends,
@@ -296,40 +291,12 @@ def solve_mz_fuel(b: MzBoundary) -> MzTrajectory:
     solvers' six; cost comparisons across variants are only meaningful on
     that shared subset.
     """
-    width = b.duration
-    system = np.array(
-        [
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [width**3 / 6.0, width**2 / 2.0, width, 1.0],
-            [width**2 / 2.0, width, 1.0, 0.0],
-        ]
-    )
-    rhs = np.array([b.p_start, b.vm, b.p_end, b.vf])
-    coeffs = np.linalg.solve(system, rhs)
-    return MzTrajectory(
-        variant=MzVariant.FUEL_ONLY, boundary=b, coefficients=tuple(map(float, coeffs))
-    )
+    return hermite(b.tm, b.tf, (b.p_start, b.vm), (b.p_end, b.vf))
 
 
-def solve_mz_jerk(b: MzBoundary) -> MzTrajectory:
+def solve_mz_jerk(b: MzBoundary) -> PolyTrajectory:
     """Jerk minimum: quintic position pinned by p, v, u at both ends."""
-    width = b.duration
-    system = np.array(
-        [
-            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-            [width**5 / 120.0, width**4 / 24.0, width**3 / 6.0, width**2 / 2.0, width, 1.0],
-            [width**4 / 24.0, width**3 / 6.0, width**2 / 2.0, width, 1.0, 0.0],
-            [width**3 / 6.0, width**2 / 2.0, width, 1.0, 0.0, 0.0],
-        ]
-    )
-    rhs = np.array([b.p_start, b.vm, b.u_start, b.p_end, b.vf, b.u_end])
-    coeffs = np.linalg.solve(system, rhs)
-    return MzTrajectory(
-        variant=MzVariant.JERK_ONLY, boundary=b, coefficients=tuple(map(float, coeffs))
-    )
+    return hermite(b.tm, b.tf, (b.p_start, b.vm, b.u_start), (b.p_end, b.vf, b.u_end))
 
 
 def _weighted_system(regime: str, rate: float, width: float) -> np.ndarray:
@@ -418,8 +385,8 @@ def solve_mz_weighted(
     beta = tuple(map(float, solution[4:]))
     coeffs = _canonical_weighted_coefficients(regime, rate, poly, beta, w, q1, q2, width)
     return MzTrajectory(
-        variant=MzVariant.WEIGHTED,
-        boundary=b,
+        t0=b.tm,
+        t1=b.tf,
         coefficients=tuple(map(float, coeffs)),
         rate_pos=rate,
         rate_neg=-rate,
@@ -438,28 +405,8 @@ class MzCosts(NamedTuple):
     weighted: Optional[float]
 
 
-def _poly_square_integral(coeffs, width: float) -> float:
-    """Exact integral of (polynomial)^2 over [0, width]; coeffs low-to-high."""
-    poly = np.polynomial.Polynomial(coeffs)
-    return float((poly * poly).integ()(width))
-
-
-_GL_POINTS, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_NODES)
-
-
-def _quadrature_square_integral(fn, width: float, panels: int) -> float:
-    total = 0.0
-    edges = np.linspace(0.0, width, panels + 1)
-    for left, right in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (left + right)
-        half = 0.5 * (right - left)
-        values = fn(mid + half * _GL_POINTS)
-        total += half * float(np.dot(_GL_WEIGHTS, values * values))
-    return total
-
-
 def mz_costs(
-    traj: MzTrajectory,
+    traj: Union[PolyTrajectory, MzTrajectory],
     q1: Optional[float] = None,
     q2: Optional[float] = None,
     w: Optional[float] = None,
@@ -468,39 +415,39 @@ def mz_costs(
 
     fuel is half the integral of u^2, discomfort half the integral of
     jerk^2, and weighted the combination w*q1*fuel + (1-w)*q2*discomfort.
-    Weight parameters default to the trajectory's own when it carries
-    them; passing them explicitly evaluates another weight's combination
-    on this trajectory (cross-evaluation).  The polynomial variants are
-    integrated exactly; the exponential variant uses panelled high-order
-    quadrature sized to resolve its boundary layers.
+    Weight parameters default to the weighted trajectory's own; passing
+    them explicitly evaluates another weight's combination on this
+    trajectory (cross-evaluation).  Polynomials are integrated exactly;
+    the exponential form uses panelled high-order quadrature.
     """
-    width = traj.duration
-    if traj.variant is MzVariant.FUEL_ONLY:
-        a, b, _, _ = traj.coefficients
-        fuel = 0.5 * (a * a * width**3 / 3.0 + a * b * width**2 + b * b * width)
-        discomfort = 0.5 * a * a * width
-    elif traj.variant is MzVariant.JERK_ONLY:
-        a, b, c, d, _, _ = traj.coefficients
-        fuel = 0.5 * _poly_square_integral([d, c, 0.5 * b, a / 6.0], width)
-        discomfort = 0.5 * _poly_square_integral([c, b, 0.5 * a], width)
-    else:
-        panels = int(min(600, max(3, math.ceil(traj.rate_pos * width / _GL_WIDTH))))
-        tm = traj.boundary.tm
-        fuel = 0.5 * _quadrature_square_integral(
-            lambda tau: np.asarray(traj.control(tm + tau)), width, panels
-        )
-        discomfort = 0.5 * _quadrature_square_integral(
-            lambda tau: np.asarray(traj.jerk(tm + tau)), width, panels
-        )
-    if w is None:
-        w = traj.w
-    if q1 is None:
-        q1 = traj.q1
-    if q2 is None:
-        q2 = traj.q2
+    fuel = traj.half_square_integral(2)
+    discomfort = traj.half_square_integral(3)
+    if isinstance(traj, MzTrajectory):
+        w = traj.w if w is None else w
+        q1 = traj.q1 if q1 is None else q1
+        q2 = traj.q2 if q2 is None else q2
     weighted = None
     if w is not None:
         if q1 is None or q2 is None:
             raise ValueError("q1 and q2 are required alongside an explicit weight")
         weighted = w * q1 * fuel + (1.0 - w) * q2 * discomfort
     return MzCosts(fuel=float(fuel), discomfort=float(discomfort), weighted=weighted)
+
+
+def solve_mz(
+    b: MzBoundary,
+    objective: MzVariant,
+    weight: Optional[float] = None,
+    u_max: float = 3.0,
+    jerk_scale: float = DEFAULT_JERK_SCALE,
+) -> Union[PolyTrajectory, MzTrajectory]:
+    """The merge-zone optimum for one objective; the weighted objective is
+    normalized by u_max and jerk_scale."""
+    # the solvers are looked up as module globals at call time, so a
+    # wrapper installed on this module's names sees every solve
+    if objective is MzVariant.FUEL_ONLY:
+        return solve_mz_fuel(b)
+    if objective is MzVariant.JERK_ONLY:
+        return solve_mz_jerk(b)
+    q1, q2 = normalization_weights(u_max, jerk_scale)
+    return solve_mz_weighted(b, weight, q1, q2)

@@ -24,8 +24,6 @@ from crossflow.geometry import (
     Movement,
     ConflictClass,
     classify,
-    mz_exit_speed,
-    turn_time,
 )
 
 # binding_case labels, in tie-break precedence order
@@ -131,11 +129,6 @@ def earliest_mz_arrival(t0: float, v0: float, g: IntersectionGeometry) -> float:
     return t0 + (math.sqrt(2.0 * length * u_max + v0 * v0) - v0) / u_max
 
 
-def feasibility_bound(spec: VehicleSpec, g: IntersectionGeometry) -> float:
-    """Physical lower bound on a vehicle's merge-zone arrival time."""
-    return earliest_mz_arrival(spec.t0, spec.v0, g)
-
-
 def conflict_candidates(
     preds: ConflictPredecessors, transit: float, g: IntersectionGeometry
 ) -> List[Tuple[str, float]]:
@@ -172,8 +165,8 @@ def schedule(spec: VehicleSpec, q: Sequence[Schedule], g: IntersectionGeometry) 
     same-entry, lateral, fifo, feasibility.
     """
     preds = conflict_predecessors(spec, q)
-    transit = turn_time(spec.movement, g)
-    boundary_speed = mz_exit_speed(spec.movement, g)
+    transit = g.transit_time(spec.movement.turn)
+    boundary_speed = g.mz_speed(spec.movement.turn)
     earliest = earliest_mz_arrival(spec.t0, spec.v0, g)
 
     candidates = conflict_candidates(preds, transit, g)

@@ -24,17 +24,18 @@ pairs vehicles only within a merge-zone time slice or an exit arm.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from crossflow.cz_planner import (
-    CzTrajectory,
     FeasibilityReport,
+    PolyTrajectory,
     check_feasibility,
     rear_end_gap,
     solve_cz,
@@ -46,18 +47,13 @@ from crossflow.geometry import (
     Movement,
     Turn,
     classify,
-    mz_exit_speed,
-    turn_time,
 )
 from crossflow.mz_planner import (
     DEFAULT_JERK_SCALE,
     MzTrajectory,
     MzVariant,
     boundary_from_schedule,
-    normalization_weights,
-    solve_mz_fuel,
-    solve_mz_jerk,
-    solve_mz_weighted,
+    solve_mz,
 )
 from crossflow.scheduler import (
     Schedule,
@@ -101,6 +97,12 @@ class SimConfig:
     sample_step: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("seed", "vehicle_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.arm_rates is None:
             if self.arrival_rate <= 0.0:
                 raise ValueError(f"arrival_rate must be positive, got {self.arrival_rate}")
@@ -195,8 +197,8 @@ class VehicleRecord:
     spec: VehicleSpec          # entry-time spec (t0 is the gated entry)
     arrival_time: float        # when the vehicle reached the control-zone boundary
     schedule: Schedule
-    cz: CzTrajectory
-    mz: MzTrajectory
+    cz: PolyTrajectory
+    mz: Union[PolyTrajectory, MzTrajectory]
     feasibility: FeasibilityReport
     leave_time: float          # exit time plus the constant-speed clearance window
 
@@ -232,7 +234,7 @@ class SimRun:
 def _gated_entry(
     spec: VehicleSpec,
     queue: Sequence[Schedule],
-    leader: Optional[CzTrajectory],
+    leader: Optional[PolyTrajectory],
     g: IntersectionGeometry,
 ) -> float:
     """Earliest control-zone entry at or after arrival that keeps the
@@ -246,8 +248,8 @@ def _gated_entry(
     """
     if leader is None:
         return spec.t0
-    transit = turn_time(spec.movement, g)
-    vm = mz_exit_speed(spec.movement, g)
+    transit = g.transit_time(spec.movement.turn)
+    vm = g.mz_speed(spec.movement.turn)
     floor = max(
         (tf for _, tf in conflict_candidates(conflict_predecessors(spec, queue), transit, g)),
         default=-math.inf,
@@ -268,8 +270,8 @@ def _gated_entry(
     while not clear(high):
         low = high
         high += _GATE_SCAN_STEP
-        if high > leader.tm + _GATE_SCAN_STEP:
-            high = leader.tm + _GATE_SCAN_STEP
+        if high > leader.t1 + _GATE_SCAN_STEP:
+            high = leader.t1 + _GATE_SCAN_STEP
             break
     while high - low > _GATE_RESOLUTION:
         mid = 0.5 * (low + high)
@@ -278,15 +280,6 @@ def _gated_entry(
         else:
             low = mid
     return high
-
-
-def _solve_mz_for(cfg: SimConfig, boundary) -> MzTrajectory:
-    if cfg.objective is MzVariant.FUEL_ONLY:
-        return solve_mz_fuel(boundary)
-    if cfg.objective is MzVariant.JERK_ONLY:
-        return solve_mz_jerk(boundary)
-    q1, q2 = normalization_weights(cfg.geometry.u_max, cfg.jerk_scale)
-    return solve_mz_weighted(boundary, cfg.weight, q1, q2)
 
 
 def run(cfg: SimConfig) -> SimRun:
@@ -308,8 +301,8 @@ def run(cfg: SimConfig) -> SimRun:
         pending[spec.movement.entry_arm].append(spec)
 
     queue: List[Schedule] = []
-    trajectories: Dict[int, CzTrajectory] = {}
-    committed: List[Tuple[VehicleSpec, float, Schedule, CzTrajectory, Optional[int]]] = []
+    trajectories: Dict[int, PolyTrajectory] = {}
+    committed: List[Tuple[VehicleSpec, float, Schedule, PolyTrajectory, Optional[int]]] = []
     lane_leader: Dict[Arm, int] = {}
     clock = 0.0
 
@@ -344,7 +337,7 @@ def run(cfg: SimConfig) -> SimRun:
     records = []
     for spec, arrival_time, sched, cz, leader_id in committed:
         boundary = boundary_from_schedule(sched, g, u_start=float(cz.control(sched.tm)))
-        mz = _solve_mz_for(cfg, boundary)
+        mz = solve_mz(boundary, cfg.objective, cfg.weight, g.u_max, cfg.jerk_scale)
         leader = trajectories[leader_id] if leader_id is not None else None
         report = check_feasibility(cz, g, leader=leader)
         records.append(
@@ -382,6 +375,24 @@ def _binding_histogram(records: Sequence[VehicleRecord]) -> Dict[str, int]:
 _new_sample_row = partial(tuple.__new__, SampleRow)
 
 
+def evaluate_crossing(
+    cz: PolyTrajectory, mz: Union[PolyTrajectory, MzTrajectory], t: np.ndarray
+) -> Tuple[List[str], List[float], List[float], List[float], List[float]]:
+    """Zone labels and position, speed, control and jerk lists of one
+    vehicle's approach and merge trajectories on the increasing times t,
+    none of them past the merge exit.  Times before the merge entry are
+    control-zone rows and the rest merge-zone rows; each zone is one slice
+    of t, evaluated in one call."""
+    m = int(np.searchsorted(t, cz.t1))
+    cz_t, mz_t = t[:m], t[m:]
+    zone = [ZONE_CZ] * m + [ZONE_MZ] * (len(t) - m)
+    p = cz.position(cz_t).tolist() + mz.position(mz_t).tolist()
+    v = cz.speed(cz_t).tolist() + mz.speed(mz_t).tolist()
+    u = cz.control(cz_t).tolist() + mz.control(mz_t).tolist()
+    j = cz.jerk(cz_t).tolist() + mz.jerk(mz_t).tolist()
+    return zone, p, v, u, j
+
+
 def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> Tuple[SampleRow, ...]:
     """State table on the shared time grid k * sample_step.
 
@@ -397,27 +408,26 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> Tuple[Sa
     (t, vehicle_id) keys then orders the table in a single permutation.
     """
     step = cfg.sample_step
+    g = cfg.geometry
     rows: List[SampleRow] = []
     for rec in records:
         sched = rec.schedule
         first = math.ceil(rec.spec.t0 / step - 1e-9)
         last = math.floor(rec.leave_time / step + 1e-9)
         grid = np.arange(first, last + 1) * step
-        # the grid is increasing, so each zone is one slice of it: rows with
-        # t < tm are in the control zone, tm <= t < tf in the merge zone
-        m, f = np.searchsorted(grid, (sched.tm, sched.tf)).tolist()
-        cz_t, mz_t, out_t = grid[:m], grid[m:f], grid[f:]
+        # the grid is increasing, so the rows at or past the merge exit tf
+        # are one slice of it
+        tf = rec.mz.t1
+        f = int(np.searchsorted(grid, tf))
+        zone, p, v, u, j = evaluate_crossing(rec.cz, rec.mz, grid[:f])
+        out_t = grid[f:]
         n_out = len(out_t)
-        p_end = rec.mz.boundary.p_end
-        zone = [ZONE_CZ] * m + [ZONE_MZ] * (f - m) + [ZONE_OUT] * n_out
-        p = (
-            rec.cz.position(cz_t).tolist()
-            + rec.mz.position(mz_t).tolist()
-            + (p_end + sched.vf * (out_t - sched.tf)).tolist()
-        )
-        v = rec.cz.speed(cz_t).tolist() + rec.mz.speed(mz_t).tolist() + [sched.vf] * n_out
-        u = rec.cz.control(cz_t).tolist() + rec.mz.control(mz_t).tolist() + [0.0] * n_out
-        j = rec.cz.jerk(cz_t).tolist() + rec.mz.jerk(mz_t).tolist() + [0.0] * n_out
+        p_end = g.cz_length + g.path_length(sched.movement.turn)
+        zone += [ZONE_OUT] * n_out
+        p += (p_end + sched.vf * (out_t - tf)).tolist()
+        v += [sched.vf] * n_out
+        u += [0.0] * n_out
+        j += [0.0] * n_out
         vehicle_id = rec.spec.vehicle_id
         arm = rec.spec.movement.entry_arm.value
         turn = rec.spec.movement.turn.value
@@ -508,11 +518,11 @@ def _audit(
     for later in vehicles:
         movement = later.spec.movement
         exiting = earlier_by_exit.setdefault(movement.exit_arm, [])
-        actual = later.mz.boundary.tf
+        actual = later.mz.t1
         for earlier in exiting:
             if earlier.spec.movement.entry_arm is movement.entry_arm:
                 continue
-            required = earlier.mz.boundary.tf + delta / earlier.mz.boundary.vf
+            required = earlier.mz.t1 + delta / earlier.schedule.vf
             if actual < required - time_tol:
                 findings.append(
                     AuditFinding(
@@ -520,8 +530,8 @@ def _audit(
                         later.spec.vehicle_id,
                         earlier.spec.vehicle_id,
                         actual,
-                        actual - earlier.mz.boundary.tf,
-                        delta / earlier.mz.boundary.vf,
+                        actual - earlier.mz.t1,
+                        delta / earlier.schedule.vf,
                     )
                 )
         exiting.append(later)

@@ -4,7 +4,9 @@ Everything here reaches its answer by a different route than the package
 does: dense geometric sampling instead of exact intersection algebra,
 numerical forward integration instead of closed-form arrival times,
 discretized trajectory optimization (KKT systems of small quadratic
-programs) instead of polynomial boundary-value solves, and a full
+programs) instead of polynomial boundary-value solves, hand-written cubic
+and quintic boundary systems and evaluators instead of the one Hermite
+solve and Horner loop, and a full
 reschedule per entry-gate probe, one scalar evaluation per sampled row, a
 forward queue scan, an all-pairs audit and a csv.writer per output line
 instead of the simulator's and the command line's shortcuts.  Tests
@@ -239,6 +241,87 @@ def quad_half_square(fn, lo: float, hi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The approach cubic, the merge-zone fuel cubic and the jerk quintic in
+# their hand-written form: one boundary system per degree, one evaluator
+# per derivative, and one cost formula per variant.  PolyTrajectory must
+# reproduce the coefficients and states bit for bit.
+
+
+def cubic_coefficients(t0, t1, p0, v0, p1, v1):
+    """(a, b, c, d) with p = a*tau^3/6 + b*tau^2/2 + c*tau + d, tau = t - t0."""
+    horizon = t1 - t0
+    system = np.array(
+        [
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [horizon**3 / 6.0, horizon**2 / 2.0, horizon, 1.0],
+            [horizon**2 / 2.0, horizon, 1.0, 0.0],
+        ]
+    )
+    return tuple(map(float, np.linalg.solve(system, np.array([p0, v0, p1, v1]))))
+
+
+def quintic_coefficients(t0, t1, p0, v0, u0, p1, v1, u1):
+    """(a..f) with p = a*tau^5/120 + b*tau^4/24 + ... + e*tau + f."""
+    width = t1 - t0
+    system = np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+            [width**5 / 120.0, width**4 / 24.0, width**3 / 6.0, width**2 / 2.0, width, 1.0],
+            [width**4 / 24.0, width**3 / 6.0, width**2 / 2.0, width, 1.0, 0.0],
+            [width**3 / 6.0, width**2 / 2.0, width, 1.0, 0.0, 0.0],
+        ]
+    )
+    rhs = np.array([p0, v0, u0, p1, v1, u1])
+    return tuple(map(float, np.linalg.solve(system, rhs)))
+
+
+def cubic_states(coeffs, t0, t):
+    """(position, speed, control, jerk) of the cubic at t."""
+    a, b, c, d = coeffs
+    tau = np.asarray(t, dtype=float) - t0
+    return (
+        ((a * tau / 6.0 + 0.5 * b) * tau + c) * tau + d,
+        (0.5 * a * tau + b) * tau + c,
+        a * tau + b,
+        np.full_like(np.asarray(t, dtype=float), a),
+    )
+
+
+def quintic_states(coeffs, t0, t):
+    """(position, speed, control, jerk) of the quintic at t."""
+    a, b, c, d, e, f = coeffs
+    tau = np.asarray(t, dtype=float) - t0
+    return (
+        ((((a * tau / 120.0 + b / 24.0) * tau + c / 6.0) * tau + 0.5 * d) * tau + e) * tau + f,
+        (((a * tau / 24.0 + b / 6.0) * tau + 0.5 * c) * tau + d) * tau + e,
+        ((a * tau / 6.0 + 0.5 * b) * tau + c) * tau + d,
+        (0.5 * a * tau + b) * tau + c,
+    )
+
+
+def cubic_costs(coeffs, width):
+    """(half integral of u^2, half integral of jerk^2) by the cubic formulas."""
+    a, b, _, _ = coeffs
+    fuel = 0.5 * (a * a * width**3 / 3.0 + a * b * width**2 + b * b * width)
+    return fuel, 0.5 * a * a * width
+
+
+def _poly_square_integral(low_first, width):
+    poly = np.polynomial.Polynomial(low_first)
+    return float((poly * poly).integ()(width))
+
+
+def quintic_costs(coeffs, width):
+    """(half integral of u^2, half integral of jerk^2) through numpy polynomials."""
+    a, b, c, d, _, _ = coeffs
+    fuel = 0.5 * _poly_square_integral([d, c, 0.5 * b, a / 6.0], width)
+    return fuel, 0.5 * _poly_square_integral([c, b, 0.5 * a], width)
+
+
+# ---------------------------------------------------------------------------
 # The simulator's entry gate and state sampler in their plain per-probe and
 # per-row form: every gate probe re-runs the full scheduler and feasibility
 # check, and every sample row evaluates its trajectory at one scalar time.
@@ -263,8 +346,8 @@ def gated_entry_by_full_schedule(spec, queue, leader, g):
     while not clear(replace(spec, t0=high)):
         low = high
         high += _GATE_SCAN_STEP
-        if high > leader.tm + _GATE_SCAN_STEP:
-            high = leader.tm + _GATE_SCAN_STEP
+        if high > leader.t1 + _GATE_SCAN_STEP:
+            high = leader.t1 + _GATE_SCAN_STEP
             break
     while high - low > _GATE_RESOLUTION:
         mid = 0.5 * (low + high)
@@ -292,7 +375,8 @@ def sample_states_by_row(records, cfg):
             else:
                 zone, traj = ZONE_OUT, None
             if traj is None:
-                p = rec.mz.boundary.p_end + sched.vf * (t - sched.tf)
+                p_end = cfg.geometry.cz_length + cfg.geometry.path_length(sched.movement.turn)
+                p = p_end + sched.vf * (t - sched.tf)
                 v, u, j = sched.vf, 0.0, 0.0
             else:
                 p = float(traj.position(t))
@@ -391,8 +475,8 @@ def audit_pairwise(cfg, vehicles, samples, gap_tol=1e-3, time_tol=1e-6,
             cls = classify(earlier.spec.movement, later.spec.movement)
             if cls is not ConflictClass.SAME_EXIT:
                 continue
-            required = earlier.mz.boundary.tf + delta / earlier.mz.boundary.vf
-            actual = later.mz.boundary.tf
+            required = earlier.mz.t1 + delta / earlier.schedule.vf
+            actual = later.mz.t1
             if actual < required - time_tol:
                 findings.append(
                     AuditFinding(
@@ -400,8 +484,8 @@ def audit_pairwise(cfg, vehicles, samples, gap_tol=1e-3, time_tol=1e-6,
                         later.spec.vehicle_id,
                         earlier.spec.vehicle_id,
                         actual,
-                        actual - earlier.mz.boundary.tf,
-                        delta / earlier.mz.boundary.vf,
+                        actual - earlier.mz.t1,
+                        delta / earlier.schedule.vf,
                     )
                 )
 
@@ -424,3 +508,16 @@ def trajectory_csv_by_writer(samples):
         for row in samples
     )
     return out.getvalue()
+
+
+def plan_rows_by_scalar(cz, mz, t0, tm, tf, step):
+    """plan.csv rows, one scalar evaluation per clipped sample time."""
+    rows = []
+    for k in range(int(round((tf - t0) / step)) + 1):
+        t = min(t0 + k * step, tf)
+        zone, traj = ("cz", cz) if t < tm else ("mz", mz)
+        rows.append([_fmt(t), zone] + [
+            _fmt(float(evaluate(t)))
+            for evaluate in (traj.position, traj.speed, traj.control, traj.jerk)
+        ])
+    return rows

@@ -19,7 +19,6 @@ from crossflow import (
     VehicleSpec,
     boundary_from_schedule,
     cli,
-    cz_cost,
     earliest_mz_arrival,
     mz_costs,
     run,
@@ -85,7 +84,7 @@ def test_criterion_3_cz_solver_matches_transcription():
         assert abs(traj.speed(t0) - v0) < 1e-9
         assert abs(traj.position(t0 + duration) - length) < 1e-9
         assert abs(traj.speed(t0 + duration) - vm) < 1e-9
-        cost = cz_cost(traj)
+        cost = traj.half_square_integral(2)
         ref, _, _ = oracles.transcription_min_effort(duration, v0, vm - v0, length, n=2000)
         assert abs(cost - ref) / max(ref, 1e-12) < 1e-4
     print("PASS: criterion 3 - closed-form approach matches transcription on 10 instances")

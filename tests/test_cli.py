@@ -5,7 +5,16 @@ import math
 import pytest
 
 import oracles
-from crossflow import MzBoundary, cli, solve_mz_jerk
+from crossflow import (
+    IntersectionGeometry,
+    MzBoundary,
+    MzVariant,
+    Turn,
+    cli,
+    solve_cz,
+    solve_mz,
+    solve_mz_jerk,
+)
 from crossflow.sim import SampleRow
 
 S_LEFT = 3.0 * math.pi * 30.0 / 8.0
@@ -211,10 +220,8 @@ def test_plan_left_turn_matches_library_solution(tmp_path, capsys):
     approach_line = next(l for l in text.splitlines() if l.startswith("approach coefficients"))
     cz_vals = dict(part.split("=") for part in approach_line.split(": ")[1].split())
     # reconstruct the same boundary the command solved
-    from crossflow import solve_cz
-
     cz = solve_cz(0.0, 10.0, 40.0, 8.0, 400.0)
-    assert float(cz_vals["b"]) == pytest.approx(cz.b, rel=1e-6)
+    assert float(cz_vals["b"]) == pytest.approx(cz.coefficients[1], rel=1e-6)
     boundary = MzBoundary(tm=40.0, tf=45.0, vm=8.0, vf=8.0, p_start=400.0,
                           p_end=400.0 + S_LEFT, u_start=float(cz.control(40.0)))
     expected = solve_mz_jerk(boundary)
@@ -259,3 +266,50 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert "nope.yaml" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.33])
+@pytest.mark.parametrize("turn", ["left", "straight", "right"])
+@pytest.mark.parametrize("objective", ["fuel_only", "jerk_only", "weighted"])
+def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
+    # tm and tf sit on the grid at t0 = 0 (the row at tm is a merge row);
+    # at t0 = 0.33 the last sample time is clipped to tf
+    text = f"plan:\n  turn: {turn}\n  t0: {t0}\n  v0: 11\n  tm: 40\n  objective: {objective}\n"
+    weight = 0.3 if objective == "weighted" else None
+    if weight is not None:
+        text += f"  weight: {weight}\n"
+    out = tmp_path / "out"
+    cli.main(["plan", "--config", write_config(tmp_path, text), "--out", str(out)])
+    g = IntersectionGeometry()
+    vm = g.mz_speed(Turn(turn))
+    cz = solve_cz(t0, 11.0, 40.0, vm, g.cz_length)
+    boundary = MzBoundary(tm=40.0, tf=40.0 + g.transit_time(Turn(turn)), vm=vm, vf=vm,
+                          p_start=g.cz_length, p_end=g.cz_length + g.path_length(Turn(turn)),
+                          u_start=float(cz.control(40.0)))
+    mz = solve_mz(boundary, MzVariant(objective), weight, g.u_max)
+    expected = oracles.plan_rows_by_scalar(cz, mz, t0, 40.0, boundary.tf, 0.1)
+    rows = read_csv(out / "plan.csv")
+    assert rows[1:] == expected
+    assert rows[-1][0] == format(boundary.tf, ".9g") and rows[-1][1] == "mz"
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("plan", "plan:\n  t0: abc\n", "plan.t0"),
+        ("plan", 'plan:\n  objective: weighted\n  weight: "0.5"\n', "plan.weight"),
+        ("pareto", "pareto:\n  grid_size: many\n", "pareto.grid_size"),
+        ("pareto", "pareto:\n  grid: 0.5\n", "pareto.grid"),
+        ("simulate", "sim:\n  seed: seven\n", "seed"),
+        ("simulate", "sim:\n  vehicle_count: 2.5\n", "vehicle_count"),
+        ("simulate", "sim:\n  entry_speed_range: [ten, 12]\n", "sim.entry_speed_range"),
+        ("plan", "geometry:\n  turn_times: [5, three, 3]\n", "geometry.turn_times"),
+    ],
+)
+def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, text, key):
+    cfg = write_config(tmp_path, text)
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err

@@ -7,16 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from crossflow import CzTrajectory, IntersectionGeometry, check_feasibility, cz_cost, solve_cz
+from crossflow import (
+    IntersectionGeometry,
+    MzBoundary,
+    PolyTrajectory,
+    check_feasibility,
+    mz_costs,
+    solve_cz,
+    solve_mz_fuel,
+    solve_mz_jerk,
+)
 from crossflow.cz_planner import rear_end_gap
 
 
 def test_cruise_boundary_gives_constant_speed():
-    traj = solve_cz(0.0, 10.0, 40.0, 10.0, 400.0)
-    assert traj.a == pytest.approx(0.0, abs=1e-12)
-    assert traj.b == pytest.approx(0.0, abs=1e-12)
-    assert traj.c == pytest.approx(10.0, abs=1e-12)
-    assert traj.d == pytest.approx(0.0, abs=1e-12)
+    a, b, c, d = solve_cz(0.0, 10.0, 40.0, 10.0, 400.0).coefficients
+    assert a == pytest.approx(0.0, abs=1e-12)
+    assert b == pytest.approx(0.0, abs=1e-12)
+    assert c == pytest.approx(10.0, abs=1e-12)
+    assert d == pytest.approx(0.0, abs=1e-12)
 
 
 def test_boundary_conditions_hit_exactly():
@@ -36,7 +45,7 @@ def test_boundary_conditions_hit_exactly():
 
 def test_matches_discretized_minimum_effort():
     traj = solve_cz(0.0, 12.0, 38.0, 10.0, 400.0)
-    cost = cz_cost(traj)
+    cost = traj.half_square_integral(2)
     ref_cost, _, _ = oracles.transcription_min_effort(38.0, 12.0, -2.0, 400.0)
     assert abs(cost - ref_cost) / ref_cost < 1e-4
 
@@ -49,7 +58,7 @@ def test_transcription_never_beats_closed_form():
         duration = float(rng.uniform(30.0, 45.0))
         traj = solve_cz(0.0, v0, duration, vm, 400.0)
         ref_cost, _, _ = oracles.transcription_min_effort(duration, v0, vm - v0, 400.0, n=1500)
-        assert ref_cost >= cz_cost(traj) - 1e-6
+        assert ref_cost >= traj.half_square_integral(2) - 1e-6
 
 
 def test_time_shift_invariance():
@@ -58,7 +67,7 @@ def test_time_shift_invariance():
     for tau in np.linspace(0.0, 38.0, 25):
         assert shifted.control(1000.0 + tau) == pytest.approx(base.control(tau), abs=1e-8)
         assert shifted.position(1000.0 + tau) == pytest.approx(base.position(tau), abs=1e-6)
-    assert cz_cost(shifted) == pytest.approx(cz_cost(base), rel=1e-9)
+    assert shifted.half_square_integral(2) == pytest.approx(base.half_square_integral(2), rel=1e-9)
 
 
 def test_derivative_chain_consistency():
@@ -79,10 +88,8 @@ def test_linearity_in_boundary_data():
     ta = solve_cz(*args_a)
     tb = solve_cz(*args_b)
     mid = solve_cz(0.0, 10.0, 38.0, 11.5, 360.0)
-    for field in ("a", "b", "c", "d"):
-        assert getattr(mid, field) == pytest.approx(
-            0.5 * getattr(ta, field) + 0.5 * getattr(tb, field), abs=1e-9
-        )
+    for m, a, b in zip(mid.coefficients, ta.coefficients, tb.coefficients):
+        assert m == pytest.approx(0.5 * a + 0.5 * b, abs=1e-9)
 
 
 def test_degenerate_window_raises():
@@ -175,12 +182,12 @@ def test_rear_end_catches_interior_minimum():
 
 def test_cruise_cost_is_zero():
     traj = solve_cz(0.0, 10.0, 40.0, 10.0, 400.0)
-    assert cz_cost(traj) == pytest.approx(0.0, abs=1e-12)
+    assert traj.half_square_integral(2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unit_ramp_cost():
-    traj = CzTrajectory(a=0.0, b=1.0, c=0.0, d=0.0, t0=0.0, tm=2.0, v0=0.0, vm=2.0, length=2.0)
-    assert cz_cost(traj) == pytest.approx(1.0, abs=1e-12)
+    traj = PolyTrajectory(t0=0.0, t1=2.0, coefficients=(0.0, 1.0, 0.0, 0.0))
+    assert traj.half_square_integral(2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cost_matches_quadrature():
@@ -193,8 +200,8 @@ def test_cost_matches_quadrature():
             float(rng.uniform(6.0, 13.0)),
             float(rng.uniform(250.0, 500.0)),
         )
-        ref = oracles.quad_half_square(traj.control, traj.t0, traj.tm)
-        assert cz_cost(traj) == pytest.approx(ref, abs=1e-10, rel=1e-10)
+        ref = oracles.quad_half_square(traj.control, traj.t0, traj.t1)
+        assert traj.half_square_integral(2) == pytest.approx(ref, abs=1e-10, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +250,9 @@ def test_gap_predicate_at_the_safety_distance_with_equal_profiles(offset, speed)
     # equal cubic coefficients make quad == 0; the constant gap sits within
     # a few _BOUND_EPS of min_safe_distance
     g = IntersectionGeometry()
-    leader = CzTrajectory(a=0.0, b=0.0, c=speed, d=0.0, t0=0.0, tm=40.0,
-                          v0=speed, vm=speed, length=g.cz_length)
-    follower = CzTrajectory(a=0.0, b=0.0, c=speed, d=-offset,
-                            t0=g.min_safe_distance / speed, tm=41.0,
-                            v0=speed, vm=speed, length=g.cz_length)
+    leader = PolyTrajectory(t0=0.0, t1=40.0, coefficients=(0.0, 0.0, speed, 0.0))
+    follower = PolyTrajectory(t0=g.min_safe_distance / speed, t1=41.0,
+                              coefficients=(0.0, 0.0, speed, -offset))
     found = _assert_gap_predicate_matches_report(leader, follower, g)
     assert abs(found.gap - (g.min_safe_distance + offset)) < 1e-12
     if offset < -2e-9:
@@ -275,9 +280,93 @@ def test_gap_predicate_windows():
     assert dip.too_close and 1.2 < dip.time < 40.0
     # equal jerk, different control: quad == 0 and the gap is quadratic,
     # smallest where the speeds match, inside the window
-    speeding_up = CzTrajectory(a=0.0, b=0.2, c=8.0, d=0.0, t0=0.0, tm=40.0,
-                               v0=8.0, vm=16.0, length=400.0)
-    cruising = CzTrajectory(a=0.0, b=0.0, c=10.0, d=0.0, t0=0.5, tm=40.5,
-                            v0=10.0, vm=10.0, length=400.0)
+    speeding_up = PolyTrajectory(t0=0.0, t1=40.0, coefficients=(0.0, 0.2, 8.0, 0.0))
+    cruising = PolyTrajectory(t0=0.5, t1=40.5, coefficients=(0.0, 0.0, 10.0, 0.0))
     vertex = _assert_gap_predicate_matches_report(speeding_up, cruising, g)
     assert vertex.time == 10.0 and vertex.too_close
+
+
+# ---------------------------------------------------------------------------
+# the one Hermite solve and Horner evaluator against the hand-written cubic
+# and quintic systems, evaluators and cost formulas they replace
+
+FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
+
+
+def _assert_matches_reference(traj, coeffs, states, costs, fractions):
+    assert traj.coefficients == coeffs
+    assert all(type(x) is float for x in traj.coefficients)
+    t0, t1 = traj.t0, traj.t1
+    times = [t0, t1] + [t0 + f * (t1 - t0) for f in fractions]
+    evaluators = (traj.position, traj.speed, traj.control, traj.jerk)
+    array = np.array(times)
+    for evaluate, expected in zip(evaluators, states(coeffs, t0, array)):
+        got = evaluate(array)
+        assert got.shape == expected.shape and (got == expected).all()
+    for t in times:
+        for evaluate, expected in zip(evaluators, states(coeffs, t0, t)):
+            assert float(evaluate(t)) == float(expected)
+    fuel, discomfort = costs(coeffs, t1 - t0)
+    assert traj.half_square_integral(2) == pytest.approx(fuel, rel=1e-12)
+    assert traj.half_square_integral(3) == pytest.approx(discomfort, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t0=st.floats(0.0, 1000.0),
+    width=st.floats(0.5, 60.0),
+    v0=st.floats(0.0, 20.0),
+    vm=st.floats(0.0, 20.0),
+    length=st.floats(5.0, 800.0),
+    fractions=FRACTIONS,
+)
+def test_approach_plan_matches_hand_written_cubic(t0, width, v0, vm, length, fractions):
+    tm = t0 + width
+    traj = solve_cz(t0, v0, tm, vm, length)
+    assert (traj.t0, traj.t1) == (t0, tm)
+    coeffs = oracles.cubic_coefficients(t0, tm, 0.0, v0, length, vm)
+    _assert_matches_reference(traj, coeffs, oracles.cubic_states, oracles.cubic_costs, fractions)
+
+
+MERGE_WINDOWS = dict(
+    tm=st.floats(0.0, 1000.0),
+    width=st.floats(0.5, 10.0),
+    vm=st.floats(0.0, 20.0),
+    vf=st.floats(0.0, 20.0),
+    p_start=st.floats(30.0, 800.0),
+    distance=st.floats(1.0, 100.0),
+    u_start=st.floats(-3.0, 3.0),
+    u_end=st.floats(-3.0, 3.0),
+    fractions=FRACTIONS,
+)
+
+
+def _merge_boundary(tm, width, vm, vf, p_start, distance, u_start, u_end):
+    return MzBoundary(tm=tm, tf=tm + width, vm=vm, vf=vf, p_start=p_start,
+                      p_end=p_start + distance, u_start=u_start, u_end=u_end)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**MERGE_WINDOWS)
+def test_merge_fuel_plan_matches_hand_written_cubic(fractions, **window):
+    b = _merge_boundary(**window)
+    traj = solve_mz_fuel(b)
+    coeffs = oracles.cubic_coefficients(b.tm, b.tf, b.p_start, b.vm, b.p_end, b.vf)
+    _assert_matches_reference(traj, coeffs, oracles.cubic_states, oracles.cubic_costs, fractions)
+    costs = mz_costs(traj)
+    assert (costs.fuel, costs.discomfort) == (traj.half_square_integral(2),
+                                              traj.half_square_integral(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**MERGE_WINDOWS)
+def test_merge_jerk_plan_matches_hand_written_quintic(fractions, **window):
+    b = _merge_boundary(**window)
+    traj = solve_mz_jerk(b)
+    coeffs = oracles.quintic_coefficients(b.tm, b.tf, b.p_start, b.vm, b.u_start,
+                                          b.p_end, b.vf, b.u_end)
+    _assert_matches_reference(traj, coeffs, oracles.quintic_states, oracles.quintic_costs,
+                              fractions)
+    costs = mz_costs(traj)
+    assert (costs.fuel, costs.discomfort) == (traj.half_square_integral(2),
+                                              traj.half_square_integral(3))

@@ -12,8 +12,6 @@ from crossflow import (
     Turn,
     TurnTimeFormula,
     classify,
-    mz_exit_speed,
-    turn_time,
 )
 
 
@@ -77,26 +75,26 @@ def test_same_entry_takes_precedence():
 
 def test_turn_time_table_mode():
     g = IntersectionGeometry()
-    assert turn_time(mv("W", "straight"), g) == 3.0
-    assert turn_time(mv("W", "left"), g) == 5.0
-    assert turn_time(mv("W", "right"), g) == 3.0
+    assert g.transit_time(mv("W", "straight").turn) == 3.0
+    assert g.transit_time(mv("W", "left").turn) == 5.0
+    assert g.transit_time(mv("W", "right").turn) == 3.0
 
 
 def test_turn_time_derived_straight():
     g = IntersectionGeometry(
         v_max=31.0, mz_speed_straight=30.0, turn_times=None
     )
-    assert turn_time(mv("N", "straight"), g) == 1.0
+    assert g.transit_time(mv("N", "straight").turn) == 1.0
     with pytest.raises(ValueError):
-        turn_time(mv("N", "left"), g)
+        g.transit_time(mv("N", "left").turn)
 
 
 def test_turn_time_formula_mode():
     # R = 75 ft, F = 0.2, E = 0: R / sqrt(15 R F) = 75 / 15 = 5 s
     formula = TurnTimeFormula(radius_left_ft=75.0, radius_right_ft=75.0, side_friction=0.2)
     g = IntersectionGeometry(turn_times=None, turn_time_formula=formula)
-    assert turn_time(mv("W", "left"), g) == pytest.approx(5.0, abs=1e-12)
-    assert turn_time(mv("W", "right"), g) == pytest.approx(5.0, abs=1e-12)
+    assert g.transit_time(mv("W", "left").turn) == pytest.approx(5.0, abs=1e-12)
+    assert g.transit_time(mv("W", "right").turn) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_derived_straight_time_times_speed_is_side():
@@ -107,9 +105,9 @@ def test_derived_straight_time_times_speed_is_side():
 
 def test_mz_exit_speeds():
     g = IntersectionGeometry()
-    assert mz_exit_speed(mv("S", "left"), g) == 8.0
-    assert mz_exit_speed(mv("S", "straight"), g) == 10.0
-    assert mz_exit_speed(mv("S", "right"), g) == 6.0
+    assert g.mz_speed(mv("S", "left").turn) == 8.0
+    assert g.mz_speed(mv("S", "straight").turn) == 10.0
+    assert g.mz_speed(mv("S", "right").turn) == 6.0
 
 
 def test_path_lengths():

@@ -22,8 +22,7 @@ LEFT = MzBoundary(tm=40.0, tf=45.0, vm=8.0, vf=8.0, p_start=400.0, p_end=400.0 +
 Q1, Q2 = normalization_weights()
 
 
-def _boundary_residuals(traj):
-    b = traj.boundary
+def _boundary_residuals(traj, b):
     return (
         abs(traj.position(b.tm) - b.p_start),
         abs(traj.speed(b.tm) - b.vm),
@@ -86,8 +85,9 @@ def test_jerk_left_turn_matches_qp():
 def test_jerk_boundary_residuals():
     rng = np.random.default_rng(21)
     for _ in range(30):
-        traj = solve_mz_jerk(_random_boundary(rng))
-        assert max(_boundary_residuals(traj)) < 1e-8
+        b = _random_boundary(rng)
+        traj = solve_mz_jerk(b)
+        assert max(_boundary_residuals(traj, b)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +130,9 @@ def test_fuel_boundary_residuals():
     # only the four position/speed conditions apply to this variant
     rng = np.random.default_rng(22)
     for _ in range(30):
-        traj = solve_mz_fuel(_random_boundary(rng))
-        res = _boundary_residuals(traj)
+        b = _random_boundary(rng)
+        traj = solve_mz_fuel(b)
+        res = _boundary_residuals(traj, b)
         assert max(res[0], res[1], res[3], res[4]) < 1e-8
 
 
@@ -194,8 +195,9 @@ def test_weighted_boundary_residuals_across_regimes():
     rng = np.random.default_rng(23)
     for w in (1e-3, 0.01, 0.5, 0.99, 1.0 - 1e-3):
         for _ in range(8):
-            traj = solve_mz_weighted(_random_boundary(rng), w, Q1, Q2)
-            assert max(_boundary_residuals(traj)) < 1e-8
+            b = _random_boundary(rng)
+            traj = solve_mz_weighted(b, w, Q1, Q2)
+            assert max(_boundary_residuals(traj, b)) < 1e-8
 
 
 def test_weighted_rejects_degenerate_weights():

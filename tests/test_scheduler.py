@@ -14,7 +14,6 @@ from crossflow import (
     audit_queue,
     conflict_predecessors,
     earliest_mz_arrival,
-    feasibility_bound,
     schedule,
 )
 from crossflow import scheduler as scheduler_module
@@ -148,7 +147,7 @@ def test_predecessor_scan_stops_once_every_class_is_found(monkeypatch, own, tail
 def test_bound_at_speed_cap_is_pure_cruise():
     g = IntersectionGeometry()
     spec = VehicleSpec(1, 7.0, g.v_max, mv("W", "straight"))
-    assert feasibility_bound(spec, g) == pytest.approx(7.0 + 400.0 / 13.0, abs=1e-12)
+    assert earliest_mz_arrival(spec.t0, spec.v0, g) == pytest.approx(7.0 + 400.0 / 13.0, abs=1e-12)
 
 
 def test_bound_reaching_cap_inside_zone():
@@ -156,18 +155,18 @@ def test_bound_reaching_cap_inside_zone():
     g = IntersectionGeometry()
     spec = VehicleSpec(1, 0.0, 10.0, mv("W", "straight"))
     expected = 400.0 / 13.0 + 9.0 / 78.0
-    assert feasibility_bound(spec, g) == pytest.approx(expected, abs=1e-12)
+    assert earliest_mz_arrival(spec.t0, spec.v0, g) == pytest.approx(expected, abs=1e-12)
     oracle = oracles.bang_cruise_arrival(0.0, 10.0, 400.0, 13.0, 3.0)
-    assert feasibility_bound(spec, g) == pytest.approx(oracle, abs=1e-9)
+    assert earliest_mz_arrival(spec.t0, spec.v0, g) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_bound_accelerating_throughout():
     # 2 L u_max + v0^2 = 900 < v_max^2 = 1600: never reaches the cap
     g = IntersectionGeometry(v_max=40.0, u_max=1.0, mz_speed_straight=10.0)
     spec = VehicleSpec(1, 0.0, 10.0, mv("W", "straight"))
-    assert feasibility_bound(spec, g) == pytest.approx(20.0, abs=1e-12)
+    assert earliest_mz_arrival(spec.t0, spec.v0, g) == pytest.approx(20.0, abs=1e-12)
     oracle = oracles.bang_cruise_arrival(0.0, 10.0, 400.0, 40.0, 1.0)
-    assert feasibility_bound(spec, g) == pytest.approx(oracle, abs=1e-9)
+    assert earliest_mz_arrival(spec.t0, spec.v0, g) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_bound_randomized_against_forward_integration():
@@ -266,7 +265,7 @@ def test_schedule_queue_order_candidate():
 def test_schedule_feasibility_floor():
     spec = VehicleSpec(1, 0.0, 10.0, mv("W", "straight"))
     sched = schedule(spec, [], GEOMETRY)
-    bound = feasibility_bound(spec, GEOMETRY)
+    bound = earliest_mz_arrival(spec.t0, spec.v0, GEOMETRY)
     assert sched.tm == pytest.approx(bound, abs=1e-12)
     assert sched.tf == sched.tm + 3.0
 

@@ -17,7 +17,6 @@ from crossflow import (
     boundary_from_schedule,
     check_feasibility,
     generate_arrivals,
-    mz_exit_speed,
     run,
     solve_cz,
     solve_mz_jerk,
@@ -102,6 +101,15 @@ def test_config_validation():
         SimConfig(vehicle_count=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", "seven"), ("seed", 7.0), ("seed", -1), ("seed", True),
+    ("vehicle_count", 2.5), ("vehicle_count", "30"),
+])
+def test_config_rejects_non_integer_seed_and_count(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
@@ -120,7 +128,8 @@ def test_single_vehicle_cruises_for_free():
     assert rec.schedule.binding_case == "feasibility"
     assert rec.schedule.tm == pytest.approx(rec.spec.t0 + 40.0, abs=1e-9)
     assert rec.schedule.tf == pytest.approx(rec.spec.t0 + 43.0, abs=1e-9)
-    assert abs(rec.cz.a) < 1e-12 and abs(rec.cz.b) < 1e-12
+    a, b, _, _ = rec.cz.coefficients
+    assert abs(a) < 1e-12 and abs(b) < 1e-12
     assert result.audit.ok
     for row in result.samples:
         assert row.v == pytest.approx(10.0, abs=1e-9)
@@ -196,7 +205,7 @@ def test_objective_changes_mz_only():
     for a, b in ((jerk, fuel), (jerk, wtd)):
         assert [r.schedule for r in a.vehicles] == [r.schedule for r in b.vehicles]
         for ra, rb in zip(a.vehicles, b.vehicles):
-            assert (ra.cz.a, ra.cz.b, ra.cz.c, ra.cz.d) == (rb.cz.a, rb.cz.b, rb.cz.c, rb.cz.d)
+            assert ra.cz.coefficients == rb.cz.coefficients
     # at least one vehicle shapes its crossing differently per objective
     diffs = 0
     for ra, rb in zip(jerk.vehicles, fuel.vehicles):
@@ -384,7 +393,7 @@ def test_sampler_zone_boundaries_on_grid_points():
     movement = Movement(Arm.WEST, Turn.STRAIGHT)
     spec = VehicleSpec(vehicle_id=1, t0=10 * step, v0=10.0, movement=movement)
     tm, tf = 400 * step, 430 * step
-    vm = mz_exit_speed(movement, g)
+    vm = g.mz_speed(movement.turn)
     sched = Schedule(
         vehicle_id=1, movement=movement, t0=spec.t0, v0=spec.v0, tm=tm, tf=tf,
         vm=vm, vf=vm, mz_transit=tf - tm, binding_case="feasibility",

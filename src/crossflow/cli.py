@@ -95,6 +95,20 @@ def _floats(raw: Any) -> Tuple[float, ...]:
     return tuple(float(x) for x in raw)
 
 
+def _integer(value: Any) -> int:
+    """value itself if it is an integer; a float such as 2.5 is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(value)
+    return value
+
+
+def _real(value: Any) -> float:
+    """value itself if it is a real number; a string such as "0.5" is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(value)
+    return value
+
+
 def _check_keys(section: Mapping[str, Any], allowed: set, path: str) -> None:
     for key in section:
         if key not in allowed:
@@ -363,7 +377,7 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
     vf = section.get("mz_exit_speed")
     vf = geometry.mz_speed(turn) if vf is None else _read(float, vf, "pareto.mz_exit_speed")
     jerk_scale = _read(float, section.get("jerk_scale", DEFAULT_JERK_SCALE), "pareto.jerk_scale")
-    grid_size = _read(int, section.get("grid_size", 50), "pareto.grid_size")
+    grid_size = _read(_integer, section.get("grid_size", 50), "pareto.grid_size")
     w_min = _read(float, section.get("w_min", DEFAULT_W_MIN), "pareto.w_min")
     w_max = _read(float, section.get("w_max", DEFAULT_W_MAX), "pareto.w_max")
     explicit_grid = section.get("grid")
@@ -426,13 +440,13 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
     requested_tm = section.get("tm")
     objective = _parse_objective(section.get("objective", "jerk_only"), "plan.objective")
     weight = section.get("weight")
+    if weight is not None:
+        weight = _read(_real, weight, "plan.weight")
     jerk_scale = _read(float, section.get("jerk_scale", DEFAULT_JERK_SCALE), "plan.jerk_scale")
     sample_step = _read(float, section.get("sample_step", 0.1), "plan.sample_step")
     if sample_step <= 0.0:
         raise ConfigError("plan.sample_step must be positive")
-    if objective is MzVariant.WEIGHTED and not (
-        isinstance(weight, numbers.Real) and 0.0 < weight < 1.0
-    ):
+    if objective is MzVariant.WEIGHTED and not (weight is not None and 0.0 < weight < 1.0):
         raise ConfigError("plan.weight must be strictly inside (0, 1) for the weighted objective")
 
     try:

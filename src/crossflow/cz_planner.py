@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -191,19 +191,16 @@ def _shared_window(leader: PolyTrajectory, follower: PolyTrajectory) -> Tuple[fl
     return max(follower.t0, leader.t0), min(follower.t1, leader.t1)
 
 
-def _min_gap(leader: PolyTrajectory, follower: PolyTrajectory, lo: float, hi: float):
-    """Exact minimum of the leader-follower gap on [lo, hi].
-
-    The gap is cubic in t, so its minimum over a closed window sits either
-    at a window endpoint or at a root of the quadratic speed difference.
-    """
+def _gap_stationary_times(leader: PolyTrajectory, follower: PolyTrajectory) -> List[float]:
+    """Times where the leader-follower gap is stationary: the real roots of
+    their quadratic speed difference, in no particular order and unclipped."""
     la, lb, lc, _ = leader.coefficients
     fa, fb, fc, _ = follower.coefficients
     lt0, ft0 = leader.t0, follower.t0
     quad = 0.5 * (la - fa)
     lin = (lb - la * lt0) - (fb - fa * ft0)
     const = (0.5 * la * lt0**2 - lb * lt0 + lc) - (0.5 * fa * ft0**2 - fb * ft0 + fc)
-    candidates = [lo, hi]
+    roots = []
     if quad != 0.0:
         disc = lin * lin - 4.0 * quad * const
         if disc >= 0.0:
@@ -211,13 +208,22 @@ def _min_gap(leader: PolyTrajectory, follower: PolyTrajectory, lo: float, hi: fl
             # when quad is tiny, which it often is for near-cruise profiles
             root = math.sqrt(disc)
             q = -0.5 * (lin + math.copysign(root, lin) if lin != 0.0 else -root)
-            candidates.append(q / quad)
+            roots.append(q / quad)
             if q != 0.0:
-                candidates.append(const / q)
+                roots.append(const / q)
     elif lin != 0.0:
-        candidates.append(-const / lin)
-    best = min((_gap(leader, follower, t), t) for t in candidates if lo <= t <= hi)
-    return best
+        roots.append(-const / lin)
+    return roots
+
+
+def _min_gap(leader: PolyTrajectory, follower: PolyTrajectory, lo: float, hi: float):
+    """Exact minimum of the leader-follower gap on [lo, hi].
+
+    The gap is cubic in t, so its minimum over a closed window sits either
+    at a window endpoint or at a stationary point.
+    """
+    candidates = [lo, hi, *_gap_stationary_times(leader, follower)]
+    return min((_gap(leader, follower, t), t) for t in candidates if lo <= t <= hi)
 
 
 class GapCheck(NamedTuple):
@@ -246,11 +252,23 @@ def rear_end_gap(
 
 
 def _first_gap_crossing(leader, follower, delta: float) -> float:
-    """Earliest time in the shared window at which the gap drops below delta."""
+    """Earliest time in the shared window at which the gap drops below delta.
+
+    The stationary points cut the window into pieces on which the gap is
+    monotone; the first piece that ends below delta holds the first
+    crossing, and bisection inside that piece alone converges to it.  A
+    bisection over the whole window could instead land on a later
+    crossing when the gap dips below delta and recovers.
+    """
     lo, hi = _shared_window(leader, follower)
     if _gap(leader, follower, lo) < delta:
         return lo
-    a, b = lo, hi
+    inner = sorted(t for t in _gap_stationary_times(leader, follower) if lo < t < hi)
+    a = lo
+    for b in (*inner, hi):
+        if _gap(leader, follower, b) < delta:
+            break
+        a = b
     while b - a > _TIME_EPS:
         mid = 0.5 * (a + b)
         if _gap(leader, follower, mid) >= delta:

@@ -11,14 +11,17 @@ scheduler's job.  The gate searches entry times by a forward scan and a
 bisection; the queue is scanned once per search, backwards and only as
 far as the latest vehicle of each conflict class, and each probe then
 costs one earliest-arrival bound, one approach solve and one closed-form
-minimum gap, independent of queue length.  After the run, an auditor
-re-derives the safety story from the sampled state table alone and
-reports every violation it finds.
+minimum gap, independent of queue length.  A vehicle's whole record
+(schedule, approach and merge trajectories, feasibility report) is built
+the moment it is admitted.  After the run, an auditor re-derives the
+safety story from the trajectory records alone, exactly on their closed
+forms, and reports every violation it finds.
 
 Past the gate, every stage is a single pass: the sampler builds each
 vehicle's rows once and orders the whole table with one sort of its
-(t, vehicle_id) keys, and the auditor walks the rows once per check and
-pairs vehicles only within a merge-zone time slice or an exit arm.
+(t, vehicle_id) keys, and the auditor checks each vehicle against its
+lane leader, sweeps the merge-zone windows in order of start, and pairs
+vehicles only within an exit arm.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -125,6 +128,10 @@ class SimConfig:
                 raise ValueError(f"{name} must sum to 1, got {sum(probs)}")
         if self.vehicle_count < 1:
             raise ValueError(f"vehicle_count must be at least 1, got {self.vehicle_count}")
+        if self.weight is not None and (
+            isinstance(self.weight, bool) or not isinstance(self.weight, numbers.Real)
+        ):
+            raise ValueError(f"weight must be a real number, got {self.weight!r}")
         if self.objective is MzVariant.WEIGHTED:
             if self.weight is None or not 0.0 < self.weight < 1.0:
                 raise ValueError("weighted objective needs a weight strictly inside (0, 1)")
@@ -205,6 +212,22 @@ class VehicleRecord:
 
 @dataclass(frozen=True)
 class AuditFinding:
+    """One safety violation between two vehicles.
+
+    Per kind:
+
+    - cz_gap: vehicle_id follows other_id on its entry arm; time is when
+      their control-zone gap is smallest, value that gap, bound the
+      minimum safe distance.
+    - mz_overlap: vehicle_id is the higher id of a crossing-path pair;
+      time is when their merge-zone windows start to overlap, value the
+      length of the overlap, bound 0.
+    - exit_spacing: vehicle_id leaves into other_id's exit lane too soon;
+      time is its merge-zone exit, value the headway behind other_id's
+      exit, bound the headway the safe distance needs at other_id's exit
+      speed.
+    """
+
     kind: str                  # "cz_gap" | "mz_overlap" | "exit_spacing"
     vehicle_id: int
     other_id: int
@@ -301,9 +324,9 @@ def run(cfg: SimConfig) -> SimRun:
         pending[spec.movement.entry_arm].append(spec)
 
     queue: List[Schedule] = []
-    trajectories: Dict[int, PolyTrajectory] = {}
-    committed: List[Tuple[VehicleSpec, float, Schedule, PolyTrajectory, Optional[int]]] = []
-    lane_leader: Dict[Arm, int] = {}
+    records: List[VehicleRecord] = []
+    # each arm's last admitted approach trajectory
+    lane_leader: Dict[Arm, PolyTrajectory] = {}
     clock = 0.0
 
     while any(pending[arm] for arm in _ARM_ORDER):
@@ -312,55 +335,43 @@ def run(cfg: SimConfig) -> SimRun:
             if not pending[arm]:
                 continue
             head = pending[arm][0]
-            leader_id = lane_leader.get(arm)
-            leader = trajectories[leader_id] if leader_id is not None else None
             # gate from no earlier than the last committed entry: a commit
             # elsewhere can lengthen this head's queue slot and relax its
             # gate below times the coordinator has already passed, and
             # admitting it retroactively would break entry-order ids
             candidate = head if head.t0 >= clock else replace(head, t0=clock)
-            entry = _gated_entry(candidate, queue, leader, g)
+            entry = _gated_entry(candidate, queue, lane_leader.get(arm), g)
             key = (entry, head.t0, head.vehicle_id)
             if best is None or key < best[0]:
-                best = (key, arm, head, entry, leader_id)
-        _, arm, head, entry, leader_id = best
+                best = (key, arm, head, entry)
+        _, arm, head, entry = best
         clock = entry
         pending[arm].pop(0)
         spec = replace(head, vehicle_id=len(queue) + 1, t0=entry)
         sched = schedule_vehicle(spec, queue, g)
         cz = solve_cz(spec.t0, spec.v0, sched.tm, sched.vm, g.cz_length)
-        queue.append(sched)
-        trajectories[spec.vehicle_id] = cz
-        committed.append((spec, head.t0, sched, cz, leader_id))
-        lane_leader[arm] = spec.vehicle_id
-
-    records = []
-    for spec, arrival_time, sched, cz, leader_id in committed:
         boundary = boundary_from_schedule(sched, g, u_start=float(cz.control(sched.tm)))
-        mz = solve_mz(boundary, cfg.objective, cfg.weight, g.u_max, cfg.jerk_scale)
-        leader = trajectories[leader_id] if leader_id is not None else None
-        report = check_feasibility(cz, g, leader=leader)
         records.append(
             VehicleRecord(
                 spec=spec,
-                arrival_time=arrival_time,
+                arrival_time=head.t0,
                 schedule=sched,
                 cz=cz,
-                mz=mz,
-                feasibility=report,
+                mz=solve_mz(boundary, cfg.objective, cfg.weight, g.u_max, cfg.jerk_scale),
+                feasibility=check_feasibility(cz, g, leader=lane_leader.get(arm)),
                 leave_time=sched.tf + g.min_safe_distance / sched.vf,
             )
         )
+        queue.append(sched)
+        lane_leader[arm] = cz
 
-    samples = _sample_states(records, cfg)
-    histogram = _binding_histogram(records)
-    audit = _audit(cfg, tuple(records), samples)
+    vehicles = tuple(records)
     return SimRun(
         config=cfg,
-        vehicles=tuple(records),
-        samples=samples,
-        binding_histogram=histogram,
-        audit=audit,
+        vehicles=vehicles,
+        samples=_sample_states(vehicles, cfg),
+        binding_histogram=_binding_histogram(vehicles),
+        audit=_audit(cfg, vehicles),
     )
 
 
@@ -398,10 +409,9 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> Tuple[Sa
 
     Rows exist from a vehicle's control-zone entry until it has cleared
     the safety window past the merge-zone exit; beyond the exit the speed
-    is held constant.  The shared grid means any two vehicles present at
-    the same instant appear in the same time slice, which is what the
-    auditor's pairwise checks rely on.  Rows come out ordered by
-    (t, vehicle_id), with ties in record order.
+    is held constant.  The table is the run's published output; the
+    auditor does not read it.  Rows come out ordered by (t, vehicle_id),
+    with ties in record order.
 
     Each vehicle's rows are built in one pass over its grid, with each
     zone slice evaluated in one call; one stable lexsort of all rows'
@@ -443,79 +453,65 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> Tuple[Sa
 
 def _audit(
     cfg: SimConfig,
-    vehicles: Tuple[VehicleRecord, ...],
-    samples: Tuple[SampleRow, ...],
-    gap_tol: float = 1e-3,
+    vehicles: Sequence[VehicleRecord],
     time_tol: float = 1e-6,
     min_safe_distance: Optional[float] = None,
 ) -> AuditReport:
-    """Safety findings of a run, from its state table and trajectory windows.
+    """Safety findings of a run, from its trajectory records alone.
 
-    ``samples`` must be in time order, as _sample_states makes them.  Each
-    pass costs one walk over the rows or the vehicles plus the pairs it
-    actually checks: lane leader and follower rows for the control-zone
-    gap, pairs of vehicles inside the merge zone in the same time slice
-    for lateral exclusion, and pairs leaving into the same exit arm from
-    different entry arms for exit spacing.
+    Records may come in any order: lane order is entry order, which the
+    vehicle ids follow.  Every check is exact on the closed forms:
+
+    - cz_gap: each vehicle against the vehicle ahead of it on its entry
+      arm, at the exact minimum of their gap over the window where both
+      are inside the control zone (rear_end_gap);
+    - mz_overlap: merge-zone windows [mz.t0, mz.t1] swept in order of
+      start, flagging crossing-path pairs that share more than time_tol;
+    - exit_spacing: vehicles leaving into the same exit arm from
+      different entry arms, compared at their merge-zone exit times.
     """
     delta = cfg.geometry.min_safe_distance if min_safe_distance is None else min_safe_distance
+    ordered = sorted(vehicles, key=lambda rec: rec.spec.vehicle_id)
     findings: List[AuditFinding] = []
 
-    cz_rows: Dict[int, List[SampleRow]] = {}
-    for row in samples:
-        if row.zone == ZONE_CZ:
-            cz_rows.setdefault(row.vehicle_id, []).append(row)
-    movements = {rec.spec.vehicle_id: rec.spec.movement for rec in vehicles}
-
-    # Rear-end inside the control zone: each vehicle against the vehicle
-    # immediately ahead of it on the same arm, by entry order.
-    lane_pred: Dict[int, int] = {}
-    last_on_arm: Dict[Arm, int] = {}
-    for rec in vehicles:
+    ahead_on_arm: Dict[Arm, VehicleRecord] = {}
+    for rec in ordered:
         arm = rec.spec.movement.entry_arm
-        if arm in last_on_arm:
-            lane_pred[rec.spec.vehicle_id] = last_on_arm[arm]
-        last_on_arm[arm] = rec.spec.vehicle_id
-    for follower_id, leader_id in lane_pred.items():
-        leader_rows = {row.t: row for row in cz_rows.get(leader_id, ())}
-        for row in cz_rows.get(follower_id, ()):
-            lead = leader_rows.get(row.t)
-            if lead is None:
-                continue
-            gap = lead.p - row.p
-            if gap < delta - gap_tol:
-                findings.append(
-                    AuditFinding("cz_gap", follower_id, leader_id, row.t, gap, delta)
+        leader = ahead_on_arm.get(arm)
+        ahead_on_arm[arm] = rec
+        if leader is None:
+            continue
+        found = rear_end_gap(leader.cz, rec.cz, delta)
+        if found is not None and found.too_close:
+            findings.append(
+                AuditFinding(
+                    "cz_gap", rec.spec.vehicle_id, leader.spec.vehicle_id,
+                    found.time, found.gap, delta,
                 )
-                break
+            )
 
-    # Lateral mutual exclusion: no time slice may hold two crossing-path
-    # vehicles inside the merge zone together.
-    lateral_seen = set()
-    mz_rows = [row for row in samples if row.zone == ZONE_MZ]
-    for _, group in groupby(mz_rows, key=lambda row: row.t):
-        time_slice = list(group)
-        for first_idx in range(len(time_slice)):
-            for second_idx in range(first_idx + 1, len(time_slice)):
-                a, b = time_slice[first_idx], time_slice[second_idx]
-                pair = (a.vehicle_id, b.vehicle_id)
-                if pair in lateral_seen:
-                    continue
-                cls = classify(movements[a.vehicle_id], movements[b.vehicle_id])
-                if cls is ConflictClass.LATERAL:
-                    lateral_seen.add(pair)
-                    findings.append(
-                        AuditFinding("mz_overlap", b.vehicle_id, a.vehicle_id, a.t, 0.0, 0.0)
-                    )
+    # a window that ends within time_tol of a start overlaps no window
+    # starting later by more than time_tol, so it leaves the sweep
+    inside: List[VehicleRecord] = []
+    for rec in sorted(ordered, key=lambda rec: rec.mz.t0):
+        start = rec.mz.t0
+        inside = [other for other in inside if other.mz.t1 - start > time_tol]
+        for other in inside:
+            overlap = min(other.mz.t1, rec.mz.t1) - start
+            if overlap > time_tol and (
+                classify(other.spec.movement, rec.spec.movement) is ConflictClass.LATERAL
+            ):
+                low, high = sorted((other.spec.vehicle_id, rec.spec.vehicle_id))
+                findings.append(AuditFinding("mz_overlap", high, low, start, overlap, 0.0))
+        inside.append(rec)
 
     # Exit spacing: vehicles leaving into the same lane must be at least
     # the safety distance apart, at the leader's exit speed, when they
-    # cross the merge-zone end.  Times come from the trajectory windows.
-    # Two movements are in the same-exit class exactly when they share the
-    # exit arm but not the entry arm, so only each exit arm's earlier
-    # vehicles need checking.
+    # cross the merge-zone end.  Two movements are in the same-exit class
+    # exactly when they share the exit arm but not the entry arm, so only
+    # each exit arm's earlier vehicles need checking.
     earlier_by_exit: Dict[Arm, List[VehicleRecord]] = {}
-    for later in vehicles:
+    for later in ordered:
         movement = later.spec.movement
         exiting = earlier_by_exit.setdefault(movement.exit_arm, [])
         actual = later.mz.t1
@@ -542,25 +538,22 @@ def _audit(
 
 def audit_run(
     run_result: SimRun,
-    gap_tol: float = 1e-3,
     time_tol: float = 1e-6,
     min_safe_distance: Optional[float] = None,
 ) -> AuditReport:
-    """Re-verify a finished run's safety from its sampled states.
+    """Re-verify a finished run's safety from its trajectory records.
 
-    Checks the control-zone gap to each vehicle's lane leader at every
-    shared sample time, merge-zone mutual exclusion of crossing paths at
-    every time slice, and exit-lane spacing between trajectory windows.
-    Works from the state table, trajectory records, and geometry only;
-    the scheduler's candidate bookkeeping plays no part.  Overriding
-    min_safe_distance audits the run against a stricter (or looser)
-    spacing than it was planned for.
+    Checks the exact minimum control-zone gap to each vehicle's lane
+    leader, merge-zone mutual exclusion of crossing paths on the exact
+    merge-zone windows, and exit-lane spacing between those windows.
+    Works from the trajectory records and geometry only; neither the
+    sampled state table nor the scheduler's candidate bookkeeping plays
+    any part.  Overriding min_safe_distance audits the run against a
+    stricter (or looser) spacing than it was planned for.
     """
     return _audit(
         run_result.config,
         run_result.vehicles,
-        run_result.samples,
-        gap_tol=gap_tol,
         time_tol=time_tol,
         min_safe_distance=min_safe_distance,
     )

@@ -8,7 +8,7 @@ programs) instead of polynomial boundary-value solves, hand-written cubic
 and quintic boundary systems and evaluators instead of the one Hermite
 solve and Horner loop, and a full
 reschedule per entry-gate probe, one scalar evaluation per sampled row, a
-forward queue scan, an all-pairs audit and a csv.writer per output line
+forward queue scan, all-pairs audits and a csv.writer per output line
 instead of the simulator's and the command line's shortcuts.  Tests
 compare the two routes; neither side is derived from the other.
 """
@@ -23,7 +23,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.integrate import quad, solve_ivp
 
-from crossflow.cz_planner import check_feasibility, solve_cz
+from crossflow.cz_planner import check_feasibility, rear_end_gap, solve_cz
 from crossflow.geometry import ConflictClass, classify
 from crossflow.scheduler import ConflictPredecessors, schedule
 from crossflow.sim import (
@@ -399,7 +399,9 @@ def sample_states_by_row(records, cfg):
 # The scheduler's predecessor scan, the run auditor and the trajectory CSV
 # writer in their plain form: a forward scan over the whole queue, every
 # vehicle pair classified, and each line through _fmt-style formatting and
-# csv.writer.  The package's versions must agree with these exactly.
+# csv.writer.  The package's versions must agree with these exactly.  The
+# sampled audit checks the same properties on the shared sample grid only:
+# every finding it makes, the exact audit must make too.
 
 
 def conflict_predecessors_forward(spec, q):
@@ -488,6 +490,51 @@ def audit_pairwise(cfg, vehicles, samples, gap_tol=1e-3, time_tol=1e-6,
                         delta / earlier.schedule.vf,
                     )
                 )
+
+    findings.sort(key=lambda f: (f.time, f.kind, f.vehicle_id, f.other_id))
+    return AuditReport(findings=tuple(findings))
+
+
+def audit_exact_pairwise(cfg, vehicles, time_tol=1e-6, min_safe_distance=None):
+    """The exact run audit with every vehicle pair classified and each lane
+    leader found by a full scan over the records."""
+    delta = cfg.geometry.min_safe_distance if min_safe_distance is None else min_safe_distance
+    findings = []
+
+    for rec in vehicles:
+        ahead = [
+            other for other in vehicles
+            if other.spec.movement.entry_arm is rec.spec.movement.entry_arm
+            and other.spec.vehicle_id < rec.spec.vehicle_id
+        ]
+        if not ahead:
+            continue
+        leader = max(ahead, key=lambda other: other.spec.vehicle_id)
+        found = rear_end_gap(leader.cz, rec.cz, delta)
+        if found is not None and found.too_close:
+            findings.append(AuditFinding("cz_gap", rec.spec.vehicle_id,
+                                         leader.spec.vehicle_id, found.time, found.gap, delta))
+
+    for first in vehicles:
+        for second in vehicles:
+            if first.spec.vehicle_id >= second.spec.vehicle_id:
+                continue
+            cls = classify(first.spec.movement, second.spec.movement)
+            if cls is ConflictClass.LATERAL:
+                start = max(first.mz.t0, second.mz.t0)
+                overlap = min(first.mz.t1, second.mz.t1) - start
+                if overlap > time_tol:
+                    findings.append(AuditFinding("mz_overlap", second.spec.vehicle_id,
+                                                 first.spec.vehicle_id, start, overlap, 0.0))
+            elif cls is ConflictClass.SAME_EXIT:
+                required = first.mz.t1 + delta / first.schedule.vf
+                actual = second.mz.t1
+                if actual < required - time_tol:
+                    findings.append(
+                        AuditFinding("exit_spacing", second.spec.vehicle_id,
+                                     first.spec.vehicle_id, actual, actual - first.mz.t1,
+                                     delta / first.schedule.vf)
+                    )
 
     findings.sort(key=lambda f: (f.time, f.kind, f.vehicle_id, f.other_id))
     return AuditReport(findings=tuple(findings))

@@ -212,8 +212,7 @@ def test_criterion_9_audit_flags_perturbed_schedules(reference_runs):
             boundary = boundary_from_schedule(sched, cfg.geometry,
                                               u_start=float(cz.control(sched.tm)))
             records.append(replace(rec, schedule=sched, cz=cz, mz=solve_mz_jerk(boundary)))
-        samples = sim_module._sample_states(records, cfg)
-        report = sim_module._audit(cfg, tuple(records), samples)
+        report = sim_module._audit(cfg, tuple(records))
         assert not report.ok
         assert any(f.kind == "mz_overlap" for f in report.findings)
         demonstrated += 1

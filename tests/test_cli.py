@@ -299,6 +299,10 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         ("plan", "plan:\n  t0: abc\n", "plan.t0"),
         ("plan", 'plan:\n  objective: weighted\n  weight: "0.5"\n', "plan.weight"),
         ("pareto", "pareto:\n  grid_size: many\n", "pareto.grid_size"),
+        ("pareto", "pareto:\n  grid_size: 2.5\n", "pareto.grid_size"),
+        ("plan", "plan:\n  objective: fuel_only\n  weight: abc\n", "plan.weight"),
+        ("plan", "plan:\n  objective: jerk_only\n  weight: abc\n", "plan.weight"),
+        ("simulate", "sim:\n  objective: jerk_only\n  weight: abc\n", "weight"),
         ("pareto", "pareto:\n  grid: 0.5\n", "pareto.grid"),
         ("simulate", "sim:\n  seed: seven\n", "seed"),
         ("simulate", "sim:\n  vehicle_count: 2.5\n", "vehicle_count"),

@@ -176,6 +176,60 @@ def test_rear_end_catches_interior_minimum():
     assert gap_before > g.min_safe_distance
 
 
+def _assert_rear_end_time_is_first_crossing(leader, follower, g):
+    """The reported rear_end time is where the gap first drops below the
+    safe distance, and the reported minimum is the dense-grid minimum."""
+    delta = g.min_safe_distance
+    report = check_feasibility(follower, g, leader=leader)
+    rear = [v for v in report.violations if v.kind == "rear_end"]
+    if not rear:
+        return None
+    when = rear[0].time
+    lo, hi = max(leader.t0, follower.t0), min(leader.t1, follower.t1)
+    times = np.linspace(lo, hi, 4001)
+    gaps = leader.position(times) - follower.position(times)
+    assert gaps.min() - 1e-3 <= report.min_gap <= gaps.min() + 1e-9
+    if when > lo:
+        assert float(leader.position(when) - follower.position(when)) == pytest.approx(
+            delta, abs=1e-6
+        )
+    before = times[times < when]
+    assert np.all(leader.position(before) - follower.position(before) >= delta - 1e-6)
+    return when
+
+
+def test_rear_end_time_is_first_crossing_when_gap_recovers():
+    # the gap drops below 10 m near t = 5.22 s, bottoms out at 6.57 m and
+    # recovers to 20.9 m by the end of the shared window at t = 30 s
+    g = IntersectionGeometry()
+    leader = solve_cz(0.0, 8.0, 30.0, 10.0, 400.0)
+    follower = solve_cz(2.0, 13.0, 32.0, 10.0, 400.0)
+    when = _assert_rear_end_time_is_first_crossing(leader, follower, g)
+    assert when == pytest.approx(5.22, abs=0.01)
+    assert float(leader.position(30.0) - follower.position(30.0)) > g.min_safe_distance
+
+
+def test_rear_end_time_is_first_crossing_on_random_pairs():
+    g = IntersectionGeometry()
+    rng = np.random.default_rng(17)
+    reported = recovered = 0
+    for _ in range(2000):
+        lead_v0, v0 = map(float, rng.uniform(8.0, 13.0, size=2))
+        lead_vm, vm = map(float, rng.uniform(6.0, 13.0, size=2))
+        lead_span, span = map(float, rng.uniform(25.0, 50.0, size=2))
+        headway = float(rng.uniform(0.0, 10.0))
+        leader = solve_cz(0.0, lead_v0, lead_span, lead_vm, g.cz_length)
+        follower = solve_cz(headway, v0, headway + span, vm, g.cz_length)
+        if _assert_rear_end_time_is_first_crossing(leader, follower, g) is not None:
+            reported += 1
+            end = min(lead_span, headway + span)
+            recovered += float(leader.position(end) - follower.position(end)) >= (
+                g.min_safe_distance
+            )
+    # the sample holds gaps that dip below the safe distance and recover
+    assert reported > 100 and recovered > 0
+
+
 # ---------------------------------------------------------------------------
 # cost
 

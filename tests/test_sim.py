@@ -249,7 +249,8 @@ def test_audit_catches_shrunk_merge_entry(base_run):
     lateral = [r for r in base_run.vehicles if r.schedule.binding_case == "lateral"]
     assert lateral, "reference scenario should bind on a crossing at least once"
     victim = lateral[0].spec.vehicle_id
-    report = sim_module._audit(BASE, *_perturbed(base_run, BASE, victim, dtm=-0.5))
+    records, _ = _perturbed(base_run, BASE, victim, dtm=-0.5)
+    report = sim_module._audit(BASE, records)
     assert not report.ok
     assert any(f.kind == "mz_overlap" for f in report.findings)
 
@@ -268,11 +269,28 @@ def test_audit_ignores_scheduler_bookkeeping(base_run):
                                       lateral_pred=None, fifo_pred=None))
         for rec in base_run.vehicles
     )
-    report = sim_module._audit(BASE, records, base_run.samples)
+    report = sim_module._audit(BASE, records)
     assert report.ok
 
 
-# the grouped audit against the all-pairs oracle, clean and perturbed
+@pytest.mark.parametrize("shift", [0.05, 0.01])
+@pytest.mark.parametrize("seed", range(5))
+def test_audit_catches_slightly_shrunk_merge_entry(seed, shift):
+    # a crossing-bound vehicle's merge entry moved earlier by less than the
+    # 0.1 s sample step still overlaps its crossing predecessor's window
+    cfg = SimConfig(seed=seed)
+    result = run(cfg)
+    victim = next(r for r in result.vehicles if r.schedule.binding_case == "lateral")
+    records, _ = _perturbed(result, cfg, victim.spec.vehicle_id, dtm=-shift)
+    report = sim_module._audit(cfg, records)
+    overlaps = [f for f in report.findings
+                if f.kind == "mz_overlap" and f.vehicle_id == victim.spec.vehicle_id]
+    assert overlaps
+    assert max(f.value for f in overlaps) == pytest.approx(shift, abs=1e-6)
+
+
+# the audit against the all-pairs exact oracle, clean and perturbed; every
+# finding of the sampled audit is one of its findings
 
 AUDIT_RATES = (0.25, 1.0, 2.0)
 
@@ -286,8 +304,12 @@ def audit_runs():
 
 
 def _assert_audits_agree(cfg, records, samples, **kwargs):
-    report = sim_module._audit(cfg, records, samples, **kwargs)
-    assert report == oracles.audit_pairwise(cfg, records, samples, **kwargs)
+    report = sim_module._audit(cfg, records, **kwargs)
+    assert report == oracles.audit_exact_pairwise(cfg, records, **kwargs)
+    assert sim_module._audit(cfg, records[::-1], **kwargs) == report
+    sampled = oracles.audit_pairwise(cfg, records, samples, **kwargs)
+    exact_pairs = {(f.kind, f.vehicle_id, f.other_id) for f in report.findings}
+    assert {(f.kind, f.vehicle_id, f.other_id) for f in sampled.findings} <= exact_pairs
     return report
 
 

@@ -51,6 +51,7 @@ from crossflow.pareto import ParetoPoint, ParetoRun, default_grid, frontier, swe
 from crossflow.sim import (
     AuditFinding,
     AuditReport,
+    GateStats,
     SampleRow,
     SimConfig,
     SimRun,

@@ -11,7 +11,12 @@ scheduler's job.  The gate searches entry times by a forward scan and a
 bisection; the queue is scanned once per search, backwards and only as
 far as the latest vehicle of each conflict class, and each probe then
 costs one earliest-arrival bound, one approach solve and one closed-form
-minimum gap, independent of queue length.  A vehicle's whole record
+minimum gap, independent of queue length.  At each admission the arm
+heads are searched in order of the earliest entry each could have, and
+each search is given a cutoff, the best entry found so far: it stops as
+soon as a probe not clear reaches the cutoff, since its answer must then
+come later, and a head whose earliest possible entry is already later is
+not searched at all.  A vehicle's whole record
 (schedule, approach and merge trajectories, feasibility report) is built
 the moment it is admitted.  After the run, an auditor re-derives the
 safety story from the trajectory records alone, exactly on their closed
@@ -28,11 +33,12 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -245,6 +251,17 @@ class AuditReport:
         return not self.findings
 
 
+@dataclass
+class GateStats:
+    """Entry-gate work of one run: gated-entry searches, the searches cut
+    off once they could no longer give the next entry, and clear()
+    probes.  Kept out of every output file."""
+
+    searches: int = 0
+    cut: int = 0
+    probes: int = 0
+
+
 @dataclass(frozen=True)
 class SimRun:
     config: SimConfig
@@ -252,6 +269,7 @@ class SimRun:
     samples: Tuple[SampleRow, ...]
     binding_histogram: Dict[str, int]
     audit: AuditReport
+    gate: GateStats
 
 
 def _gated_entry(
@@ -259,9 +277,24 @@ def _gated_entry(
     queue: Sequence[Schedule],
     leader: Optional[PolyTrajectory],
     g: IntersectionGeometry,
-) -> float:
-    """Earliest control-zone entry at or after arrival that keeps the
-    planned approach at least min_safe_distance behind the lane leader.
+    stats: GateStats,
+    cutoff: float = math.inf,
+) -> Optional[float]:
+    """Gated control-zone entry at or after spec.t0: the first time found
+    clear, where clear means the planned approach stays at least
+    min_safe_distance behind the lane leader.
+
+    The search probes spec.t0, then scans forward in _GATE_SCAN_STEP
+    steps to the first clear scan point and bisects the last step down to
+    _GATE_RESOLUTION.  The answer is the clear end of that last bracket;
+    a clear pocket that opens and closes again between two scan points is
+    skipped, so the answer need not be the earliest clear time.
+
+    Every probed time found not clear is a lower bound of the answer.  As
+    soon as one reaches cutoff, the answer is known to lie strictly after
+    cutoff and the search returns None instead.  With the default cutoff
+    it always returns a time, and whenever it returns one, that time does
+    not depend on cutoff.  Each probe adds one to stats.probes.
 
     Only the feasibility bound of the schedule depends on the entry time,
     so the conflict candidates are scanned out of the queue once per
@@ -279,6 +312,7 @@ def _gated_entry(
     )
 
     def clear(t0: float) -> bool:
+        stats.probes += 1
         tf = max(floor, earliest_mz_arrival(t0, spec.v0, g) + transit)
         traj = solve_cz(t0, spec.v0, tf - transit, vm, g.cz_length)
         found = rear_end_gap(leader, traj, g.min_safe_distance)
@@ -287,11 +321,15 @@ def _gated_entry(
     if clear(spec.t0):
         return spec.t0
     low = spec.t0
+    if low >= cutoff:
+        return None
     high = low + _GATE_SCAN_STEP
     # the gap condition holds trivially once the leader has left the
     # control zone, so the forward scan always terminates
     while not clear(high):
         low = high
+        if low >= cutoff:
+            return None
         high += _GATE_SCAN_STEP
         if high > leader.t1 + _GATE_SCAN_STEP:
             high = leader.t1 + _GATE_SCAN_STEP
@@ -302,6 +340,8 @@ def _gated_entry(
             high = mid
         else:
             low = mid
+            if low >= cutoff:
+                return None
     return high
 
 
@@ -316,10 +356,18 @@ def run(cfg: SimConfig) -> SimRun:
     than the order they showed up upstream.  Scheduling never looks at the
     merging-zone objective, so runs differing only in objective produce
     identical schedules.
+
+    The next entry is found by branch and bound.  A head cannot enter
+    before its lower bound, the later of its arrival and the last
+    committed entry, so the heads are searched in order of that bound,
+    and the search stops at the first head whose bound is above the best
+    entry found so far.  Each head's search is cut off once its answer
+    must come after that best entry.  Ties go to the earlier arrival,
+    then the lower arrival id, as if every head were searched in full.
     """
     g = cfg.geometry
     arrivals = generate_arrivals(cfg)
-    pending: Dict[Arm, List[VehicleSpec]] = {arm: [] for arm in _ARM_ORDER}
+    pending: Dict[Arm, Deque[VehicleSpec]] = {arm: deque() for arm in _ARM_ORDER}
     for spec in arrivals:
         pending[spec.movement.entry_arm].append(spec)
 
@@ -327,26 +375,41 @@ def run(cfg: SimConfig) -> SimRun:
     records: List[VehicleRecord] = []
     # each arm's last admitted approach trajectory
     lane_leader: Dict[Arm, PolyTrajectory] = {}
+    gate = GateStats()
     clock = 0.0
 
-    while any(pending[arm] for arm in _ARM_ORDER):
+    while True:
+        # gate from no earlier than the last committed entry: a commit
+        # elsewhere can lengthen a head's queue slot and relax its gate
+        # below times the coordinator has already passed, and admitting it
+        # retroactively would break entry-order ids
+        heads = sorted(
+            (max(line[0].t0, clock), line[0].t0, line[0].vehicle_id, arm)
+            for arm, line in pending.items()
+            if line
+        )
+        if not heads:
+            break
         best = None
-        for arm in _ARM_ORDER:
-            if not pending[arm]:
-                continue
+        for bound, _, _, arm in heads:
+            if best is not None and bound > best[0][0]:
+                break
             head = pending[arm][0]
-            # gate from no earlier than the last committed entry: a commit
-            # elsewhere can lengthen this head's queue slot and relax its
-            # gate below times the coordinator has already passed, and
-            # admitting it retroactively would break entry-order ids
             candidate = head if head.t0 >= clock else replace(head, t0=clock)
-            entry = _gated_entry(candidate, queue, lane_leader.get(arm), g)
+            gate.searches += 1
+            entry = _gated_entry(
+                candidate, queue, lane_leader.get(arm), g, gate,
+                math.inf if best is None else best[0][0],
+            )
+            if entry is None:
+                gate.cut += 1
+                continue
             key = (entry, head.t0, head.vehicle_id)
             if best is None or key < best[0]:
                 best = (key, arm, head, entry)
         _, arm, head, entry = best
         clock = entry
-        pending[arm].pop(0)
+        pending[arm].popleft()
         spec = replace(head, vehicle_id=len(queue) + 1, t0=entry)
         sched = schedule_vehicle(spec, queue, g)
         cz = solve_cz(spec.t0, spec.v0, sched.tm, sched.vm, g.cz_length)
@@ -372,6 +435,7 @@ def run(cfg: SimConfig) -> SimRun:
         samples=_sample_states(vehicles, cfg),
         binding_histogram=_binding_histogram(vehicles),
         audit=_audit(cfg, vehicles),
+        gate=gate,
     )
 
 

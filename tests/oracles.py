@@ -6,8 +6,9 @@ numerical forward integration instead of closed-form arrival times,
 discretized trajectory optimization (KKT systems of small quadratic
 programs) instead of polynomial boundary-value solves, hand-written cubic
 and quintic boundary systems and evaluators instead of the one Hermite
-solve and Horner loop, and a full
-reschedule per entry-gate probe, one scalar evaluation per sampled row, a
+solve and Horner loop, a full
+reschedule per entry-gate probe, a full gate search of every arm head at
+every admission, one scalar evaluation per sampled row, a
 forward queue scan, all-pairs audits and a csv.writer per output line
 instead of the simulator's and the command line's shortcuts.  Tests
 compare the two routes; neither side is derived from the other.
@@ -24,7 +25,7 @@ import scipy.sparse.linalg
 from scipy.integrate import quad, solve_ivp
 
 from crossflow.cz_planner import check_feasibility, rear_end_gap, solve_cz
-from crossflow.geometry import ConflictClass, classify
+from crossflow.geometry import Arm, ConflictClass, classify
 from crossflow.scheduler import ConflictPredecessors, schedule
 from crossflow.sim import (
     _GATE_RESOLUTION,
@@ -35,6 +36,7 @@ from crossflow.sim import (
     AuditFinding,
     AuditReport,
     SampleRow,
+    generate_arrivals,
 )
 
 # ---------------------------------------------------------------------------
@@ -324,12 +326,15 @@ def quintic_costs(coeffs, width):
 # ---------------------------------------------------------------------------
 # The simulator's entry gate and state sampler in their plain per-probe and
 # per-row form: every gate probe re-runs the full scheduler and feasibility
-# check, and every sample row evaluates its trajectory at one scalar time.
+# check, every admission searches every arm head to the end, and every
+# sample row evaluates its trajectory at one scalar time.
 # The simulator's own versions must agree with these bit for bit.
 
 
-def gated_entry_by_full_schedule(spec, queue, leader, g):
-    """Earliest gate-clear entry time, each probe rescheduled in full."""
+def gated_entry_by_full_schedule(spec, queue, leader, g, stats=None, cutoff=math.inf):
+    """Gate-clear entry time by the same scan and bisection, each probe
+    rescheduled in full.  The search always runs to the end: stats and
+    cutoff are accepted and ignored."""
 
     def clear(candidate):
         sched = schedule(candidate, queue, g)
@@ -356,6 +361,32 @@ def gated_entry_by_full_schedule(spec, queue, leader, g):
         else:
             low = mid
     return high
+
+
+def admissions_by_full_search(cfg):
+    """(arrival time, gated entry) of each admission, in order, with every
+    arm head searched in full at every commit and the least
+    (entry, arrival time, arrival id) admitted."""
+    g = cfg.geometry
+    arrivals = generate_arrivals(cfg)
+    pending = {arm: [s for s in arrivals if s.movement.entry_arm is arm] for arm in Arm}
+    queue, leaders, admitted = [], {}, []
+    clock = 0.0
+    while any(pending.values()):
+        keys = []
+        for arm, line in pending.items():
+            if line:
+                head = line[0]
+                candidate = replace(head, t0=max(head.t0, clock))
+                entry = gated_entry_by_full_schedule(candidate, queue, leaders.get(arm), g)
+                keys.append((entry, head.t0, head.vehicle_id, arm))
+        clock, arrival_time, _, arm = min(keys)
+        spec = replace(pending[arm].pop(0), vehicle_id=len(queue) + 1, t0=clock)
+        sched = schedule(spec, queue, g)
+        queue.append(sched)
+        leaders[arm] = solve_cz(spec.t0, spec.v0, sched.tm, sched.vm, g.cz_length)
+        admitted.append((arrival_time, clock))
+    return admitted
 
 
 def sample_states_by_row(records, cfg):

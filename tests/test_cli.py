@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 import oracles
 from crossflow import (
+    GateStats,
     IntersectionGeometry,
     MzBoundary,
     MzVariant,
@@ -67,6 +69,23 @@ def test_simulate_outputs_are_byte_identical(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     assert cli.main(["simulate", "--out", str(out_a), "--seed", "3"]) == 0
+    assert cli.main(["simulate", "--out", str(out_b), "--seed", "3"]) == 0
+    assert read_files(out_a, SIM_FILES) == read_files(out_b, SIM_FILES)
+
+
+def test_simulate_outputs_ignore_gate_stats(tmp_path, monkeypatch):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    assert cli.main(["simulate", "--out", str(out_a), "--seed", "3"]) == 0
+    real_run = cli.run
+
+    def recounted(cfg):
+        result = real_run(cfg)
+        assert result.gate.searches >= len(result.vehicles)
+        assert result.gate.probes > 0
+        return replace(result, gate=GateStats(searches=1, cut=2, probes=3))
+
+    monkeypatch.setattr(cli, "run", recounted)
     assert cli.main(["simulate", "--out", str(out_b), "--seed", "3"]) == 0
     assert read_files(out_a, SIM_FILES) == read_files(out_b, SIM_FILES)
 

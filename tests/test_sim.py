@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import oracles
 from crossflow import (
     Arm,
+    GateStats,
     IntersectionGeometry,
     Movement,
     MzVariant,
@@ -378,6 +380,79 @@ def test_gate_matches_full_schedule_oracle(monkeypatch, seed, rate):
     assert any(rec.spec.t0 > rec.arrival_time for rec in slow.vehicles)
     assert fast.vehicles == slow.vehicles
     assert fast.samples == slow.samples
+    # the bounded admission against a full search of every arm head
+    admitted = [(rec.arrival_time, rec.spec.t0) for rec in fast.vehicles]
+    assert admitted == oracles.admissions_by_full_search(cfg)
+
+
+def _held_searches(monkeypatch, cfg):
+    """Arguments and unbounded answer of each search in a run that holds
+    its vehicle past its gated t0."""
+    searches = []
+    search = sim_module._gated_entry
+
+    def recording(spec, queue, leader, g, stats, cutoff=math.inf):
+        entry = search(spec, queue, leader, g, GateStats())
+        if entry > spec.t0:
+            searches.append((spec, list(queue), leader, g, entry))
+        return search(spec, queue, leader, g, stats, cutoff)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim_module, "_gated_entry", recording)
+        run(cfg)
+    return searches
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gate_cutoff_returns_unbounded_answer_or_none_above_it(monkeypatch, seed, rate):
+    searches = _held_searches(monkeypatch, SimConfig(seed=seed, arrival_rate=rate, vehicle_count=24))
+    assert len(searches) >= 10
+    outcomes = set()
+    for spec, queue, leader, g, entry in searches:
+        hold = entry - spec.t0
+        cutoffs = [
+            spec.t0 - 1.0, spec.t0, spec.t0 + 0.3 * hold, spec.t0 + 0.9 * hold,
+            entry - 1e-7, entry - 1e-9, entry, entry + 1e-9, entry + 1.0,
+        ]
+        for cutoff in cutoffs:
+            got = sim_module._gated_entry(spec, queue, leader, g, GateStats(), cutoff)
+            if got is None:
+                assert entry > cutoff
+            else:
+                assert got == entry
+            outcomes.add((got is None, cutoff >= entry, cutoff <= spec.t0))
+        # no probe found not clear reaches a cutoff at or past the answer,
+        # and the first probe is not clear, so a cutoff at or before t0
+        # ends the search at once
+        assert sim_module._gated_entry(spec, queue, leader, g, GateStats(), entry) == entry
+        stats = GateStats()
+        assert sim_module._gated_entry(spec, queue, leader, g, stats, spec.t0) is None
+        assert stats.probes == 1
+    # both outcomes occur strictly between t0 and the answer
+    assert (True, False, False) in outcomes
+    assert (False, False, False) in outcomes
+
+
+def _gate_totals(rate, vehicles):
+    totals = [0, 0, 0]
+    for seed in range(1_000_000, 1_000_006):
+        gate = run(SimConfig(arrival_rate=rate, vehicle_count=vehicles, seed=seed)).gate
+        totals = [totals[0] + gate.searches, totals[1] + gate.cut, totals[2] + gate.probes]
+    return totals
+
+
+def test_gate_work_on_saturated_and_light_runs():
+    # the benchmark's saturated and light configurations; a search of
+    # every arm head at every commit made 617 searches and 15,665 probes
+    # on the saturated six and 2,801 searches on the light six
+    searches, cut, probes = _gate_totals(2.0, 30)
+    assert searches <= 340
+    assert probes <= 8_000
+    assert 0 < cut < searches
+    searches, _, probes = _gate_totals(0.25, 120)
+    assert searches <= 750
+    assert probes > 0
 
 
 @pytest.mark.parametrize(

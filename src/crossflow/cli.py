@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -91,8 +92,16 @@ def _read(convert: Callable[[Any], Any], value: Any, path: str) -> Any:
         raise ConfigError(f"{path} has a malformed value: {value!r}") from None
 
 
+def _finite(value: Any) -> float:
+    """float(value), which must be neither NaN nor infinite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
 def _floats(raw: Any) -> Tuple[float, ...]:
-    return tuple(float(x) for x in raw)
+    return tuple(_finite(x) for x in raw)
 
 
 def _integer(value: Any) -> int:
@@ -103,8 +112,8 @@ def _integer(value: Any) -> int:
 
 
 def _real(value: Any) -> float:
-    """value itself if it is a real number; a string such as "0.5" is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """value itself if it is a finite real number; a string such as "0.5" is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(value)
     return value
 
@@ -371,15 +380,15 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
     geometry = _build_geometry(_section(config, "geometry", _GEOMETRY_KEYS))
     section = _section(config, "pareto", _PARETO_KEYS)
     turn = _parse_turn(section.get("turn", "left"), "pareto.turn")
-    entry_time = _read(float, section.get("entry_time", 0.0), "pareto.entry_time")
+    entry_time = _read(_finite, section.get("entry_time", 0.0), "pareto.entry_time")
     vm = section.get("mz_entry_speed")
-    vm = geometry.mz_speed(turn) if vm is None else _read(float, vm, "pareto.mz_entry_speed")
+    vm = geometry.mz_speed(turn) if vm is None else _read(_finite, vm, "pareto.mz_entry_speed")
     vf = section.get("mz_exit_speed")
-    vf = geometry.mz_speed(turn) if vf is None else _read(float, vf, "pareto.mz_exit_speed")
-    jerk_scale = _read(float, section.get("jerk_scale", DEFAULT_JERK_SCALE), "pareto.jerk_scale")
+    vf = geometry.mz_speed(turn) if vf is None else _read(_finite, vf, "pareto.mz_exit_speed")
+    jerk_scale = _read(_finite, section.get("jerk_scale", DEFAULT_JERK_SCALE), "pareto.jerk_scale")
     grid_size = _read(_integer, section.get("grid_size", 50), "pareto.grid_size")
-    w_min = _read(float, section.get("w_min", DEFAULT_W_MIN), "pareto.w_min")
-    w_max = _read(float, section.get("w_max", DEFAULT_W_MAX), "pareto.w_max")
+    w_min = _read(_finite, section.get("w_min", DEFAULT_W_MIN), "pareto.w_min")
+    w_max = _read(_finite, section.get("w_max", DEFAULT_W_MAX), "pareto.w_max")
     explicit_grid = section.get("grid")
     if explicit_grid is not None:
         explicit_grid = _read(_floats, explicit_grid, "pareto.grid")
@@ -435,15 +444,15 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
     section = _section(config, "plan", _PLAN_KEYS)
     arm = _parse_arm(section.get("arm", "W"), "plan.arm")
     turn = _parse_turn(section.get("turn", "straight"), "plan.turn")
-    t0 = _read(float, section.get("t0", 0.0), "plan.t0")
-    v0 = _read(float, section.get("v0", 10.0), "plan.v0")
+    t0 = _read(_finite, section.get("t0", 0.0), "plan.t0")
+    v0 = _read(_finite, section.get("v0", 10.0), "plan.v0")
     requested_tm = section.get("tm")
     objective = _parse_objective(section.get("objective", "jerk_only"), "plan.objective")
     weight = section.get("weight")
     if weight is not None:
         weight = _read(_real, weight, "plan.weight")
-    jerk_scale = _read(float, section.get("jerk_scale", DEFAULT_JERK_SCALE), "plan.jerk_scale")
-    sample_step = _read(float, section.get("sample_step", 0.1), "plan.sample_step")
+    jerk_scale = _read(_finite, section.get("jerk_scale", DEFAULT_JERK_SCALE), "plan.jerk_scale")
+    sample_step = _read(_finite, section.get("sample_step", 0.1), "plan.sample_step")
     if sample_step <= 0.0:
         raise ConfigError("plan.sample_step must be positive")
     if objective is MzVariant.WEIGHTED and not (weight is not None and 0.0 < weight < 1.0):
@@ -456,7 +465,7 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
     if requested_tm is None:
         tm = bound
     else:
-        tm = _read(float, requested_tm, "plan.tm")
+        tm = _read(_finite, requested_tm, "plan.tm")
         if tm < bound:
             print(
                 f"warning: requested merge time {_fmt(tm)} is earlier than the "

@@ -6,9 +6,10 @@ and its first m-1 derivatives at both ends of a time window.  Minimizing
 the squared-acceleration integral makes the control linear in time, so
 the approach plan is the cubic (m = 2); the merge-zone planners reuse
 the same solve for their fuel-only cubic and jerk-only quintic (m = 3).
-One PolyTrajectory type carries all of them.  Speed/acceleration bounds
-and the rear-end gap to a leader are verified after the fact and
-reported; a violating plan is surfaced, never clipped.
+One PolyTrajectory type carries all of them.  Speed and acceleration
+bounds are verified after the fact and reported, so a violating plan is
+surfaced, never clipped; rear_end_gap is the one closed-form rule for
+the gap to a lane leader.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,9 +27,6 @@ from crossflow.geometry import IntersectionGeometry
 
 # slack applied to all bound comparisons so exact-boundary profiles pass
 _BOUND_EPS = 1e-9
-
-# bisection tolerance on reported violation times
-_TIME_EPS = 1e-9
 
 _FACTORIAL = tuple(float(math.factorial(k)) for k in range(8))
 
@@ -146,7 +144,7 @@ def solve_cz(t0: float, v0: float, tm: float, vm: float, length: float) -> PolyT
 
 @dataclass(frozen=True)
 class Violation:
-    """One bound or gap violation: what was exceeded, when, by how much."""
+    """One bound violation: what was exceeded, when, by how much."""
 
     kind: str
     time: float
@@ -158,9 +156,6 @@ class Violation:
 class FeasibilityReport:
     ok: bool
     violations: Tuple[Violation, ...]
-    # worst gap to the leader over the shared control-zone window, if checked
-    min_gap: Optional[float] = None
-    min_gap_time: Optional[float] = None
 
 
 def _speed_extremum_times(traj: PolyTrajectory):
@@ -182,25 +177,20 @@ def _position(traj: PolyTrajectory, t: float) -> float:
     return ((a * tau / 6.0 + 0.5 * b) * tau + c) * tau + d
 
 
-def _gap(leader: PolyTrajectory, follower: PolyTrajectory, t: float) -> float:
-    return _position(leader, t) - _position(follower, t)
+def _min_gap(leader: PolyTrajectory, follower: PolyTrajectory, lo: float, hi: float):
+    """Exact minimum of the leader-follower gap on [lo, hi], and its time.
 
-
-def _shared_window(leader: PolyTrajectory, follower: PolyTrajectory) -> Tuple[float, float]:
-    """Window where both vehicles are inside the control zone; empty when lo > hi."""
-    return max(follower.t0, leader.t0), min(follower.t1, leader.t1)
-
-
-def _gap_stationary_times(leader: PolyTrajectory, follower: PolyTrajectory) -> List[float]:
-    """Times where the leader-follower gap is stationary: the real roots of
-    their quadratic speed difference, in no particular order and unclipped."""
+    The gap is cubic in t, so its minimum over a closed window sits either
+    at a window endpoint or at a stationary point: a real root of the
+    quadratic speed difference.
+    """
     la, lb, lc, _ = leader.coefficients
     fa, fb, fc, _ = follower.coefficients
     lt0, ft0 = leader.t0, follower.t0
     quad = 0.5 * (la - fa)
     lin = (lb - la * lt0) - (fb - fa * ft0)
     const = (0.5 * la * lt0**2 - lb * lt0 + lc) - (0.5 * fa * ft0**2 - fb * ft0 + fc)
-    roots = []
+    candidates = [lo, hi]
     if quad != 0.0:
         disc = lin * lin - 4.0 * quad * const
         if disc >= 0.0:
@@ -208,22 +198,16 @@ def _gap_stationary_times(leader: PolyTrajectory, follower: PolyTrajectory) -> L
             # when quad is tiny, which it often is for near-cruise profiles
             root = math.sqrt(disc)
             q = -0.5 * (lin + math.copysign(root, lin) if lin != 0.0 else -root)
-            roots.append(q / quad)
+            candidates.append(q / quad)
             if q != 0.0:
-                roots.append(const / q)
+                candidates.append(const / q)
     elif lin != 0.0:
-        roots.append(-const / lin)
-    return roots
-
-
-def _min_gap(leader: PolyTrajectory, follower: PolyTrajectory, lo: float, hi: float):
-    """Exact minimum of the leader-follower gap on [lo, hi].
-
-    The gap is cubic in t, so its minimum over a closed window sits either
-    at a window endpoint or at a stationary point.
-    """
-    candidates = [lo, hi, *_gap_stationary_times(leader, follower)]
-    return min((_gap(leader, follower, t), t) for t in candidates if lo <= t <= hi)
+        candidates.append(-const / lin)
+    return min(
+        (_position(leader, t) - _position(follower, t), t)
+        for t in candidates
+        if lo <= t <= hi
+    )
 
 
 class GapCheck(NamedTuple):
@@ -241,57 +225,22 @@ def rear_end_gap(
 
     The gap is minimized in closed form over the window where both are
     inside the control zone; None when that window is empty.  This is the
-    one rule behind both the entry gate and the ``rear_end`` entry of
-    check_feasibility.
+    one rear-end rule, behind both the entry gate and the run audit.
     """
-    lo, hi = _shared_window(leader, follower)
+    lo, hi = max(follower.t0, leader.t0), min(follower.t1, leader.t1)
     if lo > hi:
         return None
     gap, time = _min_gap(leader, follower, lo, hi)
     return GapCheck(gap, time, gap < min_safe_distance - _BOUND_EPS)
 
 
-def _first_gap_crossing(leader, follower, delta: float) -> float:
-    """Earliest time in the shared window at which the gap drops below delta.
-
-    The stationary points cut the window into pieces on which the gap is
-    monotone; the first piece that ends below delta holds the first
-    crossing, and bisection inside that piece alone converges to it.  A
-    bisection over the whole window could instead land on a later
-    crossing when the gap dips below delta and recovers.
-    """
-    lo, hi = _shared_window(leader, follower)
-    if _gap(leader, follower, lo) < delta:
-        return lo
-    inner = sorted(t for t in _gap_stationary_times(leader, follower) if lo < t < hi)
-    a = lo
-    for b in (*inner, hi):
-        if _gap(leader, follower, b) < delta:
-            break
-        a = b
-    while b - a > _TIME_EPS:
-        mid = 0.5 * (a + b)
-        if _gap(leader, follower, mid) >= delta:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def check_feasibility(
-    traj: PolyTrajectory,
-    g: IntersectionGeometry,
-    leader: Optional[PolyTrajectory] = None,
-) -> FeasibilityReport:
-    """Verify speed/acceleration bounds and the rear-end gap to a leader.
+def check_feasibility(traj: PolyTrajectory, g: IntersectionGeometry) -> FeasibilityReport:
+    """Verify one trajectory's speed and acceleration bounds.
 
     The control law is linear and the speed quadratic, so both are
-    extremized analytically instead of sampled.  When a leader sharing the
-    lane is given, the gap p_leader - p_follower is minimized in closed
-    form over the window where both are inside the control zone, and a
-    sub-threshold gap is reported with the time it first opens up.
-    Violations are report entries, not exceptions: downstream stages decide
-    what to do with an infeasible plan.
+    extremized analytically instead of sampled.  Violations are report
+    entries, not exceptions: downstream stages decide what to do with an
+    infeasible plan.
     """
     violations = []
     for t in (traj.t0, traj.t1):
@@ -306,23 +255,5 @@ def check_feasibility(
             violations.append(Violation("speed_low", t, v, g.v_min))
         elif v > g.v_max + _BOUND_EPS:
             violations.append(Violation("speed_high", t, v, g.v_max))
-
-    min_gap = None
-    min_gap_time = None
-    if leader is not None:
-        found = rear_end_gap(leader, traj, g.min_safe_distance)
-        if found is not None:
-            min_gap, min_gap_time = found.gap, found.time
-            if found.too_close:
-                when = _first_gap_crossing(leader, traj, g.min_safe_distance)
-                violations.append(
-                    Violation("rear_end", when, min_gap, g.min_safe_distance)
-                )
-
     violations.sort(key=lambda item: item.time)
-    return FeasibilityReport(
-        ok=not violations,
-        violations=tuple(violations),
-        min_gap=min_gap,
-        min_gap_time=min_gap_time,
-    )
+    return FeasibilityReport(ok=not violations, violations=tuple(violations))

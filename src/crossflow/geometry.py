@@ -13,7 +13,8 @@ geometry instance can be shared freely by the planners and the simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -81,6 +82,17 @@ ALL_MOVEMENTS: Tuple[Movement, ...] = tuple(
 )
 
 
+def require_finite(config) -> None:
+    """Raise ValueError if a real number in one of the dataclass config's
+    fields, or inside a tuple field, is NaN or infinite.  Bound checks
+    written as comparisons let NaN through, so this runs first."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, numbers.Real) and not math.isfinite(item):
+                raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TurnTimeFormula:
     """Highway-design rule for merge transit times, used when no table is given.
@@ -100,6 +112,7 @@ class TurnTimeFormula:
     superelevation: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("radius_left_ft", "radius_right_ft", "side_friction"):
             value = getattr(self, name)
             if value is not None and value <= 0.0:
@@ -152,6 +165,7 @@ class IntersectionGeometry:
     right_path_length: Optional[float] = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.mz_side <= 0.0:
             raise ValueError(f"mz_side must be positive, got {self.mz_side}")
         if self.cz_length <= self.mz_side:

@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from crossflow.cz_planner import PolyTrajectory, hermite
-from crossflow.geometry import IntersectionGeometry
+from crossflow.geometry import IntersectionGeometry, require_finite
 from crossflow.scheduler import Schedule
 
 # objective normalization: q1 = 1/u_max^2 keeps q1*u^2 in [0,1] at the
@@ -96,6 +96,7 @@ class MzBoundary:
     u_end: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.tf > self.tm:
             raise ValueError(f"exit time {self.tf} does not exceed entry time {self.tm}")
         if not self.p_end > self.p_start:

@@ -62,7 +62,6 @@ class Schedule:
     tf: float
     vm: float
     vf: float
-    mz_transit: float
     binding_case: str
     same_exit_pred: Optional[int] = None
     same_entry_pred: Optional[int] = None
@@ -183,7 +182,6 @@ def schedule(spec: VehicleSpec, q: Sequence[Schedule], g: IntersectionGeometry) 
         tf=tf,
         vm=boundary_speed,
         vf=boundary_speed,
-        mz_transit=transit,
         binding_case=binding_case,
         same_exit_pred=preds.same_exit.vehicle_id if preds.same_exit else None,
         same_entry_pred=preds.same_entry.vehicle_id if preds.same_entry else None,

@@ -16,11 +16,11 @@ heads are searched in order of the earliest entry each could have, and
 each search is given a cutoff, the best entry found so far: it stops as
 soon as a probe not clear reaches the cutoff, since its answer must then
 come later, and a head whose earliest possible entry is already later is
-not searched at all.  A vehicle's whole record
-(schedule, approach and merge trajectories, feasibility report) is built
-the moment it is admitted.  After the run, an auditor re-derives the
-safety story from the trajectory records alone, exactly on their closed
-forms, and reports every violation it finds.
+not searched at all.  A vehicle's whole record (schedule, approach and
+merge trajectories) is built the moment it is admitted.  After the run,
+an auditor re-derives the safety story from the trajectory records
+alone, exactly on their closed forms, and reports every violation it
+finds.
 
 Past the gate, every stage is a single pass: the sampler builds each
 vehicle's rows once and orders the whole table with one sort of its
@@ -42,13 +42,7 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from crossflow.cz_planner import (
-    FeasibilityReport,
-    PolyTrajectory,
-    check_feasibility,
-    rear_end_gap,
-    solve_cz,
-)
+from crossflow.cz_planner import PolyTrajectory, rear_end_gap, solve_cz
 from crossflow.geometry import (
     Arm,
     ConflictClass,
@@ -56,6 +50,7 @@ from crossflow.geometry import (
     Movement,
     Turn,
     classify,
+    require_finite,
 )
 from crossflow.mz_planner import (
     DEFAULT_JERK_SCALE,
@@ -106,6 +101,7 @@ class SimConfig:
     sample_step: float = 0.1
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("seed", "vehicle_count"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -212,7 +208,6 @@ class VehicleRecord:
     schedule: Schedule
     cz: PolyTrajectory
     mz: Union[PolyTrajectory, MzTrajectory]
-    feasibility: FeasibilityReport
     leave_time: float          # exit time plus the constant-speed clearance window
 
 
@@ -421,7 +416,6 @@ def run(cfg: SimConfig) -> SimRun:
                 schedule=sched,
                 cz=cz,
                 mz=solve_mz(boundary, cfg.objective, cfg.weight, g.u_max, cfg.jerk_scale),
-                feasibility=check_feasibility(cz, g, leader=lane_leader.get(arm)),
                 leave_time=sched.tf + g.min_safe_distance / sched.vf,
             )
         )

@@ -24,7 +24,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.integrate import quad, solve_ivp
 
-from crossflow.cz_planner import check_feasibility, rear_end_gap, solve_cz
+from crossflow.cz_planner import rear_end_gap, solve_cz
 from crossflow.geometry import Arm, ConflictClass, classify
 from crossflow.scheduler import ConflictPredecessors, schedule
 from crossflow.sim import (
@@ -325,7 +325,7 @@ def quintic_costs(coeffs, width):
 
 # ---------------------------------------------------------------------------
 # The simulator's entry gate and state sampler in their plain per-probe and
-# per-row form: every gate probe re-runs the full scheduler and feasibility
+# per-row form: every gate probe re-runs the full scheduler and rear-end
 # check, every admission searches every arm head to the end, and every
 # sample row evaluates its trajectory at one scalar time.
 # The simulator's own versions must agree with these bit for bit.
@@ -339,8 +339,8 @@ def gated_entry_by_full_schedule(spec, queue, leader, g, stats=None, cutoff=math
     def clear(candidate):
         sched = schedule(candidate, queue, g)
         traj = solve_cz(candidate.t0, candidate.v0, sched.tm, sched.vm, g.cz_length)
-        report = check_feasibility(traj, g, leader=leader)
-        return not any(v.kind == "rear_end" for v in report.violations)
+        found = rear_end_gap(leader, traj, g.min_safe_distance)
+        return found is None or not found.too_close
 
     if leader is None:
         return spec.t0

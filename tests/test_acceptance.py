@@ -206,8 +206,7 @@ def test_criterion_9_audit_flags_perturbed_schedules(reference_runs):
             if rec.spec.vehicle_id != victim.spec.vehicle_id:
                 records.append(rec)
                 continue
-            sched = replace(rec.schedule, tm=rec.schedule.tm - 0.5,
-                            mz_transit=rec.schedule.mz_transit + 0.5)
+            sched = replace(rec.schedule, tm=rec.schedule.tm - 0.5)
             cz = solve_cz(sched.t0, sched.v0, sched.tm, sched.vm, cfg.geometry.cz_length)
             boundary = boundary_from_schedule(sched, cfg.geometry,
                                               u_start=float(cz.control(sched.tm)))

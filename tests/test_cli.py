@@ -327,12 +327,25 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         ("simulate", "sim:\n  vehicle_count: 2.5\n", "vehicle_count"),
         ("simulate", "sim:\n  entry_speed_range: [ten, 12]\n", "sim.entry_speed_range"),
         ("plan", "geometry:\n  turn_times: [5, three, 3]\n", "geometry.turn_times"),
+        # non-finite numbers, which bound checks written as comparisons let through
+        ("simulate", "sim:\n  sample_step: .nan\n", "sample_step"),
+        ("plan", "plan:\n  tm: .nan\n", "plan.tm"),
+        ("plan", "geometry:\n  cz_length: .nan\n", "cz_length"),
+        ("plan", "plan:\n  objective: weighted\n  weight: 0.5\n  jerk_scale: .nan\n",
+         "plan.jerk_scale"),
+        ("simulate", "sim:\n  arrival_rate: .nan\n", "arrival_rate"),
+        ("simulate", "sim:\n  objective: weighted\n  weight: 0.5\n  jerk_scale: .nan\n",
+         "jerk_scale"),
+        ("pareto", "pareto:\n  mz_exit_speed: .nan\n", "pareto.mz_exit_speed"),
+        ("plan", "plan:\n  sample_step: .inf\n", "plan.sample_step"),
     ],
 )
 def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, text, key):
     cfg = write_config(tmp_path, text)
-    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", cfg, "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
+    assert not out.exists()

@@ -143,8 +143,7 @@ def test_follower_exact_headway_margin_passes():
     g = IntersectionGeometry()
     leader = solve_cz(0.0, 10.0, 40.0, 10.0, 400.0)
     follower = solve_cz(1.0, 10.0, 41.0, 10.0, 400.0)
-    report = check_feasibility(follower, g, leader=leader)
-    assert report.ok
+    assert not rear_end_gap(leader, follower, g.min_safe_distance).too_close
     # identical cruise offset by delta/v keeps the gap pinned at delta
     for t in np.linspace(1.0, 40.0, 50):
         gap = leader.position(t) - follower.position(t)
@@ -155,61 +154,22 @@ def test_follower_too_close_flagged():
     g = IntersectionGeometry()
     leader = solve_cz(0.0, 10.0, 40.0, 10.0, 400.0)
     follower = solve_cz(0.5, 10.0, 40.5, 10.0, 400.0)
-    report = check_feasibility(follower, g, leader=leader)
-    assert any(v.kind == "rear_end" for v in report.violations)
+    assert rear_end_gap(leader, follower, g.min_safe_distance).too_close
 
 
 def test_rear_end_catches_interior_minimum():
-    # gap dips to -8 mid-zone and recovers; reported time is the first
-    # crossing of the safety distance, reported value is the true minimum
+    # gap dips to -8 mid-zone and recovers; the check finds the true minimum
     g = IntersectionGeometry()
     leader = solve_cz(0.0, 10.0, 40.0, 10.0, 400.0)
     follower = solve_cz(1.2, 12.0, 41.2, 8.0, 400.0)
-    report = check_feasibility(follower, g, leader=leader)
-    rear = [v for v in report.violations if v.kind == "rear_end"]
-    assert rear
-    assert rear[0].value == pytest.approx(-8.0, abs=1e-6)
-    t_star = rear[0].time
-    gap_at = leader.position(t_star) - follower.position(t_star)
-    assert gap_at == pytest.approx(g.min_safe_distance, abs=1e-6)
-    gap_before = leader.position(t_star - 0.5) - follower.position(t_star - 0.5)
-    assert gap_before > g.min_safe_distance
+    found = rear_end_gap(leader, follower, g.min_safe_distance)
+    assert found.too_close
+    assert found.gap == pytest.approx(-8.0, abs=1e-6)
 
 
-def _assert_rear_end_time_is_first_crossing(leader, follower, g):
-    """The reported rear_end time is where the gap first drops below the
-    safe distance, and the reported minimum is the dense-grid minimum."""
-    delta = g.min_safe_distance
-    report = check_feasibility(follower, g, leader=leader)
-    rear = [v for v in report.violations if v.kind == "rear_end"]
-    if not rear:
-        return None
-    when = rear[0].time
-    lo, hi = max(leader.t0, follower.t0), min(leader.t1, follower.t1)
-    times = np.linspace(lo, hi, 4001)
-    gaps = leader.position(times) - follower.position(times)
-    assert gaps.min() - 1e-3 <= report.min_gap <= gaps.min() + 1e-9
-    if when > lo:
-        assert float(leader.position(when) - follower.position(when)) == pytest.approx(
-            delta, abs=1e-6
-        )
-    before = times[times < when]
-    assert np.all(leader.position(before) - follower.position(before) >= delta - 1e-6)
-    return when
-
-
-def test_rear_end_time_is_first_crossing_when_gap_recovers():
-    # the gap drops below 10 m near t = 5.22 s, bottoms out at 6.57 m and
-    # recovers to 20.9 m by the end of the shared window at t = 30 s
-    g = IntersectionGeometry()
-    leader = solve_cz(0.0, 8.0, 30.0, 10.0, 400.0)
-    follower = solve_cz(2.0, 13.0, 32.0, 10.0, 400.0)
-    when = _assert_rear_end_time_is_first_crossing(leader, follower, g)
-    assert when == pytest.approx(5.22, abs=0.01)
-    assert float(leader.position(30.0) - follower.position(30.0)) > g.min_safe_distance
-
-
-def test_rear_end_time_is_first_crossing_on_random_pairs():
+def test_rear_end_minimum_gap_on_random_pairs():
+    # the closed-form minimum is the dense-grid minimum of the gap over
+    # the shared window
     g = IntersectionGeometry()
     rng = np.random.default_rng(17)
     reported = recovered = 0
@@ -220,12 +180,13 @@ def test_rear_end_time_is_first_crossing_on_random_pairs():
         headway = float(rng.uniform(0.0, 10.0))
         leader = solve_cz(0.0, lead_v0, lead_span, lead_vm, g.cz_length)
         follower = solve_cz(headway, v0, headway + span, vm, g.cz_length)
-        if _assert_rear_end_time_is_first_crossing(leader, follower, g) is not None:
+        found = rear_end_gap(leader, follower, g.min_safe_distance)
+        times = np.linspace(headway, min(lead_span, headway + span), 4001)
+        gaps = leader.position(times) - follower.position(times)
+        assert gaps.min() - 1e-3 <= found.gap <= gaps.min() + 1e-9
+        if found.too_close:
             reported += 1
-            end = min(lead_span, headway + span)
-            recovered += float(leader.position(end) - follower.position(end)) >= (
-                g.min_safe_distance
-            )
+            recovered += float(gaps[-1]) >= g.min_safe_distance
     # the sample holds gaps that dip below the safe distance and recover
     assert reported > 100 and recovered > 0
 
@@ -259,21 +220,14 @@ def test_cost_matches_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# the rear-end gap predicate shared by the entry gate and check_feasibility
+# the rear-end gap predicate shared by the entry gate and the run audit
 
 
-def _assert_gap_predicate_matches_report(leader, follower, g):
+def _assert_gap_predicate(leader, follower, g):
     found = rear_end_gap(leader, follower, g.min_safe_distance)
-    report = check_feasibility(follower, g, leader=leader)
-    rear = [v for v in report.violations if v.kind == "rear_end"]
     if found is None:
-        assert report.min_gap is None and report.min_gap_time is None
-        assert not rear
         return found
-    assert (found.gap, found.time) == (report.min_gap, report.min_gap_time)
-    assert found.too_close == bool(rear)
-    if rear:
-        assert rear[0].value == found.gap
+    assert max(leader.t0, follower.t0) <= found.time <= min(leader.t1, follower.t1)
     # evaluated on plain floats, the gap keeps every bit of the numpy path
     assert type(found.gap) is float
     assert found.gap == float(leader.position(found.time) - follower.position(found.time))
@@ -290,11 +244,11 @@ def _assert_gap_predicate_matches_report(leader, follower, g):
     vm=st.floats(6.0, 13.0),
     span=st.floats(25.0, 50.0),
 )
-def test_gap_predicate_matches_rear_end_report(lead_v0, lead_vm, lead_span, headway, v0, vm, span):
+def test_gap_predicate_matches_numpy_positions(lead_v0, lead_vm, lead_span, headway, v0, vm, span):
     g = IntersectionGeometry()
     leader = solve_cz(0.0, lead_v0, lead_span, lead_vm, g.cz_length)
     follower = solve_cz(headway, v0, headway + span, vm, g.cz_length)
-    found = _assert_gap_predicate_matches_report(leader, follower, g)
+    found = _assert_gap_predicate(leader, follower, g)
     assert (found is None) == (headway > lead_span)
 
 
@@ -307,7 +261,7 @@ def test_gap_predicate_at_the_safety_distance_with_equal_profiles(offset, speed)
     leader = PolyTrajectory(t0=0.0, t1=40.0, coefficients=(0.0, 0.0, speed, 0.0))
     follower = PolyTrajectory(t0=g.min_safe_distance / speed, t1=41.0,
                               coefficients=(0.0, 0.0, speed, -offset))
-    found = _assert_gap_predicate_matches_report(leader, follower, g)
+    found = _assert_gap_predicate(leader, follower, g)
     assert abs(found.gap - (g.min_safe_distance + offset)) < 1e-12
     if offset < -2e-9:
         assert found.too_close
@@ -319,16 +273,16 @@ def test_gap_predicate_windows():
     g = IntersectionGeometry()
     leader = solve_cz(0.0, 10.0, 40.0, 10.0, 400.0)
     # follower enters after the leader has left: lo > hi, nothing to check
-    assert _assert_gap_predicate_matches_report(
+    assert _assert_gap_predicate(
         leader, solve_cz(40.5, 10.0, 80.0, 10.0, 400.0), g
     ) is None
     # windows touching at one instant still get a closed-form check
-    touching = _assert_gap_predicate_matches_report(
+    touching = _assert_gap_predicate(
         leader, solve_cz(40.0, 10.0, 80.0, 10.0, 400.0), g
     )
     assert touching.time == 40.0 and not touching.too_close
     # the interior dip of test_rear_end_catches_interior_minimum
-    dip = _assert_gap_predicate_matches_report(
+    dip = _assert_gap_predicate(
         leader, solve_cz(1.2, 12.0, 41.2, 8.0, 400.0), g
     )
     assert dip.too_close and 1.2 < dip.time < 40.0
@@ -336,7 +290,7 @@ def test_gap_predicate_windows():
     # smallest where the speeds match, inside the window
     speeding_up = PolyTrajectory(t0=0.0, t1=40.0, coefficients=(0.0, 0.2, 8.0, 0.0))
     cruising = PolyTrajectory(t0=0.5, t1=40.5, coefficients=(0.0, 0.0, 10.0, 0.0))
-    vertex = _assert_gap_predicate_matches_report(speeding_up, cruising, g)
+    vertex = _assert_gap_predicate(speeding_up, cruising, g)
     assert vertex.time == 10.0 and vertex.too_close
 
 

@@ -9,6 +9,8 @@ from crossflow import (
     ConflictClass,
     IntersectionGeometry,
     Movement,
+    MzBoundary,
+    SimConfig,
     Turn,
     TurnTimeFormula,
     classify,
@@ -135,6 +137,31 @@ def test_geometry_validation():
         )
     with pytest.raises(ValueError):
         IntersectionGeometry(cz_length=25.0, mz_side=30.0)
+
+
+NAN, INF = math.nan, math.inf
+WINDOW = dict(tm=40.0, tf=43.0, vm=10.0, vf=10.0, p_start=400.0, p_end=430.0)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: IntersectionGeometry(cz_length=NAN), "cz_length"),
+    (lambda: IntersectionGeometry(v_max=INF), "v_max"),
+    (lambda: IntersectionGeometry(turn_times=(5.0, INF, 3.0)), "turn_times"),
+    (lambda: IntersectionGeometry(right_path_length=NAN), "right_path_length"),
+    (lambda: TurnTimeFormula(radius_left_ft=NAN), "radius_left_ft"),
+    (lambda: TurnTimeFormula(superelevation=INF), "superelevation"),
+    (lambda: SimConfig(arrival_rate=NAN), "arrival_rate"),
+    (lambda: SimConfig(turn_probabilities=(NAN, 0.5, 0.5)), "turn_probabilities"),
+    (lambda: SimConfig(weight=NAN), "weight"),
+    (lambda: SimConfig(sample_step=INF), "sample_step"),
+    (lambda: MzBoundary(**{**WINDOW, "vf": NAN}), "vf"),
+    (lambda: MzBoundary(**WINDOW, u_start=-INF), "u_start"),
+])
+def test_configs_reject_non_finite_numbers(build, field):
+    # comparisons let NaN through every bound check, so it must be caught
+    # before them; infinities are no usable setting either
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        build()
 
 
 def test_formula_mode_validation():

@@ -36,7 +36,6 @@ def make_schedule(vehicle_id, movement, tm, tf, vm, g, t0=None, v0=10.0):
         tf=tf,
         vm=vm,
         vf=vm,
-        mz_transit=tf - tm,
         binding_case="feasibility",
     )
 

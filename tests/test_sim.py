@@ -17,7 +17,6 @@ from crossflow import (
     VehicleSpec,
     audit_run,
     boundary_from_schedule,
-    check_feasibility,
     generate_arrivals,
     run,
     solve_cz,
@@ -237,7 +236,7 @@ def _perturbed(base, cfg, vehicle_id, dt0=0.0, dtm=0.0, dtf=0.0):
             continue
         spec = replace(rec.spec, t0=rec.spec.t0 + dt0)
         tm, tf = rec.schedule.tm + dtm, rec.schedule.tf + dtf
-        sched = replace(rec.schedule, t0=spec.t0, tm=tm, tf=tf, mz_transit=tf - tm)
+        sched = replace(rec.schedule, t0=spec.t0, tm=tm, tf=tf)
         cz = solve_cz(spec.t0, spec.v0, tm, sched.vm, g.cz_length)
         boundary = boundary_from_schedule(sched, g, u_start=float(cz.control(tm)))
         records.append(replace(rec, spec=spec, schedule=sched, cz=cz,
@@ -493,14 +492,13 @@ def test_sampler_zone_boundaries_on_grid_points():
     vm = g.mz_speed(movement.turn)
     sched = Schedule(
         vehicle_id=1, movement=movement, t0=spec.t0, v0=spec.v0, tm=tm, tf=tf,
-        vm=vm, vf=vm, mz_transit=tf - tm, binding_case="feasibility",
+        vm=vm, vf=vm, binding_case="feasibility",
     )
     cz = solve_cz(spec.t0, spec.v0, tm, vm, g.cz_length)
     boundary = boundary_from_schedule(sched, g, u_start=float(cz.control(tm)))
     record = sim_module.VehicleRecord(
         spec=spec, arrival_time=spec.t0, schedule=sched, cz=cz,
-        mz=solve_mz_jerk(boundary), feasibility=check_feasibility(cz, g),
-        leave_time=tf + g.min_safe_distance / vm,
+        mz=solve_mz_jerk(boundary), leave_time=tf + g.min_safe_distance / vm,
     )
     rows = sim_module._sample_states([record], cfg)
     _assert_same_rows(rows, oracles.sample_states_by_row([record], cfg))

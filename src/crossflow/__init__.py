@@ -52,7 +52,6 @@ from crossflow.sim import (
     AuditFinding,
     AuditReport,
     GateStats,
-    SampleRow,
     SimConfig,
     SimRun,
     VehicleRecord,

@@ -39,7 +39,7 @@ from crossflow.mz_planner import (
 )
 from crossflow.pareto import DEFAULT_W_MAX, DEFAULT_W_MIN, default_grid, sweep
 from crossflow.scheduler import earliest_mz_arrival
-from crossflow.sim import SampleRow, SimConfig, evaluate_crossing, run
+from crossflow.sim import SimConfig, evaluate_crossing, run
 
 SCHEMA_VERSION = 1
 CONFIG_ENV_VAR = "CROSSFLOW_CONFIG"
@@ -118,6 +118,41 @@ def _real(value: Any) -> float:
     return value
 
 
+def _nullable(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """convert, except that null stays null: for a key whose field is optional."""
+    return lambda value: None if value is None else convert(value)
+
+
+# the scalar keys of the geometry, formula and sim sections, by converter
+_GEOMETRY_SCALARS = {
+    **{key: _real for key in _GEOMETRY_KEYS - {"turn_times", "formula"}},
+    "left_path_length": _nullable(_real),
+    "right_path_length": _nullable(_real),
+}
+_FORMULA_SCALARS = {
+    "radius_left_ft": _nullable(_real),
+    "radius_right_ft": _nullable(_real),
+    "side_friction": _nullable(_real),
+    "superelevation": _real,
+}
+_SIM_SCALARS = {
+    "arrival_rate": _real, "vehicle_count": _integer, "weight": _nullable(_real),
+    "jerk_scale": _real, "seed": _integer, "sample_step": _real,
+}
+
+
+def _scalars(
+    section: Mapping[str, Any], path: str, converters: Mapping[str, Callable[[Any], Any]]
+) -> Dict[str, Any]:
+    """The section's keys that converters names, each value read through
+    its converter and reported against its full key when malformed."""
+    return {
+        key: _read(converters[key], value, f"{path}.{key}")
+        for key, value in section.items()
+        if key in converters
+    }
+
+
 def _check_keys(section: Mapping[str, Any], allowed: set, path: str) -> None:
     for key in section:
         if key not in allowed:
@@ -157,7 +192,7 @@ def load_config(path: Optional[str]) -> Dict[str, Any]:
 
 
 def _build_geometry(section: Mapping[str, Any]) -> IntersectionGeometry:
-    kwargs = {k: v for k, v in section.items() if k not in ("formula", "turn_times")}
+    kwargs = _scalars(section, "geometry", _GEOMETRY_SCALARS)
     if "turn_times" in section:
         raw = section["turn_times"]
         if raw is not None:
@@ -172,6 +207,7 @@ def _build_geometry(section: Mapping[str, Any]) -> IntersectionGeometry:
         if not isinstance(formula, Mapping):
             raise ConfigError("geometry.formula must be a mapping")
         _check_keys(formula, _FORMULA_KEYS, "geometry.formula")
+        formula = _scalars(formula, "geometry.formula", _FORMULA_SCALARS)
         try:
             kwargs["turn_time_formula"] = TurnTimeFormula(**formula)
         except (TypeError, ValueError) as exc:
@@ -239,10 +275,8 @@ def _build_sim_config(
 ) -> Tuple[SimConfig, Dict[str, Any]]:
     geometry = _build_geometry(_section(config, "geometry", _GEOMETRY_KEYS))
     section = _section(config, "sim", _SIM_KEYS)
-    kwargs: Dict[str, Any] = {"geometry": geometry}
-    for key in ("arrival_rate", "vehicle_count", "weight", "jerk_scale", "seed", "sample_step"):
-        if key in section:
-            kwargs[key] = section[key]
+    kwargs = _scalars(section, "sim", _SIM_SCALARS)
+    kwargs["geometry"] = geometry
     for key, size in (
         ("entry_speed_range", 2),
         ("arm_probabilities", 4),
@@ -317,17 +351,22 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
         writer.writerows(rows)
 
 
-# One trajectories.csv line per sample row.  '%.9g' formats a number as
-# _fmt does, and no field can hold a comma, quote or newline, so the lines
-# match what csv.writer makes of the _fmt strings.
+# One trajectories.csv line per table row, formatted from the Python values
+# of .tolist(), taken a slice of rows at a time to bound their memory.
+# '%.9g' formats a number as _fmt does, and no field can hold a comma,
+# quote or newline, so the lines match what csv.writer makes of the _fmt
+# strings.
 _TRAJECTORY_HEADER = "t,id,arm,turn,zone,p,v,u,j\n"
 _TRAJECTORY_LINE = "%.9g,%d,%s,%s,%s,%.9g,%.9g,%.9g,%.9g\n"
+_TRAJECTORY_ROWS = 4096
 
 
-def _write_trajectories(path: str, samples: Sequence[SampleRow]) -> None:
+def _write_trajectories(path: str, samples: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(_TRAJECTORY_HEADER)
-        fh.writelines(_TRAJECTORY_LINE % row for row in samples)
+        for start in range(0, len(samples), _TRAJECTORY_ROWS):
+            rows = samples[start:start + _TRAJECTORY_ROWS].tolist()
+            fh.writelines(_TRAJECTORY_LINE % row for row in rows)
 
 
 def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optional[int]) -> int:

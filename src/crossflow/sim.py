@@ -22,11 +22,12 @@ an auditor re-derives the safety story from the trajectory records
 alone, exactly on their closed forms, and reports every violation it
 finds.
 
-Past the gate, every stage is a single pass: the sampler builds each
-vehicle's rows once and orders the whole table with one sort of its
-(t, vehicle_id) keys, and the auditor checks each vehicle against its
-lane leader, sweeps the merge-zone windows in order of start, and pairs
-vehicles only within an exit arm.
+Past the gate, the auditor is a single pass: it checks each vehicle
+against its lane leader, sweeps the merge-zone windows in order of start,
+and pairs vehicles only within an exit arm.  The sampled state table is
+not part of a run: it only displays the decisions, so it is built from
+the records the first time SimRun.samples is read, as one structured
+array whose rows are ordered by one sort of their (t, vehicle_id) keys.
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
-from itertools import repeat
-from operator import itemgetter
-from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,6 +73,13 @@ _TURN_ORDER = (Turn.LEFT, Turn.STRAIGHT, Turn.RIGHT)
 ZONE_CZ = "cz"
 ZONE_MZ = "mz"
 ZONE_OUT = "out"
+
+# One sampled state: which vehicle, where, and how fast, at time t.  The
+# text fields are as wide as the longest arm, turn and zone label.
+SAMPLE_DTYPE = np.dtype([
+    ("t", "f8"), ("vehicle_id", "i8"), ("arm", "U1"), ("turn", "U8"), ("zone", "U3"),
+    ("p", "f8"), ("v", "f8"), ("u", "f8"), ("j", "f8"),
+])
 
 # entry-gate search: forward scan step and commit-time resolution
 _GATE_SCAN_STEP = 0.25
@@ -185,20 +191,6 @@ def generate_arrivals(cfg: SimConfig) -> List[VehicleSpec]:
     ]
 
 
-class SampleRow(NamedTuple):
-    """One sampled state: which vehicle, where, and how fast, at time t."""
-
-    t: float
-    vehicle_id: int
-    arm: str
-    turn: str
-    zone: str
-    p: float
-    v: float
-    u: float
-    j: float
-
-
 @dataclass(frozen=True)
 class VehicleRecord:
     """Everything the run decided about one vehicle."""
@@ -259,12 +251,19 @@ class GateStats:
 
 @dataclass(frozen=True)
 class SimRun:
+    """One simulated scenario: its records, their audit and the gate's work."""
+
     config: SimConfig
     vehicles: Tuple[VehicleRecord, ...]
-    samples: Tuple[SampleRow, ...]
     binding_histogram: Dict[str, int]
     audit: AuditReport
     gate: GateStats
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """The state table of _sample_states, built on the first read and
+        the same array on every later one."""
+        return _sample_states(self.vehicles, self.config)
 
 
 def _gated_entry(
@@ -426,7 +425,6 @@ def run(cfg: SimConfig) -> SimRun:
     return SimRun(
         config=cfg,
         vehicles=vehicles,
-        samples=_sample_states(vehicles, cfg),
         binding_histogram=_binding_histogram(vehicles),
         audit=_audit(cfg, vehicles),
         gate=gate,
@@ -440,30 +438,27 @@ def _binding_histogram(records: Sequence[VehicleRecord]) -> Dict[str, int]:
     return histogram
 
 
-# SampleRow from a tuple of its fields, without a Python-level call per row
-_new_sample_row = partial(tuple.__new__, SampleRow)
-
-
 def evaluate_crossing(
     cz: PolyTrajectory, mz: Union[PolyTrajectory, MzTrajectory], t: np.ndarray
-) -> Tuple[List[str], List[float], List[float], List[float], List[float]]:
-    """Zone labels and position, speed, control and jerk lists of one
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Zone labels and position, speed, control and jerk arrays of one
     vehicle's approach and merge trajectories on the increasing times t,
     none of them past the merge exit.  Times before the merge entry are
     control-zone rows and the rest merge-zone rows; each zone is one slice
     of t, evaluated in one call."""
     m = int(np.searchsorted(t, cz.t1))
     cz_t, mz_t = t[:m], t[m:]
-    zone = [ZONE_CZ] * m + [ZONE_MZ] * (len(t) - m)
-    p = cz.position(cz_t).tolist() + mz.position(mz_t).tolist()
-    v = cz.speed(cz_t).tolist() + mz.speed(mz_t).tolist()
-    u = cz.control(cz_t).tolist() + mz.control(mz_t).tolist()
-    j = cz.jerk(cz_t).tolist() + mz.jerk(mz_t).tolist()
+    zone = np.repeat([ZONE_CZ, ZONE_MZ], [m, len(t) - m])
+    p = np.concatenate((cz.position(cz_t), mz.position(mz_t)))
+    v = np.concatenate((cz.speed(cz_t), mz.speed(mz_t)))
+    u = np.concatenate((cz.control(cz_t), mz.control(mz_t)))
+    j = np.concatenate((cz.jerk(cz_t), mz.jerk(mz_t)))
     return zone, p, v, u, j
 
 
-def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> Tuple[SampleRow, ...]:
-    """State table on the shared time grid k * sample_step.
+def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarray:
+    """State table on the shared time grid k * sample_step, as one
+    SAMPLE_DTYPE array.
 
     Rows exist from a vehicle's control-zone entry until it has cleared
     the safety window past the merge-zone exit; beyond the exit the speed
@@ -471,42 +466,42 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> Tuple[Sa
     auditor does not read it.  Rows come out ordered by (t, vehicle_id),
     with ties in record order.
 
-    Each vehicle's rows are built in one pass over its grid, with each
-    zone slice evaluated in one call; one stable lexsort of all rows'
-    (t, vehicle_id) keys then orders the table in a single permutation.
+    The table is allocated once, and each vehicle's block of it filled in
+    one pass over its grid, with each zone slice evaluated in one call; one
+    stable lexsort of the (t, vehicle_id) columns then orders the table in
+    a single permutation.
     """
     step = cfg.sample_step
     g = cfg.geometry
-    rows: List[SampleRow] = []
-    for rec in records:
+    spans = [
+        (math.ceil(rec.spec.t0 / step - 1e-9), math.floor(rec.leave_time / step + 1e-9))
+        for rec in records
+    ]
+    # zero-filled: past the merge exit, control and jerk stay zero
+    table = np.zeros(sum(last + 1 - first for first, last in spans), SAMPLE_DTYPE)
+    start = 0
+    for rec, (first, last) in zip(records, spans):
         sched = rec.schedule
-        first = math.ceil(rec.spec.t0 / step - 1e-9)
-        last = math.floor(rec.leave_time / step + 1e-9)
         grid = np.arange(first, last + 1) * step
+        block = table[start:start + len(grid)]
+        start += len(grid)
+        block["t"] = grid
+        block["vehicle_id"] = rec.spec.vehicle_id
+        block["arm"] = rec.spec.movement.entry_arm.value
+        block["turn"] = rec.spec.movement.turn.value
         # the grid is increasing, so the rows at or past the merge exit tf
         # are one slice of it
         tf = rec.mz.t1
         f = int(np.searchsorted(grid, tf))
-        zone, p, v, u, j = evaluate_crossing(rec.cz, rec.mz, grid[:f])
-        out_t = grid[f:]
-        n_out = len(out_t)
+        crossing = evaluate_crossing(rec.cz, rec.mz, grid[:f])
+        for name, column in zip(("zone", "p", "v", "u", "j"), crossing):
+            block[name][:f] = column
+        out = block[f:]
+        out["zone"] = ZONE_OUT
         p_end = g.cz_length + g.path_length(sched.movement.turn)
-        zone += [ZONE_OUT] * n_out
-        p += (p_end + sched.vf * (out_t - tf)).tolist()
-        v += [sched.vf] * n_out
-        u += [0.0] * n_out
-        j += [0.0] * n_out
-        vehicle_id = rec.spec.vehicle_id
-        arm = rec.spec.movement.entry_arm.value
-        turn = rec.spec.movement.turn.value
-        columns = (grid.tolist(), repeat(vehicle_id), repeat(arm), repeat(turn), zone, p, v, u, j)
-        rows.extend(map(_new_sample_row, zip(*columns)))
-    n = len(rows)
-    order = np.lexsort((
-        np.fromiter(map(itemgetter(1), rows), np.int64, n),
-        np.fromiter(map(itemgetter(0), rows), np.float64, n),
-    ))
-    return tuple(map(rows.__getitem__, order.tolist()))
+        out["p"] = p_end + sched.vf * (grid[f:] - tf)
+        out["v"] = sched.vf
+    return table[np.lexsort((table["vehicle_id"], table["t"]))]
 
 
 def _audit(

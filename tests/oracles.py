@@ -18,6 +18,7 @@ import csv
 import io
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -35,7 +36,6 @@ from crossflow.sim import (
     ZONE_OUT,
     AuditFinding,
     AuditReport,
-    SampleRow,
     generate_arrivals,
 )
 
@@ -387,6 +387,25 @@ def admissions_by_full_search(cfg):
         leaders[arm] = solve_cz(spec.t0, spec.v0, sched.tm, sched.vm, g.cz_length)
         admitted.append((arrival_time, clock))
     return admitted
+
+
+class SampleRow(NamedTuple):
+    """One sampled state as a row of Python values: the reference row type."""
+
+    t: float
+    vehicle_id: int
+    arm: str
+    turn: str
+    zone: str
+    p: float
+    v: float
+    u: float
+    j: float
+
+
+def sample_rows(table):
+    """The rows of a state table (a sim.SAMPLE_DTYPE array) as SampleRows."""
+    return tuple(map(SampleRow._make, table.tolist()))
 
 
 def sample_states_by_row(records, cfg):

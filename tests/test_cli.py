@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import oracles
@@ -17,7 +18,7 @@ from crossflow import (
     solve_mz,
     solve_mz_jerk,
 )
-from crossflow.sim import SampleRow
+from crossflow.sim import SAMPLE_DTYPE
 
 S_LEFT = 3.0 * math.pi * 30.0 / 8.0
 
@@ -105,22 +106,26 @@ def test_simulate_reads_env_config(tmp_path, monkeypatch):
     assert len(read_csv(out / "schedule.csv")) == 5
 
 
-def test_trajectory_lines_match_csv_writer_on_edge_values(tmp_path):
+def test_trajectory_lines_match_csv_writer_on_edge_values(tmp_path, monkeypatch):
+    # slices of 5 rows, the last one partial
+    monkeypatch.setattr(cli, "_TRAJECTORY_ROWS", 5)
     values = [-0.0, 0.0, 1e-7, -1e-7, 1e21, -1e21, 8, 2.0 / 3.0, 123456789.5,
               5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
     rows = [
-        SampleRow(x, k, "N", "left", zone, x, -x, x, 0.0)
+        (x, k, "N", "left", zone, x, -x, x, 0.0)
         for k, x in enumerate(values, start=1)
         for zone in ("cz", "mz", "out")
     ]
-    rows.append(SampleRow(0.1, 10**9, "W", "right", "out", 3, 4, 0, 0))
+    rows.append((0.1, 10**9, "W", "right", "out", 3, 4, 0, 0))
+    table = np.array(rows, dtype=SAMPLE_DTYPE)
     path = tmp_path / "trajectories.csv"
-    cli._write_trajectories(str(path), rows)
-    assert path.read_bytes() == oracles.trajectory_csv_by_writer(rows).encode()
+    cli._write_trajectories(str(path), table)
+    expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(table))
+    assert path.read_bytes() == expected.encode()
 
 
 def test_trajectory_csv_matches_csv_writer_with_integer_geometry(tmp_path, monkeypatch):
-    # integer speeds in the YAML reach the state table as ints
+    # integer speeds in the YAML reach the geometry as ints
     cfg = write_config(
         tmp_path,
         "geometry:\n  mz_speed_left: 8\n  mz_speed_straight: 10\n  mz_speed_right: 6\n"
@@ -136,9 +141,8 @@ def test_trajectory_csv_matches_csv_writer_with_integer_geometry(tmp_path, monke
     monkeypatch.setattr(cli, "run", capture)
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    samples = runs[0].samples
-    assert any(type(row.v) is int for row in samples)
-    expected = oracles.trajectory_csv_by_writer(samples).encode()
+    assert type(runs[0].config.geometry.mz_speed_left) is int
+    expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(runs[0].samples)).encode()
     assert (out / "trajectories.csv").read_bytes() == expected
 
 
@@ -338,6 +342,12 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
          "jerk_scale"),
         ("pareto", "pareto:\n  mz_exit_speed: .nan\n", "pareto.mz_exit_speed"),
         ("plan", "plan:\n  sample_step: .inf\n", "plan.sample_step"),
+        # strings and lists where a number belongs, in the sim and geometry sections
+        ("simulate", "sim:\n  arrival_rate: abc\n", "sim.arrival_rate"),
+        ("simulate", "geometry:\n  v_max: abc\n", "geometry.v_max"),
+        ("simulate", "sim:\n  jerk_scale: [1]\n", "sim.jerk_scale"),
+        ("simulate", "geometry:\n  formula:\n    side_friction: abc\n",
+         "geometry.formula.side_friction"),
     ],
 )
 def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, text, key):

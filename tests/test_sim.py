@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from crossflow import (
     MzVariant,
     Schedule,
     SimConfig,
+    SimRun,
     Turn,
     VehicleSpec,
     audit_run,
@@ -132,7 +134,7 @@ def test_single_vehicle_cruises_for_free():
     a, b, _, _ = rec.cz.coefficients
     assert abs(a) < 1e-12 and abs(b) < 1e-12
     assert result.audit.ok
-    for row in result.samples:
+    for row in oracles.sample_rows(result.samples):
         assert row.v == pytest.approx(10.0, abs=1e-9)
         assert abs(row.u) < 1e-9
 
@@ -149,7 +151,7 @@ def test_reference_scenario_runs_clean(base_run):
 
 def test_run_is_deterministic(base_run):
     again = run(BASE)
-    assert again.samples == base_run.samples
+    assert again.samples.tolist() == base_run.samples.tolist()
     assert [r.schedule for r in again.vehicles] == [r.schedule for r in base_run.vehicles]
     assert again.binding_histogram == base_run.binding_histogram
 
@@ -178,7 +180,8 @@ def test_trajectories_meet_zone_boundaries(base_run):
 def test_sample_table_covers_zones(base_run):
     step = BASE.sample_step
     for rec in base_run.vehicles:
-        rows = [r for r in base_run.samples if r.vehicle_id == rec.spec.vehicle_id]
+        rows = [r for r in oracles.sample_rows(base_run.samples)
+                if r.vehicle_id == rec.spec.vehicle_id]
         assert rows
         zones = [r.zone for r in rows]
         # zones appear in traversal order with no interleaving
@@ -194,9 +197,27 @@ def test_sample_table_covers_zones(base_run):
 
 def test_sample_grid_is_shared(base_run):
     step = BASE.sample_step
-    for row in base_run.samples:
+    for row in oracles.sample_rows(base_run.samples):
         k = row.t / step
         assert abs(k - round(k)) < 1e-9
+
+
+def test_run_builds_the_state_table_only_when_read(monkeypatch):
+    calls = []
+    sample_states = sim_module._sample_states
+
+    def counting(records, cfg):
+        calls.append(len(records))
+        return sample_states(records, cfg)
+
+    monkeypatch.setattr(sim_module, "_sample_states", counting)
+    result = run(SimConfig(seed=7, vehicle_count=8))
+    audit_run(result)
+    assert calls == []
+    table = result.samples
+    assert result.samples is table
+    assert calls == [8]
+    assert "samples" not in {field.name for field in dataclasses.fields(SimRun)}
 
 
 def test_objective_changes_mz_only():
@@ -308,7 +329,7 @@ def _assert_audits_agree(cfg, records, samples, **kwargs):
     report = sim_module._audit(cfg, records, **kwargs)
     assert report == oracles.audit_exact_pairwise(cfg, records, **kwargs)
     assert sim_module._audit(cfg, records[::-1], **kwargs) == report
-    sampled = oracles.audit_pairwise(cfg, records, samples, **kwargs)
+    sampled = oracles.audit_pairwise(cfg, records, oracles.sample_rows(samples), **kwargs)
     exact_pairs = {(f.kind, f.vehicle_id, f.other_id) for f in report.findings}
     assert {(f.kind, f.vehicle_id, f.other_id) for f in sampled.findings} <= exact_pairs
     return report
@@ -361,7 +382,9 @@ def test_audit_matches_pairwise_oracle_on_perturbed_records(audit_runs, rate, ca
 # the fast gate and sampler against their per-probe and per-row oracles
 
 
-def _assert_same_rows(fast, slow):
+def _assert_same_rows(table, slow):
+    assert table.dtype == sim_module.SAMPLE_DTYPE
+    fast = oracles.sample_rows(table)
     assert fast == slow
     for fast_row, slow_row in zip(fast, slow):
         assert [type(x) for x in fast_row] == [type(x) for x in slow_row]
@@ -378,7 +401,7 @@ def test_gate_matches_full_schedule_oracle(monkeypatch, seed, rate):
     slow = run(cfg)
     assert any(rec.spec.t0 > rec.arrival_time for rec in slow.vehicles)
     assert fast.vehicles == slow.vehicles
-    assert fast.samples == slow.samples
+    assert fast.samples.tolist() == slow.samples.tolist()
     # the bounded admission against a full search of every arm head
     admitted = [(rec.arrival_time, rec.spec.t0) for rec in fast.vehicles]
     assert admitted == oracles.admissions_by_full_search(cfg)
@@ -502,7 +525,7 @@ def test_sampler_zone_boundaries_on_grid_points():
     )
     rows = sim_module._sample_states([record], cfg)
     _assert_same_rows(rows, oracles.sample_states_by_row([record], cfg))
-    zone_at = {row.t: row.zone for row in rows}
+    zone_at = {row.t: row.zone for row in oracles.sample_rows(rows)}
     assert zone_at[399 * step] == sim_module.ZONE_CZ
     assert zone_at[tm] == sim_module.ZONE_MZ
     assert zone_at[429 * step] == sim_module.ZONE_MZ

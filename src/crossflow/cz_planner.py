@@ -4,12 +4,12 @@ Every unconstrained optimum in this package that is a polynomial is a
 Hermite interpolant: the polynomial of degree 2m-1 that matches position
 and its first m-1 derivatives at both ends of a time window.  Minimizing
 the squared-acceleration integral makes the control linear in time, so
-the approach plan is the cubic (m = 2); the merge-zone planners reuse
-the same solve for their fuel-only cubic and jerk-only quintic (m = 3).
-One PolyTrajectory type carries all of them.  Speed and acceleration
-bounds are verified after the fact and reported, so a violating plan is
-surfaced, never clipped; rear_end_gap is the one closed-form rule for
-the gap to a lane leader.
+the approach plan is the cubic (m = 2); the merge-zone planners take the
+same closed-form coefficients, with no linear solve, for their fuel-only
+cubic and jerk-only quintic (m = 3).  One PolyTrajectory type carries
+all of them.  Speed and acceleration bounds are verified after the fact
+and reported, so a violating plan is surfaced, never clipped;
+rear_end_gap is the one closed-form rule for the gap to a lane leader.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
-from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,8 +55,8 @@ class PolyTrajectory:
     ``coefficients`` are the derivatives of position at t0, highest order
     first: (a, b, c, d) of a cubic are its jerk, control, speed and
     position at t0, so p = a*tau^3/6 + b*tau^2/2 + c*tau + d in shifted
-    time tau = t - t0.  Shifting keeps the boundary system
-    well-conditioned at large absolute times.  Positions are arc length
+    time tau = t - t0.  Shifting keeps large absolute times out of the
+    coefficients and their rounding.  Positions are arc length
     from the control-zone entrance.
     """
 
@@ -98,42 +96,44 @@ class PolyTrajectory:
         return 0.5 * half * float(np.dot(weights, values * values))
 
 
-@cache
-def _hermite_layout(m: int) -> itemgetter:
-    """Picks the 2m x 2m Hermite boundary matrix, row by row, out of the
-    entries [0, 1, width, width^2/2!, width^3/3!, ...].  Rows are the m
-    start conditions, then the m end conditions; columns are derivative
-    orders, highest first, and order k enters the value of derivative r
-    at the window end with factor width^(k-r)/(k-r)!."""
-    orders = range(2 * m - 1, -1, -1)
-    return itemgetter(
-        *[1 if k == r else 0 for r in range(m) for k in orders],
-        *[k - r + 1 if k >= r else 0 for r in range(m) for k in orders],
-    )
-
-
-
 def hermite(t0: float, t1: float, start: Sequence[float], end: Sequence[float]) -> PolyTrajectory:
     """The polynomial of degree 2m-1 whose position and first m-1
-    derivatives take the m values ``start`` at t0 and ``end`` at t1."""
+    derivatives take the m values ``start`` at t0 and ``end`` at t1, for
+    m = 2 (cubic) or m = 3 (quintic), in closed form.  The start values
+    are the low-order coefficients.  With W = t1 - t0, r_k is W^k times
+    the gap between the k-th end value and the Taylor extrapolation of
+    the start values, and the leading coefficients are fixed
+    combinations of the r_k over powers of W."""
     if not t1 > t0:
         raise ValueError(
             f"window end {t1} does not exceed its start {t0}: boundary system is singular"
         )
     m = len(start)
-    n = 2 * m
-    width = t1 - t0
-    entries = [0.0, 1.0, width] + [width**k / _FACTORIAL[k] for k in range(2, n)]
-    system = np.array(_hermite_layout(m)(entries)).reshape(n, n)
-    if width < 1e-3:
+    if m not in (2, 3):
+        raise ValueError(f"Hermite interpolation takes 2 or 3 boundary values, got {m}")
+    w = t1 - t0
+    if w < 1e-3:
         warnings.warn(
-            f"window of {width:.3g} s is extremely short; "
-            f"boundary system condition estimate {np.linalg.cond(system):.3g}",
+            f"window of {w:.3g} s is extremely short; the leading coefficient "
+            f"grows as width^-{2 * m - 1}",
             RuntimeWarning,
             stacklevel=3,
         )
-    coeffs = np.linalg.solve(system, np.array([*start, *end]))
-    return PolyTrajectory(t0, t1, tuple(coeffs.tolist()))
+    if m == 2:
+        (p0, v0), (p1, v1) = map(float, start), map(float, end)
+        r0, r1 = p1 - p0 - v0 * w, (v1 - v0) * w
+        coeffs = ((6.0 * r1 - 12.0 * r0) / w**3, (6.0 * r0 - 2.0 * r1) / w**2, v0, p0)
+        return PolyTrajectory(t0, t1, coeffs)
+    (p0, v0, u0), (p1, v1, u1) = map(float, start), map(float, end)
+    r0 = p1 - (p0 + v0 * w + 0.5 * u0 * w * w)
+    r1 = (v1 - (v0 + u0 * w)) * w
+    r2 = (u1 - u0) * w * w
+    coeffs = (
+        60.0 * (12.0 * r0 - 6.0 * r1 + r2) / w**5,
+        12.0 * (14.0 * r1 - 30.0 * r0 - 2.0 * r2) / w**4,
+        3.0 * (20.0 * r0 - 8.0 * r1 + r2) / w**3,
+    )
+    return PolyTrajectory(t0, t1, (*coeffs, u0, v0, p0))
 
 
 def solve_cz(t0: float, v0: float, tm: float, vm: float, length: float) -> PolyTrajectory:

@@ -197,6 +197,11 @@ class IntersectionGeometry:
                 raise ValueError("give either turn_times or turn_time_formula, not both")
             if len(self.turn_times) != 3 or any(dt <= 0.0 for dt in self.turn_times):
                 raise ValueError(f"turn_times must be three positive values, got {self.turn_times}")
+        else:
+            # derive the turn times now, so that a missing formula, radius or
+            # side friction is refused here rather than in the middle of a run
+            for turn in (Turn.LEFT, Turn.RIGHT):
+                self.transit_time(turn)
         for name in ("left_path_length", "right_path_length"):
             override = getattr(self, name)
             if override is not None and override <= 0.0:

@@ -4,10 +4,10 @@ All three objectives admit closed-form optima between fixed boundary
 conditions.  Minimizing squared acceleration alone gives the cubic
 Hermite interpolant of position and speed at both ends; minimizing
 squared jerk gives the quintic one, which pins acceleration too.  Both
-are PolyTrajectory instances from the same Hermite solve as the
-approach plan.  The convex combination of the two objectives gives a
-cubic particular part plus a pair of exponential modes exp(+A1*tau),
-exp(-A1*tau) whose rate
+are PolyTrajectory instances with the same closed-form Hermite
+coefficients as the approach plan.  The convex combination of the two
+objectives gives a cubic particular part plus a pair of exponential
+modes exp(+A1*tau), exp(-A1*tau) whose rate
 
     A1 = sqrt(w*q1 / ((1-w)*q2))
 

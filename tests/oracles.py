@@ -5,8 +5,9 @@ does: dense geometric sampling instead of exact intersection algebra,
 numerical forward integration instead of closed-form arrival times,
 discretized trajectory optimization (KKT systems of small quadratic
 programs) instead of polynomial boundary-value solves, hand-written cubic
-and quintic boundary systems and evaluators instead of the one Hermite
-solve and Horner loop, a full
+and quintic boundary systems and evaluators, and the Hermite boundary
+system solved in exact rational arithmetic, instead of the closed-form
+Hermite coefficients and Horner loop, a full
 reschedule per entry-gate probe, a full gate search of every arm head at
 every admission, one scalar evaluation per sampled row, a
 forward queue scan, all-pairs audits and a csv.writer per output line
@@ -18,6 +19,7 @@ import csv
 import io
 import math
 from dataclasses import replace
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -246,7 +248,45 @@ def quad_half_square(fn, lo: float, hi: float) -> float:
 # The approach cubic, the merge-zone fuel cubic and the jerk quintic in
 # their hand-written form: one boundary system per degree, one evaluator
 # per derivative, and one cost formula per variant.  PolyTrajectory must
-# reproduce the coefficients and states bit for bit.
+# reproduce the states bit for bit from its own coefficients, and both
+# its coefficients and these float solves must lie close to the exact
+# rational solve of the same boundary problem.
+
+
+def hermite_exact(t0, t1, start, end):
+    """Coefficients, highest order first, of the polynomial of degree
+    2m-1 whose position and first m-1 derivatives take the m values
+    start at t0 and end at t1, as Fractions: the 2m x 2m boundary system
+    solved by Gauss-Jordan elimination in exact rational arithmetic."""
+    m = len(start)
+    n = 2 * m
+    width = Fraction(t1) - Fraction(t0)
+    orders = range(n - 1, -1, -1)
+    rows = [[Fraction(int(k == r)) for k in orders] for r in range(m)]
+    rows += [
+        [width ** (k - r) / math.factorial(k - r) if k >= r else Fraction(0) for k in orders]
+        for r in range(m)
+    ]
+    rhs = [Fraction(x) for x in (*start, *end)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                factor = rows[i][col] / rows[col][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
+                rhs[i] -= factor * rhs[col]
+    return tuple(rhs[i] / rows[i][i] for i in range(n))
+
+
+def poly_derivative_exact(coeffs, tau, order):
+    """The order-th derivative of sum c_i tau^k / k! (highest order
+    first) at the shifted time tau, in exact rational arithmetic."""
+    kept = [Fraction(c) for c in coeffs[: len(coeffs) - order]]
+    degree = len(kept) - 1
+    return sum(c * Fraction(tau) ** (degree - i) / math.factorial(degree - i)
+               for i, c in enumerate(kept))
 
 
 def cubic_coefficients(t0, t1, p0, v0, p1, v1):

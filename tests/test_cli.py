@@ -348,6 +348,12 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         ("simulate", "sim:\n  jerk_scale: [1]\n", "sim.jerk_scale"),
         ("simulate", "geometry:\n  formula:\n    side_friction: abc\n",
          "geometry.formula.side_friction"),
+        # turn times that cannot be derived, refused before the run starts
+        ("simulate", "geometry:\n  turn_times: null\n", "turn_time_formula"),
+        ("simulate", "geometry:\n  turn_times: null\n  formula:\n    side_friction: 0.2\n",
+         "radius_left_ft"),
+        ("simulate", "geometry:\n  turn_times: null\n  formula:\n    radius_left_ft: 75\n"
+         "    side_friction: 0.2\n", "radius_right_ft"),
     ],
 )
 def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, text, key):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from crossflow import (
     IntersectionGeometry,
     MzBoundary,
     PolyTrajectory,
+    Turn,
     check_feasibility,
     mz_costs,
     solve_cz,
     solve_mz_fuel,
     solve_mz_jerk,
 )
-from crossflow.cz_planner import rear_end_gap
+from crossflow.cz_planner import hermite, rear_end_gap
 
 
 def test_cruise_boundary_gives_constant_speed():
@@ -102,6 +104,49 @@ def test_degenerate_window_raises():
 def test_tiny_window_warns_about_conditioning():
     with pytest.warns(RuntimeWarning):
         solve_cz(0.0, 10.0, 1e-4, 10.0, 0.001)
+
+
+def test_tiny_window_warning_names_its_width_for_both_degrees():
+    with pytest.warns(RuntimeWarning, match="0.0001 s"):
+        hermite(0.0, 1e-4, (0.0, 10.0), (0.001, 10.0))
+    with pytest.warns(RuntimeWarning, match="0.0001 s"):
+        hermite(0.0, 1e-4, (0.0, 10.0, 0.0), (0.001, 10.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_cz(0.0, 10.0, 1e-3, 10.0, 0.01)
+
+
+@pytest.mark.parametrize("t0, t1", [(5.0, 5.0), (5.0, 4.0), (math.nan, 5.0), (5.0, math.nan)])
+@pytest.mark.parametrize("start, end", [((0.0, 10.0), (30.0, 10.0)),
+                                        ((0.0, 10.0, 0.0), (30.0, 10.0, 0.0))])
+def test_hermite_rejects_empty_and_nan_windows(t0, t1, start, end):
+    with pytest.raises(ValueError, match="does not exceed"):
+        hermite(t0, t1, start, end)
+
+
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_hermite_takes_only_cubics_and_quintics(m):
+    with pytest.raises(ValueError, match=f"got {m}"):
+        hermite(0.0, 3.0, (0.0,) * m, (1.0,) * m)
+
+
+def test_constant_speed_merge_has_exactly_zero_control_and_jerk():
+    # the default straight crossing: 30 m in 3 s at 10 m/s, every value a
+    # representable float, so each residual of the closed form is exactly 0
+    g = IntersectionGeometry()
+    b = MzBoundary(tm=40.0, tf=43.0, vm=10.0, vf=10.0, p_start=g.cz_length,
+                   p_end=g.cz_length + g.path_length(Turn.STRAIGHT))
+    times = np.linspace(b.tm, b.tf, 7)
+    for traj in (solve_mz_fuel(b), solve_mz_jerk(b)):
+        assert traj.coefficients[-2:] == (10.0, 400.0)
+        assert set(traj.coefficients[:-2]) == {0.0}
+        assert (traj.control(times) == 0.0).all() and (traj.jerk(times) == 0.0).all()
+
+
+def test_integer_boundary_values_give_float_coefficients():
+    for traj in (solve_cz(0, 10, 40, 10, 400), hermite(0, 3, (400, 10), (430, 10)),
+                 hermite(0, 3, (400, 10, 0), (430, 10, 1))):
+        assert all(type(x) is float for x in traj.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +340,32 @@ def test_gap_predicate_windows():
 
 
 # ---------------------------------------------------------------------------
-# the one Hermite solve and Horner evaluator against the hand-written cubic
-# and quintic systems, evaluators and cost formulas they replace
+# the closed-form Hermite coefficients against the exact rational solve of
+# the same boundary problem, and the one Horner evaluator against the
+# hand-written cubic and quintic evaluators and cost formulas it replaces
 
 FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
 
+# meters and meters per second; the float solves of the hand-written
+# systems meet it too, so it is no looser for the closed forms
+EXACT_TOL = 1e-10
 
-def _assert_matches_reference(traj, coeffs, states, costs, fractions):
-    assert traj.coefficients == coeffs
-    assert all(type(x) is float for x in traj.coefficients)
+
+def _assert_close_to_exact(traj, start, end, float_solve, fractions):
+    exact = oracles.hermite_exact(traj.t0, traj.t1, start, end)
+    width = Fraction(traj.t1) - Fraction(traj.t0)
+    taus = [Fraction(0), width] + [Fraction(f) * width for f in fractions]
+    for coeffs in (traj.coefficients, float_solve):
+        for tau in taus:
+            for order in (0, 1):
+                error = (oracles.poly_derivative_exact(coeffs, tau, order)
+                         - oracles.poly_derivative_exact(exact, tau, order))
+                assert abs(error) <= EXACT_TOL
+
+
+def _assert_matches_reference(traj, states, costs, fractions):
+    coeffs = traj.coefficients
+    assert all(type(x) is float for x in coeffs)
     t0, t1 = traj.t0, traj.t1
     times = [t0, t1] + [t0 + f * (t1 - t0) for f in fractions]
     evaluators = (traj.position, traj.speed, traj.control, traj.jerk)
@@ -332,8 +394,10 @@ def test_approach_plan_matches_hand_written_cubic(t0, width, v0, vm, length, fra
     tm = t0 + width
     traj = solve_cz(t0, v0, tm, vm, length)
     assert (traj.t0, traj.t1) == (t0, tm)
-    coeffs = oracles.cubic_coefficients(t0, tm, 0.0, v0, length, vm)
-    _assert_matches_reference(traj, coeffs, oracles.cubic_states, oracles.cubic_costs, fractions)
+    start, end = (0.0, v0), (length, vm)
+    float_solve = oracles.cubic_coefficients(t0, tm, *start, *end)
+    _assert_close_to_exact(traj, start, end, float_solve, fractions)
+    _assert_matches_reference(traj, oracles.cubic_states, oracles.cubic_costs, fractions)
 
 
 MERGE_WINDOWS = dict(
@@ -359,8 +423,10 @@ def _merge_boundary(tm, width, vm, vf, p_start, distance, u_start, u_end):
 def test_merge_fuel_plan_matches_hand_written_cubic(fractions, **window):
     b = _merge_boundary(**window)
     traj = solve_mz_fuel(b)
-    coeffs = oracles.cubic_coefficients(b.tm, b.tf, b.p_start, b.vm, b.p_end, b.vf)
-    _assert_matches_reference(traj, coeffs, oracles.cubic_states, oracles.cubic_costs, fractions)
+    start, end = (b.p_start, b.vm), (b.p_end, b.vf)
+    float_solve = oracles.cubic_coefficients(b.tm, b.tf, *start, *end)
+    _assert_close_to_exact(traj, start, end, float_solve, fractions)
+    _assert_matches_reference(traj, oracles.cubic_states, oracles.cubic_costs, fractions)
     costs = mz_costs(traj)
     assert (costs.fuel, costs.discomfort) == (traj.half_square_integral(2),
                                               traj.half_square_integral(3))
@@ -371,10 +437,10 @@ def test_merge_fuel_plan_matches_hand_written_cubic(fractions, **window):
 def test_merge_jerk_plan_matches_hand_written_quintic(fractions, **window):
     b = _merge_boundary(**window)
     traj = solve_mz_jerk(b)
-    coeffs = oracles.quintic_coefficients(b.tm, b.tf, b.p_start, b.vm, b.u_start,
-                                          b.p_end, b.vf, b.u_end)
-    _assert_matches_reference(traj, coeffs, oracles.quintic_states, oracles.quintic_costs,
-                              fractions)
+    start, end = (b.p_start, b.vm, b.u_start), (b.p_end, b.vf, b.u_end)
+    float_solve = oracles.quintic_coefficients(b.tm, b.tf, *start, *end)
+    _assert_close_to_exact(traj, start, end, float_solve, fractions)
+    _assert_matches_reference(traj, oracles.quintic_states, oracles.quintic_costs, fractions)
     costs = mz_costs(traj)
     assert (costs.fuel, costs.discomfort) == (traj.half_square_integral(2),
                                               traj.half_square_integral(3))

@@ -82,13 +82,18 @@ def test_turn_time_table_mode():
     assert g.transit_time(mv("W", "right").turn) == 3.0
 
 
+FORMULA = TurnTimeFormula(radius_left_ft=75.0, radius_right_ft=75.0, side_friction=0.2)
+
+
 def test_turn_time_derived_straight():
     g = IntersectionGeometry(
-        v_max=31.0, mz_speed_straight=30.0, turn_times=None
+        v_max=31.0, mz_speed_straight=30.0, turn_times=None, turn_time_formula=FORMULA
     )
     assert g.transit_time(mv("N", "straight").turn) == 1.0
+    # without a formula the left turn's time cannot be derived, so the
+    # geometry itself is refused
     with pytest.raises(ValueError):
-        g.transit_time(mv("N", "left").turn)
+        IntersectionGeometry(v_max=31.0, mz_speed_straight=30.0, turn_times=None)
 
 
 def test_turn_time_formula_mode():
@@ -101,7 +106,8 @@ def test_turn_time_formula_mode():
 
 def test_derived_straight_time_times_speed_is_side():
     for speed in (7.5, 10.0, 12.5):
-        g = IntersectionGeometry(mz_speed_straight=speed, turn_times=None)
+        g = IntersectionGeometry(mz_speed_straight=speed, turn_times=None,
+                                 turn_time_formula=FORMULA)
         assert g.transit_time(Turn.STRAIGHT) * speed == g.mz_side
 
 
@@ -162,6 +168,17 @@ def test_configs_reject_non_finite_numbers(build, field):
     # before them; infinities are no usable setting either
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         build()
+
+
+@pytest.mark.parametrize("formula, missing", [
+    (None, "turn_time_formula"),
+    (TurnTimeFormula(side_friction=0.2), "radius_left_ft"),
+    (TurnTimeFormula(radius_left_ft=75.0, side_friction=0.2), "radius_right_ft"),
+    (TurnTimeFormula(radius_left_ft=75.0, radius_right_ft=75.0), "side_friction"),
+])
+def test_underivable_turn_times_are_refused(formula, missing):
+    with pytest.raises(ValueError, match=missing):
+        IntersectionGeometry(turn_times=None, turn_time_formula=formula)
 
 
 def test_formula_mode_validation():

@@ -212,6 +212,10 @@ def _build_geometry(section: Mapping[str, Any]) -> IntersectionGeometry:
             kwargs["turn_time_formula"] = TurnTimeFormula(**formula)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"geometry.formula: {exc}") from exc
+    elif kwargs.get("turn_times", ()) is None:
+        raise ConfigError(
+            "geometry.turn_times is null, so geometry.formula must derive the turn times"
+        )
     try:
         return IntersectionGeometry(**kwargs)
     except (TypeError, ValueError) as exc:

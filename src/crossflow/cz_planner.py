@@ -168,15 +168,6 @@ def _speed_extremum_times(traj: PolyTrajectory):
     return times
 
 
-def _position(traj: PolyTrajectory, t: float) -> float:
-    # PolyTrajectory.position of a cubic on plain floats: the same
-    # operations in the same order give the same bits, without the
-    # numpy-scalar overhead of the generic Horner loop
-    a, b, c, d = traj.coefficients
-    tau = t - traj.t0
-    return ((a * tau / 6.0 + 0.5 * b) * tau + c) * tau + d
-
-
 def _min_gap(leader: PolyTrajectory, follower: PolyTrajectory, lo: float, hi: float):
     """Exact minimum of the leader-follower gap on [lo, hi], and its time.
 
@@ -184,8 +175,8 @@ def _min_gap(leader: PolyTrajectory, follower: PolyTrajectory, lo: float, hi: fl
     at a window endpoint or at a stationary point: a real root of the
     quadratic speed difference.
     """
-    la, lb, lc, _ = leader.coefficients
-    fa, fb, fc, _ = follower.coefficients
+    la, lb, lc, ld = leader.coefficients
+    fa, fb, fc, fd = follower.coefficients
     lt0, ft0 = leader.t0, follower.t0
     quad = 0.5 * (la - fa)
     lin = (lb - la * lt0) - (fb - fa * ft0)
@@ -203,11 +194,19 @@ def _min_gap(leader: PolyTrajectory, follower: PolyTrajectory, lo: float, hi: fl
                 candidates.append(const / q)
     elif lin != 0.0:
         candidates.append(-const / lin)
-    return min(
-        (_position(leader, t) - _position(follower, t), t)
-        for t in candidates
-        if lo <= t <= hi
-    )
+    # both positions by the Horner steps of PolyTrajectory.position, on
+    # plain floats: the same operations in the same order give the same
+    # bits; ties in the gap go to the earlier time
+    best = None
+    for t in candidates:
+        if lo <= t <= hi:
+            lt, ft = t - lt0, t - ft0
+            gap = ((la * lt / 6.0 + 0.5 * lb) * lt + lc) * lt + ld - (
+                ((fa * ft / 6.0 + 0.5 * fb) * ft + fc) * ft + fd
+            )
+            if best is None or gap < best[0] or (gap == best[0] and t < best[1]):
+                best = (gap, t)
+    return best
 
 
 class GapCheck(NamedTuple):

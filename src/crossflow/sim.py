@@ -7,11 +7,13 @@ zones.  An upstream entry gate holds a vehicle at the control-zone
 boundary until its planned approach keeps the minimum safe distance to
 the vehicle ahead on the same lane for the whole stretch where both are
 inside the control zone; beyond that gate, safety is entirely the
-scheduler's job.  The gate searches entry times by a forward scan and a
-bisection; the queue is scanned once per search, backwards and only as
-far as the latest vehicle of each conflict class, and each probe then
-costs one earliest-arrival bound, one approach solve and one closed-form
-minimum gap, independent of queue length.  At each admission the arm
+scheduler's job.  The gate searches entry times by a galloping forward
+scan, whose step doubles, and a regula falsi on the probe's exact gap,
+guarded to take at most four probes more than bisection would; the
+queue is scanned once per search, backwards and only as far as the
+latest vehicle of each conflict class, and each probe then costs one
+earliest-arrival bound, one approach solve and one closed-form minimum
+gap, independent of queue length.  At each admission the arm
 heads are searched in order of the earliest entry each could have, and
 each search is given a cutoff, the best entry found so far: it stops as
 soon as a probe not clear reaches the cutoff, since its answer must then
@@ -81,7 +83,7 @@ SAMPLE_DTYPE = np.dtype([
     ("p", "f8"), ("v", "f8"), ("u", "f8"), ("j", "f8"),
 ])
 
-# entry-gate search: forward scan step and commit-time resolution
+# entry-gate search: first forward scan step and commit-time resolution
 _GATE_SCAN_STEP = 0.25
 _GATE_RESOLUTION = 1e-6
 
@@ -278,10 +280,19 @@ def _gated_entry(
     clear, where clear means the planned approach stays at least
     min_safe_distance behind the lane leader.
 
-    The search probes spec.t0, then scans forward in _GATE_SCAN_STEP
-    steps to the first clear scan point and bisects the last step down to
-    _GATE_RESOLUTION.  The answer is the clear end of that last bracket;
-    a clear pocket that opens and closes again between two scan points is
+    The search probes spec.t0, then gallops forward: the step starts at
+    _GATE_SCAN_STEP and doubles until a probe is clear, capped just past
+    the leader's control-zone exit.  The last step is then narrowed to
+    _GATE_RESOLUTION by regula falsi on the probe's gap, with the
+    Illinois rule: when the same end of the bracket moves twice in a row,
+    the other end's gap is halved.  Each estimate is held at least half
+    the resolution inside the bracket and close enough to its midpoint
+    that after j probes the bracket is no wider than bisection's after
+    j - 4, so no narrowing takes more than four probes beyond
+    bisection's count.  When the clear end shares no control-zone window
+    with the leader, its gap is infinite and the estimate is the
+    midpoint.  The answer is the clear end of the last bracket; a clear
+    pocket that opens and closes again between two scan points is
     skipped, so the answer need not be the earliest clear time.
 
     Every probed time found not clear is a lower bound of the answer.  As
@@ -305,35 +316,62 @@ def _gated_entry(
         default=-math.inf,
     )
 
-    def clear(t0: float) -> bool:
+    def probe(t0: float) -> Tuple[bool, float]:
+        # whether entry at t0 is clear, and the least gap to the leader less
+        # the safe distance: infinite when they share no control-zone window
         stats.probes += 1
         tf = max(floor, earliest_mz_arrival(t0, spec.v0, g) + transit)
         traj = solve_cz(t0, spec.v0, tf - transit, vm, g.cz_length)
         found = rear_end_gap(leader, traj, g.min_safe_distance)
-        return found is None or not found.too_close
+        if found is None:
+            return True, math.inf
+        return not found.too_close, found.gap - g.min_safe_distance
 
-    if clear(spec.t0):
+    clear, f_low = probe(spec.t0)
+    if clear:
         return spec.t0
     low = spec.t0
     if low >= cutoff:
         return None
-    high = low + _GATE_SCAN_STEP
     # the gap condition holds trivially once the leader has left the
-    # control zone, so the forward scan always terminates
-    while not clear(high):
-        low = high
+    # control zone, so the scan ends at the cap at the latest
+    cap = leader.t1 + _GATE_SCAN_STEP
+    step = _GATE_SCAN_STEP
+    while True:
+        high = min(low + step, cap)
+        clear, f_high = probe(high)
+        if clear:
+            break
+        low, f_low = high, f_high
         if low >= cutoff:
             return None
-        high += _GATE_SCAN_STEP
-        if high > leader.t1 + _GATE_SCAN_STEP:
-            high = leader.t1 + _GATE_SCAN_STEP
-            break
+        step *= 2.0
+    width0 = high - low
+    margin = 0.5 * _GATE_RESOLUTION
+    narrowed = 0
+    # whether the last narrowing probe moved the clear end; None before it
+    moved_clear_end = None
     while high - low > _GATE_RESOLUTION:
         mid = 0.5 * (low + high)
-        if clear(mid):
-            high = mid
+        t = mid
+        if f_low < f_high < math.inf:
+            # within radius of the midpoint, the bracket after n narrowing
+            # probes is at most 2^(4 - n) times its first width
+            radius = width0 * 0.5 ** (narrowed - 3) - 0.5 * (high - low)
+            t = low + (high - low) * (f_low / (f_low - f_high))
+            t = min(max(t, mid - radius, low + margin), mid + radius, high - margin)
+        clear, f = probe(t)
+        narrowed += 1
+        if clear == moved_clear_end:
+            if clear:
+                f_low *= 0.5
+            else:
+                f_high *= 0.5
+        moved_clear_end = clear
+        if clear:
+            high, f_high = t, f
         else:
-            low = mid
+            low, f_low = t, f
             if low >= cutoff:
                 return None
     return high

@@ -372,34 +372,59 @@ def quintic_costs(coeffs, width):
 
 
 def gated_entry_by_full_schedule(spec, queue, leader, g, stats=None, cutoff=math.inf):
-    """Gate-clear entry time by the same scan and bisection, each probe
-    rescheduled in full.  The search always runs to the end: stats and
-    cutoff are accepted and ignored."""
+    """Gate-clear entry time by the same galloping scan and guarded
+    Illinois narrowing, each probe rescheduled in full.  The search always
+    runs to the end: stats and cutoff are accepted and ignored."""
 
-    def clear(candidate):
-        sched = schedule(candidate, queue, g)
-        traj = solve_cz(candidate.t0, candidate.v0, sched.tm, sched.vm, g.cz_length)
+    def probe(t0):
+        sched = schedule(replace(spec, t0=t0), queue, g)
+        traj = solve_cz(t0, spec.v0, sched.tm, sched.vm, g.cz_length)
         found = rear_end_gap(leader, traj, g.min_safe_distance)
-        return found is None or not found.too_close
+        if found is None:
+            return True, math.inf
+        return not found.too_close, found.gap - g.min_safe_distance
 
     if leader is None:
         return spec.t0
-    if clear(spec):
+    clear, f_low = probe(spec.t0)
+    if clear:
         return spec.t0
+    # gallop: steps of 1, 2, 4, ... scan steps, up to just past the
+    # leader's exit, where every entry is clear
     low = spec.t0
-    high = low + _GATE_SCAN_STEP
-    while not clear(replace(spec, t0=high)):
-        low = high
-        high += _GATE_SCAN_STEP
-        if high > leader.t1 + _GATE_SCAN_STEP:
-            high = leader.t1 + _GATE_SCAN_STEP
-            break
+    step = _GATE_SCAN_STEP
+    high = min(low + step, leader.t1 + _GATE_SCAN_STEP)
+    clear, f_high = probe(high)
+    while not clear:
+        low, f_low = high, f_high
+        step *= 2.0
+        high = min(low + step, leader.t1 + _GATE_SCAN_STEP)
+        clear, f_high = probe(high)
+    # narrow [low, high]: regula falsi on the gap, halving the value kept at
+    # an end that stayed put twice in a row; the j-th estimate lies within
+    # 2^(3 - j) first widths, less half the current width, of the midpoint
+    width0 = high - low
+    last = None
+    j = 0
     while high - low > _GATE_RESOLUTION:
         mid = 0.5 * (low + high)
-        if clear(replace(spec, t0=mid)):
-            high = mid
+        if f_low < f_high < math.inf:
+            radius = width0 * 0.5 ** (j - 3) - 0.5 * (high - low)
+            t = low + (high - low) * (f_low / (f_low - f_high))
+            t = max(t, mid - radius, low + _GATE_RESOLUTION / 2)
+            t = min(t, mid + radius, high - _GATE_RESOLUTION / 2)
         else:
-            low = mid
+            t = mid
+        clear, f = probe(t)
+        if clear:
+            if last == "high":
+                f_low /= 2
+            high, f_high, last = t, f, "high"
+        else:
+            if last == "low":
+                f_high /= 2
+            low, f_low, last = t, f, "low"
+        j += 1
     return high
 
 

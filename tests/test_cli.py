@@ -349,7 +349,7 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         ("simulate", "geometry:\n  formula:\n    side_friction: abc\n",
          "geometry.formula.side_friction"),
         # turn times that cannot be derived, refused before the run starts
-        ("simulate", "geometry:\n  turn_times: null\n", "turn_time_formula"),
+        ("simulate", "geometry:\n  turn_times: null\n", "geometry.formula"),
         ("simulate", "geometry:\n  turn_times: null\n  formula:\n    side_friction: 0.2\n",
          "radius_left_ft"),
         ("simulate", "geometry:\n  turn_times: null\n  formula:\n    radius_left_ft: 75\n"

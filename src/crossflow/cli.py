@@ -208,6 +208,8 @@ def _build_geometry(section: Mapping[str, Any]) -> IntersectionGeometry:
             raise ConfigError("geometry.formula must be a mapping")
         _check_keys(formula, _FORMULA_KEYS, "geometry.formula")
         formula = _scalars(formula, "geometry.formula", _FORMULA_SCALARS)
+        if kwargs.get("turn_times", ()) is not None:
+            raise ConfigError("geometry.turn_times must be null when geometry.formula is given")
         try:
             kwargs["turn_time_formula"] = TurnTimeFormula(**formula)
         except (TypeError, ValueError) as exc:
@@ -451,7 +453,7 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
             grid = default_grid(grid_size, w_min, w_max)
         q1, q2 = normalization_weights(geometry.u_max, jerk_scale)
         result = sweep(boundary, grid, q1=q1, q2=q2)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"pareto: {exc}") from exc
 
     os.makedirs(out_dir, exist_ok=True)
@@ -529,7 +531,10 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
         p_end=geometry.cz_length + geometry.path_length(turn),
         u_start=float(cz.control(tm)),
     )
-    mz = solve_mz(boundary, objective, weight, geometry.u_max, jerk_scale)
+    try:
+        mz = solve_mz(boundary, objective, weight, geometry.u_max, jerk_scale)
+    except ValueError as exc:
+        raise ConfigError(f"plan: {exc}") from exc
     report = check_feasibility(cz, geometry)
     costs = mz_costs(mz)
 

@@ -16,17 +16,26 @@ would overflow and lose the solution to rounding long before that, so the
 solver switches between two equivalent parametrizations of the same
 six-dimensional solution space:
 
-* series basis (A1*duration small): exponentials with their cubic Taylor
-  head removed, scaled to limit to tau^4/24 and tau^5/120.  This is the
-  quintic completion, so the weighted solve degrades gracefully into the
-  jerk solve as w -> 0.
-* boundary-layer basis (A1*duration large): exp(-A1*(duration-tau)) and
+* series basis (A1*duration <= 2): tau^4 R(A1*tau, 4) and
+  tau^5 R(A1*tau, 5), where R(x, k) is cosh x (k even) or sinh x (k odd)
+  less its Taylor terms below x^k, over x^k.  The d-th derivative of
+  tau^k R(A1*tau, k) is tau^(k-d) R(A1*tau, k-d), so one remainder
+  function serves every order.  The pair limits to tau^4/24 and
+  tau^5/120, the quintic completion, so the weighted solve degrades
+  gracefully into the jerk solve as w -> 0.  For large A1*duration both
+  grow like exp(A1*tau) and their columns turn parallel.
+* boundary-layer basis (A1*duration > 2): exp(-A1*(duration-tau)) and
   exp(-A1*tau), each bounded by 1, carrying the two endpoint layers that
-  the stiff solution develops as w -> 1.
+  the stiff solution develops as w -> 1.  For small A1*duration both
+  flatten towards the cubic's span and the system turns singular.
 
 Both parametrizations represent {cubic} + span{exp(+-A1 tau)} exactly;
-only the conditioning of the 6x6 boundary system differs.  MzTrajectory
-carries this weighted form only.
+only the conditioning of the 6x6 boundary system differs.  A single
+basis centred on the window's midpoint would serve every rate, and was
+more accurate (1.2e-13 against a 700-digit reference, where the series
+basis reaches 1.9e-12), but it evaluated 2.5-4x slower at w = 0.5 and
+made the perfbench ``light`` round about 12% slower, so both regimes
+stay.  MzTrajectory carries this weighted form only.
 """
 
 from __future__ import annotations
@@ -49,8 +58,16 @@ DEFAULT_JERK_SCALE = 10.0
 # A1 * duration above which the boundary-layer basis takes over
 _REGIME_SPLIT = 2.0
 
-# |x| below which the exponential remainder functions switch to series
+# largest A1 * duration the weighted solve accepts; exp(710) overflows
+_EXPONENT_CAP = 700.0
+
+# |x| at or below which _remainder sums its series, and the terms it sums
 _SERIES_SPLIT = 0.5
+_SERIES_TERMS = 8
+
+# k!/(k-d)!, the factor the d-th derivative puts on tau^k; 0 for k < d
+_FALLING = tuple(tuple(math.perm(k, d) for k in range(4)) for d in range(4))
+_UNIT = tuple(tuple(float(i == k) for i in range(4)) for k in range(4))
 
 # Gauss-Legendre panel layout for the weighted cost integrals
 _GL_NODES = 20
@@ -126,71 +143,28 @@ def boundary_from_schedule(
     )
 
 
-# Remainder functions: exponentials with their leading Taylor terms removed
-# and normalized so every one of them limits to a clean power of tau.  Each
-# switches to its series for small arguments, where the direct formula
-# cancels catastrophically.
-
-def _poly_in_x2(coeffs, x2):
-    total = np.zeros_like(x2)
-    for coeff in reversed(coeffs):
-        total = total * x2 + coeff
-    return total
-
-
-_C2N = tuple(1.0 / math.factorial(2 * k) for k in range(1, 9))
-_S3N = tuple(1.0 / math.factorial(2 * k + 1) for k in range(1, 9))
-_C4N = tuple(1.0 / math.factorial(2 * k) for k in range(2, 10))
-_S5N = tuple(1.0 / math.factorial(2 * k + 1) for k in range(2, 10))
-
-
-def _c2n(x):
-    """(cosh x - 1) / x^2"""
+def _remainder(x, k: int):
+    """cosh x (even k) or sinh x (odd k), less its Taylor terms below x^k,
+    over x^k; where |x| <= _SERIES_SPLIT that difference cancels
+    catastrophically, so the series sum of x^(2j) / (k+2j)! is taken."""
     x = np.asarray(x, dtype=float)
     x2 = x * x
+    odd = k % 2
+    numerator = np.sinh(x) if odd else np.cosh(x)
+    even = 1.0  # x^(j - odd) at the Taylor term x^j
+    for j in range(odd, k, 2):
+        numerator = numerator - (even * x if odd else even) / math.factorial(j)
+        even = even * x2
+    power = even * x if odd else even
+    series = 0.0
+    for j in reversed(range(_SERIES_TERMS)):
+        series = series * x2 + 1.0 / math.factorial(k + 2 * j)
     small = np.abs(x) <= _SERIES_SPLIT
-    safe = np.where(small, 1.0, x2)
-    return np.where(small, _poly_in_x2(_C2N, x2), (np.cosh(x) - 1.0) / safe)
-
-
-def _s3n(x):
-    """(sinh x - x) / x^3"""
-    x = np.asarray(x, dtype=float)
-    x2 = x * x
-    small = np.abs(x) <= _SERIES_SPLIT
-    safe = np.where(small, 1.0, x2 * x)
-    return np.where(small, _poly_in_x2(_S3N, x2), (np.sinh(x) - x) / safe)
-
-
-def _c4n(x):
-    """(cosh x - 1 - x^2/2) / x^4"""
-    x = np.asarray(x, dtype=float)
-    x2 = x * x
-    small = np.abs(x) <= _SERIES_SPLIT
-    safe = np.where(small, 1.0, x2 * x2)
-    return np.where(small, _poly_in_x2(_C4N, x2), (np.cosh(x) - 1.0 - 0.5 * x2) / safe)
-
-
-def _s5n(x):
-    """(sinh x - x - x^3/6) / x^5"""
-    x = np.asarray(x, dtype=float)
-    x2 = x * x
-    small = np.abs(x) <= _SERIES_SPLIT
-    safe = np.where(small, 1.0, x2 * x2 * x)
-    return np.where(small, _poly_in_x2(_S5N, x2), (np.sinh(x) - x - x2 * x / 6.0) / safe)
-
-
-def _sinhn(x):
-    """sinh x / x"""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) <= _SERIES_SPLIT
-    safe = np.where(small, 1.0, x)
-    series = 1.0 + _poly_in_x2(_S3N, x * x) * x * x
-    return np.where(small, series, np.sinh(x) / safe)
+    return np.where(small, series, numerator / np.where(small, 1.0, power))
 
 
 def _basis_pair(regime: str, rate: float, width: float, tau, deriv: int):
-    """The two non-polynomial basis functions (or a derivative of them)."""
+    """The deriv-th derivatives of the two non-polynomial basis functions."""
     tau = np.asarray(tau, dtype=float)
     if regime == "layer":
         head = np.exp(-rate * (width - tau))
@@ -198,15 +172,18 @@ def _basis_pair(regime: str, rate: float, width: float, tau, deriv: int):
         scale = rate**deriv
         return scale * head, scale * tail * ((-1.0) ** deriv)
     x = rate * tau
-    if deriv == 0:
-        return tau**4 * _c4n(x), tau**5 * _s5n(x)
-    if deriv == 1:
-        return tau**3 * _s3n(x), tau**4 * _c4n(x)
-    if deriv == 2:
-        return tau**2 * _c2n(x), tau**3 * _s3n(x)
-    if deriv == 3:
-        return tau * _sinhn(x), tau**2 * _c2n(x)
-    raise ValueError(f"unsupported derivative order {deriv}")
+    return (tau ** (4 - deriv) * _remainder(x, 4 - deriv),
+            tau ** (5 - deriv) * _remainder(x, 5 - deriv))
+
+
+def _cubic(poly, tau, order: int):
+    """The order-th derivative of p0 + p1*tau + p2*tau^2 + p3*tau^3 at tau,
+    by Horner on the k!/(k-order)! multiples; a scalar at order 3."""
+    factors = _FALLING[order]
+    value = factors[3] * poly[3]
+    for k in range(2, order - 1, -1):
+        value = value * tau + factors[k] * poly[k]
+    return value
 
 
 @dataclass(frozen=True)
@@ -214,17 +191,16 @@ class MzTrajectory:
     """One weighted merging-zone trajectory over the window [t0, t1].
 
     ``coefficients`` holds the canonical constants (a..f) of the
-    exponential closed form, with rate_pos/rate_neg the exponential
-    rates.  Near the degenerate weights the canonical amplitudes grow
-    without bound; they are reported for inspection only, while
-    evaluation always goes through the conditioned internal basis.
+    exponential closed form, with rate_pos the exponential rate A1 (the
+    other mode decays at -A1).  Near the degenerate weights the canonical
+    amplitudes grow without bound; they are reported for inspection only,
+    while evaluation always goes through the conditioned internal basis.
     """
 
     t0: float
     t1: float
     coefficients: Tuple[float, ...]
     rate_pos: float
-    rate_neg: float
     w: float
     q1: float
     q2: float
@@ -236,52 +212,36 @@ class MzTrajectory:
     def duration(self) -> float:
         return self.t1 - self.t0
 
-    def _tau(self, t):
-        return np.asarray(t, dtype=float) - self.t0
+    def derivative(self, t, order: int):
+        """The order-th derivative of position at t, a scalar or an array."""
+        tau = np.asarray(t, dtype=float) - self.t0
+        b1, b2 = self._beta
+        head, tail = _basis_pair(self._regime, self.rate_pos, self.duration, tau, order)
+        return _cubic(self._poly, tau, order) + b1 * head + b2 * tail
 
     def position(self, t):
-        tau = self._tau(t)
-        p0, p1, p2, p3 = self._poly
-        b1, b2 = self._beta
-        head, tail = _basis_pair(self._regime, self.rate_pos, self.duration, tau, 0)
-        return ((p3 * tau + p2) * tau + p1) * tau + p0 + b1 * head + b2 * tail
+        return self.derivative(t, 0)
 
     def speed(self, t):
-        tau = self._tau(t)
-        _, p1, p2, p3 = self._poly
-        b1, b2 = self._beta
-        head, tail = _basis_pair(self._regime, self.rate_pos, self.duration, tau, 1)
-        return (3.0 * p3 * tau + 2.0 * p2) * tau + p1 + b1 * head + b2 * tail
+        return self.derivative(t, 1)
 
     def control(self, t):
-        tau = self._tau(t)
-        _, _, p2, p3 = self._poly
-        b1, b2 = self._beta
-        head, tail = _basis_pair(self._regime, self.rate_pos, self.duration, tau, 2)
-        return 6.0 * p3 * tau + 2.0 * p2 + b1 * head + b2 * tail
+        return self.derivative(t, 2)
 
     def jerk(self, t):
-        tau = self._tau(t)
-        _, _, _, p3 = self._poly
-        b1, b2 = self._beta
-        head, tail = _basis_pair(self._regime, self.rate_pos, self.duration, tau, 3)
-        return 6.0 * p3 + np.zeros_like(tau) + b1 * head + b2 * tail
+        return self.derivative(t, 3)
 
     def half_square_integral(self, order: int) -> float:
         """Half the integral of the order-th derivative of position squared
         over the window, by panelled Gauss-Legendre quadrature sized to
-        resolve the boundary layers."""
-        fn = (self.position, self.speed, self.control, self.jerk)[order]
+        resolve the boundary layers, all panels' nodes in one evaluation."""
         width = self.duration
         panels = int(min(600, max(3, math.ceil(self.rate_pos * width / _GL_WIDTH))))
-        total = 0.0
         edges = np.linspace(0.0, width, panels + 1)
-        for left, right in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (left + right)
-            half = 0.5 * (right - left)
-            values = fn(self.t0 + (mid + half * _GL_POINTS))
-            total += half * float(np.dot(_GL_WEIGHTS, values * values))
-        return 0.5 * total
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        values = self.derivative(self.t0 + (mid[:, None] + half[:, None] * _GL_POINTS), order)
+        return 0.5 * float(half @ (values * values @ _GL_WEIGHTS))
 
 
 def solve_mz_fuel(b: MzBoundary) -> PolyTrajectory:
@@ -301,18 +261,14 @@ def solve_mz_jerk(b: MzBoundary) -> PolyTrajectory:
 
 
 def _weighted_system(regime: str, rate: float, width: float) -> np.ndarray:
-    """Boundary matrix over (p0, p1, p2, p3, beta1, beta2)."""
-    rows = []
-    for tau, deriv in ((0.0, 0), (0.0, 1), (0.0, 2), (width, 0), (width, 1), (width, 2)):
-        head, tail = _basis_pair(regime, rate, width, tau, deriv)
-        if deriv == 0:
-            poly = [1.0, tau, tau * tau, tau**3]
-        elif deriv == 1:
-            poly = [0.0, 1.0, 2.0 * tau, 3.0 * tau * tau]
-        else:
-            poly = [0.0, 0.0, 2.0, 6.0 * tau]
-        rows.append(poly + [float(head), float(tail)])
-    return np.array(rows)
+    """Boundary matrix over (p0, p1, p2, p3, beta1, beta2): the cubic
+    evaluator applied to the unit coefficient vectors, beside the basis
+    pair, for position, speed and control at both window ends."""
+    return np.array([
+        [*(_cubic(unit, tau, deriv) for unit in _UNIT),
+         *map(float, _basis_pair(regime, rate, width, tau, deriv))]
+        for tau in (0.0, width) for deriv in (0, 1, 2)
+    ])
 
 
 def _canonical_weighted_coefficients(
@@ -348,13 +304,28 @@ def _canonical_weighted_coefficients(
     return a, b_coeff, c, d, e, f
 
 
-def solve_mz_weighted(
-    b: MzBoundary,
-    w: float,
-    q1: float,
-    q2: float,
-    exponent_cap: float = 700.0,
-) -> MzTrajectory:
+def weighted_rate(w: Optional[float], q1: float, q2: float, width: float) -> float:
+    """The exponential rate A1 of the weighted optimum at weight w, for a
+    window of this width.  Refuses a weight outside (0, 1), where the
+    closed form degenerates, and a rate whose A1 * width passes the
+    exponent cap, where no basis holds the solution in floating point."""
+    if w is None or not 0.0 < w < 1.0:
+        raise ValueError(
+            f"weight {w} outside (0, 1): the closed form degenerates at the "
+            "endpoints; use solve_mz_jerk for w=0 and solve_mz_fuel for w=1"
+        )
+    if q1 <= 0.0 or q2 <= 0.0:
+        raise ValueError("q1 and q2 must be positive")
+    rate = math.sqrt(w * q1 / ((1.0 - w) * q2))
+    if rate * width > _EXPONENT_CAP:
+        raise ValueError(
+            f"weight {w} gives exponential rate {rate:.6g}, which over the "
+            f"{width:.6g} s window exceeds the exponent cap {_EXPONENT_CAP:.6g}"
+        )
+    return rate
+
+
+def solve_mz_weighted(b: MzBoundary, w: float, q1: float, q2: float) -> MzTrajectory:
     """Optimal trade between acceleration effort and jerk at weight w.
 
     The stationarity condition forces the speed profile to satisfy
@@ -364,39 +335,17 @@ def solve_mz_weighted(
     constants through one linear solve in whichever basis is conditioned
     for this rate.
     """
-    if not 0.0 < w < 1.0:
-        raise ValueError(
-            f"weight {w} outside (0, 1): the closed form degenerates at the "
-            "endpoints; use solve_mz_jerk for w=0 and solve_mz_fuel for w=1"
-        )
-    if q1 <= 0.0 or q2 <= 0.0:
-        raise ValueError("q1 and q2 must be positive")
-    rate = math.sqrt(w * q1 / ((1.0 - w) * q2))
     width = b.duration
-    if rate * width > exponent_cap:
-        raise ValueError(
-            f"exponential rate {rate:.6g} over window {width:.6g} s exceeds "
-            f"the exponent cap {exponent_cap:.6g}"
-        )
+    rate = weighted_rate(w, q1, q2, width)
     regime = "series" if rate * width <= _REGIME_SPLIT else "layer"
-    system = _weighted_system(regime, rate, width)
     rhs = np.array([b.p_start, b.vm, b.u_start, b.p_end, b.vf, b.u_end])
-    solution = np.linalg.solve(system, rhs)
+    solution = np.linalg.solve(_weighted_system(regime, rate, width), rhs)
     poly = tuple(map(float, solution[:4]))
     beta = tuple(map(float, solution[4:]))
     coeffs = _canonical_weighted_coefficients(regime, rate, poly, beta, w, q1, q2, width)
     return MzTrajectory(
-        t0=b.tm,
-        t1=b.tf,
-        coefficients=tuple(map(float, coeffs)),
-        rate_pos=rate,
-        rate_neg=-rate,
-        w=w,
-        q1=q1,
-        q2=q2,
-        _regime=regime,
-        _poly=poly,
-        _beta=beta,
+        t0=b.tm, t1=b.tf, coefficients=tuple(map(float, coeffs)), rate_pos=rate,
+        w=w, q1=q1, q2=q2, _regime=regime, _poly=poly, _beta=beta,
     )
 
 

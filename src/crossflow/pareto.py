@@ -131,7 +131,7 @@ def sweep(
         try:
             traj = solve_mz_weighted(b, w, q1, q2)
         except Exception as exc:
-            raise RuntimeError(f"weighted solve failed at w={w}") from exc
+            raise RuntimeError(f"weighted solve failed at w={w}: {exc}") from exc
         costs = mz_costs(traj)
         points.append(
             ParetoPoint(w=w, fuel=costs.fuel, discomfort=costs.discomfort, trajectory=traj)

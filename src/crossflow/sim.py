@@ -58,7 +58,9 @@ from crossflow.mz_planner import (
     MzTrajectory,
     MzVariant,
     boundary_from_schedule,
+    normalization_weights,
     solve_mz,
+    weighted_rate,
 )
 from crossflow.scheduler import (
     Schedule,
@@ -142,11 +144,13 @@ class SimConfig:
             isinstance(self.weight, bool) or not isinstance(self.weight, numbers.Real)
         ):
             raise ValueError(f"weight must be a real number, got {self.weight!r}")
-        if self.objective is MzVariant.WEIGHTED:
-            if self.weight is None or not 0.0 < self.weight < 1.0:
-                raise ValueError("weighted objective needs a weight strictly inside (0, 1)")
         if self.jerk_scale <= 0.0:
             raise ValueError(f"jerk_scale must be positive, got {self.jerk_scale}")
+        if self.objective is MzVariant.WEIGHTED:
+            # the stiffest solve is over the longest merge window of a turn drawn
+            width = max(g.transit_time(turn) for turn, p in
+                        zip(_TURN_ORDER, self.turn_probabilities) if p > 0.0)
+            weighted_rate(self.weight, *normalization_weights(g.u_max, self.jerk_scale), width)
         if self.sample_step <= 0.0:
             raise ValueError(f"sample_step must be positive, got {self.sample_step}")
 

@@ -244,6 +244,22 @@ def quad_half_square(fn, lo: float, hi: float) -> float:
     return value
 
 
+def panelled_half_square(fn, lo: float, hi: float, rate: float) -> float:
+    """(1/2) integral of fn(t)^2 over [lo, hi] by the weighted trajectory's
+    panelled quadrature, one panel at a time: 20 Gauss-Legendre nodes on
+    each of ceil(rate * width / 10) panels, at least 3 and at most 600."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    width = hi - lo
+    panels = int(min(600, max(3, math.ceil(rate * width / 10.0))))
+    edges = np.linspace(0.0, width, panels + 1)
+    total = 0.0
+    for left, right in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (left + right), 0.5 * (right - left)
+        values = fn(lo + (mid + half * nodes))
+        total += half * float(np.dot(weights, values * values))
+    return 0.5 * total
+
+
 # ---------------------------------------------------------------------------
 # The approach cubic, the merge-zone fuel cubic and the jerk quintic in
 # their hand-written form: one boundary system per degree, one evaluator
@@ -282,11 +298,14 @@ def hermite_exact(t0, t1, start, end):
 
 def poly_derivative_exact(coeffs, tau, order):
     """The order-th derivative of sum c_i tau^k / k! (highest order
-    first) at the shifted time tau, in exact rational arithmetic."""
-    kept = [Fraction(c) for c in coeffs[: len(coeffs) - order]]
+    first) at the shifted time tau, by Horner in exact rational arithmetic."""
+    kept = coeffs[: len(coeffs) - order]
     degree = len(kept) - 1
-    return sum(c * Fraction(tau) ** (degree - i) / math.factorial(degree - i)
-               for i, c in enumerate(kept))
+    tau = Fraction(tau)
+    value = Fraction(0)
+    for i, c in enumerate(kept):
+        value = value * tau + Fraction(c) / math.factorial(degree - i)
+    return value
 
 
 def cubic_coefficients(t0, t1, p0, v0, p1, v1):

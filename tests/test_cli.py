@@ -354,6 +354,13 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
          "radius_left_ft"),
         ("simulate", "geometry:\n  turn_times: null\n  formula:\n    radius_left_ft: 75\n"
          "    side_friction: 0.2\n", "radius_right_ft"),
+        ("simulate", "geometry:\n  formula:\n    radius_left_ft: 75\n    radius_right_ft: 30\n"
+         "    side_friction: 0.2\n", "geometry.turn_times"),
+        # weights so close to 1 that the merge solution's exponent passes its cap
+        ("simulate", "sim:\n  objective: weighted\n  weight: 0.99999\n", "weight 0.99999"),
+        ("plan", "plan:\n  objective: weighted\n  weight: 0.99999\n", "weight 0.99999"),
+        ("pareto", "geometry:\n  turn_times: [8.0, 3.0, 3.0]\npareto:\n  turn: left\n",
+         "w=0.998"),
     ],
 )
 def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, text, key):

@@ -9,10 +9,12 @@ from crossflow import (
     MzVariant,
     mz_costs,
     normalization_weights,
+    solve_mz,
     solve_mz_fuel,
     solve_mz_jerk,
     solve_mz_weighted,
 )
+from crossflow.mz_planner import _remainder
 
 S_LEFT = 3.0 * math.pi * 30.0 / 8.0  # left-turn arc length for a 30 m zone
 
@@ -216,6 +218,24 @@ def test_weighted_rejects_unresolvable_stiffness():
         solve_mz_weighted(LEFT, 0.5, 1e12, 1e-4)
 
 
+def test_weighted_objective_needs_a_weight():
+    with pytest.raises(ValueError, match="weight None"):
+        solve_mz(LEFT, MzVariant.WEIGHTED)
+
+
+def test_remainder_matches_its_series():
+    # R(x, k) = sum of x^(2j) / (k+2j)!, its first 60 terms summed by
+    # math.fsum, on both sides of the series split, at the split and its float
+    # neighbours, at zero, and where x^2 underflows
+    xs = [*np.linspace(-3.0, 3.0, 601), 0.0, 1e-300]
+    for split in (0.5, -0.5):
+        xs += [split, math.nextafter(split, 0.0), math.nextafter(split, 2.0 * split)]
+    for k in range(1, 6):
+        for x, got in zip(xs, _remainder(np.array(xs), k)):
+            ref = math.fsum(x ** (2 * j) / math.factorial(k + 2 * j) for j in range(60))
+            assert abs(got - ref) <= 1e-12 * ref
+
+
 def test_weighted_control_is_continuous_across_regimes():
     # rate*width on either side of the basis switch gives the same physics
     b = LEFT
@@ -296,6 +316,19 @@ def test_costs_match_quadrature_exponential():
         costs = mz_costs(traj)
         assert costs.fuel == pytest.approx(fuel, rel=1e-8, abs=1e-8)
         assert costs.discomfort == pytest.approx(disc, rel=1e-8, abs=1e-8)
+
+
+def test_costs_match_panel_by_panel_quadrature():
+    # the same nodes and panels, summed in another order: equal to a few
+    # ulps per panel
+    rng = np.random.default_rng(43)
+    for w in (1e-3, 0.05, 0.5, 0.99, 0.999):
+        b = _random_boundary(rng)
+        traj = solve_mz_weighted(b, w, Q1, Q2)
+        costs = mz_costs(traj)
+        for got, fn in ((costs.fuel, traj.control), (costs.discomfort, traj.jerk)):
+            ref = oracles.panelled_half_square(fn, b.tm, b.tf, traj.rate_pos)
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
 def test_weighted_cost_definition():

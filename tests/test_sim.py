@@ -104,6 +104,15 @@ def test_config_validation():
         SimConfig(vehicle_count=0)
 
 
+def test_config_bounds_the_weighted_rate_by_the_longest_window_drawn():
+    # at this weight the rate is 200/s: past the exponent cap over the 5 s
+    # left-turn window, within it over the 3 s straight and right windows
+    w = 3600.0 / 3601.0
+    with pytest.raises(ValueError, match="exponent cap"):
+        SimConfig(objective=MzVariant.WEIGHTED, weight=w)
+    SimConfig(objective=MzVariant.WEIGHTED, weight=w, turn_probabilities=(0.0, 0.5, 0.5))
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", "seven"), ("seed", 7.0), ("seed", -1), ("seed", True),
     ("vehicle_count", 2.5), ("vehicle_count", "30"),

@@ -43,6 +43,10 @@ class ConflictClass(Enum):
     NO_CONFLICT = "no_conflict"
 
 
+_ARMS = list(Arm)
+_TURNS = list(Turn)
+
+
 # Right-hand traffic: straight continues to the opposite arm, a right turn
 # exits the adjacent arm clockwise of the travel direction, a left turn the
 # adjacent arm counterclockwise.
@@ -68,6 +72,12 @@ class Movement:
 
     entry_arm: Arm
     turn: Turn
+
+    def __post_init__(self) -> None:
+        # the movement's row and column in the classification table; list
+        # lookups compare by identity, so no enum or dataclass is hashed
+        index = _ARMS.index(self.entry_arm) * len(_TURNS) + _TURNS.index(self.turn)
+        object.__setattr__(self, "_index", index)
 
     @property
     def exit_arm(self) -> Arm:
@@ -370,8 +380,8 @@ def _paths_cross(path_a, path_b) -> bool:
     return _arc_arc_cross(*path_a[1:], *path_b[1:])
 
 
-def _build_classification() -> dict:
-    table = {}
+def _build_classification() -> Tuple[Tuple[ConflictClass, ...], ...]:
+    table = [[ConflictClass.NO_CONFLICT] * len(ALL_MOVEMENTS) for _ in ALL_MOVEMENTS]
     for a in ALL_MOVEMENTS:
         for b in ALL_MOVEMENTS:
             if a.entry_arm is b.entry_arm:
@@ -382,10 +392,11 @@ def _build_classification() -> dict:
                 cls = ConflictClass.LATERAL
             else:
                 cls = ConflictClass.NO_CONFLICT
-            table[(a, b)] = cls
-    return table
+            table[a._index][b._index] = cls
+    return tuple(map(tuple, table))
 
 
+# indexed by the two movements' _index
 _CLASSIFICATION = _build_classification()
 
 
@@ -397,4 +408,4 @@ def classify(a: Movement, b: Movement) -> ConflictClass:
     then exact geometric crossing of the two merge-zone curves; anything
     else cannot collide.  Symmetric and total.
     """
-    return _CLASSIFICATION[(a, b)]
+    return _CLASSIFICATION[a._index][b._index]

@@ -36,6 +36,15 @@ more accurate (1.2e-13 against a 700-digit reference, where the series
 basis reaches 1.9e-12), but it evaluated 2.5-4x slower at w = 0.5 and
 made the perfbench ``light`` round about 12% slower, so both regimes
 stay.  MzTrajectory carries this weighted form only.
+
+A whole weight grid is solved and costed in one batched pass, and one
+weight is the grid of one.  solve_mz_weighted_grid splits the weights by
+basis and solves each basis's 6x6 systems as one stack, sharing the
+cubic's rows.  half_square_integrals gives trajectories with the same
+window and panel count one node grid.  MzTrajectory.derivative and the
+quadrature share one evaluator, _evaluate, on one trajectory's floats or
+broadcast over a batch's arrays, and every result keeps the bits of the
+weight-by-weight solve and quadrature.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,13 +70,12 @@ _REGIME_SPLIT = 2.0
 # largest A1 * duration the weighted solve accepts; exp(710) overflows
 _EXPONENT_CAP = 700.0
 
-# |x| at or below which _remainder sums its series, and the terms it sums
+# |x| at or below which _remainders sums its series, and the terms it sums
 _SERIES_SPLIT = 0.5
 _SERIES_TERMS = 8
 
 # k!/(k-d)!, the factor the d-th derivative puts on tau^k; 0 for k < d
 _FALLING = tuple(tuple(math.perm(k, d) for k in range(4)) for d in range(4))
-_UNIT = tuple(tuple(float(i == k) for i in range(4)) for k in range(4))
 
 # Gauss-Legendre panel layout for the weighted cost integrals
 _GL_NODES = 20
@@ -143,37 +151,63 @@ def boundary_from_schedule(
     )
 
 
-def _remainder(x, k: int):
-    """cosh x (even k) or sinh x (odd k), less its Taylor terms below x^k,
-    over x^k; where |x| <= _SERIES_SPLIT that difference cancels
-    catastrophically, so the series sum of x^(2j) / (k+2j)! is taken."""
+def _remainders(x, ks):
+    """R(x, k) for each k >= 1 of ks, by k: cosh x (even k) or sinh x (odd
+    k), less its Taylor terms below x^k, over x^k.  Where |x| <=
+    _SERIES_SPLIT that difference cancels catastrophically, so the series
+    sum of x^(2j) / (k+2j)! is taken.  The ks of one parity share its
+    hyperbolic function and its chain of Taylor terms."""
     x = np.asarray(x, dtype=float)
     x2 = x * x
-    odd = k % 2
-    numerator = np.sinh(x) if odd else np.cosh(x)
-    even = 1.0  # x^(j - odd) at the Taylor term x^j
-    for j in range(odd, k, 2):
-        numerator = numerator - (even * x if odd else even) / math.factorial(j)
-        even = even * x2
-    power = even * x if odd else even
-    series = 0.0
-    for j in reversed(range(_SERIES_TERMS)):
-        series = series * x2 + 1.0 / math.factorial(k + 2 * j)
     small = np.abs(x) <= _SERIES_SPLIT
-    return np.where(small, series, numerator / np.where(small, 1.0, power))
+    remainders = {}
+    for odd, hyperbolic in ((0, np.cosh), (1, np.sinh)):
+        wanted = sorted({k for k in ks if k % 2 == odd})
+        if not wanted:
+            continue
+        numerator = hyperbolic(x)
+        even = 1.0  # x^(j - odd) at the Taylor term x^j
+        for j in range(odd, wanted[-1] + 1, 2):
+            # here numerator lacks the Taylor terms below x^j
+            power = even * x if odd else even
+            if j in wanted:
+                series = 0.0
+                for term in reversed(range(_SERIES_TERMS)):
+                    series = series * x2 + 1.0 / math.factorial(j + 2 * term)
+                remainders[j] = np.where(small, series, numerator / np.where(small, 1.0, power))
+                if j == wanted[-1]:
+                    break
+            numerator = numerator - power / math.factorial(j)
+            even = even * x2
+    return remainders
 
 
-def _basis_pair(regime: str, rate: float, width: float, tau, deriv: int):
-    """The deriv-th derivatives of the two non-polynomial basis functions."""
+def _scales(rate, orders):
+    """rate**d and (-1)**d * rate**d for each order d, for a float rate or
+    elementwise for an array of rates.  Each power is Python's float power,
+    as numpy's array power can differ from it in the last bit."""
+    if isinstance(rate, float):
+        return [(rate**d, (-1.0) ** d * rate**d) for d in orders]
+    rates = rate.ravel().tolist()
+    table = np.array([sign * r**d for d in orders for sign in (1.0, (-1.0) ** d) for r in rates])
+    return table.reshape((len(orders), 2) + rate.shape)
+
+
+def _basis_pairs(regime: str, rate, width: float, tau, orders):
+    """For each order, the order-th derivatives of the two non-polynomial
+    basis functions at tau, for one rate (a float) or for an array of
+    rates that broadcasts against tau.  The orders share the boundary-layer
+    exponentials and the series remainders."""
     tau = np.asarray(tau, dtype=float)
     if regime == "layer":
-        head = np.exp(-rate * (width - tau))
-        tail = np.exp(-rate * tau)
-        scale = rate**deriv
-        return scale * head, scale * tail * ((-1.0) ** deriv)
+        neg = -rate
+        head = np.exp(neg * (width - tau))
+        tail = np.exp(neg * tau)
+        return [(scale * head, signed * tail) for scale, signed in _scales(rate, orders)]
     x = rate * tau
-    return (tau ** (4 - deriv) * _remainder(x, 4 - deriv),
-            tau ** (5 - deriv) * _remainder(x, 5 - deriv))
+    remainder = _remainders(x, [k for d in orders for k in (4 - d, 5 - d)])
+    return [(tau ** (4 - d) * remainder[4 - d], tau ** (5 - d) * remainder[5 - d])
+            for d in orders]
 
 
 def _cubic(poly, tau, order: int):
@@ -184,6 +218,15 @@ def _cubic(poly, tau, order: int):
     for k in range(2, order - 1, -1):
         value = value * tau + factors[k] * poly[k]
     return value
+
+
+def _evaluate(regime: str, rate, width: float, poly, beta, tau, orders):
+    """For each order, the order-th derivative of position at tau: the
+    cubic plus the basis pair.  One trajectory passes floats; a batch
+    passes arrays for the rate and for each entry of poly and beta, which
+    broadcast against tau."""
+    return [_cubic(poly, tau, d) + beta[0] * head + beta[1] * tail
+            for d, (head, tail) in zip(orders, _basis_pairs(regime, rate, width, tau, orders))]
 
 
 @dataclass(frozen=True)
@@ -215,9 +258,8 @@ class MzTrajectory:
     def derivative(self, t, order: int):
         """The order-th derivative of position at t, a scalar or an array."""
         tau = np.asarray(t, dtype=float) - self.t0
-        b1, b2 = self._beta
-        head, tail = _basis_pair(self._regime, self.rate_pos, self.duration, tau, order)
-        return _cubic(self._poly, tau, order) + b1 * head + b2 * tail
+        return _evaluate(self._regime, self.rate_pos, self.duration, self._poly, self._beta,
+                         tau, (order,))[0]
 
     def position(self, t):
         return self.derivative(t, 0)
@@ -233,15 +275,50 @@ class MzTrajectory:
 
     def half_square_integral(self, order: int) -> float:
         """Half the integral of the order-th derivative of position squared
-        over the window, by panelled Gauss-Legendre quadrature sized to
-        resolve the boundary layers, all panels' nodes in one evaluation."""
-        width = self.duration
-        panels = int(min(600, max(3, math.ceil(self.rate_pos * width / _GL_WIDTH))))
+        over the window (half_square_integrals of this one trajectory)."""
+        return half_square_integrals((self,), (order,))[0][0]
+
+
+def half_square_integrals(
+    trajectories: Sequence[MzTrajectory], orders: Sequence[int]
+) -> List[Tuple[float, ...]]:
+    """Half the integral of the square of each listed derivative order of
+    position over each trajectory's window, one tuple per trajectory.
+
+    The quadrature is panelled Gauss-Legendre sized to resolve the boundary
+    layers: ceil(A1 * width / _GL_WIDTH) panels of _GL_NODES nodes, at
+    least 3 and at most 600.  Trajectories with the same window, panel
+    count and basis share one node grid, and all their nodes are evaluated
+    in one _evaluate call broadcast over the trajectories; each
+    trajectory's panel sums are then reduced on their own, so its
+    integrals do not depend on what it is batched with.
+    """
+    groups = {}
+    for i, traj in enumerate(trajectories):
+        panels = int(min(600, max(3, math.ceil(traj.rate_pos * traj.duration / _GL_WIDTH))))
+        groups.setdefault((traj.t0, traj.t1, panels, traj._regime), []).append(i)
+    integrals = [None] * len(trajectories)
+    for (t0, t1, panels, regime), members in groups.items():
+        width = t1 - t0
         edges = np.linspace(0.0, width, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        values = self.derivative(self.t0 + (mid[:, None] + half[:, None] * _GL_POINTS), order)
-        return 0.5 * float(half @ (values * values @ _GL_WEIGHTS))
+        tau = (t0 + (mid[:, None] + half[:, None] * _GL_POINTS)) - t0
+        group = [trajectories[i] for i in members]
+        if len(group) > 1:
+            # each member's rate, p0..p3, beta1 and beta2, broadcast against tau
+            params = np.array([(t.rate_pos, *t._poly, *t._beta) for t in group]).T[..., None, None]
+            rate, poly, beta = params[0], params[1:5], params[5:]
+        else:
+            # one trajectory evaluates on its own floats, as derivative does
+            rate, poly, beta = group[0].rate_pos, group[0]._poly, group[0]._beta
+        sums = [
+            [0.5 * float(half @ (v * v @ _GL_WEIGHTS)) for v in values.reshape((-1,) + tau.shape)]
+            for values in _evaluate(regime, rate, width, poly, beta, tau, orders)
+        ]
+        for i, values in zip(members, zip(*sums)):
+            integrals[i] = values
+    return integrals
 
 
 def solve_mz_fuel(b: MzBoundary) -> PolyTrajectory:
@@ -258,17 +335,6 @@ def solve_mz_fuel(b: MzBoundary) -> PolyTrajectory:
 def solve_mz_jerk(b: MzBoundary) -> PolyTrajectory:
     """Jerk minimum: quintic position pinned by p, v, u at both ends."""
     return hermite(b.tm, b.tf, (b.p_start, b.vm, b.u_start), (b.p_end, b.vf, b.u_end))
-
-
-def _weighted_system(regime: str, rate: float, width: float) -> np.ndarray:
-    """Boundary matrix over (p0, p1, p2, p3, beta1, beta2): the cubic
-    evaluator applied to the unit coefficient vectors, beside the basis
-    pair, for position, speed and control at both window ends."""
-    return np.array([
-        [*(_cubic(unit, tau, deriv) for unit in _UNIT),
-         *map(float, _basis_pair(regime, rate, width, tau, deriv))]
-        for tau in (0.0, width) for deriv in (0, 1, 2)
-    ])
 
 
 def _canonical_weighted_coefficients(
@@ -325,28 +391,67 @@ def weighted_rate(w: Optional[float], q1: float, q2: float, width: float) -> flo
     return rate
 
 
-def solve_mz_weighted(b: MzBoundary, w: float, q1: float, q2: float) -> MzTrajectory:
-    """Optimal trade between acceleration effort and jerk at weight w.
+def solve_mz_weighted_grid(
+    b: MzBoundary, weights: Sequence[float], q1: float, q2: float
+) -> Tuple[MzTrajectory, ...]:
+    """Optimal trades between acceleration effort and jerk, one per weight.
 
     The stationarity condition forces the speed profile to satisfy
     (1-w)*q2*v'' - w*q1*v + (a/2)*tau^2 + b*tau + c = 0 for some constants
     a, b, c, giving the cubic-plus-exponential closed form described in
     the module docstring.  The six boundary conditions then pin all six
     constants through one linear solve in whichever basis is conditioned
-    for this rate.
+    for the weight's rate.
+
+    Every weight's rate comes from weighted_rate, in order, so the first
+    weight it refuses raises ValueError.  The weights are then split by
+    basis.  Each basis's 6x6 systems over (p0, p1, p2, p3, beta1, beta2)
+    share the cubic's rows, take their basis columns from one _basis_pairs
+    call over the basis's rates, both window ends and the orders 0-2, and
+    are solved as one stack.
     """
     width = b.duration
-    rate = weighted_rate(w, q1, q2, width)
-    regime = "series" if rate * width <= _REGIME_SPLIT else "layer"
-    rhs = np.array([b.p_start, b.vm, b.u_start, b.p_end, b.vf, b.u_end])
-    solution = np.linalg.solve(_weighted_system(regime, rate, width), rhs)
-    poly = tuple(map(float, solution[:4]))
-    beta = tuple(map(float, solution[4:]))
-    coeffs = _canonical_weighted_coefficients(regime, rate, poly, beta, w, q1, q2, width)
-    return MzTrajectory(
-        t0=b.tm, t1=b.tf, coefficients=tuple(map(float, coeffs)), rate_pos=rate,
-        w=w, q1=q1, q2=q2, _regime=regime, _poly=poly, _beta=beta,
-    )
+    rates = [weighted_rate(w, q1, q2, width) for w in weights]
+    regimes = ["series" if rate * width <= _REGIME_SPLIT else "layer" for rate in rates]
+    ends = np.array([0.0, width])
+    # the cubic's position, speed and control at tau = 0 and tau = width
+    cubic = np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 2.0, 0.0],
+        [1.0, width, width * width, width * width * width],
+        [0.0, 1.0, 2.0 * width, 3.0 * width * width],
+        [0.0, 0.0, 2.0, 6.0 * width],
+    ])
+    rhs = np.array([b.p_start, b.vm, b.u_start, b.p_end, b.vf, b.u_end]).reshape(1, 6, 1)
+    solutions = [None] * len(rates)
+    for regime in ("series", "layer"):
+        members = [i for i, name in enumerate(regimes) if name == regime]
+        if not members:
+            continue
+        rate = np.array([rates[i] for i in members])[:, None]
+        # pairs[d][c][i, e]: column c of member i's row for order d at end e
+        pairs = np.array(_basis_pairs(regime, rate, width, ends, (0, 1, 2)))
+        systems = np.empty((len(members), 6, 6))
+        systems[..., :4] = cubic
+        systems[..., 4:] = pairs.transpose(2, 3, 0, 1).reshape(len(members), 6, 2)
+        for i, solution in zip(members, np.linalg.solve(systems, rhs)[..., 0].tolist()):
+            solutions[i] = solution
+    trajectories = []
+    for w, rate, regime, solution in zip(weights, rates, regimes, solutions):
+        poly, beta = tuple(solution[:4]), tuple(solution[4:])
+        coeffs = _canonical_weighted_coefficients(regime, rate, poly, beta, w, q1, q2, width)
+        trajectories.append(MzTrajectory(
+            t0=b.tm, t1=b.tf, coefficients=tuple(map(float, coeffs)), rate_pos=rate,
+            w=w, q1=q1, q2=q2, _regime=regime, _poly=poly, _beta=beta,
+        ))
+    return tuple(trajectories)
+
+
+def solve_mz_weighted(b: MzBoundary, w: float, q1: float, q2: float) -> MzTrajectory:
+    """The optimal trade between acceleration effort and jerk at weight w:
+    solve_mz_weighted_grid over the grid of one."""
+    return solve_mz_weighted_grid(b, (w,), q1, q2)[0]
 
 
 class MzCosts(NamedTuple):
@@ -370,12 +475,14 @@ def mz_costs(
     trajectory (cross-evaluation).  Polynomials are integrated exactly;
     the exponential form uses panelled high-order quadrature.
     """
-    fuel = traj.half_square_integral(2)
-    discomfort = traj.half_square_integral(3)
     if isinstance(traj, MzTrajectory):
+        ((fuel, discomfort),) = half_square_integrals((traj,), (2, 3))
         w = traj.w if w is None else w
         q1 = traj.q1 if q1 is None else q1
         q2 = traj.q2 if q2 is None else q2
+    else:
+        fuel = traj.half_square_integral(2)
+        discomfort = traj.half_square_integral(3)
     weighted = None
     if w is not None:
         if q1 is None or q2 is None:

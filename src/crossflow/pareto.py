@@ -4,7 +4,11 @@ Each weight w in (0, 1) yields one optimal trajectory for the same
 boundary conditions; collecting (fuel, discomfort) across a grid traces
 the tradeoff curve, and dominance filtering extracts its frontier.  The
 default grid is log-spaced toward both ends of the interval because the
-curve's knees live near the degenerate weights.
+curve's knees live near the degenerate weights.  A sweep makes one
+batched solve of the whole grid (mz_planner.solve_mz_weighted_grid) and
+one batched cost quadrature of its trajectories
+(mz_planner.half_square_integrals); the frontier compares every pair of
+points at once.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ import numpy as np
 from crossflow.mz_planner import (
     MzBoundary,
     MzTrajectory,
-    mz_costs,
+    half_square_integrals,
     normalization_weights,
-    solve_mz_weighted,
+    solve_mz_weighted_grid,
 )
 
 DEFAULT_GRID_SIZE = 50
@@ -71,32 +75,24 @@ def frontier(points: Iterable[ParetoPoint]) -> Tuple[ParetoPoint, ...]:
     """Non-dominated subset under (fuel, discomfort) minimization.
 
     Cost ties, exact or within float noise, keep only the lowest-w
-    representative; output is ordered by w.
+    representative; output is ordered by w.  Every pair is compared at
+    once, as one dominance matrix over (other, candidate).
     """
     pts = list(points)
-    kept = []
-    for candidate in pts:
-        dominated = False
-        for other in pts:
-            if other is candidate:
-                continue
-            if other.fuel <= candidate.fuel + _TIE_EPS and (
-                other.discomfort <= candidate.discomfort + _TIE_EPS
-            ):
-                strictly_better = (
-                    other.fuel < candidate.fuel - _TIE_EPS
-                    or other.discomfort < candidate.discomfort - _TIE_EPS
-                )
-                tie_loser = (
-                    abs(other.fuel - candidate.fuel) <= _TIE_EPS
-                    and abs(other.discomfort - candidate.discomfort) <= _TIE_EPS
-                    and other.w < candidate.w
-                )
-                if strictly_better or tie_loser:
-                    dominated = True
-                    break
-        if not dominated:
-            kept.append(candidate)
+    # columns over the other point, to compare with their transposes over the candidate
+    fuel, discomfort, w = np.array(
+        [(p.fuel, p.discomfort, p.w) for p in pts], dtype=float
+    ).reshape(-1, 3).T[:, :, None]
+    no_worse = (fuel <= fuel.T + _TIE_EPS) & (discomfort <= discomfort.T + _TIE_EPS)
+    strictly_better = (fuel < fuel.T - _TIE_EPS) | (discomfort < discomfort.T - _TIE_EPS)
+    tie_loser = (
+        (np.abs(fuel - fuel.T) <= _TIE_EPS)
+        & (np.abs(discomfort - discomfort.T) <= _TIE_EPS)
+        & (w < w.T)
+    )
+    # a point never dominates itself: it is neither strictly better nor of lower w
+    dominated = (no_worse & (strictly_better | tie_loser)).any(axis=0)
+    kept = [point for point, out in zip(pts, dominated) if not out]
     kept.sort(key=lambda point: point.w)
     return tuple(kept)
 
@@ -126,21 +122,26 @@ def sweep(
         q1 = default_q1 if q1 is None else q1
         q2 = default_q2 if q2 is None else q2
 
-    points = []
-    for w in grid:
-        try:
-            traj = solve_mz_weighted(b, w, q1, q2)
-        except Exception as exc:
-            raise RuntimeError(f"weighted solve failed at w={w}: {exc}") from exc
-        costs = mz_costs(traj)
-        points.append(
-            ParetoPoint(w=w, fuel=costs.fuel, discomfort=costs.discomfort, trajectory=traj)
-        )
+    try:
+        trajectories = solve_mz_weighted_grid(b, grid, q1, q2)
+    except Exception as exc:
+        # name the first weight that fails on its own
+        for w in grid:
+            try:
+                solve_mz_weighted_grid(b, (w,), q1, q2)
+            except Exception as single:
+                raise RuntimeError(f"weighted solve failed at w={w}: {single}") from single
+        raise RuntimeError(f"weighted solve failed: {exc}") from exc
+    points = tuple(
+        ParetoPoint(w=w, fuel=fuel, discomfort=discomfort, trajectory=traj)
+        for w, traj, (fuel, discomfort) in zip(
+            grid, trajectories, half_square_integrals(trajectories, (2, 3)))
+    )
     return ParetoRun(
         boundary=b,
         q1=q1,
         q2=q2,
         grid=grid,
-        points=tuple(points),
+        points=points,
         frontier=frontier(points),
     )

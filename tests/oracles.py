@@ -11,7 +11,9 @@ Hermite coefficients and Horner loop, a full
 reschedule per entry-gate probe, a full gate search of every arm head at
 every admission, one scalar evaluation per sampled row, a
 forward queue scan, all-pairs audits and a csv.writer per output line
-instead of the simulator's and the command line's shortcuts.  Tests
+instead of the simulator's and the command line's shortcuts, and one
+weighted solve and quadrature per weight and a pairwise frontier loop
+instead of the batched weight sweep and its dominance matrix.  Tests
 compare the two routes; neither side is derived from the other.
 """
 
@@ -29,6 +31,12 @@ from scipy.integrate import quad, solve_ivp
 
 from crossflow.cz_planner import rear_end_gap, solve_cz
 from crossflow.geometry import Arm, ConflictClass, classify
+from crossflow.mz_planner import (
+    _REGIME_SPLIT,
+    MzTrajectory,
+    _canonical_weighted_coefficients,
+    weighted_rate,
+)
 from crossflow.scheduler import ConflictPredecessors, schedule
 from crossflow.sim import (
     _GATE_RESOLUTION,
@@ -702,3 +710,130 @@ def plan_rows_by_scalar(cz, mz, t0, tm, tf, step):
             for evaluate in (traj.position, traj.speed, traj.control, traj.jerk)
         ])
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The weighted merge solve and its costs one weight at a time, as the
+# package did before it solved and costed a whole weight grid in one
+# batched pass: six scalar basis evaluations and 24 scalar cubic rows per
+# 6x6 system, one linear solve per weight, and one node evaluation and
+# panel reduction per trajectory and cost.  The batched sweep must agree
+# with it bit for bit.
+
+
+def _remainder_scalar(x, k):
+    x = np.asarray(x, dtype=float)
+    x2 = x * x
+    odd = k % 2
+    numerator = np.sinh(x) if odd else np.cosh(x)
+    even = 1.0
+    for j in range(odd, k, 2):
+        numerator = numerator - (even * x if odd else even) / math.factorial(j)
+        even = even * x2
+    power = even * x if odd else even
+    series = 0.0
+    for j in reversed(range(8)):
+        series = series * x2 + 1.0 / math.factorial(k + 2 * j)
+    small = np.abs(x) <= 0.5
+    return np.where(small, series, numerator / np.where(small, 1.0, power))
+
+
+def _basis_pair_scalar(regime, rate, width, tau, deriv):
+    tau = np.asarray(tau, dtype=float)
+    if regime == "layer":
+        scale = rate**deriv
+        return (scale * np.exp(-rate * (width - tau)),
+                scale * np.exp(-rate * tau) * ((-1.0) ** deriv))
+    x = rate * tau
+    return (tau ** (4 - deriv) * _remainder_scalar(x, 4 - deriv),
+            tau ** (5 - deriv) * _remainder_scalar(x, 5 - deriv))
+
+
+def _cubic_scalar(poly, tau, order):
+    factors = [math.perm(k, order) for k in range(4)]
+    value = factors[3] * poly[3]
+    for k in range(2, order - 1, -1):
+        value = value * tau + factors[k] * poly[k]
+    return value
+
+
+def solve_weighted_by_weight(b, w, q1, q2):
+    """One weighted merge trajectory: its own rate, regime, 6x6 system
+    and linear solve."""
+    width = b.duration
+    rate = weighted_rate(w, q1, q2, width)
+    regime = "series" if rate * width <= _REGIME_SPLIT else "layer"
+    units = [[float(i == k) for i in range(4)] for k in range(4)]
+    system = np.array([
+        [*(_cubic_scalar(unit, tau, deriv) for unit in units),
+         *map(float, _basis_pair_scalar(regime, rate, width, tau, deriv))]
+        for tau in (0.0, width) for deriv in (0, 1, 2)
+    ])
+    rhs = np.array([b.p_start, b.vm, b.u_start, b.p_end, b.vf, b.u_end])
+    solution = np.linalg.solve(system, rhs)
+    poly = tuple(map(float, solution[:4]))
+    beta = tuple(map(float, solution[4:]))
+    coeffs = _canonical_weighted_coefficients(regime, rate, poly, beta, w, q1, q2, width)
+    return MzTrajectory(
+        t0=b.tm, t1=b.tf, coefficients=tuple(map(float, coeffs)), rate_pos=rate,
+        w=w, q1=q1, q2=q2, _regime=regime, _poly=poly, _beta=beta,
+    )
+
+
+def half_square_by_trajectory(traj, order):
+    """Half the integral of the order-th derivative squared over one
+    weighted trajectory's window: its own panels and node evaluation."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    width = traj.duration
+    panels = int(min(600, max(3, math.ceil(traj.rate_pos * width / 10.0))))
+    edges = np.linspace(0.0, width, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    tau = (traj.t0 + (mid[:, None] + half[:, None] * nodes)) - traj.t0
+    b1, b2 = traj._beta
+    head, tail = _basis_pair_scalar(traj._regime, traj.rate_pos, width, tau, order)
+    values = _cubic_scalar(traj._poly, tau, order) + b1 * head + b2 * tail
+    return 0.5 * float(half @ (values * values @ weights))
+
+
+def sweep_by_weight(b, grid, q1, q2):
+    """(w, trajectory, fuel, discomfort) for each weight of the grid, one
+    solve and two quadratures per weight."""
+    out = []
+    for w in grid:
+        traj = solve_weighted_by_weight(b, w, q1, q2)
+        out.append((w, traj, half_square_by_trajectory(traj, 2),
+                    half_square_by_trajectory(traj, 3)))
+    return out
+
+
+def frontier_by_pairs(points, tie_eps=1e-12):
+    """Non-dominated subset under (fuel, discomfort) minimization, by
+    comparing every pair in Python: cost ties within tie_eps keep only the
+    lowest-w point; output ordered by w."""
+    pts = list(points)
+    kept = []
+    for candidate in pts:
+        dominated = False
+        for other in pts:
+            if other is candidate:
+                continue
+            if other.fuel <= candidate.fuel + tie_eps and (
+                other.discomfort <= candidate.discomfort + tie_eps
+            ):
+                strictly_better = (
+                    other.fuel < candidate.fuel - tie_eps
+                    or other.discomfort < candidate.discomfort - tie_eps
+                )
+                tie_loser = (
+                    abs(other.fuel - candidate.fuel) <= tie_eps
+                    and abs(other.discomfort - candidate.discomfort) <= tie_eps
+                    and other.w < candidate.w
+                )
+                if strictly_better or tie_loser:
+                    dominated = True
+                    break
+        if not dominated:
+            kept.append(candidate)
+    kept.sort(key=lambda point: point.w)
+    return tuple(kept)

@@ -14,7 +14,7 @@ from crossflow import (
     solve_mz_jerk,
     solve_mz_weighted,
 )
-from crossflow.mz_planner import _remainder
+from crossflow.mz_planner import _remainders, half_square_integrals, solve_mz_weighted_grid
 
 S_LEFT = 3.0 * math.pi * 30.0 / 8.0  # left-turn arc length for a 30 m zone
 
@@ -230,8 +230,8 @@ def test_remainder_matches_its_series():
     xs = [*np.linspace(-3.0, 3.0, 601), 0.0, 1e-300]
     for split in (0.5, -0.5):
         xs += [split, math.nextafter(split, 0.0), math.nextafter(split, 2.0 * split)]
-    for k in range(1, 6):
-        for x, got in zip(xs, _remainder(np.array(xs), k)):
+    for k, values in _remainders(np.array(xs), range(1, 6)).items():
+        for x, got in zip(xs, values):
             ref = math.fsum(x ** (2 * j) / math.factorial(k + 2 * j) for j in range(60))
             assert abs(got - ref) <= 1e-12 * ref
 
@@ -355,3 +355,52 @@ def test_cross_evaluation_uses_supplied_weights():
     assert at_03.fuel == at_07.fuel
     assert at_03.discomfort == at_07.discomfort
     assert at_03.weighted != at_07.weighted
+
+
+# ---------------------------------------------------------------------------
+# batched solve and quadrature
+
+
+def test_single_weighted_solve_matches_per_weight_oracle():
+    rng = np.random.default_rng(31)
+    for w in (1e-3, 0.01, 0.2, 0.5, 0.99, 1.0 - 1e-3):
+        for _ in range(6):
+            b = _random_boundary(rng)
+            got = solve_mz_weighted(b, w, Q1, Q2)
+            ref = oracles.solve_weighted_by_weight(b, w, Q1, Q2)
+            assert repr(got) == repr(ref)
+            costs = mz_costs(got)
+            assert repr((costs.fuel, costs.discomfort)) == repr(
+                (oracles.half_square_by_trajectory(ref, 2),
+                 oracles.half_square_by_trajectory(ref, 3))
+            )
+
+
+def test_weighted_grid_raises_at_its_first_refused_weight():
+    with pytest.raises(ValueError, match="weight 0.9999 gives"):
+        solve_mz_weighted_grid(LEFT, (0.1, 0.5, 0.9999, 0.99999), Q1, Q2)
+    assert solve_mz_weighted_grid(LEFT, (), Q1, Q2) == ()
+
+
+def test_batched_costs_of_mixed_windows_match_each_alone():
+    # windows that differ, windows that repeat (so that trajectories share
+    # a node grid), both bases and several panel counts, in shuffled order
+    rng = np.random.default_rng(5)
+    boundaries = [_random_boundary(rng) for _ in range(4)]
+    boundaries.append(boundaries[0])
+    trajectories = [
+        solve_mz_weighted(b, w, Q1, Q2)
+        for b in boundaries
+        for w in (1e-3, 0.01, 0.3, 0.5, 0.9, 0.99, 0.999)
+    ]
+    order = rng.permutation(len(trajectories))
+    trajectories = [trajectories[i] for i in order]
+    assert {t._regime for t in trajectories} == {"series", "layer"}
+    batched = half_square_integrals(trajectories, (2, 3))
+    for traj, costs in zip(trajectories, batched):
+        alone = (traj.half_square_integral(2), traj.half_square_integral(3))
+        assert repr(costs) == repr(alone)
+        assert repr(alone) == repr(
+            (oracles.half_square_by_trajectory(traj, 2), oracles.half_square_by_trajectory(traj, 3))
+        )
+    assert half_square_integrals((), (2, 3)) == []

@@ -5,14 +5,19 @@ import pytest
 
 import oracles
 from crossflow import (
+    IntersectionGeometry,
     MzBoundary,
     ParetoPoint,
+    Turn,
     default_grid,
     frontier,
     mz_costs,
+    normalization_weights,
     solve_mz_jerk,
+    solve_mz_weighted,
     sweep,
 )
+from crossflow.mz_planner import _REGIME_SPLIT
 
 S_LEFT = 3.0 * math.pi * 30.0 / 8.0
 
@@ -118,3 +123,112 @@ def test_cross_evaluation_optimality():
         for other in run.points:
             cross = own.w * q1 * other.fuel + (1.0 - own.w) * q2 * other.discomfort
             assert own_cost <= cross + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep against the per-weight solve and quadrature
+
+
+def _turn_boundary(turn, vm=None):
+    # the merge window crossflow pareto sweeps by default; an entry speed
+    # other than the turn's merge speed gives a straight crossing costs too
+    g = IntersectionGeometry()
+    return MzBoundary(
+        tm=0.0, tf=g.transit_time(turn), vm=g.mz_speed(turn) if vm is None else vm,
+        vf=g.mz_speed(turn), p_start=g.cz_length, p_end=g.cz_length + g.path_length(turn),
+    )
+
+
+def _frontier_indices(points, kept):
+    return [i for i, p in enumerate(points) if any(p is k for k in kept)]
+
+
+def _assert_sweep_matches_per_weight(b, grid):
+    q1, q2 = normalization_weights()
+    run = sweep(b, grid, q1=q1, q2=q2)
+    reference = oracles.sweep_by_weight(b, run.grid, q1, q2)
+    assert len(run.points) == len(reference) == len(grid)
+    for point, (w, traj, fuel, discomfort) in zip(run.points, reference):
+        got = point.trajectory
+        assert point.w == w
+        assert repr((got.coefficients, got._poly, got._beta, got.rate_pos, got._regime)) == repr(
+            (traj.coefficients, traj._poly, traj._beta, traj.rate_pos, traj._regime)
+        )
+        assert repr((point.fuel, point.discomfort)) == repr((fuel, discomfort))
+    reference_points = [
+        ParetoPoint(w=w, fuel=fuel, discomfort=discomfort, trajectory=traj)
+        for w, traj, fuel, discomfort in reference
+    ]
+    assert _frontier_indices(run.points, run.frontier) == _frontier_indices(
+        reference_points, oracles.frontier_by_pairs(reference_points)
+    )
+    return run
+
+
+@pytest.mark.parametrize("turn", list(Turn))
+@pytest.mark.parametrize("vm", [None, 11.0])
+def test_sweep_matches_per_weight_on_default_grid(turn, vm):
+    run = _assert_sweep_matches_per_weight(_turn_boundary(turn, vm), default_grid())
+    assert {p.trajectory._regime for p in run.points} == {"series", "layer"}
+
+
+def test_sweep_matches_per_weight_across_the_regime_split():
+    b = _turn_boundary(Turn.LEFT)
+    q1, q2 = normalization_weights()
+    rate = _REGIME_SPLIT / b.duration
+    split = rate * rate * q2 / (q1 + rate * rate * q2)
+    grid = [split * (1.0 + k * 1e-3) for k in range(-3, 4)]
+    grid += [math.nextafter(split, 0.0), split, math.nextafter(split, 1.0)]
+    run = _assert_sweep_matches_per_weight(b, grid)
+    assert {p.trajectory._regime for p in run.points} == {"series", "layer"}
+
+
+def test_sweep_matches_per_weight_on_unsorted_grid_with_duplicates():
+    grid = (0.5, 0.01, 0.9, 0.01, 0.3, 0.5, 0.999, 0.002, 0.9)
+    for turn in Turn:
+        run = _assert_sweep_matches_per_weight(_turn_boundary(turn, 11.0), grid)
+        assert run.grid == grid
+
+
+@pytest.mark.parametrize("w", [0.001, 0.01, 0.5, 0.99])
+def test_sweep_of_one_weight_matches_the_single_solve(w):
+    b = _turn_boundary(Turn.LEFT, 11.0)
+    run = _assert_sweep_matches_per_weight(b, (w,))
+    q1, q2 = normalization_weights()
+    single = solve_mz_weighted(b, w, q1, q2)
+    assert run.points[0].trajectory == single
+    costs = mz_costs(single)
+    assert repr((run.points[0].fuel, run.points[0].discomfort)) == repr(
+        (costs.fuel, costs.discomfort)
+    )
+
+
+def test_sweep_names_the_first_weight_past_the_exponent_cap():
+    # the third and fourth weights both pass the cap; the error names the third
+    with pytest.raises(RuntimeError, match=r"weighted solve failed at w=0\.9999: weight 0\.9999 "):
+        sweep(LEFT, grid=(0.1, 0.5, 0.9999, 0.99999))
+
+
+def test_frontier_matches_pairwise_oracle_on_ties_and_duplicates():
+    rng = np.random.default_rng(12)
+    # exact ties, ties inside the tie tolerance, just outside it, and far apart
+    offsets = (0.0, 0.0, 4e-13, -7e-13, 1e-12, -1e-12, 3e-12, -2.5e-12, 0.25)
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        points = []
+        for _ in range(n):
+            fuel = float(rng.integers(0, 4)) + float(rng.choice(offsets))
+            discomfort = float(rng.integers(0, 4)) + float(rng.choice(offsets))
+            w = float(rng.choice((0.1, 0.2, 0.2, 0.5, 0.7, 0.9)))
+            points.append(pt(w, fuel, discomfort))
+        # the same point object listed more than once
+        for i in rng.integers(0, n, int(rng.integers(0, 3))):
+            points.append(points[int(i)])
+        rng.shuffle(points)
+        kept = frontier(points)
+        expected = oracles.frontier_by_pairs(points)
+        assert [id(p) for p in kept] == [id(p) for p in expected]
+
+
+def test_frontier_of_nothing_is_empty():
+    assert frontier(()) == ()

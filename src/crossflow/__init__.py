@@ -39,7 +39,6 @@ from crossflow.mz_planner import (
     MzCosts,
     MzTrajectory,
     MzVariant,
-    boundary_from_schedule,
     mz_costs,
     normalization_weights,
     solve_mz,
@@ -57,6 +56,7 @@ from crossflow.sim import (
     VehicleRecord,
     audit_run,
     generate_arrivals,
+    plan_crossing,
     run,
 )
 

@@ -27,19 +27,18 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from crossflow import __version__
-from crossflow.cz_planner import check_feasibility, solve_cz
-from crossflow.geometry import Arm, IntersectionGeometry, Turn, TurnTimeFormula
+from crossflow.cz_planner import check_feasibility
+from crossflow.geometry import Arm, IntersectionGeometry, Movement, Turn, TurnTimeFormula
 from crossflow.mz_planner import (
     DEFAULT_JERK_SCALE,
     MzBoundary,
     MzVariant,
     mz_costs,
     normalization_weights,
-    solve_mz,
 )
 from crossflow.pareto import DEFAULT_W_MAX, DEFAULT_W_MIN, default_grid, sweep
-from crossflow.scheduler import earliest_mz_arrival
-from crossflow.sim import SimConfig, evaluate_crossing, run
+from crossflow.scheduler import VehicleSpec, earliest_mz_arrival
+from crossflow.sim import SimConfig, evaluate_crossing, plan_crossing, run
 
 SCHEMA_VERSION = 1
 CONFIG_ENV_VAR = "CROSSFLOW_CONFIG"
@@ -92,18 +91,6 @@ def _read(convert: Callable[[Any], Any], value: Any, path: str) -> Any:
         raise ConfigError(f"{path} has a malformed value: {value!r}") from None
 
 
-def _finite(value: Any) -> float:
-    """float(value), which must be neither NaN nor infinite."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(value)
-    return number
-
-
-def _floats(raw: Any) -> Tuple[float, ...]:
-    return tuple(_finite(x) for x in raw)
-
-
 def _integer(value: Any) -> int:
     """value itself if it is an integer; a float such as 2.5 is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -112,10 +99,20 @@ def _integer(value: Any) -> int:
 
 
 def _real(value: Any) -> float:
-    """value itself if it is a finite real number; a string such as "0.5" is not."""
+    """value itself if it is a finite real number; a string such as "0.5"
+    or a boolean is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(value)
     return value
+
+
+def _finite(value: Any) -> float:
+    """_real(value) as a float."""
+    return float(_real(value))
+
+
+def _floats(raw: Any) -> Tuple[float, ...]:
+    return tuple(_finite(x) for x in raw)
 
 
 def _nullable(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
@@ -252,27 +249,12 @@ def _geometry_dict(g: IntersectionGeometry) -> Dict[str, Any]:
     }
 
 
-def _parse_objective(name: Any, path: str) -> MzVariant:
+def _parse_enum(kind: type, name: Any, path: str) -> Any:
+    """The member of the enum class kind whose value is name."""
     try:
-        return MzVariant(name)
+        return kind(name)
     except ValueError:
-        valid = ", ".join(v.value for v in MzVariant)
-        raise ConfigError(f"{path} must be one of: {valid} (got {name!r})") from None
-
-
-def _parse_turn(name: Any, path: str) -> Turn:
-    try:
-        return Turn(name)
-    except ValueError:
-        valid = ", ".join(t.value for t in Turn)
-        raise ConfigError(f"{path} must be one of: {valid} (got {name!r})") from None
-
-
-def _parse_arm(name: Any, path: str) -> Arm:
-    try:
-        return Arm(name)
-    except ValueError:
-        valid = ", ".join(a.value for a in Arm)
+        valid = ", ".join(member.value for member in kind)
         raise ConfigError(f"{path} must be one of: {valid} (got {name!r})") from None
 
 
@@ -295,7 +277,7 @@ def _build_sim_config(
                 raise ConfigError(f"sim.{key} must be a list of {size} numbers")
             kwargs[key] = _read(_floats, raw, f"sim.{key}")
     if "objective" in section:
-        kwargs["objective"] = _parse_objective(section["objective"], "sim.objective")
+        kwargs["objective"] = _parse_enum(MzVariant, section["objective"], "sim.objective")
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
@@ -424,7 +406,7 @@ def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optiona
 def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
     geometry = _build_geometry(_section(config, "geometry", _GEOMETRY_KEYS))
     section = _section(config, "pareto", _PARETO_KEYS)
-    turn = _parse_turn(section.get("turn", "left"), "pareto.turn")
+    turn = _parse_enum(Turn, section.get("turn", "left"), "pareto.turn")
     entry_time = _read(_finite, section.get("entry_time", 0.0), "pareto.entry_time")
     vm = section.get("mz_entry_speed")
     vm = geometry.mz_speed(turn) if vm is None else _read(_finite, vm, "pareto.mz_entry_speed")
@@ -487,12 +469,12 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
 def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
     geometry = _build_geometry(_section(config, "geometry", _GEOMETRY_KEYS))
     section = _section(config, "plan", _PLAN_KEYS)
-    arm = _parse_arm(section.get("arm", "W"), "plan.arm")
-    turn = _parse_turn(section.get("turn", "straight"), "plan.turn")
+    arm = _parse_enum(Arm, section.get("arm", "W"), "plan.arm")
+    turn = _parse_enum(Turn, section.get("turn", "straight"), "plan.turn")
     t0 = _read(_finite, section.get("t0", 0.0), "plan.t0")
     v0 = _read(_finite, section.get("v0", 10.0), "plan.v0")
     requested_tm = section.get("tm")
-    objective = _parse_objective(section.get("objective", "jerk_only"), "plan.objective")
+    objective = _parse_enum(MzVariant, section.get("objective", "jerk_only"), "plan.objective")
     weight = section.get("weight")
     if weight is not None:
         weight = _read(_real, weight, "plan.weight")
@@ -521,18 +503,9 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
 
     vm = geometry.mz_speed(turn)
     tf = tm + geometry.transit_time(turn)
-    cz = solve_cz(t0, v0, tm, vm, geometry.cz_length)
-    boundary = MzBoundary(
-        tm=tm,
-        tf=tf,
-        vm=vm,
-        vf=vm,
-        p_start=geometry.cz_length,
-        p_end=geometry.cz_length + geometry.path_length(turn),
-        u_start=float(cz.control(tm)),
-    )
+    spec = VehicleSpec(vehicle_id=1, t0=t0, v0=v0, movement=Movement(arm, turn))
     try:
-        mz = solve_mz(boundary, objective, weight, geometry.u_max, jerk_scale)
+        cz, mz = plan_crossing(spec, tm, tf, geometry, objective, weight, jerk_scale)
     except ValueError as exc:
         raise ConfigError(f"plan: {exc}") from exc
     report = check_feasibility(cz, geometry)

@@ -57,8 +57,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from crossflow.cz_planner import PolyTrajectory, hermite
-from crossflow.geometry import IntersectionGeometry, require_finite
-from crossflow.scheduler import Schedule
+from crossflow.geometry import require_finite
 
 # objective normalization: q1 = 1/u_max^2 keeps q1*u^2 in [0,1] at the
 # acceleration bound; q2 mirrors it for jerk against a configured scale
@@ -130,25 +129,6 @@ class MzBoundary:
     @property
     def duration(self) -> float:
         return self.tf - self.tm
-
-
-def boundary_from_schedule(
-    sched: Schedule,
-    g: IntersectionGeometry,
-    u_start: float = 0.0,
-    u_end: float = 0.0,
-) -> MzBoundary:
-    """Build the merging-zone boundary conditions for a scheduled vehicle."""
-    return MzBoundary(
-        tm=sched.tm,
-        tf=sched.tf,
-        vm=sched.vm,
-        vf=sched.vf,
-        p_start=g.cz_length,
-        p_end=g.cz_length + g.path_length(sched.movement.turn),
-        u_start=u_start,
-        u_end=u_end,
-    )
 
 
 def _remainders(x, ks):

@@ -68,6 +68,9 @@ def default_grid(
     return tuple(float(w) for w in np.concatenate([lower, upper]))
 
 
+# the grid a sweep without one uses, built once
+_DEFAULT_GRID = default_grid()
+
 _TIE_EPS = 1e-12
 
 
@@ -112,7 +115,7 @@ def sweep(
     if b.u_start != 0.0 or b.u_end != 0.0:
         raise ValueError("tradeoff sweeps require zero boundary accelerations")
     if grid is None:
-        grid = default_grid()
+        grid = _DEFAULT_GRID
     grid = tuple(float(w) for w in grid)
     for w in grid:
         if not 0.0 < w < 1.0:

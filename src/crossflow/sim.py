@@ -18,18 +18,20 @@ heads are searched in order of the earliest entry each could have, and
 each search is given a cutoff, the best entry found so far: it stops as
 soon as a probe not clear reaches the cutoff, since its answer must then
 come later, and a head whose earliest possible entry is already later is
-not searched at all.  A vehicle's whole record (schedule, approach and
-merge trajectories) is built the moment it is admitted.  After the run,
-an auditor re-derives the safety story from the trajectory records
-alone, exactly on their closed forms, and reports every violation it
-finds.
+not searched at all.  A vehicle's record (schedule, approach and merge
+trajectories) is built the moment it is admitted, and plan_crossing is
+the one rule that turns its merge window into its two trajectories.
 
-Past the gate, the auditor is a single pass: it checks each vehicle
-against its lane leader, sweeps the merge-zone windows in order of start,
-and pairs vehicles only within an exit arm.  The sampled state table is
-not part of a run: it only displays the decisions, so it is built from
-the records the first time SimRun.samples is read, as one structured
-array whose rows are ordered by one sort of their (t, vehicle_id) keys.
+A run keeps only decisions: its config, its records and the gate's
+work.  Everything derived from them is computed on first read and then
+kept.  SimRun.audit re-derives the safety story from the trajectory
+records alone, exactly on their closed forms, and reports every
+violation it finds: a single pass that checks each vehicle against its
+lane leader, sweeps the merge-zone windows in order of start, and pairs
+vehicles only within an exit arm.  SimRun.binding_histogram counts the
+binding cases.  SimRun.samples, the sampled state table, only displays
+the decisions, as one structured array whose rows are ordered by one
+sort of their (t, vehicle_id) keys.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ from crossflow.geometry import (
 )
 from crossflow.mz_planner import (
     DEFAULT_JERK_SCALE,
+    MzBoundary,
     MzTrajectory,
     MzVariant,
-    boundary_from_schedule,
     normalization_weights,
     solve_mz,
     weighted_rate,
@@ -88,6 +90,9 @@ SAMPLE_DTYPE = np.dtype([
 # entry-gate search: first forward scan step and commit-time resolution
 _GATE_SCAN_STEP = 0.25
 _GATE_RESOLUTION = 1e-6
+
+# merge-zone windows may share, and exit headways fall short by, this much
+_AUDIT_TIME_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -206,7 +211,6 @@ class VehicleRecord:
     schedule: Schedule
     cz: PolyTrajectory
     mz: Union[PolyTrajectory, MzTrajectory]
-    leave_time: float          # exit time plus the constant-speed clearance window
 
 
 @dataclass(frozen=True)
@@ -257,19 +261,65 @@ class GateStats:
 
 @dataclass(frozen=True)
 class SimRun:
-    """One simulated scenario: its records, their audit and the gate's work."""
+    """One simulated scenario: its config, its records and the gate's work.
+
+    The audit, the binding histogram and the state table are derived from
+    the records: each is computed on its first read and is the same object
+    on every later one.  A run copied with replace() derives its own.
+    """
 
     config: SimConfig
     vehicles: Tuple[VehicleRecord, ...]
-    binding_histogram: Dict[str, int]
-    audit: AuditReport
     gate: GateStats
 
     @cached_property
+    def audit(self) -> AuditReport:
+        """The findings of audit_run on this run."""
+        # looked up as a module global at call time, so a wrapper installed
+        # on this module's name sees every audit
+        return audit_run(self)
+
+    @cached_property
+    def binding_histogram(self) -> Dict[str, int]:
+        """How many vehicles each binding case decided."""
+        histogram = dict.fromkeys(("same_exit", "same_entry", "lateral", "fifo", "feasibility"), 0)
+        for rec in self.vehicles:
+            histogram[rec.schedule.binding_case] += 1
+        return histogram
+
+    @cached_property
     def samples(self) -> np.ndarray:
-        """The state table of _sample_states, built on the first read and
-        the same array on every later one."""
+        """The state table of _sample_states."""
         return _sample_states(self.vehicles, self.config)
+
+
+def plan_crossing(
+    spec: VehicleSpec,
+    tm: float,
+    tf: float,
+    g: IntersectionGeometry,
+    objective: MzVariant,
+    weight: Optional[float] = None,
+    jerk_scale: float = DEFAULT_JERK_SCALE,
+) -> Tuple[PolyTrajectory, Union[PolyTrajectory, MzTrajectory]]:
+    """A vehicle's approach and merge trajectories for the merge window
+    [tm, tf]: the minimum-effort approach from its control-zone entry to
+    the merge entry at the movement's merge speed, then the merge-zone
+    optimum for objective, entered with the approach's end control and
+    left at the same speed with zero control."""
+    turn = spec.movement.turn
+    vm = g.mz_speed(turn)
+    cz = solve_cz(spec.t0, spec.v0, tm, vm, g.cz_length)
+    boundary = MzBoundary(
+        tm=tm,
+        tf=tf,
+        vm=vm,
+        vf=vm,
+        p_start=g.cz_length,
+        p_end=g.cz_length + g.path_length(turn),
+        u_start=float(cz.control(tm)),
+    )
+    return cz, solve_mz(boundary, objective, weight, g.u_max, jerk_scale)
 
 
 def _gated_entry(
@@ -448,36 +498,16 @@ def run(cfg: SimConfig) -> SimRun:
         pending[arm].popleft()
         spec = replace(head, vehicle_id=len(queue) + 1, t0=entry)
         sched = schedule_vehicle(spec, queue, g)
-        cz = solve_cz(spec.t0, spec.v0, sched.tm, sched.vm, g.cz_length)
-        boundary = boundary_from_schedule(sched, g, u_start=float(cz.control(sched.tm)))
+        cz, mz = plan_crossing(
+            spec, sched.tm, sched.tf, g, cfg.objective, cfg.weight, cfg.jerk_scale
+        )
         records.append(
-            VehicleRecord(
-                spec=spec,
-                arrival_time=head.t0,
-                schedule=sched,
-                cz=cz,
-                mz=solve_mz(boundary, cfg.objective, cfg.weight, g.u_max, cfg.jerk_scale),
-                leave_time=sched.tf + g.min_safe_distance / sched.vf,
-            )
+            VehicleRecord(spec=spec, arrival_time=head.t0, schedule=sched, cz=cz, mz=mz)
         )
         queue.append(sched)
         lane_leader[arm] = cz
 
-    vehicles = tuple(records)
-    return SimRun(
-        config=cfg,
-        vehicles=vehicles,
-        binding_histogram=_binding_histogram(vehicles),
-        audit=_audit(cfg, vehicles),
-        gate=gate,
-    )
-
-
-def _binding_histogram(records: Sequence[VehicleRecord]) -> Dict[str, int]:
-    histogram = {case: 0 for case in ("same_exit", "same_entry", "lateral", "fifo", "feasibility")}
-    for rec in records:
-        histogram[rec.schedule.binding_case] += 1
-    return histogram
+    return SimRun(config=cfg, vehicles=tuple(records), gate=gate)
 
 
 def evaluate_crossing(
@@ -516,7 +546,10 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarr
     step = cfg.sample_step
     g = cfg.geometry
     spans = [
-        (math.ceil(rec.spec.t0 / step - 1e-9), math.floor(rec.leave_time / step + 1e-9))
+        (
+            math.ceil(rec.spec.t0 / step - 1e-9),
+            math.floor((rec.schedule.tf + g.min_safe_distance / rec.schedule.vf) / step + 1e-9),
+        )
         for rec in records
     ]
     # zero-filled: past the merge exit, control and jerk stay zero
@@ -546,27 +579,29 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarr
     return table[np.lexsort((table["vehicle_id"], table["t"]))]
 
 
-def _audit(
-    cfg: SimConfig,
-    vehicles: Sequence[VehicleRecord],
-    time_tol: float = 1e-6,
-    min_safe_distance: Optional[float] = None,
-) -> AuditReport:
-    """Safety findings of a run, from its trajectory records alone.
+def audit_run(run_result: SimRun, min_safe_distance: Optional[float] = None) -> AuditReport:
+    """Safety findings of a finished run, from its trajectory records alone.
 
-    Records may come in any order: lane order is entry order, which the
-    vehicle ids follow.  Every check is exact on the closed forms:
+    Neither the sampled state table nor the scheduler's candidate
+    bookkeeping plays any part.  Records may come in any order: lane
+    order is entry order, which the vehicle ids follow.  Every check is
+    exact on the closed forms:
 
     - cz_gap: each vehicle against the vehicle ahead of it on its entry
       arm, at the exact minimum of their gap over the window where both
       are inside the control zone (rear_end_gap);
     - mz_overlap: merge-zone windows [mz.t0, mz.t1] swept in order of
-      start, flagging crossing-path pairs that share more than time_tol;
+      start, flagging crossing-path pairs that share more than
+      _AUDIT_TIME_TOL;
     - exit_spacing: vehicles leaving into the same exit arm from
       different entry arms, compared at their merge-zone exit times.
+
+    Overriding min_safe_distance audits the run against a stricter (or
+    looser) spacing than it was planned for.
     """
-    delta = cfg.geometry.min_safe_distance if min_safe_distance is None else min_safe_distance
-    ordered = sorted(vehicles, key=lambda rec: rec.spec.vehicle_id)
+    g = run_result.config.geometry
+    delta = g.min_safe_distance if min_safe_distance is None else min_safe_distance
+    ordered = sorted(run_result.vehicles, key=lambda rec: rec.spec.vehicle_id)
     findings: List[AuditFinding] = []
 
     ahead_on_arm: Dict[Arm, VehicleRecord] = {}
@@ -585,15 +620,15 @@ def _audit(
                 )
             )
 
-    # a window that ends within time_tol of a start overlaps no window
-    # starting later by more than time_tol, so it leaves the sweep
+    # a window that ends within _AUDIT_TIME_TOL of a start overlaps no window
+    # starting later by more than _AUDIT_TIME_TOL, so it leaves the sweep
     inside: List[VehicleRecord] = []
     for rec in sorted(ordered, key=lambda rec: rec.mz.t0):
         start = rec.mz.t0
-        inside = [other for other in inside if other.mz.t1 - start > time_tol]
+        inside = [other for other in inside if other.mz.t1 - start > _AUDIT_TIME_TOL]
         for other in inside:
             overlap = min(other.mz.t1, rec.mz.t1) - start
-            if overlap > time_tol and (
+            if overlap > _AUDIT_TIME_TOL and (
                 classify(other.spec.movement, rec.spec.movement) is ConflictClass.LATERAL
             ):
                 low, high = sorted((other.spec.vehicle_id, rec.spec.vehicle_id))
@@ -614,7 +649,7 @@ def _audit(
             if earlier.spec.movement.entry_arm is movement.entry_arm:
                 continue
             required = earlier.mz.t1 + delta / earlier.schedule.vf
-            if actual < required - time_tol:
+            if actual < required - _AUDIT_TIME_TOL:
                 findings.append(
                     AuditFinding(
                         "exit_spacing",
@@ -629,26 +664,3 @@ def _audit(
 
     findings.sort(key=lambda f: (f.time, f.kind, f.vehicle_id, f.other_id))
     return AuditReport(findings=tuple(findings))
-
-
-def audit_run(
-    run_result: SimRun,
-    time_tol: float = 1e-6,
-    min_safe_distance: Optional[float] = None,
-) -> AuditReport:
-    """Re-verify a finished run's safety from its trajectory records.
-
-    Checks the exact minimum control-zone gap to each vehicle's lane
-    leader, merge-zone mutual exclusion of crossing paths on the exact
-    merge-zone windows, and exit-lane spacing between those windows.
-    Works from the trajectory records and geometry only; neither the
-    sampled state table nor the scheduler's candidate bookkeeping plays
-    any part.  Overriding min_safe_distance audits the run against a
-    stricter (or looser) spacing than it was planned for.
-    """
-    return _audit(
-        run_result.config,
-        run_result.vehicles,
-        time_tol=time_tol,
-        min_safe_distance=min_safe_distance,
-    )

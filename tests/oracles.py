@@ -507,7 +507,8 @@ def sample_states_by_row(records, cfg):
     for rec in records:
         sched = rec.schedule
         first = math.ceil(rec.spec.t0 / step - 1e-9)
-        last = math.floor(rec.leave_time / step + 1e-9)
+        leave_time = sched.tf + cfg.geometry.min_safe_distance / sched.vf
+        last = math.floor(leave_time / step + 1e-9)
         for k in range(first, last + 1):
             t = k * step
             if t < sched.tm:

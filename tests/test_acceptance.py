@@ -17,17 +17,17 @@ from crossflow import (
     MzBoundary,
     SimConfig,
     VehicleSpec,
-    boundary_from_schedule,
+    audit_run,
     cli,
     earliest_mz_arrival,
     mz_costs,
+    plan_crossing,
     run,
     solve_cz,
     solve_mz_jerk,
     solve_mz_weighted,
     sweep,
 )
-from crossflow import sim as sim_module
 from crossflow.scheduler import CASE_LATERAL
 
 SEEDS = range(20)
@@ -207,11 +207,10 @@ def test_criterion_9_audit_flags_perturbed_schedules(reference_runs):
                 records.append(rec)
                 continue
             sched = replace(rec.schedule, tm=rec.schedule.tm - 0.5)
-            cz = solve_cz(sched.t0, sched.v0, sched.tm, sched.vm, cfg.geometry.cz_length)
-            boundary = boundary_from_schedule(sched, cfg.geometry,
-                                              u_start=float(cz.control(sched.tm)))
-            records.append(replace(rec, schedule=sched, cz=cz, mz=solve_mz_jerk(boundary)))
-        report = sim_module._audit(cfg, tuple(records))
+            cz, mz = plan_crossing(rec.spec, sched.tm, sched.tf, cfg.geometry, cfg.objective,
+                                   cfg.weight, cfg.jerk_scale)
+            records.append(replace(rec, schedule=sched, cz=cz, mz=mz))
+        report = audit_run(replace(base, vehicles=tuple(records)))
         assert not report.ok
         assert any(f.kind == "mz_overlap" for f in report.findings)
         demonstrated += 1

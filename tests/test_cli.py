@@ -348,6 +348,13 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         ("simulate", "sim:\n  jerk_scale: [1]\n", "sim.jerk_scale"),
         ("simulate", "geometry:\n  formula:\n    side_friction: abc\n",
          "geometry.formula.side_friction"),
+        # quoted numbers and booleans, which float() would have taken
+        ("plan", 'plan:\n  t0: "3"\n', "plan.t0"),
+        ("plan", "plan:\n  tm: true\n", "plan.tm"),
+        ("pareto", 'pareto:\n  mz_entry_speed: "8"\n', "pareto.mz_entry_speed"),
+        ("pareto", 'pareto:\n  grid: ["0.5"]\n', "pareto.grid"),
+        ("simulate", 'sim:\n  entry_speed_range: ["10", 12]\n', "sim.entry_speed_range"),
+        ("plan", 'geometry:\n  turn_times: ["5", 3, 3]\n', "geometry.turn_times"),
         # turn times that cannot be derived, refused before the run starts
         ("simulate", "geometry:\n  turn_times: null\n", "geometry.formula"),
         ("simulate", "geometry:\n  turn_times: null\n  formula:\n    side_friction: 0.2\n",

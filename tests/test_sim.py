@@ -11,18 +11,20 @@ from crossflow import (
     GateStats,
     IntersectionGeometry,
     Movement,
+    MzBoundary,
     MzVariant,
     Schedule,
     SimConfig,
     SimRun,
     Turn,
+    VehicleRecord,
     VehicleSpec,
     audit_run,
-    boundary_from_schedule,
     generate_arrivals,
+    plan_crossing,
     run,
     solve_cz,
-    solve_mz_jerk,
+    solve_mz,
 )
 from crossflow import sim as sim_module
 
@@ -183,7 +185,6 @@ def test_trajectories_meet_zone_boundaries(base_run):
         assert rec.mz.position(sched.tf) == pytest.approx(g.cz_length + path, abs=1e-6)
         # control is continuous across the merge-zone entry
         assert rec.mz.control(sched.tm) == pytest.approx(float(rec.cz.control(sched.tm)), abs=1e-9)
-        assert rec.leave_time == pytest.approx(sched.tf + g.min_safe_distance / sched.vf, abs=1e-12)
 
 
 def test_sample_table_covers_zones(base_run):
@@ -229,6 +230,73 @@ def test_run_builds_the_state_table_only_when_read(monkeypatch):
     assert "samples" not in {field.name for field in dataclasses.fields(SimRun)}
 
 
+def test_run_keeps_only_decisions_and_audits_when_read(monkeypatch):
+    calls = []
+    audit = sim_module.audit_run
+
+    def counting(run_result, min_safe_distance=None):
+        calls.append(len(run_result.vehicles))
+        return audit(run_result, min_safe_distance)
+
+    monkeypatch.setattr(sim_module, "audit_run", counting)
+    result = run(SimConfig(seed=7, vehicle_count=8))
+    assert [field.name for field in dataclasses.fields(SimRun)] == ["config", "vehicles", "gate"]
+    assert "leave_time" not in {field.name for field in dataclasses.fields(VehicleRecord)}
+    assert calls == []
+    report = result.audit
+    assert calls == [8]
+    assert result.audit is report
+    assert report == audit(result)
+    assert result.binding_histogram is result.binding_histogram
+    assert calls == [8]
+
+
+def test_replaced_run_derives_its_own_audit_histogram_and_samples(base_run):
+    # read every view of the base run first, so a copy could inherit them
+    assert base_run.audit.ok
+    histogram = base_run.binding_histogram
+    samples = base_run.samples
+    lateral = next(r for r in base_run.vehicles if r.schedule.binding_case == "lateral")
+    perturbed = _perturbed(base_run, lateral.spec.vehicle_id, dtm=-0.5)
+    assert not perturbed.audit.ok
+    assert perturbed.audit == audit_run(perturbed)
+    assert perturbed.samples.tolist() != samples.tolist()
+    assert perturbed.samples.tolist() == sim_module._sample_states(
+        perturbed.vehicles, BASE).tolist()
+    head = replace(base_run, vehicles=base_run.vehicles[:10])
+    assert sum(head.binding_histogram.values()) == 10
+    assert head.binding_histogram == {
+        case: sum(r.schedule.binding_case == case for r in head.vehicles) for case in histogram
+    }
+    assert set(head.samples["vehicle_id"].tolist()) == set(range(1, 11))
+    assert base_run.binding_histogram is histogram and base_run.samples is samples
+
+
+@pytest.mark.parametrize(
+    "objective, weight",
+    [(MzVariant.JERK_ONLY, None), (MzVariant.FUEL_ONLY, None), (MzVariant.WEIGHTED, 0.5)],
+)
+def test_plan_crossing_reproduces_every_record(objective, weight):
+    # against the rule written out by hand from the schedule: the approach
+    # to (tm, vm), then the merge optimum entered with its end control
+    cfg = SimConfig(seed=7, objective=objective, weight=weight)
+    g = cfg.geometry
+    result = run(cfg)
+    for rec in result.vehicles:
+        sched = rec.schedule
+        cz = solve_cz(rec.spec.t0, rec.spec.v0, sched.tm, sched.vm, g.cz_length)
+        boundary = MzBoundary(
+            tm=sched.tm, tf=sched.tf, vm=sched.vm, vf=sched.vf, p_start=g.cz_length,
+            p_end=g.cz_length + g.path_length(sched.movement.turn),
+            u_start=float(cz.control(sched.tm)),
+        )
+        mz = solve_mz(boundary, objective, weight, g.u_max, cfg.jerk_scale)
+        # dataclass equality: every coefficient and constant, by ==
+        assert (rec.cz, rec.mz) == (cz, mz)
+        assert plan_crossing(rec.spec, sched.tm, sched.tf, g, objective, weight,
+                             cfg.jerk_scale) == (cz, mz)
+
+
 def test_objective_changes_mz_only():
     jerk = run(SimConfig(seed=7, objective=MzVariant.JERK_ONLY))
     fuel = run(SimConfig(seed=7, objective=MzVariant.FUEL_ONLY))
@@ -255,10 +323,10 @@ def test_weighted_objective_runs_clean():
 # independent audit
 
 
-def _perturbed(base, cfg, vehicle_id, dt0=0.0, dtm=0.0, dtf=0.0):
-    """Records and their state table, with one vehicle's control-zone entry,
-    merge entry and merge exit moved by dt0, dtm and dtf."""
-    g = cfg.geometry
+def _perturbed(base, vehicle_id, dt0=0.0, dtm=0.0, dtf=0.0):
+    """The run base with one vehicle's control-zone entry, merge entry and
+    merge exit moved by dt0, dtm and dtf, and its crossing planned again."""
+    cfg = base.config
     records = []
     for rec in base.vehicles:
         if rec.spec.vehicle_id != vehicle_id:
@@ -267,21 +335,17 @@ def _perturbed(base, cfg, vehicle_id, dt0=0.0, dtm=0.0, dtf=0.0):
         spec = replace(rec.spec, t0=rec.spec.t0 + dt0)
         tm, tf = rec.schedule.tm + dtm, rec.schedule.tf + dtf
         sched = replace(rec.schedule, t0=spec.t0, tm=tm, tf=tf)
-        cz = solve_cz(spec.t0, spec.v0, tm, sched.vm, g.cz_length)
-        boundary = boundary_from_schedule(sched, g, u_start=float(cz.control(tm)))
-        records.append(replace(rec, spec=spec, schedule=sched, cz=cz,
-                               mz=solve_mz_jerk(boundary),
-                               leave_time=tf + g.min_safe_distance / sched.vf))
-    records = tuple(records)
-    return records, sim_module._sample_states(records, cfg)
+        cz, mz = plan_crossing(spec, tm, tf, cfg.geometry, cfg.objective, cfg.weight,
+                               cfg.jerk_scale)
+        records.append(replace(rec, spec=spec, schedule=sched, cz=cz, mz=mz))
+    return replace(base, vehicles=tuple(records))
 
 
 def test_audit_catches_shrunk_merge_entry(base_run):
     lateral = [r for r in base_run.vehicles if r.schedule.binding_case == "lateral"]
     assert lateral, "reference scenario should bind on a crossing at least once"
     victim = lateral[0].spec.vehicle_id
-    records, _ = _perturbed(base_run, BASE, victim, dtm=-0.5)
-    report = sim_module._audit(BASE, records)
+    report = _perturbed(base_run, victim, dtm=-0.5).audit
     assert not report.ok
     assert any(f.kind == "mz_overlap" for f in report.findings)
 
@@ -300,7 +364,7 @@ def test_audit_ignores_scheduler_bookkeeping(base_run):
                                       lateral_pred=None, fifo_pred=None))
         for rec in base_run.vehicles
     )
-    report = sim_module._audit(BASE, records)
+    report = audit_run(replace(base_run, vehicles=records))
     assert report.ok
 
 
@@ -312,8 +376,7 @@ def test_audit_catches_slightly_shrunk_merge_entry(seed, shift):
     cfg = SimConfig(seed=seed)
     result = run(cfg)
     victim = next(r for r in result.vehicles if r.schedule.binding_case == "lateral")
-    records, _ = _perturbed(result, cfg, victim.spec.vehicle_id, dtm=-shift)
-    report = sim_module._audit(cfg, records)
+    report = _perturbed(result, victim.spec.vehicle_id, dtm=-shift).audit
     overlaps = [f for f in report.findings
                 if f.kind == "mz_overlap" and f.vehicle_id == victim.spec.vehicle_id]
     assert overlaps
@@ -334,11 +397,12 @@ def audit_runs():
     }
 
 
-def _assert_audits_agree(cfg, records, samples, **kwargs):
-    report = sim_module._audit(cfg, records, **kwargs)
+def _assert_audits_agree(result, **kwargs):
+    cfg, records = result.config, result.vehicles
+    report = audit_run(result, **kwargs)
     assert report == oracles.audit_exact_pairwise(cfg, records, **kwargs)
-    assert sim_module._audit(cfg, records[::-1], **kwargs) == report
-    sampled = oracles.audit_pairwise(cfg, records, oracles.sample_rows(samples), **kwargs)
+    assert audit_run(replace(result, vehicles=records[::-1]), **kwargs) == report
+    sampled = oracles.audit_pairwise(cfg, records, oracles.sample_rows(result.samples), **kwargs)
     exact_pairs = {(f.kind, f.vehicle_id, f.other_id) for f in report.findings}
     assert {(f.kind, f.vehicle_id, f.other_id) for f in sampled.findings} <= exact_pairs
     return report
@@ -347,7 +411,7 @@ def _assert_audits_agree(cfg, records, samples, **kwargs):
 @pytest.mark.parametrize("rate", AUDIT_RATES)
 def test_audit_matches_pairwise_oracle_on_clean_runs(audit_runs, rate):
     result = audit_runs[rate]
-    report = _assert_audits_agree(result.config, result.vehicles, result.samples)
+    report = _assert_audits_agree(result)
     assert report.ok
 
 
@@ -356,8 +420,7 @@ def test_audit_matches_pairwise_oracle_on_clean_runs(audit_runs, rate):
 def test_audit_matches_pairwise_oracle_with_spacing_override(audit_runs, rate, factor):
     result = audit_runs[rate]
     delta = factor * result.config.geometry.min_safe_distance
-    report = _assert_audits_agree(result.config, result.vehicles, result.samples,
-                                  min_safe_distance=delta)
+    report = _assert_audits_agree(result, min_safe_distance=delta)
     assert report.ok == (factor < 1.0)
 
 
@@ -382,8 +445,7 @@ def test_audit_matches_pairwise_oracle_on_perturbed_records(audit_runs, rate, ca
         victims = [r for r in result.vehicles if r.schedule.binding_case == case]
         shift = {"dtm": -0.5} if case == "lateral" else {"dtf": -0.5}
     assert victims
-    records, samples = _perturbed(result, result.config, victims[0].spec.vehicle_id, **shift)
-    report = _assert_audits_agree(result.config, records, samples)
+    report = _assert_audits_agree(_perturbed(result, victims[0].spec.vehicle_id, **shift))
     assert kind in {f.kind for f in report.findings}
 
 
@@ -554,12 +616,8 @@ def test_sampler_zone_boundaries_on_grid_points():
         vehicle_id=1, movement=movement, t0=spec.t0, v0=spec.v0, tm=tm, tf=tf,
         vm=vm, vf=vm, binding_case="feasibility",
     )
-    cz = solve_cz(spec.t0, spec.v0, tm, vm, g.cz_length)
-    boundary = boundary_from_schedule(sched, g, u_start=float(cz.control(tm)))
-    record = sim_module.VehicleRecord(
-        spec=spec, arrival_time=spec.t0, schedule=sched, cz=cz,
-        mz=solve_mz_jerk(boundary), leave_time=tf + g.min_safe_distance / vm,
-    )
+    cz, mz = plan_crossing(spec, tm, tf, g, MzVariant.JERK_ONLY)
+    record = VehicleRecord(spec=spec, arrival_time=spec.t0, schedule=sched, cz=cz, mz=mz)
     rows = sim_module._sample_states([record], cfg)
     _assert_same_rows(rows, oracles.sample_states_by_row([record], cfg))
     zone_at = {row.t: row.zone for row in oracles.sample_rows(rows)}

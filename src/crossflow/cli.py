@@ -482,8 +482,6 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
     sample_step = _read(_finite, section.get("sample_step", 0.1), "plan.sample_step")
     if sample_step <= 0.0:
         raise ConfigError("plan.sample_step must be positive")
-    if objective is MzVariant.WEIGHTED and not (weight is not None and 0.0 < weight < 1.0):
-        raise ConfigError("plan.weight must be strictly inside (0, 1) for the weighted objective")
 
     try:
         bound = earliest_mz_arrival(t0, v0, geometry)

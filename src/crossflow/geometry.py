@@ -1,13 +1,17 @@
 """Intersection layout, movements, and pairwise conflict classification.
 
-The junction is a four-arm crossing with one approach lane per arm and a
-square merge zone at the center.  Each vehicle approaches through a
-control zone of length ``cz_length`` and then follows a fixed curve
-through the merge square: a straight chord, or a quarter-circle arc for
-turns.  Two movements conflict in one of four ways: they share the entry
-lane, share the exit lane, cross each other inside the merge zone, or
-not at all.  Everything in this module is a pure value type, so a single
-geometry instance can be shared freely by the planners and the simulator.
+The junction is the signal-free four-arm crossing of Zhang, Malikopoulos
+& Cassandras (ACC 2016), with right-hand traffic, one approach lane per
+arm and a square merge zone at the center.  Each vehicle approaches
+through a control zone of length ``cz_length`` and then follows a fixed
+curve through the merge square: a straight chord, or a quarter-circle arc
+for turns.  Two movements conflict in one of four ways: they share the
+entry lane, share the exit lane, cross each other inside the merge zone,
+or not at all.  Two turn rules, stated at ``classify``, decide which
+pairs cross; ``oracles.classify_by_sampling`` in the test suite checks
+them against densely sampled paths.  Everything in this module is a pure
+value type, so a single geometry instance can be shared freely by the
+planners and the simulator.
 """
 
 from __future__ import annotations
@@ -43,27 +47,10 @@ class ConflictClass(Enum):
     NO_CONFLICT = "no_conflict"
 
 
+# _ARMS runs clockwise and _TURNS runs left, straight, right: under
+# right-hand traffic a movement exits 1, 2 or 3 arms clockwise of its entry
 _ARMS = list(Arm)
 _TURNS = list(Turn)
-
-
-# Right-hand traffic: straight continues to the opposite arm, a right turn
-# exits the adjacent arm clockwise of the travel direction, a left turn the
-# adjacent arm counterclockwise.
-_EXIT_ARM = {
-    (Arm.WEST, Turn.STRAIGHT): Arm.EAST,
-    (Arm.WEST, Turn.RIGHT): Arm.SOUTH,
-    (Arm.WEST, Turn.LEFT): Arm.NORTH,
-    (Arm.EAST, Turn.STRAIGHT): Arm.WEST,
-    (Arm.EAST, Turn.RIGHT): Arm.NORTH,
-    (Arm.EAST, Turn.LEFT): Arm.SOUTH,
-    (Arm.NORTH, Turn.STRAIGHT): Arm.SOUTH,
-    (Arm.NORTH, Turn.RIGHT): Arm.WEST,
-    (Arm.NORTH, Turn.LEFT): Arm.EAST,
-    (Arm.SOUTH, Turn.STRAIGHT): Arm.NORTH,
-    (Arm.SOUTH, Turn.RIGHT): Arm.EAST,
-    (Arm.SOUTH, Turn.LEFT): Arm.WEST,
-}
 
 
 @dataclass(frozen=True)
@@ -74,14 +61,17 @@ class Movement:
     turn: Turn
 
     def __post_init__(self) -> None:
-        # the movement's row and column in the classification table; list
-        # lookups compare by identity, so no enum or dataclass is hashed
-        index = _ARMS.index(self.entry_arm) * len(_TURNS) + _TURNS.index(self.turn)
-        object.__setattr__(self, "_index", index)
+        # the movement's row and column in the classification table, and its
+        # exit arm; list lookups compare by identity, so no enum or
+        # dataclass is hashed
+        arm = _ARMS.index(self.entry_arm)
+        turn = _TURNS.index(self.turn)
+        object.__setattr__(self, "_index", arm * len(_TURNS) + turn)
+        object.__setattr__(self, "_exit_arm", _ARMS[(arm + turn + 1) % len(_ARMS)])
 
     @property
     def exit_arm(self) -> Arm:
-        return _EXIT_ARM[(self.entry_arm, self.turn)]
+        return self._exit_arm
 
     def __str__(self) -> str:
         return f"{self.entry_arm.value}:{self.turn.value}"
@@ -248,138 +238,6 @@ class IntersectionGeometry:
         return self.turn_time_formula.transit_time(turn)
 
 
-# ---------------------------------------------------------------------------
-# Merge-zone path curves and their intersection predicate.
-#
-# Coordinates are in units of a quarter square side, so the merge square
-# spans [-2, 2] on both axes and lane centerlines sit at offset 1 (each road
-# carries one lane per direction, keeping right).  The classification is
-# scale-free, so the unit choice is arbitrary.
-
-_ENTRY_POINT = {
-    Arm.WEST: (-2.0, -1.0),
-    Arm.NORTH: (-1.0, 2.0),
-    Arm.EAST: (2.0, 1.0),
-    Arm.SOUTH: (1.0, -2.0),
-}
-_EXIT_POINT = {
-    Arm.EAST: (2.0, -1.0),
-    Arm.SOUTH: (-1.0, -2.0),
-    Arm.WEST: (-2.0, 1.0),
-    Arm.NORTH: (1.0, 2.0),
-}
-
-_EPS = 1e-9
-
-
-def _mz_path(m: Movement):
-    """Path primitive: ("seg", a, b) or ("arc", center, radius, a, b)."""
-    a = _ENTRY_POINT[m.entry_arm]
-    b = _EXIT_POINT[m.exit_arm]
-    if m.turn is Turn.STRAIGHT:
-        return ("seg", a, b)
-    # The arc center is the square corner shared by the two boundary edges
-    # the endpoints sit on; each endpoint contributes its edge coordinate.
-    cx = a[0] if abs(a[0]) == 2.0 else b[0]
-    cy = a[1] if abs(a[1]) == 2.0 else b[1]
-    radius = math.hypot(a[0] - cx, a[1] - cy)
-    return ("arc", (cx, cy), radius, a, b)
-
-
-def _cross2(ux: float, uy: float, vx: float, vy: float) -> float:
-    return ux * vy - uy * vx
-
-
-def _on_arc(p, center, a, b) -> bool:
-    """Whether a point on the full circle lies within the quarter-arc span."""
-    vax, vay = a[0] - center[0], a[1] - center[1]
-    vbx, vby = b[0] - center[0], b[1] - center[1]
-    vpx, vpy = p[0] - center[0], p[1] - center[1]
-    sweep = _cross2(vax, vay, vbx, vby)
-    sign = 1.0 if sweep >= 0.0 else -1.0
-    return (
-        _cross2(vax, vay, vpx, vpy) * sign >= -_EPS
-        and _cross2(vpx, vpy, vbx, vby) * sign >= -_EPS
-    )
-
-
-def _seg_seg_cross(p1, p2, q1, q2) -> bool:
-    d1 = _cross2(q2[0] - q1[0], q2[1] - q1[1], p1[0] - q1[0], p1[1] - q1[1])
-    d2 = _cross2(q2[0] - q1[0], q2[1] - q1[1], p2[0] - q1[0], p2[1] - q1[1])
-    d3 = _cross2(p2[0] - p1[0], p2[1] - p1[1], q1[0] - p1[0], q1[1] - p1[1])
-    d4 = _cross2(p2[0] - p1[0], p2[1] - p1[1], q2[0] - p1[0], q2[1] - p1[1])
-    if ((d1 > _EPS and d2 < -_EPS) or (d1 < -_EPS and d2 > _EPS)) and (
-        (d3 > _EPS and d4 < -_EPS) or (d3 < -_EPS and d4 > _EPS)
-    ):
-        return True
-    # Touching or collinear contact counts as a crossing.
-    def within(d, s, e, pt):
-        return (
-            abs(d) <= _EPS
-            and min(s[0], e[0]) - _EPS <= pt[0] <= max(s[0], e[0]) + _EPS
-            and min(s[1], e[1]) - _EPS <= pt[1] <= max(s[1], e[1]) + _EPS
-        )
-
-    return (
-        within(d1, q1, q2, p1)
-        or within(d2, q1, q2, p2)
-        or within(d3, p1, p2, q1)
-        or within(d4, p1, p2, q2)
-    )
-
-
-def _seg_arc_cross(p1, p2, center, radius, a, b) -> bool:
-    dx, dy = p2[0] - p1[0], p2[1] - p1[1]
-    fx, fy = p1[0] - center[0], p1[1] - center[1]
-    qa = dx * dx + dy * dy
-    qb = 2.0 * (fx * dx + fy * dy)
-    qc = fx * fx + fy * fy - radius * radius
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < -_EPS:
-        return False
-    disc = max(disc, 0.0)
-    root = math.sqrt(disc)
-    for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)):
-        if -_EPS <= t <= 1.0 + _EPS:
-            p = (p1[0] + t * dx, p1[1] + t * dy)
-            if _on_arc(p, center, a, b):
-                return True
-    return False
-
-
-def _arc_arc_cross(c1, r1, a1, b1, c2, r2, a2, b2) -> bool:
-    dx, dy = c2[0] - c1[0], c2[1] - c1[1]
-    d = math.hypot(dx, dy)
-    if d < _EPS:
-        # Concentric circles: distinct radii never meet; identical circles
-        # only arise from identical movements, which never reach this test.
-        return abs(r1 - r2) <= _EPS
-    if d > r1 + r2 + _EPS or d < abs(r1 - r2) - _EPS:
-        return False
-    along = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    h_sq = r1 * r1 - along * along
-    if h_sq < -_EPS:
-        return False
-    h = math.sqrt(max(h_sq, 0.0))
-    bx, by = c1[0] + along * dx / d, c1[1] + along * dy / d
-    for sx, sy in ((h * -dy / d, h * dx / d), (h * dy / d, h * -dx / d)):
-        p = (bx + sx, by + sy)
-        if _on_arc(p, c1, a1, b1) and _on_arc(p, c2, a2, b2):
-            return True
-    return False
-
-
-def _paths_cross(path_a, path_b) -> bool:
-    kind_a, kind_b = path_a[0], path_b[0]
-    if kind_a == "seg" and kind_b == "seg":
-        return _seg_seg_cross(path_a[1], path_a[2], path_b[1], path_b[2])
-    if kind_a == "seg":
-        return _seg_arc_cross(path_a[1], path_a[2], *path_b[1:])
-    if kind_b == "seg":
-        return _seg_arc_cross(path_b[1], path_b[2], *path_a[1:])
-    return _arc_arc_cross(*path_a[1:], *path_b[1:])
-
-
 def _build_classification() -> Tuple[Tuple[ConflictClass, ...], ...]:
     table = [[ConflictClass.NO_CONFLICT] * len(ALL_MOVEMENTS) for _ in ALL_MOVEMENTS]
     for a in ALL_MOVEMENTS:
@@ -388,10 +246,12 @@ def _build_classification() -> Tuple[Tuple[ConflictClass, ...], ...]:
                 cls = ConflictClass.SAME_ENTRY
             elif a.exit_arm is b.exit_arm:
                 cls = ConflictClass.SAME_EXIT
-            elif _paths_cross(_mz_path(a), _mz_path(b)):
-                cls = ConflictClass.LATERAL
-            else:
+            elif Turn.RIGHT in (a.turn, b.turn) or (
+                a.turn is b.turn is Turn.STRAIGHT and a.exit_arm is b.entry_arm
+            ):
                 cls = ConflictClass.NO_CONFLICT
+            else:
+                cls = ConflictClass.LATERAL
             table[a._index][b._index] = cls
     return tuple(map(tuple, table))
 
@@ -404,8 +264,13 @@ def classify(a: Movement, b: Movement) -> ConflictClass:
     """Conflict type of two movements.
 
     Entry-lane equality is checked first (rear-end risk where the merge
-    zone begins), then exit-lane equality (rear-end risk where it ends),
-    then exact geometric crossing of the two merge-zone curves; anything
-    else cannot collide.  Symmetric and total.
+    zone begins), then exit-lane equality (rear-end risk where it ends).
+    Two movements from different entries to different exits cross inside
+    the merge zone unless either turns right or both go straight from
+    opposite arms.  A right turn keeps to the corner between its own entry
+    and exit lanes, which no path reaches without sharing one of them, and
+    opposite straights are parallel chords.  Symmetric and total;
+    ``oracles.classify_by_sampling`` checks the two rules independently,
+    from densely sampled paths.
     """
     return _CLASSIFICATION[a._index][b._index]

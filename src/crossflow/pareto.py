@@ -117,6 +117,8 @@ def sweep(
     if grid is None:
         grid = _DEFAULT_GRID
     grid = tuple(float(w) for w in grid)
+    if not grid:
+        raise ValueError("grid must hold at least one weight")
     for w in grid:
         if not 0.0 < w < 1.0:
             raise ValueError(f"grid weight {w} outside the open interval (0, 1)")

@@ -1,7 +1,7 @@
 """Independent reference computations that pin expected test values.
 
 Everything here reaches its answer by a different route than the package
-does: dense geometric sampling instead of exact intersection algebra,
+does: dense geometric sampling instead of the two turn rules,
 numerical forward integration instead of closed-form arrival times,
 discretized trajectory optimization (KKT systems of small quadratic
 programs) instead of polynomial boundary-value solves, hand-written cubic
@@ -28,6 +28,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.integrate import quad, solve_ivp
+from scipy.spatial import cKDTree
 
 from crossflow.cz_planner import rear_end_gap, solve_cz
 from crossflow.geometry import Arm, ConflictClass, classify
@@ -93,8 +94,8 @@ def path_points(entry_arm: str, turn: str, n: int = 601) -> np.ndarray:
 
 
 def min_path_distance(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a[:, None, :] - b[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=-1).min()))
+    """Smallest distance between a point of a and a point of b."""
+    return float(cKDTree(b).query(a)[0].min())
 
 
 def classify_by_sampling(

@@ -278,10 +278,12 @@ def test_plan_reports_infeasible_crawl(tmp_path, capsys):
 
 
 def test_plan_weighted_needs_weight(tmp_path, capsys):
+    # refused by the merge planner's weight rule, which simulate shares
     cfg = write_config(tmp_path, "plan:\n  objective: weighted\n")
     code = cli.main(["plan", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "plan.weight" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: plan: weight None outside (0, 1)")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
@@ -366,8 +368,13 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         # weights so close to 1 that the merge solution's exponent passes its cap
         ("simulate", "sim:\n  objective: weighted\n  weight: 0.99999\n", "weight 0.99999"),
         ("plan", "plan:\n  objective: weighted\n  weight: 0.99999\n", "weight 0.99999"),
+        # a weight outside (0, 1), refused by the same rule as simulate's
+        ("plan", "plan:\n  objective: weighted\n  weight: 1.5\n", "weight 1.5 outside (0, 1)"),
+        ("simulate", "sim:\n  objective: weighted\n  weight: 1.5\n", "weight 1.5 outside (0, 1)"),
         ("pareto", "geometry:\n  turn_times: [8.0, 3.0, 3.0]\npareto:\n  turn: left\n",
          "w=0.998"),
+        # an empty weight grid has no tradeoff to sweep, like grid_size 0
+        ("pareto", "pareto:\n  grid: []\n", "at least one weight"),
     ],
 )
 def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, text, key):

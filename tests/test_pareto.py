@@ -73,6 +73,8 @@ def test_sweep_rejects_degenerate_grids():
         sweep(LEFT, grid=(0.0, 0.5))
     with pytest.raises(ValueError):
         sweep(LEFT, grid=(0.5, 1.0))
+    with pytest.raises(ValueError, match="at least one weight"):
+        sweep(LEFT, grid=())
 
 
 def test_sweep_rejects_pinned_accelerations():

@@ -16,7 +16,6 @@ from crossflow.geometry import (
     IntersectionGeometry,
     Movement,
     Turn,
-    TurnTimeFormula,
     classify,
 )
 from crossflow.scheduler import (

@@ -28,7 +28,7 @@ import numpy as np
 
 from crossflow import __version__
 from crossflow.cz_planner import check_feasibility
-from crossflow.geometry import Arm, IntersectionGeometry, Movement, Turn, TurnTimeFormula
+from crossflow.geometry import Arm, IntersectionGeometry, Movement, Turn
 from crossflow.mz_planner import (
     DEFAULT_JERK_SCALE,
     MzBoundary,
@@ -65,9 +65,9 @@ _TOP_KEYS = {"geometry", "sim", "pareto", "plan"}
 _GEOMETRY_KEYS = {
     "cz_length", "mz_side", "min_safe_distance", "v_min", "v_max",
     "u_min", "u_max", "mz_speed_left", "mz_speed_straight", "mz_speed_right",
-    "turn_times", "formula", "left_path_length", "right_path_length",
+    "formula", "left_path_length", "right_path_length",
 }
-_FORMULA_KEYS = {"radius_left_ft", "radius_right_ft", "side_friction", "superelevation"}
+_FORMULA_KEYS = {"side_friction", "superelevation"}
 _SIM_KEYS = {
     "arrival_rate", "entry_speed_range", "arm_probabilities", "turn_probabilities",
     "arm_rates", "vehicle_count", "objective", "weight", "jerk_scale", "seed",
@@ -122,16 +122,11 @@ def _nullable(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
 
 # the scalar keys of the geometry, formula and sim sections, by converter
 _GEOMETRY_SCALARS = {
-    **{key: _real for key in _GEOMETRY_KEYS - {"turn_times", "formula"}},
+    **{key: _real for key in _GEOMETRY_KEYS - {"formula"}},
     "left_path_length": _nullable(_real),
     "right_path_length": _nullable(_real),
 }
-_FORMULA_SCALARS = {
-    "radius_left_ft": _nullable(_real),
-    "radius_right_ft": _nullable(_real),
-    "side_friction": _nullable(_real),
-    "superelevation": _real,
-}
+_FORMULA_SCALARS = {"side_friction": _real, "superelevation": _real}
 _SIM_SCALARS = {
     "arrival_rate": _real, "vehicle_count": _integer, "weight": _nullable(_real),
     "jerk_scale": _real, "seed": _integer, "sample_step": _real,
@@ -190,47 +185,26 @@ def load_config(path: Optional[str]) -> Dict[str, Any]:
 
 def _build_geometry(section: Mapping[str, Any]) -> IntersectionGeometry:
     kwargs = _scalars(section, "geometry", _GEOMETRY_SCALARS)
-    if "turn_times" in section:
-        raw = section["turn_times"]
-        if raw is not None:
-            if not isinstance(raw, Sequence) or len(raw) != 3:
-                raise ConfigError(
-                    "geometry.turn_times must be three values (left, straight, right) or null"
-                )
-            raw = _read(_floats, raw, "geometry.turn_times")
-        kwargs["turn_times"] = raw
     formula = section.get("formula")
     if formula is not None:
         if not isinstance(formula, Mapping):
             raise ConfigError("geometry.formula must be a mapping")
         _check_keys(formula, _FORMULA_KEYS, "geometry.formula")
         formula = _scalars(formula, "geometry.formula", _FORMULA_SCALARS)
-        if kwargs.get("turn_times", ()) is not None:
-            raise ConfigError("geometry.turn_times must be null when geometry.formula is given")
-        try:
-            kwargs["turn_time_formula"] = TurnTimeFormula(**formula)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"geometry.formula: {exc}") from exc
-    elif kwargs.get("turn_times", ()) is None:
-        raise ConfigError(
-            "geometry.turn_times is null, so geometry.formula must derive the turn times"
-        )
+        if "side_friction" not in formula:
+            raise ConfigError("geometry.formula.side_friction is required")
+        for key in ("mz_speed_left", "mz_speed_right"):
+            if key in kwargs:
+                raise ConfigError(f"geometry.formula sets the turn speeds, so geometry.{key} "
+                                  "must not be given")
     try:
-        return IntersectionGeometry(**kwargs)
+        geometry = IntersectionGeometry(**kwargs)
+        return geometry if formula is None else geometry.with_curve_speeds(**formula)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"geometry: {exc}") from exc
 
 
 def _geometry_dict(g: IntersectionGeometry) -> Dict[str, Any]:
-    formula = None
-    if g.turn_time_formula is not None:
-        f = g.turn_time_formula
-        formula = {
-            "radius_left_ft": f.radius_left_ft,
-            "radius_right_ft": f.radius_right_ft,
-            "side_friction": f.side_friction,
-            "superelevation": f.superelevation,
-        }
     return {
         "cz_length": g.cz_length,
         "mz_side": g.mz_side,
@@ -242,8 +216,6 @@ def _geometry_dict(g: IntersectionGeometry) -> Dict[str, Any]:
         "mz_speed_left": g.mz_speed_left,
         "mz_speed_straight": g.mz_speed_straight,
         "mz_speed_right": g.mz_speed_right,
-        "turn_times": list(g.turn_times) if g.turn_times is not None else None,
-        "formula": formula,
         "left_path_length": g.left_path_length,
         "right_path_length": g.right_path_length,
     }
@@ -411,7 +383,7 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
     vm = section.get("mz_entry_speed")
     vm = geometry.mz_speed(turn) if vm is None else _read(_finite, vm, "pareto.mz_entry_speed")
     vf = section.get("mz_exit_speed")
-    vf = geometry.mz_speed(turn) if vf is None else _read(_finite, vf, "pareto.mz_exit_speed")
+    vf = geometry.mz_speed_straight if vf is None else _read(_finite, vf, "pareto.mz_exit_speed")
     jerk_scale = _read(_finite, section.get("jerk_scale", DEFAULT_JERK_SCALE), "pareto.jerk_scale")
     grid_size = _read(_integer, section.get("grid_size", 50), "pareto.grid_size")
     w_min = _read(_finite, section.get("w_min", DEFAULT_W_MIN), "pareto.w_min")
@@ -511,7 +483,8 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
 
     print(f"movement: {arm.value}:{turn.value}")
     print(f"entry: t0={_fmt(t0)} v0={_fmt(v0)}")
-    print(f"merge window: tm={_fmt(tm)} tf={_fmt(tf)} vm={_fmt(vm)}")
+    print(f"merge window: tm={_fmt(tm)} tf={_fmt(tf)} vm={_fmt(vm)} "
+          f"vf={_fmt(geometry.mz_speed_straight)}")
     print(f"approach coefficients: {_coefficient_text(cz.coefficients)}")
     print(f"merge coefficients ({objective.value}): {_coefficient_text(mz.coefficients)}")
     print(f"approach effort: {_fmt(cz.half_square_integral(2))}")
@@ -529,7 +502,8 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
             )
 
     os.makedirs(out_dir, exist_ok=True)
-    steps = int(round((tf - t0) / sample_step))
+    # enough steps to reach tf, the last one clipped to it
+    steps = math.ceil((tf - t0) / sample_step - 1e-9)
     times = np.minimum(t0 + np.arange(steps + 1) * sample_step, tf)
     rows = [
         [_fmt(t), zone, _fmt(p), _fmt(v), _fmt(u), _fmt(j)]

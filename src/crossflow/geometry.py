@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -93,46 +93,10 @@ def require_finite(config) -> None:
                 raise ValueError(f"{field.name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class TurnTimeFormula:
-    """Highway-design rule for merge transit times, used when no table is given.
-
-    The desirable turning speed follows the standard curve-design relation
-    v = sqrt(15 * R * (0.01 * E + F)) with the radius R in feet, the
-    superelevation rate E in percent (zero on urban streets), and the side
-    friction factor F dimensionless.  The transit time is the quotient
-    R / v taken at face value, in seconds, which is how the rule is used in
-    intersection design practice.  Straight movements instead cross the
-    square at the through speed, taking mz_side / straight-speed seconds.
-    """
-
-    radius_left_ft: Optional[float] = None
-    radius_right_ft: Optional[float] = None
-    side_friction: Optional[float] = None
-    superelevation: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_finite(self)
-        for name in ("radius_left_ft", "radius_right_ft", "side_friction"):
-            value = getattr(self, name)
-            if value is not None and value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.superelevation < 0.0:
-            raise ValueError(
-                f"superelevation must be nonnegative, got {self.superelevation}"
-            )
-
-    def transit_time(self, turn: Turn) -> float:
-        if turn is Turn.STRAIGHT:
-            raise ValueError("straight transit time comes from mz_side / straight speed")
-        radius = self.radius_left_ft if turn is Turn.LEFT else self.radius_right_ft
-        field = "radius_left_ft" if turn is Turn.LEFT else "radius_right_ft"
-        if radius is None:
-            raise ValueError(f"{field} is required in formula mode")
-        if self.side_friction is None:
-            raise ValueError("side_friction is required in formula mode")
-        speed = math.sqrt(15.0 * radius * (0.01 * self.superelevation + self.side_friction))
-        return radius / speed
+# the curve-design relation's units, in SI: meters per foot, and meters per
+# second per mile per hour
+_FOOT = 0.3048
+_MPH = 0.44704
 
 
 @dataclass(frozen=True)
@@ -142,7 +106,13 @@ class IntersectionGeometry:
     Defaults reproduce the baseline calibration used throughout the test
     suite: a 400 m approach, a 30 m merge square, 10 m minimum spacing,
     and merge speeds of 8 / 10 / 6 m/s for left / straight / right
-    movements with transit times of 5 / 3 / 3 s.
+    movements.  A movement enters the merge zone at its own merge speed
+    and leaves it at the exit lane's through speed, mz_speed_straight;
+    its merge window, transit_time, follows from its path and those two
+    speeds (3.93 / 3 / 1.47 s by default).  Turning comfort is thus tied
+    to the curve speed, as in Zhang & Cassandras (Automatica 2019), and
+    with_curve_speeds derives the two turn speeds from the curves
+    themselves.
     """
 
     cz_length: float = 400.0
@@ -155,10 +125,6 @@ class IntersectionGeometry:
     mz_speed_left: float = 8.0
     mz_speed_straight: float = 10.0
     mz_speed_right: float = 6.0
-    # Transit times (left, straight, right); None derives the straight time
-    # from mz_side / mz_speed_straight and requires a formula for turns.
-    turn_times: Optional[Tuple[float, float, float]] = (5.0, 3.0, 3.0)
-    turn_time_formula: Optional[TurnTimeFormula] = None
     # Along-curve lengths of the turn paths; None uses the quarter-circle
     # arcs inscribed in the merge square (3*pi*S/8 left, pi*S/8 right).
     left_path_length: Optional[float] = None
@@ -192,16 +158,6 @@ class IntersectionGeometry:
                 raise ValueError(
                     f"{name} must lie in ({self.v_min}, {self.v_max}], got {speed}"
                 )
-        if self.turn_times is not None:
-            if self.turn_time_formula is not None:
-                raise ValueError("give either turn_times or turn_time_formula, not both")
-            if len(self.turn_times) != 3 or any(dt <= 0.0 for dt in self.turn_times):
-                raise ValueError(f"turn_times must be three positive values, got {self.turn_times}")
-        else:
-            # derive the turn times now, so that a missing formula, radius or
-            # side friction is refused here rather than in the middle of a run
-            for turn in (Turn.LEFT, Turn.RIGHT):
-                self.transit_time(turn)
         for name in ("left_path_length", "right_path_length"):
             override = getattr(self, name)
             if override is not None and override <= 0.0:
@@ -220,6 +176,7 @@ class IntersectionGeometry:
         return math.pi * self.mz_side / 8.0
 
     def mz_speed(self, turn: Turn) -> float:
+        """Merge-zone entry speed of one turn choice: its curve speed."""
         if turn is Turn.LEFT:
             return self.mz_speed_left
         if turn is Turn.RIGHT:
@@ -227,15 +184,34 @@ class IntersectionGeometry:
         return self.mz_speed_straight
 
     def transit_time(self, turn: Turn) -> float:
-        """Scheduled merge-zone transit duration for one turn choice, in seconds."""
-        if self.turn_times is not None:
-            left, straight, right = self.turn_times
-            return {Turn.LEFT: left, Turn.STRAIGHT: straight, Turn.RIGHT: right}[turn]
-        if turn is Turn.STRAIGHT:
-            return self.mz_side / self.mz_speed_straight
-        if self.turn_time_formula is None:
-            raise ValueError("turn transit times need either turn_times or turn_time_formula")
-        return self.turn_time_formula.transit_time(turn)
+        """Merge-zone window for one turn choice, in seconds: the time to
+        cover path_length(turn) at constant acceleration from the entry
+        speed mz_speed(turn) to the exit speed mz_speed_straight.  A
+        straight movement takes mz_side / mz_speed_straight."""
+        return 2.0 * self.path_length(turn) / (self.mz_speed(turn) + self.mz_speed_straight)
+
+    def with_curve_speeds(
+        self, side_friction: float, superelevation: float = 0.0
+    ) -> IntersectionGeometry:
+        """This geometry with its left and right merge speeds set by the
+        highway curve-design relation v = sqrt(15 R (0.01 E + F)), with v in
+        mph, the radius R in feet, the superelevation rate E in percent
+        (zero on urban streets) and the side friction factor F.  Each turn
+        runs on its own arc, a quarter circle of radius
+        2 * path_length / pi (22.5 m left and 7.5 m right by default), so
+        its lateral acceleration v^2 / R is 15 (0.01 E + F) mph^2/ft."""
+        if not (math.isfinite(side_friction) and side_friction > 0.0):
+            raise ValueError(f"side_friction must be positive and finite, got {side_friction}")
+        if not (math.isfinite(superelevation) and superelevation >= 0.0):
+            raise ValueError(
+                f"superelevation must be nonnegative and finite, got {superelevation}"
+            )
+
+        def speed(turn: Turn) -> float:
+            radius = 2.0 * self.path_length(turn) / math.pi / _FOOT
+            return _MPH * math.sqrt(15.0 * radius * (0.01 * superelevation + side_friction))
+
+        return replace(self, mz_speed_left=speed(Turn.LEFT), mz_speed_right=speed(Turn.RIGHT))
 
 
 def _build_classification() -> Tuple[Tuple[ConflictClass, ...], ...]:

@@ -106,8 +106,10 @@ class MzBoundary:
     Positions are arc length along the vehicle's path measured from the
     control-zone entrance, so p_start is the control-zone length and
     p_end adds the in-zone path length.  Schedules produced by the
-    scheduler always have vf = vm and tf - tm equal to the movement's
-    transit time; the solvers accept any consistent window.
+    scheduler enter at the movement's curve speed, leave at the through
+    speed, and take the geometry's transit_time, the constant-acceleration
+    time 2 (p_end - p_start) / (vm + vf); the solvers accept any
+    consistent window.
     """
 
     tm: float
@@ -479,7 +481,10 @@ def solve_mz(
     jerk_scale: float = DEFAULT_JERK_SCALE,
 ) -> Union[PolyTrajectory, MzTrajectory]:
     """The merge-zone optimum for one objective; the weighted objective is
-    normalized by u_max and jerk_scale."""
+    normalized by u_max and jerk_scale.  A weight given with another
+    objective, which would ignore it, is refused."""
+    if objective is not MzVariant.WEIGHTED and weight is not None:
+        raise ValueError(f"weight {weight} given, but the {objective.value} objective ignores it")
     # the solvers are looked up as module globals at call time, so a
     # wrapper installed on this module's names sees every solve
     if objective is MzVariant.FUEL_ONLY:

@@ -49,7 +49,8 @@ class Schedule:
     """Terminal conditions assigned to one vehicle.
 
     ``tm`` and ``tf`` bracket the merge-zone traversal; ``vm`` and ``vf``
-    are the boundary speeds there (equal by the terminal-speed rule).
+    are the boundary speeds there: the movement's curve speed on entry and
+    the through speed on exit, so tf - tm is the geometry's transit_time.
     ``binding_case`` names the candidate that achieved the maximum, and the
     four predecessor ids record which queue members drove each candidate.
     """
@@ -165,7 +166,6 @@ def schedule(spec: VehicleSpec, q: Sequence[Schedule], g: IntersectionGeometry) 
     """
     preds = conflict_predecessors(spec, q)
     transit = g.transit_time(spec.movement.turn)
-    boundary_speed = g.mz_speed(spec.movement.turn)
     earliest = earliest_mz_arrival(spec.t0, spec.v0, g)
 
     candidates = conflict_candidates(preds, transit, g)
@@ -180,8 +180,8 @@ def schedule(spec: VehicleSpec, q: Sequence[Schedule], g: IntersectionGeometry) 
         v0=spec.v0,
         tm=tm,
         tf=tf,
-        vm=boundary_speed,
-        vf=boundary_speed,
+        vm=g.mz_speed(spec.movement.turn),
+        vf=g.mz_speed_straight,
         binding_case=binding_case,
         same_exit_pred=preds.same_exit.vehicle_id if preds.same_exit else None,
         same_entry_pred=preds.same_entry.vehicle_id if preds.same_entry else None,

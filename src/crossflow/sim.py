@@ -110,6 +110,7 @@ class SimConfig:
     arm_rates: Optional[Tuple[float, float, float, float]] = None
     vehicle_count: int = 30
     objective: MzVariant = MzVariant.JERK_ONLY
+    # the weighted objective's weight; refused under the other objectives
     weight: Optional[float] = None
     jerk_scale: float = DEFAULT_JERK_SCALE
     seed: int = 0
@@ -156,6 +157,10 @@ class SimConfig:
             width = max(g.transit_time(turn) for turn, p in
                         zip(_TURN_ORDER, self.turn_probabilities) if p > 0.0)
             weighted_rate(self.weight, *normalization_weights(g.u_max, self.jerk_scale), width)
+        elif self.weight is not None:
+            raise ValueError(
+                f"weight {self.weight} given, but the {self.objective.value} objective ignores it"
+            )
         if self.sample_step <= 0.0:
             raise ValueError(f"sample_step must be positive, got {self.sample_step}")
 
@@ -306,7 +311,7 @@ def plan_crossing(
     [tm, tf]: the minimum-effort approach from its control-zone entry to
     the merge entry at the movement's merge speed, then the merge-zone
     optimum for objective, entered with the approach's end control and
-    left at the same speed with zero control."""
+    left at the through speed mz_speed_straight with zero control."""
     turn = spec.movement.turn
     vm = g.mz_speed(turn)
     cz = solve_cz(spec.t0, spec.v0, tm, vm, g.cz_length)
@@ -314,7 +319,7 @@ def plan_crossing(
         tm=tm,
         tf=tf,
         vm=vm,
-        vf=vm,
+        vf=g.mz_speed_straight,
         p_start=g.cz_length,
         p_end=g.cz_length + g.path_length(turn),
         u_start=float(cz.control(tm)),

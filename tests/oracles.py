@@ -704,7 +704,7 @@ def trajectory_csv_by_writer(samples):
 def plan_rows_by_scalar(cz, mz, t0, tm, tf, step):
     """plan.csv rows, one scalar evaluation per clipped sample time."""
     rows = []
-    for k in range(int(round((tf - t0) / step)) + 1):
+    for k in range(math.ceil((tf - t0) / step - 1e-9) + 1):
         t = min(t0 + k * step, tf)
         zone, traj = ("cz", cz) if t < tm else ("mz", mz)
         rows.append([_fmt(t), zone] + [

@@ -179,6 +179,21 @@ def test_config_digest_ignores_key_order(tmp_path):
     assert digest != digests[0]
 
 
+def test_formula_only_sets_the_turn_speeds(tmp_path):
+    # the formula's run is the run of a config giving its two speeds outright
+    curved = IntersectionGeometry().with_curve_speeds(0.2)
+    explicit = (f"geometry:\n  mz_speed_left: {curved.mz_speed_left!r}\n"
+                f"  mz_speed_right: {curved.mz_speed_right!r}\n")
+    outs = []
+    for name, text in (("formula", "geometry:\n  formula:\n    side_friction: 0.2\n"),
+                       ("explicit", explicit)):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, text, f"{name}.yaml")
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+        outs.append(read_files(out, SIM_FILES))
+    assert outs[0] == outs[1]
+
+
 # ---------------------------------------------------------------------------
 # pareto
 
@@ -194,6 +209,19 @@ def test_pareto_default_grid(tmp_path):
     assert all(b <= a + 1e-9 for a, b in zip(fuels, fuels[1:]))
     assert all(b >= a - 1e-9 for a, b in zip(discs, discs[1:]))
     assert all(r[3] == "true" for r in rows[1:])
+
+
+@pytest.mark.parametrize("turn, frontier_size", [("left", 50), ("straight", 1), ("right", 50)])
+def test_pareto_turns_trade_fuel_against_comfort(tmp_path, turn, frontier_size):
+    # a turn enters at its curve speed and leaves at the through speed, so
+    # the objectives disagree; a straight crossing cruises at one speed
+    cfg = write_config(tmp_path, f"pareto:\n  turn: {turn}\n")
+    out = tmp_path / "out"
+    assert cli.main(["pareto", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out / "pareto.csv")
+    assert sum(r[3] == "true" for r in rows[1:]) == frontier_size
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["manifest.json", "pareto.csv"]
 
 
 def test_pareto_rejects_degenerate_weight(tmp_path, capsys):
@@ -242,11 +270,14 @@ def test_plan_left_turn_matches_library_solution(tmp_path, capsys):
 
     approach_line = next(l for l in text.splitlines() if l.startswith("approach coefficients"))
     cz_vals = dict(part.split("=") for part in approach_line.split(": ")[1].split())
-    # reconstruct the same boundary the command solved
+    # reconstruct the same boundary the command solved: the left turn's
+    # curve speed in, the through speed out, over the derived window
+    g = IntersectionGeometry()
     cz = solve_cz(0.0, 10.0, 40.0, 8.0, 400.0)
     assert float(cz_vals["b"]) == pytest.approx(cz.coefficients[1], rel=1e-6)
-    boundary = MzBoundary(tm=40.0, tf=45.0, vm=8.0, vf=8.0, p_start=400.0,
-                          p_end=400.0 + S_LEFT, u_start=float(cz.control(40.0)))
+    boundary = MzBoundary(tm=40.0, tf=40.0 + g.transit_time(Turn.LEFT), vm=8.0, vf=10.0,
+                          p_start=400.0, p_end=400.0 + S_LEFT, u_start=float(cz.control(40.0)))
+    assert f"tf={format(boundary.tf, '.9g')} vm=8 vf=10" in text
     expected = solve_mz_jerk(boundary)
     for name, value in zip("abcdef", expected.coefficients):
         assert float(printed[name]) == pytest.approx(value, rel=1e-6, abs=1e-9)
@@ -308,7 +339,8 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
     g = IntersectionGeometry()
     vm = g.mz_speed(Turn(turn))
     cz = solve_cz(t0, 11.0, 40.0, vm, g.cz_length)
-    boundary = MzBoundary(tm=40.0, tf=40.0 + g.transit_time(Turn(turn)), vm=vm, vf=vm,
+    boundary = MzBoundary(tm=40.0, tf=40.0 + g.transit_time(Turn(turn)), vm=vm,
+                          vf=g.mz_speed_straight,
                           p_start=g.cz_length, p_end=g.cz_length + g.path_length(Turn(turn)),
                           u_start=float(cz.control(40.0)))
     mz = solve_mz(boundary, MzVariant(objective), weight, g.u_max)
@@ -332,7 +364,7 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         ("simulate", "sim:\n  seed: seven\n", "seed"),
         ("simulate", "sim:\n  vehicle_count: 2.5\n", "vehicle_count"),
         ("simulate", "sim:\n  entry_speed_range: [ten, 12]\n", "sim.entry_speed_range"),
-        ("plan", "geometry:\n  turn_times: [5, three, 3]\n", "geometry.turn_times"),
+        ("plan", "geometry:\n  left_path_length: [40]\n", "geometry.left_path_length"),
         # non-finite numbers, which bound checks written as comparisons let through
         ("simulate", "sim:\n  sample_step: .nan\n", "sample_step"),
         ("plan", "plan:\n  tm: .nan\n", "plan.tm"),
@@ -356,22 +388,37 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         ("pareto", 'pareto:\n  mz_entry_speed: "8"\n', "pareto.mz_entry_speed"),
         ("pareto", 'pareto:\n  grid: ["0.5"]\n', "pareto.grid"),
         ("simulate", 'sim:\n  entry_speed_range: ["10", 12]\n', "sim.entry_speed_range"),
-        ("plan", 'geometry:\n  turn_times: ["5", 3, 3]\n', "geometry.turn_times"),
-        # turn times that cannot be derived, refused before the run starts
-        ("simulate", "geometry:\n  turn_times: null\n", "geometry.formula"),
-        ("simulate", "geometry:\n  turn_times: null\n  formula:\n    side_friction: 0.2\n",
-         "radius_left_ft"),
-        ("simulate", "geometry:\n  turn_times: null\n  formula:\n    radius_left_ft: 75\n"
-         "    side_friction: 0.2\n", "radius_right_ft"),
-        ("simulate", "geometry:\n  formula:\n    radius_left_ft: 75\n    radius_right_ft: 30\n"
-         "    side_friction: 0.2\n", "geometry.turn_times"),
+        ("plan", 'geometry:\n  right_path_length: "13"\n', "geometry.right_path_length"),
+        ("simulate", 'geometry:\n  formula:\n    superelevation: "2"\n    side_friction: 0.2\n',
+         "geometry.formula.superelevation"),
+        # curve speeds set twice, or not derivable, refused before the run starts
+        ("simulate", "geometry:\n  mz_speed_left: 7\n  formula:\n    side_friction: 0.2\n",
+         "geometry.mz_speed_left"),
+        ("plan", "geometry:\n  mz_speed_right: 5\n  formula:\n    side_friction: 0.2\n",
+         "geometry.mz_speed_right"),
+        ("simulate", "geometry:\n  formula:\n    superelevation: 2\n",
+         "geometry.formula.side_friction"),
+        ("simulate", "geometry:\n  formula:\n    side_friction: -0.2\n", "side_friction"),
+        ("simulate", "geometry:\n  formula:\n    radius: 75\n    side_friction: 0.2\n",
+         "geometry.formula.radius"),
+        ("pareto", "geometry:\n  formula:\n    side_friction: 5\n", "mz_speed_left"),
+        # a weight that the objective would ignore
+        ("simulate", "sim:\n  objective: jerk_only\n  weight: 7\n",
+         "weight 7 given, but the jerk_only objective ignores it"),
+        ("simulate", "sim:\n  objective: fuel_only\n  weight: 0.5\n",
+         "weight 0.5 given, but the fuel_only objective ignores it"),
+        ("plan", "plan:\n  tm: 40\n  objective: jerk_only\n  weight: 7\n",
+         "weight 7 given, but the jerk_only objective ignores it"),
+        ("plan", "plan:\n  tm: 40\n  weight: 0.5\n",
+         "weight 0.5 given, but the jerk_only objective ignores it"),
         # weights so close to 1 that the merge solution's exponent passes its cap
         ("simulate", "sim:\n  objective: weighted\n  weight: 0.99999\n", "weight 0.99999"),
         ("plan", "plan:\n  objective: weighted\n  weight: 0.99999\n", "weight 0.99999"),
         # a weight outside (0, 1), refused by the same rule as simulate's
         ("plan", "plan:\n  objective: weighted\n  weight: 1.5\n", "weight 1.5 outside (0, 1)"),
         ("simulate", "sim:\n  objective: weighted\n  weight: 1.5\n", "weight 1.5 outside (0, 1)"),
-        ("pareto", "geometry:\n  turn_times: [8.0, 3.0, 3.0]\npareto:\n  turn: left\n",
+        # an 8 s left-turn window: 2 * 72 m / (8 + 10) m/s
+        ("pareto", "geometry:\n  left_path_length: 72\npareto:\n  turn: left\n",
          "w=0.998"),
         # an empty weight grid has no tradeoff to sweep, like grid_size 0
         ("pareto", "pareto:\n  grid: []\n", "at least one weight"),

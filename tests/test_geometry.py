@@ -12,7 +12,6 @@ from crossflow import (
     MzBoundary,
     SimConfig,
     Turn,
-    TurnTimeFormula,
     classify,
 )
 
@@ -75,43 +74,73 @@ def test_same_entry_takes_precedence():
                 assert cls is ConflictClass.SAME_ENTRY
 
 
-def test_turn_time_table_mode():
-    g = IntersectionGeometry()
-    assert g.transit_time(mv("W", "straight").turn) == 3.0
-    assert g.transit_time(mv("W", "left").turn) == 5.0
-    assert g.transit_time(mv("W", "right").turn) == 3.0
+PATH_OVERRIDES = [{}, {"left_path_length": 40.0, "right_path_length": 13.0},
+                  {"left_path_length": 72.0}]
 
 
-FORMULA = TurnTimeFormula(radius_left_ft=75.0, radius_right_ft=75.0, side_friction=0.2)
+@pytest.mark.parametrize("overrides", PATH_OVERRIDES)
+@pytest.mark.parametrize("turn", list(Turn))
+def test_window_covers_the_path_at_constant_acceleration(turn, overrides):
+    # the curve speed in, the through speed out, and the mean of the two
+    # over the window is the path length
+    g = IntersectionGeometry(**overrides)
+    vm, vf = g.mz_speed(turn), g.mz_speed_straight
+    assert g.transit_time(turn) * (vm + vf) / 2.0 == pytest.approx(g.path_length(turn), rel=1e-15)
 
 
-def test_turn_time_derived_straight():
-    g = IntersectionGeometry(
-        v_max=31.0, mz_speed_straight=30.0, turn_times=None, turn_time_formula=FORMULA
-    )
-    assert g.transit_time(mv("N", "straight").turn) == 1.0
-    # without a formula the left turn's time cannot be derived, so the
-    # geometry itself is refused
-    with pytest.raises(ValueError):
-        IntersectionGeometry(v_max=31.0, mz_speed_straight=30.0, turn_times=None)
-
-
-def test_turn_time_formula_mode():
-    # R = 75 ft, F = 0.2, E = 0: R / sqrt(15 R F) = 75 / 15 = 5 s
-    formula = TurnTimeFormula(radius_left_ft=75.0, radius_right_ft=75.0, side_friction=0.2)
-    g = IntersectionGeometry(turn_times=None, turn_time_formula=formula)
-    assert g.transit_time(mv("W", "left").turn) == pytest.approx(5.0, abs=1e-12)
-    assert g.transit_time(mv("W", "right").turn) == pytest.approx(5.0, abs=1e-12)
+def test_straight_window_is_three_seconds():
+    assert IntersectionGeometry().transit_time(Turn.STRAIGHT) == 3.0
 
 
 def test_derived_straight_time_times_speed_is_side():
     for speed in (7.5, 10.0, 12.5):
-        g = IntersectionGeometry(mz_speed_straight=speed, turn_times=None,
-                                 turn_time_formula=FORMULA)
+        g = IntersectionGeometry(mz_speed_straight=speed)
         assert g.transit_time(Turn.STRAIGHT) * speed == g.mz_side
 
 
-def test_mz_exit_speeds():
+MPH2_PER_FT = 0.44704 ** 2 / 0.3048   # m/s^2
+
+
+@pytest.mark.parametrize("overrides", PATH_OVERRIDES)
+@pytest.mark.parametrize("friction, superelevation", [(0.2, 0.0), (0.15, 4.0)])
+def test_curve_speeds_meet_the_design_lateral_acceleration(overrides, friction, superelevation):
+    # v^2 / R = 15 (0.01 E + F) mph^2/ft on each turn's own quarter-circle arc
+    g = IntersectionGeometry(**overrides)
+    curved = g.with_curve_speeds(friction, superelevation)
+    limit = 15.0 * (0.01 * superelevation + friction) * MPH2_PER_FT
+    for turn in (Turn.LEFT, Turn.RIGHT):
+        radius = 2.0 * g.path_length(turn) / math.pi
+        assert curved.mz_speed(turn) ** 2 / radius == pytest.approx(limit, rel=1e-14)
+    assert curved.mz_speed_straight == g.mz_speed_straight
+    assert curved.left_path_length == g.left_path_length
+
+
+def test_curve_speeds_at_the_default_arcs():
+    # radii 22.5 and 7.5 m; at F = 0.2 the lateral acceleration is 1.967 m/s^2
+    g = IntersectionGeometry().with_curve_speeds(0.2)
+    assert 2.0 * g.path_length(Turn.LEFT) / math.pi == pytest.approx(22.5, rel=1e-15)
+    assert 2.0 * g.path_length(Turn.RIGHT) / math.pi == pytest.approx(7.5, rel=1e-15)
+    assert g.mz_speed_left ** 2 / 22.5 == pytest.approx(1.967, abs=5e-4)
+    assert (g.mz_speed_left, g.mz_speed_right) == pytest.approx((6.6526, 3.8409), abs=5e-5)
+
+
+@pytest.mark.parametrize("friction, superelevation, message", [
+    (0.0, 0.0, "side_friction"),
+    (-0.1, 0.0, "side_friction"),
+    (math.nan, 0.0, "side_friction"),
+    (math.inf, 0.0, "side_friction"),
+    (0.2, -1.0, "superelevation"),
+    (0.2, math.nan, "superelevation"),
+    (0.2, math.inf, "superelevation"),
+    # a curve speed past v_max is refused by the geometry's own bound
+    (5.0, 0.0, "mz_speed_left"),
+])
+def test_curve_speed_inputs_are_validated(friction, superelevation, message):
+    with pytest.raises(ValueError, match=message):
+        IntersectionGeometry().with_curve_speeds(friction, superelevation)
+
+
+def test_mz_curve_speeds():
     g = IntersectionGeometry()
     assert g.mz_speed(mv("S", "left").turn) == 8.0
     assert g.mz_speed(mv("S", "straight").turn) == 10.0
@@ -135,12 +164,6 @@ def test_geometry_validation():
         IntersectionGeometry(v_min=5.0, v_max=4.0)
     with pytest.raises(ValueError, match="mz_speed_straight"):
         IntersectionGeometry(mz_speed_straight=14.0)
-    with pytest.raises(ValueError, match="not both"):
-        IntersectionGeometry(
-            turn_time_formula=TurnTimeFormula(
-                radius_left_ft=75.0, radius_right_ft=75.0, side_friction=0.2
-            )
-        )
     with pytest.raises(ValueError):
         IntersectionGeometry(cz_length=25.0, mz_side=30.0)
 
@@ -152,10 +175,8 @@ WINDOW = dict(tm=40.0, tf=43.0, vm=10.0, vf=10.0, p_start=400.0, p_end=430.0)
 @pytest.mark.parametrize("build, field", [
     (lambda: IntersectionGeometry(cz_length=NAN), "cz_length"),
     (lambda: IntersectionGeometry(v_max=INF), "v_max"),
-    (lambda: IntersectionGeometry(turn_times=(5.0, INF, 3.0)), "turn_times"),
+    (lambda: IntersectionGeometry(mz_speed_right=INF), "mz_speed_right"),
     (lambda: IntersectionGeometry(right_path_length=NAN), "right_path_length"),
-    (lambda: TurnTimeFormula(radius_left_ft=NAN), "radius_left_ft"),
-    (lambda: TurnTimeFormula(superelevation=INF), "superelevation"),
     (lambda: SimConfig(arrival_rate=NAN), "arrival_rate"),
     (lambda: SimConfig(turn_probabilities=(NAN, 0.5, 0.5)), "turn_probabilities"),
     (lambda: SimConfig(weight=NAN), "weight"),
@@ -168,22 +189,3 @@ def test_configs_reject_non_finite_numbers(build, field):
     # before them; infinities are no usable setting either
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         build()
-
-
-@pytest.mark.parametrize("formula, missing", [
-    (None, "turn_time_formula"),
-    (TurnTimeFormula(side_friction=0.2), "radius_left_ft"),
-    (TurnTimeFormula(radius_left_ft=75.0, side_friction=0.2), "radius_right_ft"),
-    (TurnTimeFormula(radius_left_ft=75.0, radius_right_ft=75.0), "side_friction"),
-])
-def test_underivable_turn_times_are_refused(formula, missing):
-    with pytest.raises(ValueError, match=missing):
-        IntersectionGeometry(turn_times=None, turn_time_formula=formula)
-
-
-def test_formula_mode_validation():
-    with pytest.raises(ValueError):
-        TurnTimeFormula(radius_left_ft=-5.0, radius_right_ft=75.0, side_friction=0.2)
-    formula = TurnTimeFormula(radius_left_ft=75.0, radius_right_ft=75.0, side_friction=0.2)
-    with pytest.raises(ValueError):
-        formula.transit_time(Turn.STRAIGHT)

@@ -132,12 +132,13 @@ def test_cross_evaluation_optimality():
 
 
 def _turn_boundary(turn, vm=None):
-    # the merge window crossflow pareto sweeps by default; an entry speed
-    # other than the turn's merge speed gives a straight crossing costs too
+    # the merge window crossflow pareto sweeps by default, from the turn's
+    # curve speed to the through speed; an entry speed other than the
+    # turn's curve speed gives a straight crossing costs too
     g = IntersectionGeometry()
     return MzBoundary(
         tm=0.0, tf=g.transit_time(turn), vm=g.mz_speed(turn) if vm is None else vm,
-        vf=g.mz_speed(turn), p_start=g.cz_length, p_end=g.cz_length + g.path_length(turn),
+        vf=g.mz_speed_straight, p_start=g.cz_length, p_end=g.cz_length + g.path_length(turn),
     )
 
 

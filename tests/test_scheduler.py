@@ -26,7 +26,8 @@ def mv(arm: str, turn: str) -> Movement:
 
 
 def make_schedule(vehicle_id, movement, tm, tf, vm, g, t0=None, v0=10.0):
-    """Handcrafted queue entry with consistent derived fields."""
+    """Handcrafted queue entry with consistent derived fields: it leaves
+    the merge zone at the through speed."""
     return Schedule(
         vehicle_id=vehicle_id,
         movement=movement,
@@ -35,12 +36,14 @@ def make_schedule(vehicle_id, movement, tm, tf, vm, g, t0=None, v0=10.0):
         tm=tm,
         tf=tf,
         vm=vm,
-        vf=vm,
+        vf=g.mz_speed_straight,
         binding_case="feasibility",
     )
 
 
 GEOMETRY = IntersectionGeometry()
+LEFT_WINDOW = GEOMETRY.transit_time(Turn.LEFT)
+RIGHT_WINDOW = GEOMETRY.transit_time(Turn.RIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,7 @@ def test_schedule_exit_lane_candidate():
     spec = VehicleSpec(2, 10.0, 10.0, mv("S", "right"))
     sched = schedule(spec, [leader], GEOMETRY)
     assert sched.tf == pytest.approx(101.0, abs=1e-12)
-    assert sched.tm == pytest.approx(98.0, abs=1e-12)
+    assert sched.tm == pytest.approx(101.0 - RIGHT_WINDOW, abs=1e-12)
     assert sched.binding_case == "same_exit"
     assert sched.same_exit_pred == 1
     assert sched.tf > leader.tf
@@ -220,22 +223,23 @@ def test_schedule_exit_lane_candidate():
 def test_schedule_entry_lane_candidate():
     # left-turning leader occupies the lane head: follower waits on
     # max(leader merge entry + headway + own transit, leader exit)
-    leader = make_schedule(1, mv("W", "left"), 50.0, 55.0, 8.0, GEOMETRY)
+    leader = make_schedule(1, mv("W", "left"), 50.0, 50.0 + LEFT_WINDOW, 8.0, GEOMETRY)
     spec = VehicleSpec(2, 10.0, 10.0, mv("W", "right"))
     sched = schedule(spec, [leader], GEOMETRY)
-    # max(50 + 10/8 + 3, 55) = 55
-    assert sched.tf == pytest.approx(55.0, abs=1e-12)
-    assert sched.tm == pytest.approx(52.0, abs=1e-12)
+    # max(50 + 10/8 + 1.47, 53.93) = 53.93
+    assert 50.0 + 10.0 / 8.0 + RIGHT_WINDOW < leader.tf
+    assert sched.tf == pytest.approx(leader.tf, abs=1e-12)
+    assert sched.tm == pytest.approx(leader.tf - RIGHT_WINDOW, abs=1e-12)
     assert sched.binding_case == "same_entry"
     assert sched.tm > 50.0 + 10.0 / 8.0
 
 
 def test_schedule_entry_lane_headway_branch():
-    # straight leader: headway term 50 + 10/10 + 5 = 56 exceeds its exit 53
+    # straight leader: headway term 50 + 10/10 + 3.93 exceeds its exit 53
     leader = make_schedule(1, mv("W", "straight"), 50.0, 53.0, 10.0, GEOMETRY)
     spec = VehicleSpec(2, 10.0, 10.0, mv("W", "left"))
     sched = schedule(spec, [leader], GEOMETRY)
-    assert sched.tf == pytest.approx(56.0, abs=1e-12)
+    assert sched.tf == pytest.approx(51.0 + LEFT_WINDOW, abs=1e-12)
     assert sched.tm == pytest.approx(51.0, abs=1e-12)
     assert sched.binding_case == "same_entry"
 
@@ -253,7 +257,7 @@ def test_schedule_crossing_candidate():
 def test_schedule_queue_order_candidate():
     # opposing right turns never conflict; only the queue-order candidate
     # and the feasibility bound remain
-    leader = make_schedule(1, mv("E", "right"), 97.0, 100.0, 6.0, GEOMETRY)
+    leader = make_schedule(1, mv("E", "right"), 100.0 - RIGHT_WINDOW, 100.0, 6.0, GEOMETRY)
     spec = VehicleSpec(2, 10.0, 10.0, mv("W", "right"))
     sched = schedule(spec, [leader], GEOMETRY)
     assert sched.tf == pytest.approx(100.0, abs=1e-12)
@@ -267,6 +271,14 @@ def test_schedule_feasibility_floor():
     bound = earliest_mz_arrival(spec.t0, spec.v0, GEOMETRY)
     assert sched.tm == pytest.approx(bound, abs=1e-12)
     assert sched.tf == sched.tm + 3.0
+
+
+@pytest.mark.parametrize("movement", ALL_MOVEMENTS, ids=str)
+def test_schedule_enters_at_curve_speed_and_leaves_at_through_speed(movement):
+    sched = schedule(VehicleSpec(1, 0.0, 10.0, movement), [], GEOMETRY)
+    assert sched.vm == GEOMETRY.mz_speed(movement.turn)
+    assert sched.vf == GEOMETRY.mz_speed_straight
+    assert sched.tf - sched.tm == pytest.approx(GEOMETRY.transit_time(movement.turn), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +321,22 @@ def test_audit_flags_crossing_overlap():
 def test_audit_entry_order_is_strict():
     first = make_schedule(1, mv("W", "straight"), 50.0, 53.0, 10.0, GEOMETRY)
     # equal merge-entry times on the same lane violate the strict ordering
-    second = make_schedule(2, mv("W", "left"), 50.0, 55.0, 8.0, GEOMETRY)
+    second = make_schedule(2, mv("W", "left"), 50.0, 50.0 + LEFT_WINDOW, 8.0, GEOMETRY)
     kinds = {f.kind for f in audit_queue([first, second])}
     assert "entry_order" in kinds
 
 
 def test_audit_exit_order_is_strict():
     first = make_schedule(1, mv("W", "straight"), 50.0, 53.0, 10.0, GEOMETRY)
-    second = make_schedule(2, mv("S", "right"), 50.0, 53.0, 6.0, GEOMETRY)
+    second = make_schedule(2, mv("S", "right"), 53.0 - RIGHT_WINDOW, 53.0, 6.0, GEOMETRY)
     kinds = {f.kind for f in audit_queue([first, second])}
     assert "exit_order" in kinds
 
 
 def test_audit_accepts_equal_exit_times_across_queue():
     # global exit-time ordering is non-strict; ties are legal
-    first = make_schedule(1, mv("E", "right"), 97.0, 100.0, 6.0, GEOMETRY)
-    second = make_schedule(2, mv("W", "right"), 97.0, 100.0, 6.0, GEOMETRY)
+    first = make_schedule(1, mv("E", "right"), 100.0 - RIGHT_WINDOW, 100.0, 6.0, GEOMETRY)
+    second = make_schedule(2, mv("W", "right"), 100.0 - RIGHT_WINDOW, 100.0, 6.0, GEOMETRY)
     assert audit_queue([first, second]) == []
 
 

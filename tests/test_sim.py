@@ -319,6 +319,24 @@ def test_weighted_objective_runs_clean():
     assert result.audit.ok
 
 
+@pytest.mark.parametrize("rate", [0.25, 1.0, 2.0])
+@pytest.mark.parametrize("geometry", [IntersectionGeometry(),
+                                      IntersectionGeometry().with_curve_speeds(0.2)],
+                         ids=["table", "formula"])
+def test_every_crossing_leaves_at_the_through_speed_and_audits_clean(geometry, rate):
+    # each vehicle enters at its curve speed, leaves at the through speed,
+    # and takes its turn's window, with the table's speeds or the formula's
+    for seed in range(20):
+        result = run(SimConfig(geometry=geometry, arrival_rate=rate, seed=seed))
+        assert result.audit.ok, f"seed {seed}: {result.audit.findings}"
+        for rec in result.vehicles:
+            sched, turn = rec.schedule, rec.spec.movement.turn
+            assert (sched.vm, sched.vf) == (geometry.mz_speed(turn), geometry.mz_speed_straight)
+            assert sched.tf - sched.tm == pytest.approx(geometry.transit_time(turn), abs=1e-12)
+            assert float(rec.mz.speed(sched.tm)) == pytest.approx(sched.vm, abs=1e-9)
+            assert float(rec.mz.speed(sched.tf)) == pytest.approx(sched.vf, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # independent audit
 
@@ -499,7 +517,7 @@ def _held_searches(monkeypatch, cfg):
 @pytest.mark.parametrize("rate", [1.0, 2.0])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gate_cutoff_returns_unbounded_answer_or_none_above_it(monkeypatch, seed, rate):
-    searches = _held_searches(monkeypatch, SimConfig(seed=seed, arrival_rate=rate, vehicle_count=24))
+    searches = _held_searches(monkeypatch, SimConfig(seed=seed, arrival_rate=rate, vehicle_count=36))
     assert len(searches) >= 10
     outcomes = set()
     for spec, queue, leader, g, entry in searches:
@@ -530,7 +548,7 @@ def test_gate_cutoff_returns_unbounded_answer_or_none_above_it(monkeypatch, seed
 @pytest.mark.parametrize("rate", [1.0, 2.0])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gate_answer_is_a_clear_probe_just_past_one_not_clear(monkeypatch, seed, rate):
-    searches = _held_searches(monkeypatch, SimConfig(seed=seed, arrival_rate=rate, vehicle_count=24))
+    searches = _held_searches(monkeypatch, SimConfig(seed=seed, arrival_rate=rate, vehicle_count=36))
     assert len(searches) >= 10
     probes = []
     gap = sim_module.rear_end_gap

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -61,20 +63,29 @@ def _json_float(value: float) -> float:
     return float(_fmt(value))
 
 
+def _field_values(obj: Any, omit: Sequence[str] = ()) -> Dict[str, Any]:
+    """The dataclass obj's fields by name, except omit, as the resolved
+    config records them: a tuple as a list, an enum as its value."""
+    values = {}
+    for field in dataclasses.fields(obj):
+        if field.name in omit:
+            continue
+        value = getattr(obj, field.name)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, enum.Enum):
+            value = value.value
+        values[field.name] = value
+    return values
+
+
+# the geometry and sim sections take the fields of the dataclasses they build
 _TOP_KEYS = {"geometry", "sim", "pareto", "plan"}
-_GEOMETRY_KEYS = {
-    "cz_length", "mz_side", "min_safe_distance", "v_min", "v_max",
-    "u_min", "u_max", "mz_speed_left", "mz_speed_straight", "mz_speed_right",
-    "formula", "left_path_length", "right_path_length",
-}
+_GEOMETRY_KEYS = {f.name for f in dataclasses.fields(IntersectionGeometry)} | {"formula"}
 _FORMULA_KEYS = {"side_friction", "superelevation"}
-_SIM_KEYS = {
-    "arrival_rate", "entry_speed_range", "arm_probabilities", "turn_probabilities",
-    "arm_rates", "vehicle_count", "objective", "weight", "jerk_scale", "seed",
-    "sample_step",
-}
+_SIM_KEYS = {f.name for f in dataclasses.fields(SimConfig)} - {"geometry"}
 _PARETO_KEYS = {
-    "turn", "entry_time", "mz_entry_speed", "mz_exit_speed",
+    "turn", "mz_entry_speed", "mz_exit_speed",
     "grid", "grid_size", "w_min", "w_max", "jerk_scale",
 }
 _PLAN_KEYS = {
@@ -204,23 +215,6 @@ def _build_geometry(section: Mapping[str, Any]) -> IntersectionGeometry:
         raise ConfigError(f"geometry: {exc}") from exc
 
 
-def _geometry_dict(g: IntersectionGeometry) -> Dict[str, Any]:
-    return {
-        "cz_length": g.cz_length,
-        "mz_side": g.mz_side,
-        "min_safe_distance": g.min_safe_distance,
-        "v_min": g.v_min,
-        "v_max": g.v_max,
-        "u_min": g.u_min,
-        "u_max": g.u_max,
-        "mz_speed_left": g.mz_speed_left,
-        "mz_speed_straight": g.mz_speed_straight,
-        "mz_speed_right": g.mz_speed_right,
-        "left_path_length": g.left_path_length,
-        "right_path_length": g.right_path_length,
-    }
-
-
 def _parse_enum(kind: type, name: Any, path: str) -> Any:
     """The member of the enum class kind whose value is name."""
     try:
@@ -241,7 +235,6 @@ def _build_sim_config(
         ("entry_speed_range", 2),
         ("arm_probabilities", 4),
         ("turn_probabilities", 3),
-        ("arm_rates", 4),
     ):
         if key in section and section[key] is not None:
             raw = section[key]
@@ -257,20 +250,8 @@ def _build_sim_config(
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sim: {exc}") from exc
     resolved = {
-        "geometry": _geometry_dict(geometry),
-        "sim": {
-            "arrival_rate": sim_config.arrival_rate,
-            "entry_speed_range": list(sim_config.entry_speed_range),
-            "arm_probabilities": list(sim_config.arm_probabilities),
-            "turn_probabilities": list(sim_config.turn_probabilities),
-            "arm_rates": list(sim_config.arm_rates) if sim_config.arm_rates else None,
-            "vehicle_count": sim_config.vehicle_count,
-            "objective": sim_config.objective.value,
-            "weight": sim_config.weight,
-            "jerk_scale": sim_config.jerk_scale,
-            "seed": sim_config.seed,
-            "sample_step": sim_config.sample_step,
-        },
+        "geometry": _field_values(geometry),
+        "sim": _field_values(sim_config, omit=("geometry",)),
     }
     return sim_config, resolved
 
@@ -379,7 +360,6 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
     geometry = _build_geometry(_section(config, "geometry", _GEOMETRY_KEYS))
     section = _section(config, "pareto", _PARETO_KEYS)
     turn = _parse_enum(Turn, section.get("turn", "left"), "pareto.turn")
-    entry_time = _read(_finite, section.get("entry_time", 0.0), "pareto.entry_time")
     vm = section.get("mz_entry_speed")
     vm = geometry.mz_speed(turn) if vm is None else _read(_finite, vm, "pareto.mz_entry_speed")
     vf = section.get("mz_exit_speed")
@@ -394,8 +374,8 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
 
     try:
         boundary = MzBoundary(
-            tm=entry_time,
-            tf=entry_time + geometry.transit_time(turn),
+            tm=0.0,
+            tf=geometry.transit_time(turn),
             vm=vm,
             vf=vf,
             p_start=geometry.cz_length,
@@ -424,10 +404,9 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
     )
 
     resolved = {
-        "geometry": _geometry_dict(geometry),
+        "geometry": _field_values(geometry),
         "pareto": {
             "turn": turn.value,
-            "entry_time": entry_time,
             "mz_entry_speed": vm,
             "mz_exit_speed": vf,
             "grid": [float(w) for w in grid],
@@ -512,7 +491,7 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
     _write_csv(os.path.join(out_dir, "plan.csv"), ["t", "zone", "p", "v", "u", "j"], rows)
 
     resolved = {
-        "geometry": _geometry_dict(geometry),
+        "geometry": _field_values(geometry),
         "plan": {
             "arm": arm.value,
             "turn": turn.value,

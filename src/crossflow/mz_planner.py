@@ -442,34 +442,22 @@ class MzCosts(NamedTuple):
     weighted: Optional[float]
 
 
-def mz_costs(
-    traj: Union[PolyTrajectory, MzTrajectory],
-    q1: Optional[float] = None,
-    q2: Optional[float] = None,
-    w: Optional[float] = None,
-) -> MzCosts:
+def mz_costs(traj: Union[PolyTrajectory, MzTrajectory]) -> MzCosts:
     """Cost functionals of a solved trajectory.
 
-    fuel is half the integral of u^2, discomfort half the integral of
-    jerk^2, and weighted the combination w*q1*fuel + (1-w)*q2*discomfort.
-    Weight parameters default to the weighted trajectory's own; passing
-    them explicitly evaluates another weight's combination on this
-    trajectory (cross-evaluation).  Polynomials are integrated exactly;
-    the exponential form uses panelled high-order quadrature.
+    fuel is half the integral of u^2 and discomfort half the integral of
+    jerk^2.  weighted is a weighted trajectory's own combination
+    w*q1*fuel + (1-w)*q2*discomfort, and None for the polynomial optima,
+    which carry no weight.  Polynomials are integrated exactly; the
+    exponential form uses panelled high-order quadrature.
     """
     if isinstance(traj, MzTrajectory):
         ((fuel, discomfort),) = half_square_integrals((traj,), (2, 3))
-        w = traj.w if w is None else w
-        q1 = traj.q1 if q1 is None else q1
-        q2 = traj.q2 if q2 is None else q2
+        weighted = traj.w * traj.q1 * fuel + (1.0 - traj.w) * traj.q2 * discomfort
     else:
         fuel = traj.half_square_integral(2)
         discomfort = traj.half_square_integral(3)
-    weighted = None
-    if w is not None:
-        if q1 is None or q2 is None:
-            raise ValueError("q1 and q2 are required alongside an explicit weight")
-        weighted = w * q1 * fuel + (1.0 - w) * q2 * discomfort
+        weighted = None
     return MzCosts(fuel=float(fuel), discomfort=float(discomfort), weighted=weighted)
 
 

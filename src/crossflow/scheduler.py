@@ -70,9 +70,6 @@ class Schedule:
     fifo_pred: Optional[int] = None
 
 
-QueueState = List[Schedule]
-
-
 class ConflictPredecessors(NamedTuple):
     """Latest queue member of each conflict class, if any."""
 

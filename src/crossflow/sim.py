@@ -97,7 +97,11 @@ _AUDIT_TIME_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One reproducible scenario: geometry, traffic mix, objective, seed."""
+    """One reproducible scenario: geometry, traffic mix, objective, seed.
+
+    Traffic is one Poisson stream at arrival_rate, and each arrival draws
+    its arm from arm_probabilities and its turn from turn_probabilities.
+    """
 
     geometry: IntersectionGeometry = IntersectionGeometry()
     arrival_rate: float = 1.0
@@ -105,9 +109,6 @@ class SimConfig:
     # (N, E, S, W) and (left, straight, right); uniform unless stated
     arm_probabilities: Tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     turn_probabilities: Tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    # optional independent Poisson rate per arm (N, E, S, W); overrides
-    # arrival_rate plus arm_probabilities when given
-    arm_rates: Optional[Tuple[float, float, float, float]] = None
     vehicle_count: int = 30
     objective: MzVariant = MzVariant.JERK_ONLY
     # the weighted objective's weight; refused under the other objectives
@@ -124,12 +125,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.arm_rates is None:
-            if self.arrival_rate <= 0.0:
-                raise ValueError(f"arrival_rate must be positive, got {self.arrival_rate}")
-        else:
-            if len(self.arm_rates) != 4 or any(r <= 0.0 for r in self.arm_rates):
-                raise ValueError(f"arm_rates must be four positive values, got {self.arm_rates}")
+        if self.arrival_rate <= 0.0:
+            raise ValueError(f"arrival_rate must be positive, got {self.arrival_rate}")
         lo, hi = self.entry_speed_range
         g = self.geometry
         if not (g.v_min <= lo <= hi <= g.v_max):
@@ -168,31 +165,18 @@ class SimConfig:
 def generate_arrivals(cfg: SimConfig) -> List[VehicleSpec]:
     """Draw the arrival sequence for a scenario, deterministically per seed.
 
-    Inter-arrival gaps are exponential (aggregate rate, or per arm when
-    arm_rates is set), entry speeds uniform over the configured range, and
-    arm/turn choices independent draws.  Ids count up in arrival order;
-    exactly coincident timestamps are ordered by an auxiliary random draw.
+    Inter-arrival gaps are exponential at arrival_rate, entry speeds
+    uniform over the configured range, and arm and turn choices
+    independent draws.  Independent Poisson streams of rates r_i per arm
+    are this stream at rate sum(r_i) with arm probabilities r_i / sum(r_i).
+    Ids count up in arrival order; exactly coincident timestamps are
+    ordered by an auxiliary random draw.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = cfg.vehicle_count
-    if cfg.arm_rates is None:
-        times = np.cumsum(rng.exponential(1.0 / cfg.arrival_rate, size=n))
-        tiebreak = rng.random(n)
-        arm_idx = rng.choice(4, size=n, p=np.asarray(cfg.arm_probabilities, dtype=float))
-        arms = [_ARM_ORDER[k] for k in arm_idx]
-    else:
-        streams = [
-            np.cumsum(rng.exponential(1.0 / rate, size=n)) for rate in cfg.arm_rates
-        ]
-        tiebreak_all = rng.random(4 * n)
-        merged = sorted(
-            (t, tiebreak_all[arm_k * n + i], _ARM_ORDER[arm_k])
-            for arm_k, stream in enumerate(streams)
-            for i, t in enumerate(stream)
-        )[:n]
-        times = np.array([t for t, _, _ in merged])
-        tiebreak = np.array([tb for _, tb, _ in merged])
-        arms = [arm for _, _, arm in merged]
+    times = np.cumsum(rng.exponential(1.0 / cfg.arrival_rate, size=n))
+    tiebreak = rng.random(n)
+    arm_idx = rng.choice(4, size=n, p=np.asarray(cfg.arm_probabilities, dtype=float))
     turn_idx = rng.choice(3, size=n, p=np.asarray(cfg.turn_probabilities, dtype=float))
     speeds = rng.uniform(cfg.entry_speed_range[0], cfg.entry_speed_range[1], size=n)
     order = np.lexsort((tiebreak, times))
@@ -201,7 +185,7 @@ def generate_arrivals(cfg: SimConfig) -> List[VehicleSpec]:
             vehicle_id=rank + 1,
             t0=float(times[idx]),
             v0=float(speeds[idx]),
-            movement=Movement(arms[idx], _TURN_ORDER[turn_idx[idx]]),
+            movement=Movement(_ARM_ORDER[arm_idx[idx]], _TURN_ORDER[turn_idx[idx]]),
         )
         for rank, idx in enumerate(order)
     ]
@@ -584,7 +568,7 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarr
     return table[np.lexsort((table["vehicle_id"], table["t"]))]
 
 
-def audit_run(run_result: SimRun, min_safe_distance: Optional[float] = None) -> AuditReport:
+def audit_run(run_result: SimRun) -> AuditReport:
     """Safety findings of a finished run, from its trajectory records alone.
 
     Neither the sampled state table nor the scheduler's candidate
@@ -601,11 +585,11 @@ def audit_run(run_result: SimRun, min_safe_distance: Optional[float] = None) -> 
     - exit_spacing: vehicles leaving into the same exit arm from
       different entry arms, compared at their merge-zone exit times.
 
-    Overriding min_safe_distance audits the run against a stricter (or
-    looser) spacing than it was planned for.
+    The spacing is the run's own geometry's min_safe_distance.  To audit
+    the same records against another spacing, audit a copy of the run
+    whose config carries a geometry with that min_safe_distance.
     """
-    g = run_result.config.geometry
-    delta = g.min_safe_distance if min_safe_distance is None else min_safe_distance
+    delta = run_result.config.geometry.min_safe_distance
     ordered = sorted(run_result.vehicles, key=lambda rec: rec.spec.vehicle_id)
     findings: List[AuditFinding] = []
 

@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from crossflow import (
     IntersectionGeometry,
     MzBoundary,
     MzVariant,
+    SimConfig,
     Turn,
     cli,
     solve_cz,
@@ -159,6 +160,40 @@ def test_unknown_config_key_is_reported_with_path(tmp_path, capsys):
     code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "geometry.cz_lenght" in capsys.readouterr().err
+
+
+def test_resolved_config_names_every_field_and_reads_back_as_itself():
+    # the geometry and sim sections take the dataclasses' own fields, and
+    # the resolved block that the digest covers is a config giving the same run
+    config = {
+        "geometry": {"formula": {"side_friction": 0.2}, "right_path_length": 13},
+        "sim": {"arm_probabilities": [0.7, 0.1, 0.1, 0.1], "objective": "weighted",
+                "weight": 0.5, "seed": 4},
+    }
+    sim_config, resolved = cli._build_sim_config(config, None)
+    assert set(resolved["geometry"]) == {f.name for f in fields(IntersectionGeometry)}
+    assert set(resolved["sim"]) == {f.name for f in fields(SimConfig)} - {"geometry"}
+    assert resolved["sim"]["arm_probabilities"] == [0.7, 0.1, 0.1, 0.1]
+    assert resolved["sim"]["objective"] == "weighted"
+    assert json.loads(json.dumps(resolved)) == resolved
+    again, resolved_again = cli._build_sim_config(resolved, None)
+    assert (again, resolved_again) == (sim_config, resolved)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [f"geometry.{f.name}" for f in fields(IntersectionGeometry)] + ["geometry.formula"]
+    + [f"sim.{f.name}" for f in fields(SimConfig) if f.name != "geometry"],
+)
+def test_every_config_field_is_read(tmp_path, capsys, key):
+    # each key is a dataclass field, so a field that nothing reads would be
+    # accepted and dropped; a string in its place must be refused by name
+    section, name = key.split(".")
+    cfg = write_config(tmp_path, f"{section}:\n  {name}: abc\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_digest_ignores_key_order(tmp_path):
@@ -422,6 +457,10 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
          "w=0.998"),
         # an empty weight grid has no tradeoff to sweep, like grid_size 0
         ("pareto", "pareto:\n  grid: []\n", "at least one weight"),
+        # per-arm demand is arrival_rate with arm_probabilities, and a sweep's
+        # window starts at 0, where its costs are those of any other start
+        ("simulate", "sim:\n  arm_rates: [2.0, 0.1, 0.1, 0.1]\n", "sim.arm_rates"),
+        ("pareto", "pareto:\n  entry_time: 5\n", "pareto.entry_time"),
     ],
 )
 def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, text, key):

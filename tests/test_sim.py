@@ -80,8 +80,11 @@ def test_movement_mix_respects_probabilities():
     assert all(s.movement.turn.value == "straight" for s in specs)
 
 
-def test_per_arm_rates_mode():
-    cfg = SimConfig(seed=14, vehicle_count=500, arm_rates=(2.0, 0.1, 0.1, 0.1))
+def test_uneven_arm_demand():
+    # Poisson streams of 2.0, 0.1, 0.1 and 0.1 veh/s on N, E, S and W are
+    # one stream of 2.3 veh/s whose arrivals pick N with probability 20/23
+    cfg = SimConfig(seed=14, vehicle_count=500, arrival_rate=2.3,
+                    arm_probabilities=(20 / 23, 1 / 23, 1 / 23, 1 / 23))
     specs = generate_arrivals(cfg)
     counts = {arm: 0 for arm in "NESW"}
     for s in specs:
@@ -94,8 +97,6 @@ def test_per_arm_rates_mode():
 def test_config_validation():
     with pytest.raises(ValueError, match="arrival_rate"):
         SimConfig(arrival_rate=0.0)
-    with pytest.raises(ValueError, match="arm_rates"):
-        SimConfig(arm_rates=(1.0, 1.0, 1.0, -1.0))
     with pytest.raises(ValueError, match="entry_speed_range"):
         SimConfig(entry_speed_range=(10.0, 14.0))
     with pytest.raises(ValueError, match="sum to 1"):
@@ -189,9 +190,9 @@ def test_trajectories_meet_zone_boundaries(base_run):
 
 def test_sample_table_covers_zones(base_run):
     step = BASE.sample_step
+    table = oracles.sample_rows(base_run.samples)
     for rec in base_run.vehicles:
-        rows = [r for r in oracles.sample_rows(base_run.samples)
-                if r.vehicle_id == rec.spec.vehicle_id]
+        rows = [r for r in table if r.vehicle_id == rec.spec.vehicle_id]
         assert rows
         zones = [r.zone for r in rows]
         # zones appear in traversal order with no interleaving
@@ -234,9 +235,9 @@ def test_run_keeps_only_decisions_and_audits_when_read(monkeypatch):
     calls = []
     audit = sim_module.audit_run
 
-    def counting(run_result, min_safe_distance=None):
+    def counting(run_result):
         calls.append(len(run_result.vehicles))
-        return audit(run_result, min_safe_distance)
+        return audit(run_result)
 
     monkeypatch.setattr(sim_module, "audit_run", counting)
     result = run(SimConfig(seed=7, vehicle_count=8))
@@ -314,6 +315,37 @@ def test_objective_changes_mz_only():
     assert diffs > 0
 
 
+def _rotated(movement, k):
+    """movement turned k quarter turns clockwise: same turn, entry arm k
+    arms further round."""
+    arms = list(Arm)
+    return Movement(arms[(arms.index(movement.entry_arm) + k) % len(arms)], movement.turn)
+
+
+@pytest.mark.parametrize("rate", [0.25, 1.0, 2.0])
+def test_rotating_every_arrival_rotates_every_record(monkeypatch, rate):
+    # the junction looks the same from every arm, so arrivals turned by one,
+    # two or three arms give the same run with every movement turned alike
+    for seed in range(3):
+        cfg = SimConfig(seed=seed, arrival_rate=rate, vehicle_count=30)
+        base = run(cfg)
+        for k in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(sim_module, "generate_arrivals", lambda c, k=k: [
+                    replace(spec, movement=_rotated(spec.movement, k))
+                    for spec in generate_arrivals(c)
+                ])
+                turned = run(cfg)
+            assert len(turned.vehicles) == len(base.vehicles)
+            for got, rec in zip(turned.vehicles, base.vehicles):
+                movement = _rotated(rec.spec.movement, k)
+                assert got.spec == replace(rec.spec, movement=movement)
+                assert got.arrival_time == rec.arrival_time
+                assert got.schedule == replace(rec.schedule, movement=movement)
+                assert (got.cz, got.mz) == (rec.cz, rec.mz)
+            assert turned.gate == base.gate
+
+
 def test_weighted_objective_runs_clean():
     result = run(SimConfig(seed=9, objective=MzVariant.WEIGHTED, weight=0.2))
     assert result.audit.ok
@@ -368,8 +400,15 @@ def test_audit_catches_shrunk_merge_entry(base_run):
     assert any(f.kind == "mz_overlap" for f in report.findings)
 
 
+def _with_spacing(result, min_safe_distance):
+    """result with its geometry's min_safe_distance replaced."""
+    cfg = result.config
+    geometry = replace(cfg.geometry, min_safe_distance=min_safe_distance)
+    return replace(result, config=replace(cfg, geometry=geometry))
+
+
 def test_audit_sensitivity_to_spacing_override(base_run):
-    stricter = audit_run(base_run, min_safe_distance=2 * BASE.geometry.min_safe_distance)
+    stricter = audit_run(_with_spacing(base_run, 2 * BASE.geometry.min_safe_distance))
     assert not stricter.ok
     assert any(f.kind in ("cz_gap", "exit_spacing") for f in stricter.findings)
 
@@ -415,11 +454,15 @@ def audit_runs():
     }
 
 
-def _assert_audits_agree(result, **kwargs):
+def _assert_audits_agree(result, min_safe_distance=None):
+    # the run audit of result, or of result with the spacing replaced,
+    # against both oracles at that spacing on result's own records and table
     cfg, records = result.config, result.vehicles
-    report = audit_run(result, **kwargs)
+    audited = result if min_safe_distance is None else _with_spacing(result, min_safe_distance)
+    report = audit_run(audited)
+    kwargs = {"min_safe_distance": min_safe_distance}
     assert report == oracles.audit_exact_pairwise(cfg, records, **kwargs)
-    assert audit_run(replace(result, vehicles=records[::-1]), **kwargs) == report
+    assert audit_run(replace(audited, vehicles=records[::-1])) == report
     sampled = oracles.audit_pairwise(cfg, records, oracles.sample_rows(result.samples), **kwargs)
     exact_pairs = {(f.kind, f.vehicle_id, f.other_id) for f in report.findings}
     assert {(f.kind, f.vehicle_id, f.other_id) for f in sampled.findings} <= exact_pairs

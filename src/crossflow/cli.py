@@ -33,14 +33,13 @@ from crossflow.cz_planner import check_feasibility
 from crossflow.geometry import Arm, IntersectionGeometry, Movement, Turn
 from crossflow.mz_planner import (
     DEFAULT_JERK_SCALE,
-    MzBoundary,
     MzVariant,
     mz_costs,
     normalization_weights,
 )
 from crossflow.pareto import DEFAULT_W_MAX, DEFAULT_W_MIN, default_grid, sweep
 from crossflow.scheduler import VehicleSpec, earliest_mz_arrival
-from crossflow.sim import SimConfig, evaluate_crossing, plan_crossing, run
+from crossflow.sim import SimConfig, evaluate_crossing, merge_boundary, plan_crossing, run
 
 SCHEMA_VERSION = 1
 CONFIG_ENV_VAR = "CROSSFLOW_CONFIG"
@@ -84,10 +83,7 @@ _TOP_KEYS = {"geometry", "sim", "pareto", "plan"}
 _GEOMETRY_KEYS = {f.name for f in dataclasses.fields(IntersectionGeometry)} | {"formula"}
 _FORMULA_KEYS = {"side_friction", "superelevation"}
 _SIM_KEYS = {f.name for f in dataclasses.fields(SimConfig)} - {"geometry"}
-_PARETO_KEYS = {
-    "turn", "mz_entry_speed", "mz_exit_speed",
-    "grid", "grid_size", "w_min", "w_max", "jerk_scale",
-}
+_PARETO_KEYS = {"turn", "grid", "grid_size", "w_min", "w_max", "jerk_scale"}
 _PLAN_KEYS = {
     "arm", "turn", "t0", "v0", "tm", "objective", "weight", "jerk_scale",
     "sample_step",
@@ -132,11 +128,7 @@ def _nullable(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
 
 
 # the scalar keys of the geometry, formula and sim sections, by converter
-_GEOMETRY_SCALARS = {
-    **{key: _real for key in _GEOMETRY_KEYS - {"formula"}},
-    "left_path_length": _nullable(_real),
-    "right_path_length": _nullable(_real),
-}
+_GEOMETRY_SCALARS = {key: _real for key in _GEOMETRY_KEYS - {"formula"}}
 _FORMULA_SCALARS = {"side_friction": _real, "superelevation": _real}
 _SIM_SCALARS = {
     "arrival_rate": _real, "vehicle_count": _integer, "weight": _nullable(_real),
@@ -357,13 +349,12 @@ def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optiona
 
 
 def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
+    """Sweep the weight grid over the turn's own merge window,
+    merge_boundary(turn, 0, transit_time(turn)); other speeds, and the
+    window they give, are set in the geometry section."""
     geometry = _build_geometry(_section(config, "geometry", _GEOMETRY_KEYS))
     section = _section(config, "pareto", _PARETO_KEYS)
     turn = _parse_enum(Turn, section.get("turn", "left"), "pareto.turn")
-    vm = section.get("mz_entry_speed")
-    vm = geometry.mz_speed(turn) if vm is None else _read(_finite, vm, "pareto.mz_entry_speed")
-    vf = section.get("mz_exit_speed")
-    vf = geometry.mz_speed_straight if vf is None else _read(_finite, vf, "pareto.mz_exit_speed")
     jerk_scale = _read(_finite, section.get("jerk_scale", DEFAULT_JERK_SCALE), "pareto.jerk_scale")
     grid_size = _read(_integer, section.get("grid_size", 50), "pareto.grid_size")
     w_min = _read(_finite, section.get("w_min", DEFAULT_W_MIN), "pareto.w_min")
@@ -373,14 +364,7 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
         explicit_grid = _read(_floats, explicit_grid, "pareto.grid")
 
     try:
-        boundary = MzBoundary(
-            tm=0.0,
-            tf=geometry.transit_time(turn),
-            vm=vm,
-            vf=vf,
-            p_start=geometry.cz_length,
-            p_end=geometry.cz_length + geometry.path_length(turn),
-        )
+        boundary = merge_boundary(turn, 0.0, geometry.transit_time(turn), geometry)
         if explicit_grid is not None:
             grid = explicit_grid
         else:
@@ -407,8 +391,6 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
         "geometry": _field_values(geometry),
         "pareto": {
             "turn": turn.value,
-            "mz_entry_speed": vm,
-            "mz_exit_speed": vf,
             "grid": [float(w) for w in grid],
             "jerk_scale": jerk_scale,
         },

@@ -20,7 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 class Arm(Enum):
@@ -106,10 +106,11 @@ class IntersectionGeometry:
     Defaults reproduce the baseline calibration used throughout the test
     suite: a 400 m approach, a 30 m merge square, 10 m minimum spacing,
     and merge speeds of 8 / 10 / 6 m/s for left / straight / right
-    movements.  A movement enters the merge zone at its own merge speed
-    and leaves it at the exit lane's through speed, mz_speed_straight;
-    its merge window, transit_time, follows from its path and those two
-    speeds (3.93 / 3 / 1.47 s by default).  Turning comfort is thus tied
+    movements.  The merge square's side fixes every path (path_length).  A
+    movement enters the merge zone at its own merge speed and leaves it
+    at the exit lane's through speed, mz_speed_straight; its merge
+    window, transit_time, follows from its path and those two speeds
+    (3.93 / 3 / 1.47 s by default).  Turning comfort is thus tied
     to the curve speed, as in Zhang & Cassandras (Automatica 2019), and
     with_curve_speeds derives the two turn speeds from the curves
     themselves.
@@ -125,10 +126,6 @@ class IntersectionGeometry:
     mz_speed_left: float = 8.0
     mz_speed_straight: float = 10.0
     mz_speed_right: float = 6.0
-    # Along-curve lengths of the turn paths; None uses the quarter-circle
-    # arcs inscribed in the merge square (3*pi*S/8 left, pi*S/8 right).
-    left_path_length: Optional[float] = None
-    right_path_length: Optional[float] = None
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -158,21 +155,16 @@ class IntersectionGeometry:
                 raise ValueError(
                     f"{name} must lie in ({self.v_min}, {self.v_max}], got {speed}"
                 )
-        for name in ("left_path_length", "right_path_length"):
-            override = getattr(self, name)
-            if override is not None and override <= 0.0:
-                raise ValueError(f"{name} must be positive, got {override}")
 
     def path_length(self, turn: Turn) -> float:
-        """Distance along the merge-zone curve for one turn choice, in meters."""
+        """Distance along the merge-zone curve for one turn choice, in
+        meters: the square's side S straight across, and the quarter-circle
+        arcs inscribed in the square for the turns, 3 pi S / 8 left (radius
+        3S/4) and pi S / 8 right (radius S/4)."""
         if turn is Turn.STRAIGHT:
             return self.mz_side
         if turn is Turn.LEFT:
-            if self.left_path_length is not None:
-                return self.left_path_length
             return 3.0 * math.pi * self.mz_side / 8.0
-        if self.right_path_length is not None:
-            return self.right_path_length
         return math.pi * self.mz_side / 8.0
 
     def mz_speed(self, turn: Turn) -> float:
@@ -198,8 +190,9 @@ class IntersectionGeometry:
         mph, the radius R in feet, the superelevation rate E in percent
         (zero on urban streets) and the side friction factor F.  Each turn
         runs on its own arc, a quarter circle of radius
-        2 * path_length / pi (22.5 m left and 7.5 m right by default), so
-        its lateral acceleration v^2 / R is 15 (0.01 E + F) mph^2/ft."""
+        2 * path_length / pi, that is 3S/4 left and S/4 right (22.5 m and
+        7.5 m by default), so its lateral acceleration v^2 / R is
+        15 (0.01 E + F) mph^2/ft."""
         if not (math.isfinite(side_friction) and side_friction > 0.0):
             raise ValueError(f"side_friction must be positive and finite, got {side_friction}")
         if not (math.isfinite(superelevation) and superelevation >= 0.0):

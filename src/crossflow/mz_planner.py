@@ -105,11 +105,11 @@ class MzBoundary:
 
     Positions are arc length along the vehicle's path measured from the
     control-zone entrance, so p_start is the control-zone length and
-    p_end adds the in-zone path length.  Schedules produced by the
-    scheduler enter at the movement's curve speed, leave at the through
-    speed, and take the geometry's transit_time, the constant-acceleration
-    time 2 (p_end - p_start) / (vm + vf); the solvers accept any
-    consistent window.
+    p_end adds the in-zone path length.  sim.merge_boundary builds every
+    boundary the program plans or sweeps: in at the movement's curve
+    speed, out at the through speed, over the geometry's transit_time,
+    the constant-acceleration time 2 (p_end - p_start) / (vm + vf); the
+    solvers accept any consistent window.
     """
 
     tm: float
@@ -254,11 +254,6 @@ class MzTrajectory:
 
     def jerk(self, t):
         return self.derivative(t, 3)
-
-    def half_square_integral(self, order: int) -> float:
-        """Half the integral of the order-th derivative of position squared
-        over the window (half_square_integrals of this one trajectory)."""
-        return half_square_integrals((self,), (order,))[0][0]
 
 
 def half_square_integrals(

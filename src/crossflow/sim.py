@@ -282,6 +282,18 @@ class SimRun:
         return _sample_states(self.vehicles, self.config)
 
 
+def merge_boundary(
+    turn: Turn, tm: float, tf: float, g: IntersectionGeometry, u_start: float = 0.0
+) -> MzBoundary:
+    """The one rule for a turn's merge-zone boundary over [tm, tf]: in at
+    its curve speed with control u_start, out at the through speed with
+    zero control, along its whole path.  tf is given, since a scheduled
+    tf need not equal tm + transit_time(turn) bit for bit."""
+    return MzBoundary(tm=tm, tf=tf, vm=g.mz_speed(turn), vf=g.mz_speed_straight,
+                      p_start=g.cz_length, p_end=g.cz_length + g.path_length(turn),
+                      u_start=u_start)
+
+
 def plan_crossing(
     spec: VehicleSpec,
     tm: float,
@@ -294,20 +306,11 @@ def plan_crossing(
     """A vehicle's approach and merge trajectories for the merge window
     [tm, tf]: the minimum-effort approach from its control-zone entry to
     the merge entry at the movement's merge speed, then the merge-zone
-    optimum for objective, entered with the approach's end control and
-    left at the through speed mz_speed_straight with zero control."""
+    optimum for objective over merge_boundary, entered with the
+    approach's end control."""
     turn = spec.movement.turn
-    vm = g.mz_speed(turn)
-    cz = solve_cz(spec.t0, spec.v0, tm, vm, g.cz_length)
-    boundary = MzBoundary(
-        tm=tm,
-        tf=tf,
-        vm=vm,
-        vf=g.mz_speed_straight,
-        p_start=g.cz_length,
-        p_end=g.cz_length + g.path_length(turn),
-        u_start=float(cz.control(tm)),
-    )
+    cz = solve_cz(spec.t0, spec.v0, tm, g.mz_speed(turn), g.cz_length)
+    boundary = merge_boundary(turn, tm, tf, g, float(cz.control(tm)))
     return cz, solve_mz(boundary, objective, weight, g.u_max, jerk_scale)
 
 

@@ -8,18 +8,22 @@ import pytest
 
 import oracles
 from crossflow import (
+    Arm,
     GateStats,
     IntersectionGeometry,
+    Movement,
     MzBoundary,
     MzVariant,
     SimConfig,
     Turn,
+    VehicleSpec,
     cli,
+    plan_crossing,
     solve_cz,
     solve_mz,
     solve_mz_jerk,
 )
-from crossflow.sim import SAMPLE_DTYPE
+from crossflow.sim import SAMPLE_DTYPE, merge_boundary
 
 S_LEFT = 3.0 * math.pi * 30.0 / 8.0
 
@@ -166,7 +170,7 @@ def test_resolved_config_names_every_field_and_reads_back_as_itself():
     # the geometry and sim sections take the dataclasses' own fields, and
     # the resolved block that the digest covers is a config giving the same run
     config = {
-        "geometry": {"formula": {"side_friction": 0.2}, "right_path_length": 13},
+        "geometry": {"formula": {"side_friction": 0.2}, "mz_side": 36},
         "sim": {"arm_probabilities": [0.7, 0.1, 0.1, 0.1], "objective": "weighted",
                 "weight": 0.5, "seed": 4},
     }
@@ -274,6 +278,50 @@ def test_pareto_single_weight(tmp_path):
     assert len(rows) == 2
     assert rows[1][0] == "0.5"
     assert rows[1][3] == "true"
+
+
+def swept_boundary(tmp_path, monkeypatch, text):
+    """The merge boundary that crossflow pareto sweeps under config text."""
+    swept = []
+    sweep = cli.sweep
+
+    def capture(boundary, *args, **kwargs):
+        swept.append(boundary)
+        return sweep(boundary, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep", capture)
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["pareto", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    (boundary,) = swept
+    return boundary
+
+
+@pytest.mark.parametrize("formula", [False, True])
+@pytest.mark.parametrize("turn", list(Turn))
+def test_pareto_sweeps_the_window_the_program_plans(tmp_path, monkeypatch, turn, formula):
+    # a sweep is merge_boundary's for the turn: the vm, vf and window that
+    # plan_crossing plans the same turn's merge over
+    g = IntersectionGeometry()
+    text = f"pareto:\n  turn: {turn.value}\n  grid: [0.5]\n"
+    if formula:
+        g = g.with_curve_speeds(0.2)
+        text += "geometry:\n  formula:\n    side_friction: 0.2\n"
+    boundary = swept_boundary(tmp_path, monkeypatch, text)
+    assert boundary == merge_boundary(turn, 0.0, g.transit_time(turn), g)
+    tm = 40.0
+    spec = VehicleSpec(vehicle_id=1, t0=0.0, v0=10.0, movement=Movement(Arm.WEST, turn))
+    _, mz = plan_crossing(spec, tm, tm + g.transit_time(turn), g, MzVariant.JERK_ONLY)
+    assert float(mz.speed(mz.t0)) == pytest.approx(boundary.vm, rel=1e-12)
+    assert float(mz.speed(mz.t1)) == pytest.approx(boundary.vf, rel=1e-12)
+    assert mz.t1 - mz.t0 == pytest.approx(boundary.duration, rel=1e-12)
+
+
+def test_pareto_window_follows_the_geometry_speed(tmp_path, monkeypatch):
+    # a curve speed stated in the geometry moves the swept window with it
+    text = "geometry:\n  mz_speed_left: 4\npareto:\n  turn: left\n  grid: [0.5]\n"
+    boundary = swept_boundary(tmp_path, monkeypatch, text)
+    assert (boundary.vm, boundary.vf) == (4, 10)
+    assert boundary.duration == 2.0 * S_LEFT / (4 + 10)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +447,7 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         ("simulate", "sim:\n  seed: seven\n", "seed"),
         ("simulate", "sim:\n  vehicle_count: 2.5\n", "vehicle_count"),
         ("simulate", "sim:\n  entry_speed_range: [ten, 12]\n", "sim.entry_speed_range"),
-        ("plan", "geometry:\n  left_path_length: [40]\n", "geometry.left_path_length"),
+        ("plan", "geometry:\n  mz_side: [40]\n", "geometry.mz_side"),
         # non-finite numbers, which bound checks written as comparisons let through
         ("simulate", "sim:\n  sample_step: .nan\n", "sample_step"),
         ("plan", "plan:\n  tm: .nan\n", "plan.tm"),
@@ -409,7 +457,7 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         ("simulate", "sim:\n  arrival_rate: .nan\n", "arrival_rate"),
         ("simulate", "sim:\n  objective: weighted\n  weight: 0.5\n  jerk_scale: .nan\n",
          "jerk_scale"),
-        ("pareto", "pareto:\n  mz_exit_speed: .nan\n", "pareto.mz_exit_speed"),
+        ("pareto", "pareto:\n  w_min: .nan\n", "pareto.w_min"),
         ("plan", "plan:\n  sample_step: .inf\n", "plan.sample_step"),
         # strings and lists where a number belongs, in the sim and geometry sections
         ("simulate", "sim:\n  arrival_rate: abc\n", "sim.arrival_rate"),
@@ -420,10 +468,10 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         # quoted numbers and booleans, which float() would have taken
         ("plan", 'plan:\n  t0: "3"\n', "plan.t0"),
         ("plan", "plan:\n  tm: true\n", "plan.tm"),
-        ("pareto", 'pareto:\n  mz_entry_speed: "8"\n', "pareto.mz_entry_speed"),
+        ("pareto", 'pareto:\n  jerk_scale: "8"\n', "pareto.jerk_scale"),
         ("pareto", 'pareto:\n  grid: ["0.5"]\n', "pareto.grid"),
         ("simulate", 'sim:\n  entry_speed_range: ["10", 12]\n', "sim.entry_speed_range"),
-        ("plan", 'geometry:\n  right_path_length: "13"\n', "geometry.right_path_length"),
+        ("plan", 'geometry:\n  mz_speed_left: "8"\n', "geometry.mz_speed_left"),
         ("simulate", 'geometry:\n  formula:\n    superelevation: "2"\n    side_friction: 0.2\n',
          "geometry.formula.superelevation"),
         # curve speeds set twice, or not derivable, refused before the run starts
@@ -452,15 +500,20 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         # a weight outside (0, 1), refused by the same rule as simulate's
         ("plan", "plan:\n  objective: weighted\n  weight: 1.5\n", "weight 1.5 outside (0, 1)"),
         ("simulate", "sim:\n  objective: weighted\n  weight: 1.5\n", "weight 1.5 outside (0, 1)"),
-        # an 8 s left-turn window: 2 * 72 m / (8 + 10) m/s
-        ("pareto", "geometry:\n  left_path_length: 72\npareto:\n  turn: left\n",
-         "w=0.998"),
+        # an 8.12 s left-turn window: 2 * (3 pi 62 / 8) m / (8 + 10) m/s
+        ("pareto", "geometry:\n  mz_side: 62\npareto:\n  turn: left\n", "w=0.998"),
         # an empty weight grid has no tradeoff to sweep, like grid_size 0
         ("pareto", "pareto:\n  grid: []\n", "at least one weight"),
         # per-arm demand is arrival_rate with arm_probabilities, and a sweep's
         # window starts at 0, where its costs are those of any other start
         ("simulate", "sim:\n  arm_rates: [2.0, 0.1, 0.1, 0.1]\n", "sim.arm_rates"),
         ("pareto", "pareto:\n  entry_time: 5\n", "pareto.entry_time"),
+        # the merge square fixes every path, and a sweep's speeds are the
+        # geometry's, which set its window too
+        ("simulate", "geometry:\n  left_path_length: 40\n", "geometry.left_path_length"),
+        ("plan", "geometry:\n  right_path_length: 13\n", "geometry.right_path_length"),
+        ("pareto", "pareto:\n  mz_entry_speed: 4\n", "pareto.mz_entry_speed"),
+        ("pareto", "pareto:\n  mz_exit_speed: 4\n", "pareto.mz_exit_speed"),
     ],
 )
 def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, text, key):

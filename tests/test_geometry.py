@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from crossflow import (
@@ -74,11 +76,11 @@ def test_same_entry_takes_precedence():
                 assert cls is ConflictClass.SAME_ENTRY
 
 
-PATH_OVERRIDES = [{}, {"left_path_length": 40.0, "right_path_length": 13.0},
-                  {"left_path_length": 72.0}]
+# merge squares of other sides, so the paths and windows differ from the default's
+MERGE_SQUARES = [{"mz_side": 30.0}, {"mz_side": 20.0}, {"mz_side": 45.0}]
 
 
-@pytest.mark.parametrize("overrides", PATH_OVERRIDES)
+@pytest.mark.parametrize("overrides", MERGE_SQUARES)
 @pytest.mark.parametrize("turn", list(Turn))
 def test_window_covers_the_path_at_constant_acceleration(turn, overrides):
     # the curve speed in, the through speed out, and the mean of the two
@@ -101,18 +103,17 @@ def test_derived_straight_time_times_speed_is_side():
 MPH2_PER_FT = 0.44704 ** 2 / 0.3048   # m/s^2
 
 
-@pytest.mark.parametrize("overrides", PATH_OVERRIDES)
+@pytest.mark.parametrize("overrides", MERGE_SQUARES)
 @pytest.mark.parametrize("friction, superelevation", [(0.2, 0.0), (0.15, 4.0)])
 def test_curve_speeds_meet_the_design_lateral_acceleration(overrides, friction, superelevation):
-    # v^2 / R = 15 (0.01 E + F) mph^2/ft on each turn's own quarter-circle arc
+    # v^2 / R = 15 (0.01 E + F) mph^2/ft on each turn's own quarter-circle
+    # arc, of radius 3S/4 left and S/4 right
     g = IntersectionGeometry(**overrides)
     curved = g.with_curve_speeds(friction, superelevation)
     limit = 15.0 * (0.01 * superelevation + friction) * MPH2_PER_FT
-    for turn in (Turn.LEFT, Turn.RIGHT):
-        radius = 2.0 * g.path_length(turn) / math.pi
+    for turn, radius in ((Turn.LEFT, 0.75 * g.mz_side), (Turn.RIGHT, 0.25 * g.mz_side)):
         assert curved.mz_speed(turn) ** 2 / radius == pytest.approx(limit, rel=1e-14)
     assert curved.mz_speed_straight == g.mz_speed_straight
-    assert curved.left_path_length == g.left_path_length
 
 
 def test_curve_speeds_at_the_default_arcs():
@@ -122,6 +123,34 @@ def test_curve_speeds_at_the_default_arcs():
     assert 2.0 * g.path_length(Turn.RIGHT) / math.pi == pytest.approx(7.5, rel=1e-15)
     assert g.mz_speed_left ** 2 / 22.5 == pytest.approx(1.967, abs=5e-4)
     assert (g.mz_speed_left, g.mz_speed_right) == pytest.approx((6.6526, 3.8409), abs=5e-5)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    side=st.floats(5.0, 50.0),
+    speeds=st.tuples(*[st.floats(0.5, 13.0)] * 3),
+    friction=st.floats(0.05, 0.3),
+    superelevation=st.floats(0.0, 8.0),
+)
+def test_random_geometries_state_one_path_speed_and_window_per_turn(
+    side, speeds, friction, superelevation
+):
+    # every square of side 5-50 m under the 13 m/s limit: each window
+    # covers its path at the mean of its two speeds, and the formula's
+    # curve speeds meet the design lateral acceleration on the turn's arc
+    left, straight, right = speeds
+    g = IntersectionGeometry(mz_side=side, mz_speed_left=left, mz_speed_straight=straight,
+                             mz_speed_right=right)
+    curved = g.with_curve_speeds(friction, superelevation)
+    limit = 15.0 * (0.01 * superelevation + friction) * MPH2_PER_FT
+    for geometry in (g, curved):
+        for turn in Turn:
+            mean = (geometry.mz_speed(turn) + geometry.mz_speed_straight) / 2.0
+            assert geometry.transit_time(turn) * mean == pytest.approx(
+                geometry.path_length(turn), rel=1e-15)
+    for turn in (Turn.LEFT, Turn.RIGHT):
+        radius = 2.0 * g.path_length(turn) / math.pi
+        assert curved.mz_speed(turn) ** 2 / radius == pytest.approx(limit, rel=1e-14)
 
 
 @pytest.mark.parametrize("friction, superelevation, message", [
@@ -152,9 +181,6 @@ def test_path_lengths():
     assert g.path_length(Turn.STRAIGHT) == 30.0
     assert g.path_length(Turn.LEFT) == pytest.approx(3.0 * math.pi * 30.0 / 8.0)
     assert g.path_length(Turn.RIGHT) == pytest.approx(math.pi * 30.0 / 8.0)
-    override = IntersectionGeometry(left_path_length=40.0, right_path_length=13.0)
-    assert override.path_length(Turn.LEFT) == 40.0
-    assert override.path_length(Turn.RIGHT) == 13.0
 
 
 def test_geometry_validation():
@@ -176,7 +202,6 @@ WINDOW = dict(tm=40.0, tf=43.0, vm=10.0, vf=10.0, p_start=400.0, p_end=430.0)
     (lambda: IntersectionGeometry(cz_length=NAN), "cz_length"),
     (lambda: IntersectionGeometry(v_max=INF), "v_max"),
     (lambda: IntersectionGeometry(mz_speed_right=INF), "mz_speed_right"),
-    (lambda: IntersectionGeometry(right_path_length=NAN), "right_path_length"),
     (lambda: SimConfig(arrival_rate=NAN), "arrival_rate"),
     (lambda: SimConfig(turn_probabilities=(NAN, 0.5, 0.5)), "turn_probabilities"),
     (lambda: SimConfig(weight=NAN), "weight"),

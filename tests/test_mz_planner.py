@@ -391,7 +391,7 @@ def test_batched_costs_of_mixed_windows_match_each_alone():
     assert {t._regime for t in trajectories} == {"series", "layer"}
     batched = half_square_integrals(trajectories, (2, 3))
     for traj, costs in zip(trajectories, batched):
-        alone = (traj.half_square_integral(2), traj.half_square_integral(3))
+        (alone,) = half_square_integrals((traj,), (2, 3))
         assert repr(costs) == repr(alone)
         assert repr(alone) == repr(
             (oracles.half_square_by_trajectory(traj, 2), oracles.half_square_by_trajectory(traj, 3))

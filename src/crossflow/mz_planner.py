@@ -40,11 +40,14 @@ stay.  MzTrajectory carries this weighted form only.
 A whole weight grid is solved and costed in one batched pass, and one
 weight is the grid of one.  solve_mz_weighted_grid splits the weights by
 basis and solves each basis's 6x6 systems as one stack, sharing the
-cubic's rows.  half_square_integrals gives trajectories with the same
-window and panel count one node grid.  MzTrajectory.derivative and the
-quadrature share one evaluator, _evaluate, on one trajectory's floats or
-broadcast over a batch's arrays, and every result keeps the bits of the
-weight-by-weight solve and quadrature.
+cubic's rows.  half_square_integrals lays the panels of all trajectories
+with the same window and basis out in one ragged node array, whatever
+their panel counts, and evaluates it in one _evaluate call; each
+trajectory's panel sums are reduced on their own, one stacked matrix
+product over the trajectories with the same panel count.
+MzTrajectory.derivative and the quadrature share that evaluator, on one
+trajectory's floats or over a batch's arrays, and every result keeps the
+bits of the weight-by-weight solve and quadrature.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -175,18 +180,25 @@ def _scales(rate, orders):
     return table.reshape((len(orders), 2) + rate.shape)
 
 
-def _basis_pairs(regime: str, rate, width: float, tau, orders):
+def _basis_pairs(regime: str, rate, width: float, tau, orders, repeats=None):
     """For each order, the order-th derivatives of the two non-polynomial
     basis functions at tau, for one rate (a float) or for an array of
-    rates that broadcasts against tau.  The orders share the boundary-layer
-    exponentials and the series remainders."""
+    rates that broadcasts against tau.  Given repeats, rate is a column of
+    one rate per trajectory and tau's rows hold trajectory i's repeats[i]
+    rows in turn: each rate's powers are taken once, then repeated onto
+    its rows.  The orders share the boundary-layer exponentials and the
+    series remainders."""
     tau = np.asarray(tau, dtype=float)
+    per_row = rate if repeats is None else rate.repeat(repeats, axis=0)
     if regime == "layer":
-        neg = -rate
+        scales = _scales(rate, orders)
+        if repeats is not None:
+            scales = scales.repeat(repeats, axis=2)
+        neg = -per_row
         head = np.exp(neg * (width - tau))
         tail = np.exp(neg * tau)
-        return [(scale * head, signed * tail) for scale, signed in _scales(rate, orders)]
-    x = rate * tau
+        return [(scale * head, signed * tail) for scale, signed in scales]
+    x = per_row * tau
     remainder = _remainders(x, [k for d in orders for k in (4 - d, 5 - d)])
     return [(tau ** (4 - d) * remainder[4 - d], tau ** (5 - d) * remainder[5 - d])
             for d in orders]
@@ -202,13 +214,15 @@ def _cubic(poly, tau, order: int):
     return value
 
 
-def _evaluate(regime: str, rate, width: float, poly, beta, tau, orders):
+def _evaluate(regime: str, rate, width: float, poly, beta, tau, orders, repeats=None):
     """For each order, the order-th derivative of position at tau: the
     cubic plus the basis pair.  One trajectory passes floats; a batch
-    passes arrays for the rate and for each entry of poly and beta, which
-    broadcast against tau."""
+    passes arrays for each entry of poly and beta, which broadcast against
+    tau, and for the rate, which does too or, given repeats, holds one
+    rate per trajectory as _basis_pairs takes it."""
+    pairs = _basis_pairs(regime, rate, width, tau, orders, repeats)
     return [_cubic(poly, tau, d) + beta[0] * head + beta[1] * tail
-            for d, (head, tail) in zip(orders, _basis_pairs(regime, rate, width, tau, orders))]
+            for d, (head, tail) in zip(orders, pairs)]
 
 
 @dataclass(frozen=True)
@@ -264,37 +278,67 @@ def half_square_integrals(
 
     The quadrature is panelled Gauss-Legendre sized to resolve the boundary
     layers: ceil(A1 * width / _GL_WIDTH) panels of _GL_NODES nodes, at
-    least 3 and at most 600.  Trajectories with the same window, panel
-    count and basis share one node grid, and all their nodes are evaluated
-    in one _evaluate call broadcast over the trajectories; each
-    trajectory's panel sums are then reduced on their own, so its
-    integrals do not depend on what it is batched with.
+    least 3.  weighted_rate refuses an A1 * width above _EXPONENT_CAP, so
+    no trajectory has more than ceil(_EXPONENT_CAP / _GL_WIDTH) = 70.
+
+    Trajectories with the same window and basis share one ragged node
+    layout, whatever their panel counts: each one's panels in turn, edged
+    as np.linspace(0, width, panels + 1) edges them, all evaluated by one
+    _evaluate call.  Each trajectory's panel sums are then reduced on
+    their own, by one stacked matrix product over the trajectories with
+    its panel count, so its integrals keep the bits of its quadrature
+    alone and do not depend on what it is batched with.
     """
     groups = {}
     for i, traj in enumerate(trajectories):
-        panels = int(min(600, max(3, math.ceil(traj.rate_pos * traj.duration / _GL_WIDTH))))
-        groups.setdefault((traj.t0, traj.t1, panels, traj._regime), []).append(i)
+        groups.setdefault((traj.t0, traj.t1, traj._regime), []).append(i)
     integrals = [None] * len(trajectories)
-    for (t0, t1, panels, regime), members in groups.items():
+    for (t0, t1, regime), members in groups.items():
         width = t1 - t0
-        edges = np.linspace(0.0, width, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        tau = (t0 + (mid[:, None] + half[:, None] * _GL_POINTS)) - t0
-        group = [trajectories[i] for i in members]
+        # (panel count, index) by panel count, so that the members with
+        # one count, whose panels are the same, lie together
+        group = sorted(
+            (max(3, math.ceil(trajectories[i].rate_pos * width / _GL_WIDTH)), i) for i in members
+        )
         if len(group) > 1:
-            # each member's rate, p0..p3, beta1 and beta2, broadcast against tau
-            params = np.array([(t.rate_pos, *t._poly, *t._beta) for t in group]).T[..., None, None]
-            rate, poly, beta = params[0], params[1:5], params[5:]
+            counts = np.array([panels for panels, _ in group])
+            ends = counts.cumsum()
+            # each panel's index within its trajectory, that trajectory's
+            # edge step, and the rows of the trajectories' last panels
+            index = np.arange(ends[-1]) - (ends - counts).repeat(counts)
+            step = (width / counts).repeat(counts)
+            last = ends - 1
+            # each member's rate, then its p0..p3, beta1 and beta2 on each of its rows
+            params = np.array([
+                (trajectories[i].rate_pos, *trajectories[i]._poly, *trajectories[i]._beta)
+                for _, i in group
+            ])
+            rows = params[:, 1:].repeat(counts, axis=0).T[..., None]
+            rate, poly, beta, repeats = params[:, :1], rows[:4], rows[4:], counts
         else:
-            # one trajectory evaluates on its own floats, as derivative does
-            rate, poly, beta = group[0].rate_pos, group[0]._poly, group[0]._beta
-        sums = [
-            [0.5 * float(half @ (v * v @ _GL_WEIGHTS)) for v in values.reshape((-1,) + tau.shape)]
-            for values in _evaluate(regime, rate, width, poly, beta, tau, orders)
-        ]
-        for i, values in zip(members, zip(*sums)):
-            integrals[i] = values
+            # one trajectory lays out and evaluates on its own floats, as
+            # derivative does
+            ((panels, i),) = group
+            index, step, last = np.arange(panels), width / panels, -1
+            traj = trajectories[i]
+            rate, poly, beta, repeats = traj.rate_pos, traj._poly, traj._beta, None
+        left = index * step
+        right = (index + 1) * step
+        right[last] = width
+        mid = 0.5 * (left + right)
+        half = 0.5 * (right - left)
+        tau = (t0 + (mid[:, None] + half[:, None] * _GL_POINTS)) - t0
+        squares = np.array(_evaluate(regime, rate, width, poly, beta, tau, orders, repeats))
+        squares *= squares
+        start = 0
+        for panels, same in groupby(group, key=itemgetter(0)):
+            same = list(same)
+            stop = start + panels * len(same)
+            block = squares[:, start:stop].reshape(len(orders), len(same), panels, _GL_NODES)
+            sums = 0.5 * ((block @ _GL_WEIGHTS)[..., None, :] @ half[start:start + panels])[..., 0]
+            for (_, i), values in zip(same, sums.T.tolist()):
+                integrals[i] = tuple(values)
+            start = stop
     return integrals
 
 

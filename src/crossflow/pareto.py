@@ -7,8 +7,9 @@ default grid is log-spaced toward both ends of the interval because the
 curve's knees live near the degenerate weights.  A sweep makes one
 batched solve of the whole grid (mz_planner.solve_mz_weighted_grid) and
 one batched cost quadrature of its trajectories
-(mz_planner.half_square_integrals); the frontier compares every pair of
-points at once.
+(mz_planner.half_square_integrals), which evaluates each basis's nodes,
+for every weight's panel count at once, in one call; the frontier
+compares every pair of points at once.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ import pytest
 
 import oracles
 from crossflow import (
+    IntersectionGeometry,
     MzBoundary,
     MzVariant,
+    Turn,
     mz_costs,
     normalization_weights,
     solve_mz,
@@ -14,7 +16,13 @@ from crossflow import (
     solve_mz_jerk,
     solve_mz_weighted,
 )
-from crossflow.mz_planner import _remainders, half_square_integrals, solve_mz_weighted_grid
+from crossflow.mz_planner import (
+    _remainders,
+    half_square_integrals,
+    solve_mz_weighted_grid,
+    weighted_rate,
+)
+from crossflow.sim import merge_boundary
 
 S_LEFT = 3.0 * math.pi * 30.0 / 8.0  # left-turn arc length for a 30 m zone
 
@@ -375,9 +383,23 @@ def test_weighted_grid_raises_at_its_first_refused_weight():
     assert solve_mz_weighted_grid(LEFT, (), Q1, Q2) == ()
 
 
+def _assert_batched_costs_match_each_alone(trajectories):
+    batched = half_square_integrals(trajectories, (2, 3))
+    for traj, costs in zip(trajectories, batched):
+        (alone,) = half_square_integrals((traj,), (2, 3))
+        assert repr(costs) == repr(alone)
+        assert repr(alone) == repr(
+            (oracles.half_square_by_trajectory(traj, 2), oracles.half_square_by_trajectory(traj, 3))
+        )
+
+
+def _panels(traj):
+    return max(3, math.ceil(traj.rate_pos * traj.duration / 10.0))
+
+
 def test_batched_costs_of_mixed_windows_match_each_alone():
     # windows that differ, windows that repeat (so that trajectories share
-    # a node grid), both bases and several panel counts, in shuffled order
+    # a node layout), both bases and several panel counts, in shuffled order
     rng = np.random.default_rng(5)
     boundaries = [_random_boundary(rng) for _ in range(4)]
     boundaries.append(boundaries[0])
@@ -389,11 +411,49 @@ def test_batched_costs_of_mixed_windows_match_each_alone():
     order = rng.permutation(len(trajectories))
     trajectories = [trajectories[i] for i in order]
     assert {t._regime for t in trajectories} == {"series", "layer"}
-    batched = half_square_integrals(trajectories, (2, 3))
-    for traj, costs in zip(trajectories, batched):
-        (alone,) = half_square_integrals((traj,), (2, 3))
-        assert repr(costs) == repr(alone)
-        assert repr(alone) == repr(
-            (oracles.half_square_by_trajectory(traj, 2), oracles.half_square_by_trajectory(traj, 3))
-        )
+    _assert_batched_costs_match_each_alone(trajectories)
     assert half_square_integrals((), (2, 3)) == []
+
+
+def test_batched_costs_of_many_panel_counts_match_each_alone():
+    # two windows of one width at different entry times, whose nodes differ
+    # in the last bits; weights from the series basis to near the exponent
+    # cap, so that one batch holds more than 20 panel counts; and one
+    # trajectory listed twice, all in shuffled order
+    later = MzBoundary(tm=10.0, tf=15.0, vm=9.0, vf=7.0, p_start=400.0, p_end=400.0 + S_LEFT)
+    assert later.duration == LEFT.duration and later.tm != LEFT.tm
+    weights = [1e-3, 0.01, 0.5] + [1.0 - d for d in np.geomspace(0.05, 6e-4, 30)]
+    trajectories = [solve_mz_weighted(b, w, Q1, Q2) for b in (LEFT, later) for w in weights]
+    trajectories.append(trajectories[len(weights) + 7])
+    rng = np.random.default_rng(8)
+    trajectories = [trajectories[i] for i in rng.permutation(len(trajectories))]
+    assert {t._regime for t in trajectories} == {"series", "layer"}
+    assert len({_panels(t) for t in trajectories}) >= 20
+    _assert_batched_costs_match_each_alone(trajectories)
+
+
+def test_costs_at_the_exponent_cap_need_at_most_70_panels():
+    # the largest weight weighted_rate accepts on a long left-turn window
+    g = IntersectionGeometry(mz_side=62.0)
+    b = merge_boundary(Turn.LEFT, 0.0, g.transit_time(Turn.LEFT), g)
+
+    def accepted(w):
+        try:
+            weighted_rate(w, Q1, Q2, b.duration)
+        except ValueError:
+            return False
+        return True
+
+    ratio = (700.0 / b.duration) ** 2 * Q2 / Q1
+    w = ratio / (1.0 + ratio)
+    while not accepted(w):
+        w = math.nextafter(w, 0.0)
+    while accepted(math.nextafter(w, 1.0)):
+        w = math.nextafter(w, 1.0)
+    traj = solve_mz_weighted(b, w, Q1, Q2)
+    assert traj.rate_pos * b.duration <= 700.0
+    assert 60 < _panels(traj) <= 70
+    costs = mz_costs(traj)
+    assert repr((costs.fuel, costs.discomfort)) == repr(
+        (oracles.half_square_by_trajectory(traj, 2), oracles.half_square_by_trajectory(traj, 3))
+    )

@@ -175,6 +175,20 @@ def test_sweep_matches_per_weight_on_default_grid(turn, vm):
     assert {p.trajectory._regime for p in run.points} == {"series", "layer"}
 
 
+@pytest.mark.parametrize("turn", list(Turn))
+def test_sweep_matches_per_weight_on_a_dense_grid(turn):
+    # 400 weights up to near the exponent cap: on the left turn, 58
+    # (basis, panel count) groups with 3 to 59 panels in one batch
+    b = _turn_boundary(turn)
+    run = _assert_sweep_matches_per_weight(b, default_grid(400, 1e-3, 0.9995))
+    groups = {
+        (p.trajectory._regime, max(3, math.ceil(p.trajectory.rate_pos * b.duration / 10.0)))
+        for p in run.points
+    }
+    assert {regime for regime, _ in groups} == {"series", "layer"}
+    assert len(groups) > 20
+
+
 def test_sweep_matches_per_weight_across_the_regime_split():
     b = _turn_boundary(Turn.LEFT)
     q1, q2 = normalization_weights()

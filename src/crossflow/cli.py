@@ -2,10 +2,11 @@
 
 All three subcommands read one YAML config file with per-section
 defaults, write their outputs into a chosen directory, and record a
-manifest describing exactly what ran.  Numbers in the CSV and JSON
-outputs carry nine significant digits, and every byte of output is a
-pure function of the resolved config, so identical invocations produce
-identical files.
+manifest describing exactly what ran.  One key table, _CONFIG, defines
+every section: each key's reader, its default, and whether null stands
+for that default.  Numbers in the CSV and JSON outputs carry nine
+significant digits, and every byte of output is a pure function of the
+resolved config, so identical invocations produce identical files.
 
 Exit codes: 0 for a clean run, 1 when the safety audit (or a plan's
 feasibility check) reports findings, 2 for configuration and usage
@@ -24,7 +25,7 @@ import math
 import numbers
 import os
 import sys
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from crossflow.mz_planner import (
     mz_costs,
     normalization_weights,
 )
-from crossflow.pareto import DEFAULT_W_MAX, DEFAULT_W_MIN, default_grid, sweep
+from crossflow.pareto import DEFAULT_GRID_SIZE, DEFAULT_W_MAX, DEFAULT_W_MIN, default_grid, sweep
 from crossflow.scheduler import VehicleSpec, earliest_mz_arrival
 from crossflow.sim import SimConfig, evaluate_crossing, merge_boundary, plan_crossing, run
 
@@ -62,40 +63,18 @@ def _json_float(value: float) -> float:
     return float(_fmt(value))
 
 
+def _recorded(values: Mapping[str, Any]) -> Dict[str, Any]:
+    """values as the resolved config records them: a tuple as a list, an
+    enum as its value."""
+    return {key: list(value) if isinstance(value, tuple)
+            else value.value if isinstance(value, enum.Enum) else value
+            for key, value in values.items()}
+
+
 def _field_values(obj: Any, omit: Sequence[str] = ()) -> Dict[str, Any]:
-    """The dataclass obj's fields by name, except omit, as the resolved
-    config records them: a tuple as a list, an enum as its value."""
-    values = {}
-    for field in dataclasses.fields(obj):
-        if field.name in omit:
-            continue
-        value = getattr(obj, field.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, enum.Enum):
-            value = value.value
-        values[field.name] = value
-    return values
-
-
-# the geometry and sim sections take the fields of the dataclasses they build
-_TOP_KEYS = {"geometry", "sim", "pareto", "plan"}
-_GEOMETRY_KEYS = {f.name for f in dataclasses.fields(IntersectionGeometry)} | {"formula"}
-_FORMULA_KEYS = {"side_friction", "superelevation"}
-_SIM_KEYS = {f.name for f in dataclasses.fields(SimConfig)} - {"geometry"}
-_PARETO_KEYS = {"turn", "grid", "grid_size", "w_min", "w_max", "jerk_scale"}
-_PLAN_KEYS = {
-    "arm", "turn", "t0", "v0", "tm", "objective", "weight", "jerk_scale",
-    "sample_step",
-}
-
-
-def _read(convert: Callable[[Any], Any], value: Any, path: str) -> Any:
-    """convert(value), with a malformed value reported against its key."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path} has a malformed value: {value!r}") from None
+    """The dataclass obj's fields by name, except omit, as recorded."""
+    return _recorded({field.name: getattr(obj, field.name)
+                      for field in dataclasses.fields(obj) if field.name not in omit})
 
 
 def _integer(value: Any) -> int:
@@ -118,49 +97,117 @@ def _finite(value: Any) -> float:
     return float(_real(value))
 
 
-def _floats(raw: Any) -> Tuple[float, ...]:
-    return tuple(_finite(x) for x in raw)
+def _positive(value: Any) -> float:
+    """_finite(value), if it is above zero."""
+    if _finite(value) <= 0.0:
+        raise ConfigError("must be positive")
+    return float(value)
 
 
-def _nullable(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """convert, except that null stays null: for a key whose field is optional."""
-    return lambda value: None if value is None else convert(value)
+def _numbers(size: Optional[int] = None) -> Callable[[Any], Tuple[float, ...]]:
+    """A reader of a list of finite numbers, exactly size of them if given, as floats."""
+    def read(value: Any) -> Tuple[float, ...]:
+        if size is not None and (not isinstance(value, Sequence) or len(value) != size):
+            raise ConfigError(f"must be a list of {size} numbers")
+        return tuple(_finite(x) for x in value)
+    return read
 
 
-# the scalar keys of the geometry, formula and sim sections, by converter
-_GEOMETRY_SCALARS = {key: _real for key in _GEOMETRY_KEYS - {"formula"}}
-_FORMULA_SCALARS = {"side_friction": _real, "superelevation": _real}
-_SIM_SCALARS = {
-    "arrival_rate": _real, "vehicle_count": _integer, "weight": _nullable(_real),
-    "jerk_scale": _real, "seed": _integer, "sample_step": _real,
+def _member(kind: type) -> Callable[[Any], Any]:
+    """A reader of the member of the enum class kind whose value is given."""
+    def read(value: Any) -> Any:
+        try:
+            return kind(value)
+        except ValueError:
+            valid = ", ".join(member.value for member in kind)
+            raise ConfigError(f"must be one of: {valid} (got {value!r})") from None
+    return read
+
+
+class _Key(NamedTuple):
+    """One config key: its reader or its block's key table, its default (if
+    MISSING, left out so a dataclass field keeps its own), and whether null
+    means the default."""
+
+    read: Any
+    default: Any = dataclasses.MISSING
+    null: bool = False
+
+
+# the geometry and sim sections take exactly the fields of the dataclasses they build
+_CONFIG: Dict[str, Dict[str, _Key]] = {
+    "geometry": {
+        **{field.name: _Key(_real) for field in dataclasses.fields(IntersectionGeometry)},
+        "formula": _Key({"side_friction": _Key(_real), "superelevation": _Key(_real)}, null=True),
+    },
+    "sim": {
+        "arrival_rate": _Key(_real),
+        "entry_speed_range": _Key(_numbers(2), null=True),
+        "arm_probabilities": _Key(_numbers(4), null=True),
+        "turn_probabilities": _Key(_numbers(3), null=True),
+        "vehicle_count": _Key(_integer),
+        "objective": _Key(_member(MzVariant)),
+        "weight": _Key(_real, null=True),
+        "jerk_scale": _Key(_real),
+        "seed": _Key(_integer),
+        "sample_step": _Key(_real),
+    },
+    "pareto": {
+        "turn": _Key(_member(Turn), Turn.LEFT),
+        "jerk_scale": _Key(_finite, DEFAULT_JERK_SCALE),
+        "grid_size": _Key(_integer, DEFAULT_GRID_SIZE),
+        "w_min": _Key(_finite, DEFAULT_W_MIN),
+        "w_max": _Key(_finite, DEFAULT_W_MAX),
+        # an explicit grid, which replaces the one of grid_size, w_min and w_max
+        "grid": _Key(_numbers(), None, null=True),
+    },
+    "plan": {
+        "arm": _Key(_member(Arm), Arm.WEST),
+        "turn": _Key(_member(Turn), Turn.STRAIGHT),
+        "t0": _Key(_finite, 0.0),
+        "v0": _Key(_finite, 10.0),
+        "objective": _Key(_member(MzVariant), MzVariant.JERK_ONLY),
+        "weight": _Key(_real, None, null=True),
+        "jerk_scale": _Key(_finite, DEFAULT_JERK_SCALE),
+        "sample_step": _Key(_positive, SimConfig.sample_step),
+        # the requested merge time; the earliest feasible one if not given
+        "tm": _Key(_finite, None, null=True),
+    },
 }
 
 
-def _scalars(
-    section: Mapping[str, Any], path: str, converters: Mapping[str, Callable[[Any], Any]]
-) -> Dict[str, Any]:
-    """The section's keys that converters names, each value read through
-    its converter and reported against its full key when malformed."""
-    return {
-        key: _read(converters[key], value, f"{path}.{key}")
-        for key, value in section.items()
-        if key in converters
-    }
+def _read_keys(raw: Mapping[str, Any], path: str, keys: Mapping[str, _Key]) -> Dict[str, Any]:
+    """raw, the block at path, read through its key table in order.  Unknown
+    keys and refused values are reported by full key: as malformed for a
+    TypeError or ValueError, in the reader's own words for a ConfigError."""
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"unknown config key: {path}.{key}")
+    values = {}
+    for key, (read, default, null) in keys.items():
+        full, value = f"{path}.{key}", raw.get(key)
+        if value is None and (null or key not in raw):
+            if default is not dataclasses.MISSING:
+                values[key] = default
+        elif isinstance(read, Mapping):
+            if not isinstance(value, Mapping):
+                raise ConfigError(f"{full} must be a mapping")
+            values[key] = _read_keys(value, full, read)
+        else:
+            try:
+                values[key] = read(value)
+            except ConfigError as exc:
+                raise ConfigError(f"{full} {exc}") from None
+            except (TypeError, ValueError):
+                raise ConfigError(f"{full} has a malformed value: {value!r}") from None
+    return values
 
 
-def _check_keys(section: Mapping[str, Any], allowed: set, path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            full = f"{path}.{key}" if path else str(key)
-            raise ConfigError(f"unknown config key: {full}")
-
-
-def _section(config: Mapping[str, Any], name: str, allowed: set) -> Dict[str, Any]:
+def _section(config: Mapping[str, Any], name: str) -> Dict[str, Any]:
     raw = config.get(name) or {}
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config section {name} must be a mapping")
-    _check_keys(raw, allowed, name)
-    return dict(raw)
+    return _read_keys(raw, name, _CONFIG[name])
 
 
 def load_config(path: Optional[str]) -> Dict[str, Any]:
@@ -182,18 +229,16 @@ def load_config(path: Optional[str]) -> Dict[str, Any]:
         return {}
     if not isinstance(loaded, Mapping):
         raise ConfigError("config file must contain a mapping of sections")
-    _check_keys(loaded, _TOP_KEYS, "")
+    for key in loaded:
+        if key not in _CONFIG:
+            raise ConfigError(f"unknown config key: {key}")
     return dict(loaded)
 
 
-def _build_geometry(section: Mapping[str, Any]) -> IntersectionGeometry:
-    kwargs = _scalars(section, "geometry", _GEOMETRY_SCALARS)
-    formula = section.get("formula")
+def _build_geometry(config: Mapping[str, Any]) -> IntersectionGeometry:
+    kwargs = _section(config, "geometry")
+    formula = kwargs.pop("formula", None)
     if formula is not None:
-        if not isinstance(formula, Mapping):
-            raise ConfigError("geometry.formula must be a mapping")
-        _check_keys(formula, _FORMULA_KEYS, "geometry.formula")
-        formula = _scalars(formula, "geometry.formula", _FORMULA_SCALARS)
         if "side_friction" not in formula:
             raise ConfigError("geometry.formula.side_friction is required")
         for key in ("mz_speed_left", "mz_speed_right"):
@@ -207,38 +252,15 @@ def _build_geometry(section: Mapping[str, Any]) -> IntersectionGeometry:
         raise ConfigError(f"geometry: {exc}") from exc
 
 
-def _parse_enum(kind: type, name: Any, path: str) -> Any:
-    """The member of the enum class kind whose value is name."""
-    try:
-        return kind(name)
-    except ValueError:
-        valid = ", ".join(member.value for member in kind)
-        raise ConfigError(f"{path} must be one of: {valid} (got {name!r})") from None
-
-
 def _build_sim_config(
     config: Mapping[str, Any], seed_override: Optional[int]
 ) -> Tuple[SimConfig, Dict[str, Any]]:
-    geometry = _build_geometry(_section(config, "geometry", _GEOMETRY_KEYS))
-    section = _section(config, "sim", _SIM_KEYS)
-    kwargs = _scalars(section, "sim", _SIM_SCALARS)
-    kwargs["geometry"] = geometry
-    for key, size in (
-        ("entry_speed_range", 2),
-        ("arm_probabilities", 4),
-        ("turn_probabilities", 3),
-    ):
-        if key in section and section[key] is not None:
-            raw = section[key]
-            if not isinstance(raw, Sequence) or len(raw) != size:
-                raise ConfigError(f"sim.{key} must be a list of {size} numbers")
-            kwargs[key] = _read(_floats, raw, f"sim.{key}")
-    if "objective" in section:
-        kwargs["objective"] = _parse_enum(MzVariant, section["objective"], "sim.objective")
+    geometry = _build_geometry(config)
+    kwargs = _section(config, "sim")
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
-        sim_config = SimConfig(**kwargs)
+        sim_config = SimConfig(geometry=geometry, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sim: {exc}") from exc
     resolved = {
@@ -352,24 +374,14 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
     """Sweep the weight grid over the turn's own merge window,
     merge_boundary(turn, 0, transit_time(turn)); other speeds, and the
     window they give, are set in the geometry section."""
-    geometry = _build_geometry(_section(config, "geometry", _GEOMETRY_KEYS))
-    section = _section(config, "pareto", _PARETO_KEYS)
-    turn = _parse_enum(Turn, section.get("turn", "left"), "pareto.turn")
-    jerk_scale = _read(_finite, section.get("jerk_scale", DEFAULT_JERK_SCALE), "pareto.jerk_scale")
-    grid_size = _read(_integer, section.get("grid_size", 50), "pareto.grid_size")
-    w_min = _read(_finite, section.get("w_min", DEFAULT_W_MIN), "pareto.w_min")
-    w_max = _read(_finite, section.get("w_max", DEFAULT_W_MAX), "pareto.w_max")
-    explicit_grid = section.get("grid")
-    if explicit_grid is not None:
-        explicit_grid = _read(_floats, explicit_grid, "pareto.grid")
-
+    geometry = _build_geometry(config)
+    section = _section(config, "pareto")
+    turn, grid = section["turn"], section["grid"]
     try:
         boundary = merge_boundary(turn, 0.0, geometry.transit_time(turn), geometry)
-        if explicit_grid is not None:
-            grid = explicit_grid
-        else:
-            grid = default_grid(grid_size, w_min, w_max)
-        q1, q2 = normalization_weights(geometry.u_max, jerk_scale)
+        if grid is None:
+            grid = default_grid(section["grid_size"], section["w_min"], section["w_max"])
+        q1, q2 = normalization_weights(geometry.u_max, section["jerk_scale"])
         result = sweep(boundary, grid, q1=q1, q2=q2)
     except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"pareto: {exc}") from exc
@@ -392,7 +404,7 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
         "pareto": {
             "turn": turn.value,
             "grid": [float(w) for w in grid],
-            "jerk_scale": jerk_scale,
+            "jerk_scale": section["jerk_scale"],
         },
     }
     _write_manifest(out_dir, "pareto", resolved, None, ["pareto.csv", "manifest.json"])
@@ -400,30 +412,12 @@ def cmd_pareto(config: Mapping[str, Any], out_dir: str) -> int:
 
 
 def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
-    geometry = _build_geometry(_section(config, "geometry", _GEOMETRY_KEYS))
-    section = _section(config, "plan", _PLAN_KEYS)
-    arm = _parse_enum(Arm, section.get("arm", "W"), "plan.arm")
-    turn = _parse_enum(Turn, section.get("turn", "straight"), "plan.turn")
-    t0 = _read(_finite, section.get("t0", 0.0), "plan.t0")
-    v0 = _read(_finite, section.get("v0", 10.0), "plan.v0")
-    requested_tm = section.get("tm")
-    objective = _parse_enum(MzVariant, section.get("objective", "jerk_only"), "plan.objective")
-    weight = section.get("weight")
-    if weight is not None:
-        weight = _read(_real, weight, "plan.weight")
-    jerk_scale = _read(_finite, section.get("jerk_scale", DEFAULT_JERK_SCALE), "plan.jerk_scale")
-    sample_step = _read(_finite, section.get("sample_step", 0.1), "plan.sample_step")
-    if sample_step <= 0.0:
-        raise ConfigError("plan.sample_step must be positive")
-
+    geometry = _build_geometry(config)
+    section = _section(config, "plan")
+    arm, turn, objective, t0, v0 = (section[k] for k in ("arm", "turn", "objective", "t0", "v0"))
     try:
         bound = earliest_mz_arrival(t0, v0, geometry)
-    except ValueError as exc:
-        raise ConfigError(f"plan: {exc}") from exc
-    if requested_tm is None:
-        tm = bound
-    else:
-        tm = _read(_finite, requested_tm, "plan.tm")
+        tm = bound if section["tm"] is None else section["tm"]
         if tm < bound:
             print(
                 f"warning: requested merge time {_fmt(tm)} is earlier than the "
@@ -431,12 +425,11 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
                 file=sys.stderr,
             )
             tm = bound
-
-    vm = geometry.mz_speed(turn)
-    tf = tm + geometry.transit_time(turn)
-    spec = VehicleSpec(vehicle_id=1, t0=t0, v0=v0, movement=Movement(arm, turn))
-    try:
-        cz, mz = plan_crossing(spec, tm, tf, geometry, objective, weight, jerk_scale)
+        vm = geometry.mz_speed(turn)
+        tf = tm + geometry.transit_time(turn)
+        spec = VehicleSpec(vehicle_id=1, t0=t0, v0=v0, movement=Movement(arm, turn))
+        cz, mz = plan_crossing(spec, tm, tf, geometry, objective, section["weight"],
+                               section["jerk_scale"])
     except ValueError as exc:
         raise ConfigError(f"plan: {exc}") from exc
     report = check_feasibility(cz, geometry)
@@ -464,29 +457,16 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     # enough steps to reach tf, the last one clipped to it
-    steps = math.ceil((tf - t0) / sample_step - 1e-9)
-    times = np.minimum(t0 + np.arange(steps + 1) * sample_step, tf)
+    steps = math.ceil((tf - t0) / section["sample_step"] - 1e-9)
+    times = np.minimum(t0 + np.arange(steps + 1) * section["sample_step"], tf)
     rows = [
         [_fmt(t), zone, _fmt(p), _fmt(v), _fmt(u), _fmt(j)]
         for t, zone, p, v, u, j in zip(times.tolist(), *evaluate_crossing(cz, mz, times))
     ]
     _write_csv(os.path.join(out_dir, "plan.csv"), ["t", "zone", "p", "v", "u", "j"], rows)
 
-    resolved = {
-        "geometry": _field_values(geometry),
-        "plan": {
-            "arm": arm.value,
-            "turn": turn.value,
-            "t0": t0,
-            "v0": v0,
-            "tm": None if requested_tm is None else float(requested_tm),
-            "planned_tm": tm,
-            "objective": objective.value,
-            "weight": weight,
-            "jerk_scale": jerk_scale,
-            "sample_step": sample_step,
-        },
-    }
+    resolved = {"geometry": _field_values(geometry),
+                "plan": _recorded({**section, "planned_tm": tm})}
     _write_manifest(out_dir, "plan", resolved, None, ["plan.csv", "manifest.json"])
     return 0 if report.ok else 1
 

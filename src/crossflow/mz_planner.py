@@ -500,6 +500,13 @@ def mz_costs(traj: Union[PolyTrajectory, MzTrajectory]) -> MzCosts:
     return MzCosts(fuel=float(fuel), discomfort=float(discomfort), weighted=weighted)
 
 
+def refuse_ignored_weight(objective: MzVariant, weight: Optional[float]) -> None:
+    """Refuse a weight given with an objective other than the weighted one,
+    which would ignore it."""
+    if objective is not MzVariant.WEIGHTED and weight is not None:
+        raise ValueError(f"weight {weight} given, but the {objective.value} objective ignores it")
+
+
 def solve_mz(
     b: MzBoundary,
     objective: MzVariant,
@@ -510,8 +517,7 @@ def solve_mz(
     """The merge-zone optimum for one objective; the weighted objective is
     normalized by u_max and jerk_scale.  A weight given with another
     objective, which would ignore it, is refused."""
-    if objective is not MzVariant.WEIGHTED and weight is not None:
-        raise ValueError(f"weight {weight} given, but the {objective.value} objective ignores it")
+    refuse_ignored_weight(objective, weight)
     # the solvers are looked up as module globals at call time, so a
     # wrapper installed on this module's names sees every solve
     if objective is MzVariant.FUEL_ONLY:

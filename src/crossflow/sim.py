@@ -61,6 +61,7 @@ from crossflow.mz_planner import (
     MzTrajectory,
     MzVariant,
     normalization_weights,
+    refuse_ignored_weight,
     solve_mz,
     weighted_rate,
 )
@@ -149,15 +150,12 @@ class SimConfig:
             raise ValueError(f"weight must be a real number, got {self.weight!r}")
         if self.jerk_scale <= 0.0:
             raise ValueError(f"jerk_scale must be positive, got {self.jerk_scale}")
+        refuse_ignored_weight(self.objective, self.weight)
         if self.objective is MzVariant.WEIGHTED:
             # the stiffest solve is over the longest merge window of a turn drawn
             width = max(g.transit_time(turn) for turn, p in
                         zip(_TURN_ORDER, self.turn_probabilities) if p > 0.0)
             weighted_rate(self.weight, *normalization_weights(g.u_max, self.jerk_scale), width)
-        elif self.weight is not None:
-            raise ValueError(
-                f"weight {self.weight} given, but the {self.objective.value} objective ignores it"
-            )
         if self.sample_step <= 0.0:
             raise ValueError(f"sample_step must be positive, got {self.sample_step}")
 

@@ -253,11 +253,16 @@ def quad_half_square(fn, lo: float, hi: float) -> float:
     return value
 
 
+# the 20-node Gauss-Legendre rule on [-1, 1] of the weighted trajectory's
+# panels, taken once here rather than from mz_planner
+_LEGENDRE_NODES, _LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
 def panelled_half_square(fn, lo: float, hi: float, rate: float) -> float:
     """(1/2) integral of fn(t)^2 over [lo, hi] by the weighted trajectory's
     panelled quadrature, one panel at a time: 20 Gauss-Legendre nodes on
     each of ceil(rate * width / 10) panels, at least 3 and at most 600."""
-    nodes, weights = np.polynomial.legendre.leggauss(20)
+    nodes, weights = _LEGENDRE_NODES, _LEGENDRE_WEIGHTS
     width = hi - lo
     panels = int(min(600, max(3, math.ceil(rate * width / 10.0))))
     edges = np.linspace(0.0, width, panels + 1)
@@ -785,7 +790,7 @@ def solve_weighted_by_weight(b, w, q1, q2):
 def half_square_by_trajectory(traj, order):
     """Half the integral of the order-th derivative squared over one
     weighted trajectory's window: its own panels and node evaluation."""
-    nodes, weights = np.polynomial.legendre.leggauss(20)
+    nodes, weights = _LEGENDRE_NODES, _LEGENDRE_WEIGHTS
     width = traj.duration
     panels = int(min(600, max(3, math.ceil(traj.rate_pos * width / 10.0))))
     edges = np.linspace(0.0, width, panels + 1)

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import yaml
 
 import oracles
 from crossflow import (
@@ -184,20 +185,87 @@ def test_resolved_config_names_every_field_and_reads_back_as_itself():
     assert (again, resolved_again) == (sim_config, resolved)
 
 
-@pytest.mark.parametrize(
-    "key",
+# the pareto and plan sections build no dataclass, so their keys are listed
+PARETO_KEYS = ("turn", "grid", "grid_size", "w_min", "w_max", "jerk_scale")
+PLAN_KEYS = ("arm", "turn", "t0", "v0", "tm", "objective", "weight", "jerk_scale", "sample_step")
+SECTION_KEYS = (
     [f"geometry.{f.name}" for f in fields(IntersectionGeometry)] + ["geometry.formula"]
-    + [f"sim.{f.name}" for f in fields(SimConfig) if f.name != "geometry"],
+    + [f"sim.{f.name}" for f in fields(SimConfig) if f.name != "geometry"]
+    + [f"pareto.{name}" for name in PARETO_KEYS] + [f"plan.{name}" for name in PLAN_KEYS]
 )
+# the command that reads each section
+COMMANDS = {"geometry": "simulate", "sim": "simulate", "pareto": "pareto", "plan": "plan"}
+
+
+def test_each_section_takes_exactly_its_keys():
+    tables = {section: set(keys) for section, keys in cli._CONFIG.items()}
+    assert tables == {
+        "geometry": {f.name for f in fields(IntersectionGeometry)} | {"formula"},
+        "sim": {f.name for f in fields(SimConfig)} - {"geometry"},
+        "pareto": set(PARETO_KEYS),
+        "plan": set(PLAN_KEYS),
+    }
+
+
+@pytest.mark.parametrize("key", SECTION_KEYS)
 def test_every_config_field_is_read(tmp_path, capsys, key):
-    # each key is a dataclass field, so a field that nothing reads would be
-    # accepted and dropped; a string in its place must be refused by name
+    # each key is a dataclass field or a listed key, so a key that nothing
+    # reads would be accepted and dropped, and one missing from the key
+    # table would be unknown; a string in its place must be refused by name
     section, name = key.split(".")
     cfg = write_config(tmp_path, f"{section}:\n  {name}: abc\n")
     out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err
+    assert cli.main([COMMANDS[section], "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "unknown config key" not in err
     assert not out.exists()
+
+
+# the keys whose null stands for their default; every other key refuses null
+NULL_MEANS_DEFAULT = {
+    "geometry.formula", "sim.entry_speed_range", "sim.arm_probabilities",
+    "sim.turn_probabilities", "sim.weight", "pareto.grid", "plan.tm", "plan.weight",
+}
+
+
+def config_with(key, *value):
+    """YAML text giving the dotted key its value, or leaving it out if none
+    is given, in a four-vehicle run; a formula block gets the side_friction
+    it needs."""
+    config = {"sim": {"vehicle_count": 4}}
+    *path, name = key.split(".")
+    block = config
+    for part in path:
+        block = block.setdefault(part, {})
+    if path == ["geometry", "formula"]:
+        block["side_friction"] = 0.2
+    if value:
+        block[name] = value[0]
+    return yaml.safe_dump(config)
+
+
+def run_config(tmp_path, capsys, command, text, name):
+    """The exit code, stdout, stderr and output files of one run."""
+    out = tmp_path / name
+    code = cli.main([command, "--config", write_config(tmp_path, text, f"{name}.yaml"),
+                     "--out", str(out)])
+    files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else None
+    return (code, *capsys.readouterr(), files)
+
+
+@pytest.mark.parametrize(
+    "key", SECTION_KEYS + ["geometry.formula.side_friction", "geometry.formula.superelevation"]
+)
+def test_null_is_the_default_only_where_stated(tmp_path, capsys, key):
+    command = COMMANDS[key.split(".")[0]]
+    null = run_config(tmp_path, capsys, command, config_with(key, None), "null")
+    if key in NULL_MEANS_DEFAULT:
+        assert null[0] in (0, 1)
+        assert null == run_config(tmp_path, capsys, command, config_with(key), "absent")
+    else:
+        code, _, err, files = null
+        assert code == 2 and key in err and files is None
 
 
 def test_config_digest_ignores_key_order(tmp_path):
@@ -447,6 +515,9 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         ("simulate", "sim:\n  seed: seven\n", "seed"),
         ("simulate", "sim:\n  vehicle_count: 2.5\n", "vehicle_count"),
         ("simulate", "sim:\n  entry_speed_range: [ten, 12]\n", "sim.entry_speed_range"),
+        ("simulate", "sim:\n  entry_speed_range: [10]\n",
+         "sim.entry_speed_range must be a list of 2 numbers"),
+        ("plan", "plan:\n  sample_step: 0\n", "plan.sample_step must be positive"),
         ("plan", "geometry:\n  mz_side: [40]\n", "geometry.mz_side"),
         # non-finite numbers, which bound checks written as comparisons let through
         ("simulate", "sim:\n  sample_step: .nan\n", "sample_step"),

@@ -176,10 +176,24 @@ _CONFIG: Dict[str, Dict[str, _Key]] = {
 }
 
 
+def _number_hint(value: Any) -> str:
+    """How to write value as a number, if it is a string that reads as one:
+    YAML takes a quoted number, and an exponent without a dot and a sign
+    such as 1e-3, as a string."""
+    if not isinstance(value, str):
+        return ""
+    try:
+        float(value)
+    except ValueError:
+        return ""
+    return " (write a number unquoted, and an exponent with a dot and a sign: 1.0e-3, not 1e-3)"
+
+
 def _read_keys(raw: Mapping[str, Any], path: str, keys: Mapping[str, _Key]) -> Dict[str, Any]:
     """raw, the block at path, read through its key table in order.  Unknown
     keys and refused values are reported by full key: as malformed for a
-    TypeError or ValueError, in the reader's own words for a ConfigError."""
+    TypeError, ValueError or OverflowError (an integer past the float
+    range), in the reader's own words for a ConfigError."""
     for key in raw:
         if key not in keys:
             raise ConfigError(f"unknown config key: {path}.{key}")
@@ -198,8 +212,10 @@ def _read_keys(raw: Mapping[str, Any], path: str, keys: Mapping[str, _Key]) -> D
                 values[key] = read(value)
             except ConfigError as exc:
                 raise ConfigError(f"{full} {exc}") from None
-            except (TypeError, ValueError):
-                raise ConfigError(f"{full} has a malformed value: {value!r}") from None
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(
+                    f"{full} has a malformed value: {value!r}{_number_hint(value)}"
+                ) from None
     return values
 
 

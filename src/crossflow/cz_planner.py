@@ -8,8 +8,10 @@ the approach plan is the cubic (m = 2); the merge-zone planners take the
 same closed-form coefficients, with no linear solve, for their fuel-only
 cubic and jerk-only quintic (m = 3).  One PolyTrajectory type carries
 all of them.  Speed and acceleration bounds are verified after the fact
-and reported, so a violating plan is surfaced, never clipped;
-rear_end_gap is the one closed-form rule for the gap to a lane leader.
+and reported, so a violating plan is surfaced, never clipped.  gap_to
+with too_close is the one closed-form rule for the gap to a lane leader:
+the leader's half of the exact minimum is prepared once, and each
+follower, a trajectory or bare approach coefficients, adds its own half.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,19 +98,14 @@ class PolyTrajectory:
         return 0.5 * half * float(np.dot(weights, values * values))
 
 
-def hermite(t0: float, t1: float, start: Sequence[float], end: Sequence[float]) -> PolyTrajectory:
-    """The polynomial of degree 2m-1 whose position and first m-1
-    derivatives take the m values ``start`` at t0 and ``end`` at t1, for
-    m = 2 (cubic) or m = 3 (quintic), in closed form.  The start values
-    are the low-order coefficients.  With W = t1 - t0, r_k is W^k times
-    the gap between the k-th end value and the Taylor extrapolation of
-    the start values, and the leading coefficients are fixed
-    combinations of the r_k over powers of W."""
+def _width(t0: float, t1: float, m: int) -> float:
+    """The width of a Hermite window with m boundary values at each end:
+    refused when the window is empty or m is not 2 or 3, and warned about
+    when it is extremely short."""
     if not t1 > t0:
         raise ValueError(
             f"window end {t1} does not exceed its start {t0}: boundary system is singular"
         )
-    m = len(start)
     if m not in (2, 3):
         raise ValueError(f"Hermite interpolation takes 2 or 3 boundary values, got {m}")
     w = t1 - t0
@@ -117,13 +114,29 @@ def hermite(t0: float, t1: float, start: Sequence[float], end: Sequence[float]) 
             f"window of {w:.3g} s is extremely short; the leading coefficient "
             f"grows as width^-{2 * m - 1}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-    if m == 2:
-        (p0, v0), (p1, v1) = map(float, start), map(float, end)
-        r0, r1 = p1 - p0 - v0 * w, (v1 - v0) * w
-        coeffs = ((6.0 * r1 - 12.0 * r0) / w**3, (6.0 * r0 - 2.0 * r1) / w**2, v0, p0)
-        return PolyTrajectory(t0, t1, coeffs)
+    return w
+
+
+def _cubic(w: float, p0: float, v0: float, p1: float, v1: float) -> Tuple[float, ...]:
+    """The cubic Hermite coefficients over a window of width w."""
+    p0, v0, p1, v1 = float(p0), float(v0), float(p1), float(v1)
+    r0, r1 = p1 - p0 - v0 * w, (v1 - v0) * w
+    return ((6.0 * r1 - 12.0 * r0) / w**3, (6.0 * r0 - 2.0 * r1) / w**2, v0, p0)
+
+
+def hermite(t0: float, t1: float, start: Sequence[float], end: Sequence[float]) -> PolyTrajectory:
+    """The polynomial of degree 2m-1 whose position and first m-1
+    derivatives take the m values ``start`` at t0 and ``end`` at t1, for
+    m = 2 (cubic) or m = 3 (quintic), in closed form.  The start values
+    are the low-order coefficients.  With W = t1 - t0, r_k is W^k times
+    the gap between the k-th end value and the Taylor extrapolation of
+    the start values, and the leading coefficients are fixed
+    combinations of the r_k over powers of W."""
+    w = _width(t0, t1, len(start))
+    if len(start) == 2:
+        return PolyTrajectory(t0, t1, _cubic(w, *start, *end))
     (p0, v0, u0), (p1, v1, u1) = map(float, start), map(float, end)
     r0 = p1 - (p0 + v0 * w + 0.5 * u0 * w * w)
     r1 = (v1 - (v0 + u0 * w)) * w
@@ -136,10 +149,18 @@ def hermite(t0: float, t1: float, start: Sequence[float], end: Sequence[float]) 
     return PolyTrajectory(t0, t1, (*coeffs, u0, v0, p0))
 
 
+def approach_coefficients(
+    t0: float, v0: float, tm: float, vm: float, length: float
+) -> Tuple[float, ...]:
+    """The coefficients of solve_cz's cubic, without the trajectory: all
+    that a caller measuring candidate approaches needs of each."""
+    return _cubic(_width(t0, tm, 2), 0.0, v0, length, vm)
+
+
 def solve_cz(t0: float, v0: float, tm: float, vm: float, length: float) -> PolyTrajectory:
     """The fuel-minimal approach trajectory: the cubic with
     p(t0) = 0, v(t0) = v0, p(tm) = length, v(tm) = vm."""
-    return hermite(t0, tm, (0.0, v0), (length, vm))
+    return PolyTrajectory(t0, tm, approach_coefficients(t0, v0, tm, vm, length))
 
 
 @dataclass(frozen=True)
@@ -168,45 +189,69 @@ def _speed_extremum_times(traj: PolyTrajectory):
     return times
 
 
-def _min_gap(leader: PolyTrajectory, follower: PolyTrajectory, lo: float, hi: float):
-    """Exact minimum of the leader-follower gap on [lo, hi], and its time.
+def gap_to(
+    leader: PolyTrajectory,
+) -> Callable[[Sequence[float], float, float], Optional[Tuple[float, float]]]:
+    """The exact minimum of the gap to one cubic lane leader, prepared once.
 
+    Returns min_gap(coefficients, t0, t1): the least leader-follower gap
+    over the window a cubic follower with those coefficients on [t0, t1]
+    shares with the leader, and its time, or None when they share none.
     The gap is cubic in t, so its minimum over a closed window sits either
     at a window endpoint or at a stationary point: a real root of the
-    quadratic speed difference.
+    quadratic speed difference.  The leader's terms of that quadratic are
+    computed here, so each follower costs only its own terms; no object is
+    built beyond the result.
     """
     la, lb, lc, ld = leader.coefficients
-    fa, fb, fc, fd = follower.coefficients
-    lt0, ft0 = leader.t0, follower.t0
-    quad = 0.5 * (la - fa)
-    lin = (lb - la * lt0) - (fb - fa * ft0)
-    const = (0.5 * la * lt0**2 - lb * lt0 + lc) - (0.5 * fa * ft0**2 - fb * ft0 + fc)
-    candidates = [lo, hi]
-    if quad != 0.0:
-        disc = lin * lin - 4.0 * quad * const
-        if disc >= 0.0:
-            # stable form: the naive (-lin + sqrt) numerator cancels badly
-            # when quad is tiny, which it often is for near-cruise profiles
-            root = math.sqrt(disc)
-            q = -0.5 * (lin + math.copysign(root, lin) if lin != 0.0 else -root)
-            candidates.append(q / quad)
-            if q != 0.0:
-                candidates.append(const / q)
-    elif lin != 0.0:
-        candidates.append(-const / lin)
-    # both positions by the Horner steps of PolyTrajectory.position, on
-    # plain floats: the same operations in the same order give the same
-    # bits; ties in the gap go to the earlier time
-    best = None
-    for t in candidates:
-        if lo <= t <= hi:
-            lt, ft = t - lt0, t - ft0
-            gap = ((la * lt / 6.0 + 0.5 * lb) * lt + lc) * lt + ld - (
-                ((fa * ft / 6.0 + 0.5 * fb) * ft + fc) * ft + fd
-            )
-            if best is None or gap < best[0] or (gap == best[0] and t < best[1]):
-                best = (gap, t)
-    return best
+    lt0, lt1 = leader.t0, leader.t1
+    half_lb = 0.5 * lb
+    lead_lin = lb - la * lt0
+    lead_const = 0.5 * la * lt0**2 - lb * lt0 + lc
+
+    def min_gap(coefficients: Sequence[float], ft0: float, ft1: float):
+        lo = lt0 if lt0 > ft0 else ft0
+        hi = lt1 if lt1 < ft1 else ft1
+        if lo > hi:
+            return None
+        fa, fb, fc, fd = coefficients
+        quad = 0.5 * (la - fa)
+        lin = lead_lin - (fb - fa * ft0)
+        const = lead_const - (0.5 * fa * ft0**2 - fb * ft0 + fc)
+        candidates = [lo, hi]
+        if quad != 0.0:
+            disc = lin * lin - 4.0 * quad * const
+            if disc >= 0.0:
+                # stable form: the naive (-lin + sqrt) numerator cancels badly
+                # when quad is tiny, which it often is for near-cruise profiles
+                root = math.sqrt(disc)
+                q = -0.5 * (lin + math.copysign(root, lin) if lin != 0.0 else -root)
+                candidates.append(q / quad)
+                if q != 0.0:
+                    candidates.append(const / q)
+        elif lin != 0.0:
+            candidates.append(-const / lin)
+        # both positions by the Horner steps of PolyTrajectory.position, on
+        # plain floats: the same operations in the same order give the same
+        # bits; ties in the gap go to the earlier time
+        half_fb = 0.5 * fb
+        best_gap = best_t = None
+        for t in candidates:
+            if lo <= t <= hi:
+                lt, ft = t - lt0, t - ft0
+                gap = ((la * lt / 6.0 + half_lb) * lt + lc) * lt + ld - (
+                    ((fa * ft / 6.0 + half_fb) * ft + fc) * ft + fd
+                )
+                if best_t is None or gap < best_gap or (gap == best_gap and t < best_t):
+                    best_gap, best_t = gap, t
+        return best_gap, best_t
+
+    return min_gap
+
+
+def too_close(gap: float, min_safe_distance: float) -> bool:
+    """Whether a gap falls below min_safe_distance by more than float slack."""
+    return gap < min_safe_distance - _BOUND_EPS
 
 
 class GapCheck(NamedTuple):
@@ -222,15 +267,16 @@ def rear_end_gap(
 ) -> Optional[GapCheck]:
     """Rear-end check of a follower against the vehicle ahead on its lane.
 
-    The gap is minimized in closed form over the window where both are
-    inside the control zone; None when that window is empty.  This is the
-    one rear-end rule, behind both the entry gate and the run audit.
+    The gap is minimized in closed form (gap_to) over the window where
+    both are inside the control zone; None when that window is empty.
+    gap_to and too_close are the one rear-end rule, behind both the entry
+    gate and the run audit.
     """
-    lo, hi = max(follower.t0, leader.t0), min(follower.t1, leader.t1)
-    if lo > hi:
+    found = gap_to(leader)(follower.coefficients, follower.t0, follower.t1)
+    if found is None:
         return None
-    gap, time = _min_gap(leader, follower, lo, hi)
-    return GapCheck(gap, time, gap < min_safe_distance - _BOUND_EPS)
+    gap, time = found
+    return GapCheck(gap, time, too_close(gap, min_safe_distance))
 
 
 def check_feasibility(traj: PolyTrajectory, g: IntersectionGeometry) -> FeasibilityReport:

@@ -89,8 +89,13 @@ def require_finite(config) -> None:
     for field in fields(config):
         value = getattr(config, field.name)
         for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, numbers.Real) and not math.isfinite(item):
-                raise ValueError(f"{field.name} must be finite, got {value}")
+            # a float is known without the slower abstract-class checks; an
+            # integer is finite however large, even past the float range
+            if type(item) is float or (
+                isinstance(item, numbers.Real) and not isinstance(item, numbers.Integral)
+            ):
+                if not math.isfinite(item):
+                    raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 # the curve-design relation's units, in SI: meters per foot, and meters per

@@ -9,14 +9,16 @@ the latest laterally crossing vehicle, queue-order consistency with the
 latest non-conflicting vehicle, and a physical lower bound given by full
 acceleration to the speed cap.  The rule never delays a vehicle beyond
 what its conflicts require, and whichever candidate wins is recorded so
-runs can be analyzed case by case.
+runs can be analyzed case by case.  A schedule reads only those latest
+vehicles, the conflict predecessors, which a PredecessorTable keeps for
+every movement as the queue grows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from crossflow.geometry import (
     ALL_MOVEMENTS,
@@ -79,35 +81,46 @@ class ConflictPredecessors(NamedTuple):
     fifo: Optional[Schedule]
 
 
-# How many conflict classes each movement has with some movement at all:
-# four, except right turns, whose arcs cross no other path.
-_CLASS_COUNT = {m: len({classify(o, m) for o in ALL_MOVEMENTS}) for m in ALL_MOVEMENTS}
+_SLOT = {
+    ConflictClass.SAME_EXIT: 0,
+    ConflictClass.SAME_ENTRY: 1,
+    ConflictClass.LATERAL: 2,
+    ConflictClass.NO_CONFLICT: 3,
+}
+
+# _SLOTS[queued][own]: the ConflictPredecessors field a queued movement
+# fills for an own movement, both by their ALL_MOVEMENTS position
+_SLOTS = tuple(tuple(_SLOT[classify(queued, own)] for own in ALL_MOVEMENTS)
+               for queued in ALL_MOVEMENTS)
+
+
+class PredecessorTable:
+    """The latest queue member of each conflict class, for each movement.
+
+    The table is a queue folded in admission order: admitting a schedule
+    stores it in each movement's row, in the one class it has with that
+    movement.  So an admission is 12 stores and a read one row, whatever
+    the queue length.
+    """
+
+    def __init__(self, q: Iterable[Schedule] = ()) -> None:
+        self._rows: List[List[Optional[Schedule]]] = [[None] * 4 for _ in ALL_MOVEMENTS]
+        for entry in q:
+            self.admit(entry)
+
+    def admit(self, entry: Schedule) -> None:
+        for row, slot in zip(self._rows, _SLOTS[entry.movement._index]):
+            row[slot] = entry
+
+    def predecessors(self, movement: Movement) -> ConflictPredecessors:
+        return ConflictPredecessors._make(self._rows[movement._index])
 
 
 def conflict_predecessors(spec: VehicleSpec, q: Sequence[Schedule]) -> ConflictPredecessors:
-    """Scan the queue for the most recent vehicle in each conflict class.
-
-    The scan runs backwards from the queue's end and stops once it has
-    found every class the vehicle's movement can have, so its cost is the
-    distance back to the oldest of those latest entries, not the queue
-    length.  The result is what a full forward scan keeping the last entry
-    per class gives.
-    """
-    movement = spec.movement
-    wanted = _CLASS_COUNT[movement]
-    latest = {}
-    for entry in reversed(q):
-        cls = classify(entry.movement, movement)
-        if cls not in latest:
-            latest[cls] = entry
-            if len(latest) == wanted:
-                break
-    return ConflictPredecessors(
-        same_exit=latest.get(ConflictClass.SAME_EXIT),
-        same_entry=latest.get(ConflictClass.SAME_ENTRY),
-        lateral=latest.get(ConflictClass.LATERAL),
-        fifo=latest.get(ConflictClass.NO_CONFLICT),
-    )
+    """The most recent vehicle of q in each conflict class with spec's
+    movement: q folded into a PredecessorTable, and the movement's row
+    read."""
+    return PredecessorTable(q).predecessors(spec.movement)
 
 
 def earliest_mz_arrival(t0: float, v0: float, g: IntersectionGeometry) -> float:
@@ -152,8 +165,9 @@ def conflict_candidates(
     return candidates
 
 
-def schedule(spec: VehicleSpec, q: Sequence[Schedule], g: IntersectionGeometry) -> Schedule:
-    """Assign merge-zone entry/exit times to a newly arrived vehicle.
+def schedule(spec: VehicleSpec, preds: ConflictPredecessors, g: IntersectionGeometry) -> Schedule:
+    """Assign merge-zone entry/exit times to a newly arrived vehicle, given
+    its conflict predecessors in the queue so far.
 
     The exit time is the maximum over the candidates contributed by the
     conflict predecessors plus the feasibility bound; the entry time
@@ -161,7 +175,6 @@ def schedule(spec: VehicleSpec, q: Sequence[Schedule], g: IntersectionGeometry) 
     candidates resolve toward the conflict classes in the order same-exit,
     same-entry, lateral, fifo, feasibility.
     """
-    preds = conflict_predecessors(spec, q)
     transit = g.transit_time(spec.movement.turn)
     earliest = earliest_mz_arrival(spec.t0, spec.v0, g)
 

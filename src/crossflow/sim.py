@@ -9,18 +9,21 @@ the vehicle ahead on the same lane for the whole stretch where both are
 inside the control zone; beyond that gate, safety is entirely the
 scheduler's job.  The gate searches entry times by a galloping forward
 scan, whose step doubles, and a regula falsi on the probe's exact gap,
-guarded to take at most four probes more than bisection would; the
-queue is scanned once per search, backwards and only as far as the
-latest vehicle of each conflict class, and each probe then costs one
-earliest-arrival bound, one approach solve and one closed-form minimum
-gap, independent of queue length.  At each admission the arm
-heads are searched in order of the earliest entry each could have, and
-each search is given a cutoff, the best entry found so far: it stops as
-soon as a probe not clear reaches the cutoff, since its answer must then
-come later, and a head whose earliest possible entry is already later is
-not searched at all.  A vehicle's record (schedule, approach and merge
-trajectories) is built the moment it is admitted, and plan_crossing is
-the one rule that turns its merge window into its two trajectories.
+guarded to take at most four probes more than bisection would.  The run
+keeps, for each movement, the latest queued vehicle of each conflict
+class, so a search reads its predecessors in one step; each probe then
+costs one earliest-arrival bound, one set of approach coefficients and
+the follower's half of the exact minimum gap, whose leader half is
+prepared once per search, and builds no trajectory.  Each search yields
+every probed time found not clear, a strict lower bound of its answer.
+Each admission is one best-first search over the arm heads: the head
+whose bound is least is advanced, and the admission is decided once no
+head's bound can beat the best entry found, so a search that cannot win
+is dropped at its first bound past that entry, and a head whose earliest
+possible entry is already later is not searched at all.  A vehicle's
+record (schedule, approach and merge trajectories) is built the moment
+it is admitted, and plan_crossing is the one rule that turns its merge
+window into its two trajectories.
 
 A run keeps only decisions: its config, its records and the gate's
 work.  Everything derived from them is computed on first read and then
@@ -28,24 +31,33 @@ kept.  SimRun.audit re-derives the safety story from the trajectory
 records alone, exactly on their closed forms, and reports every
 violation it finds: a single pass that checks each vehicle against its
 lane leader, sweeps the merge-zone windows in order of start, and pairs
-vehicles only within an exit arm.  SimRun.binding_histogram counts the
-binding cases.  SimRun.samples, the sampled state table, only displays
-the decisions, as one structured array whose rows are ordered by one
-sort of their (t, vehicle_id) keys.
+vehicles only within an exit arm and a headway of each other's exit.
+SimRun.binding_histogram counts the binding cases.  SimRun.samples, the
+sampled state table, only displays the decisions, as one structured
+array whose rows are ordered by one sort of their (t, vehicle_id) keys.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from crossflow.cz_planner import PolyTrajectory, rear_end_gap, solve_cz
+from crossflow.cz_planner import (
+    PolyTrajectory,
+    approach_coefficients,
+    gap_to,
+    rear_end_gap,
+    solve_cz,
+    too_close,
+)
 from crossflow.geometry import (
     Arm,
     ConflictClass,
@@ -66,10 +78,11 @@ from crossflow.mz_planner import (
     weighted_rate,
 )
 from crossflow.scheduler import (
+    ConflictPredecessors,
+    PredecessorTable,
     Schedule,
     VehicleSpec,
     conflict_candidates,
-    conflict_predecessors,
     earliest_mz_arrival,
 )
 from crossflow.scheduler import schedule as schedule_vehicle
@@ -88,9 +101,18 @@ SAMPLE_DTYPE = np.dtype([
     ("p", "f8"), ("v", "f8"), ("u", "f8"), ("j", "f8"),
 ])
 
+# the largest vehicle_count and sample_step whose use fits 64-bit arrays:
+# the arrival arrays hold vehicle_count float64 values, and the sample
+# grid is sample_step times 64-bit integer indices
+_MAX_VEHICLE_COUNT = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+_MAX_SAMPLE_STEP = np.iinfo(np.int64).max
+
 # entry-gate search: first forward scan step and commit-time resolution
 _GATE_SCAN_STEP = 0.25
 _GATE_RESOLUTION = 1e-6
+
+# a key above every admission key (entry, arrival time, arrival id)
+_NO_KEY = (math.inf,)
 
 # merge-zone windows may share, and exit headways fall short by, this much
 _AUDIT_TIME_TOL = 1e-6
@@ -144,6 +166,9 @@ class SimConfig:
                 raise ValueError(f"{name} must sum to 1, got {sum(probs)}")
         if self.vehicle_count < 1:
             raise ValueError(f"vehicle_count must be at least 1, got {self.vehicle_count}")
+        if self.vehicle_count > _MAX_VEHICLE_COUNT:
+            raise ValueError(f"vehicle_count must be at most {_MAX_VEHICLE_COUNT}, "
+                             f"got {self.vehicle_count}")
         if self.weight is not None and (
             isinstance(self.weight, bool) or not isinstance(self.weight, numbers.Real)
         ):
@@ -158,6 +183,9 @@ class SimConfig:
             weighted_rate(self.weight, *normalization_weights(g.u_max, self.jerk_scale), width)
         if self.sample_step <= 0.0:
             raise ValueError(f"sample_step must be positive, got {self.sample_step}")
+        if self.sample_step > _MAX_SAMPLE_STEP:
+            raise ValueError(f"sample_step must be at most {_MAX_SAMPLE_STEP}, "
+                             f"got {self.sample_step}")
 
 
 def generate_arrivals(cfg: SimConfig) -> List[VehicleSpec]:
@@ -237,9 +265,9 @@ class AuditReport:
 
 @dataclass
 class GateStats:
-    """Entry-gate work of one run: gated-entry searches, the searches cut
-    off once they could no longer give the next entry, and clear()
-    probes.  Kept out of every output file."""
+    """Entry-gate work of one run: gated-entry searches started, the
+    searches dropped unfinished once they could no longer give the next
+    entry, and gate probes.  Kept out of every output file."""
 
     searches: int = 0
     cut: int = 0
@@ -314,15 +342,21 @@ def plan_crossing(
 
 def _gated_entry(
     spec: VehicleSpec,
-    queue: Sequence[Schedule],
+    preds: ConflictPredecessors,
     leader: Optional[PolyTrajectory],
     g: IntersectionGeometry,
     stats: GateStats,
-    cutoff: float = math.inf,
-) -> Optional[float]:
-    """Gated control-zone entry at or after spec.t0: the first time found
-    clear, where clear means the planned approach stays at least
-    min_safe_distance behind the lane leader.
+) -> Generator[float, None, float]:
+    """Gated control-zone entry at or after spec.t0, behind the conflict
+    predecessors preds: the first time found clear, where clear means the
+    planned approach stays at least min_safe_distance behind the lane
+    leader.
+
+    A generator: it yields each probed time found not clear, and returns
+    the answer.  Every yield is a strict lower bound of the answer, and
+    the yields increase, so a caller that drives several searches at once
+    can pause each at its latest yield and drop it once that bound can no
+    longer win.  Each probe adds one to stats.probes.
 
     The search probes spec.t0, then gallops forward: the step starts at
     _GATE_SCAN_STEP and doubles until a probe is clear, capped just past
@@ -337,46 +371,42 @@ def _gated_entry(
     with the leader, its gap is infinite and the estimate is the
     midpoint.  The answer is the clear end of the last bracket; a clear
     pocket that opens and closes again between two scan points is
-    skipped, so the answer need not be the earliest clear time.
-
-    Every probed time found not clear is a lower bound of the answer.  As
-    soon as one reaches cutoff, the answer is known to lie strictly after
-    cutoff and the search returns None instead.  With the default cutoff
-    it always returns a time, and whenever it returns one, that time does
-    not depend on cutoff.  Each probe adds one to stats.probes.
+    skipped, so the answer need not be the earliest clear time.  The
+    probes are a pure function of spec.t0, spec.v0, the predecessors'
+    exit-time floor and the leader.
 
     Only the feasibility bound of the schedule depends on the entry time,
-    so the conflict candidates are scanned out of the queue once per
-    search.  Each probe then costs one earliest_mz_arrival, one solve_cz
-    and one closed-form minimum gap, whatever the queue length, and plans
-    the same tm that schedule() would.
+    so the predecessors' candidates are reduced to one floor, and the
+    leader's half of the gap rule prepared, once per search.  Each probe
+    then costs one earliest_mz_arrival, one set of approach coefficients
+    and the follower's half of the exact minimum gap, and builds no
+    trajectory; it plans the same tm that schedule() would.
     """
     if leader is None:
         return spec.t0
+    t0, v0 = spec.t0, spec.v0
     transit = g.transit_time(spec.movement.turn)
     vm = g.mz_speed(spec.movement.turn)
-    floor = max(
-        (tf for _, tf in conflict_candidates(conflict_predecessors(spec, queue), transit, g)),
-        default=-math.inf,
-    )
+    length, delta = g.cz_length, g.min_safe_distance
+    floor = max((tf for _, tf in conflict_candidates(preds, transit, g)), default=-math.inf)
+    min_gap = gap_to(leader)
 
-    def probe(t0: float) -> Tuple[bool, float]:
-        # whether entry at t0 is clear, and the least gap to the leader less
+    def probe(t: float) -> Tuple[bool, float]:
+        # whether entry at t is clear, and the least gap to the leader less
         # the safe distance: infinite when they share no control-zone window
         stats.probes += 1
-        tf = max(floor, earliest_mz_arrival(t0, spec.v0, g) + transit)
-        traj = solve_cz(t0, spec.v0, tf - transit, vm, g.cz_length)
-        found = rear_end_gap(leader, traj, g.min_safe_distance)
+        tm = max(floor, earliest_mz_arrival(t, v0, g) + transit) - transit
+        found = min_gap(approach_coefficients(t, v0, tm, vm, length), t, tm)
         if found is None:
             return True, math.inf
-        return not found.too_close, found.gap - g.min_safe_distance
+        gap = found[0]
+        return not too_close(gap, delta), gap - delta
 
-    clear, f_low = probe(spec.t0)
+    clear, f_low = probe(t0)
     if clear:
-        return spec.t0
-    low = spec.t0
-    if low >= cutoff:
-        return None
+        return t0
+    low = t0
+    yield low
     # the gap condition holds trivially once the leader has left the
     # control zone, so the scan ends at the cap at the latest
     cap = leader.t1 + _GATE_SCAN_STEP
@@ -387,8 +417,7 @@ def _gated_entry(
         if clear:
             break
         low, f_low = high, f_high
-        if low >= cutoff:
-            return None
+        yield low
         step *= 2.0
     width0 = high - low
     margin = 0.5 * _GATE_RESOLUTION
@@ -416,8 +445,7 @@ def _gated_entry(
             high, f_high = t, f
         else:
             low, f_low = t, f
-            if low >= cutoff:
-                return None
+            yield low
     return high
 
 
@@ -426,76 +454,91 @@ def run(cfg: SimConfig) -> SimRun:
 
     Arrivals are replayed through the entry gate one commitment at a time:
     among the four arms' next-in-line vehicles, whichever can enter the
-    control zone earliest is admitted, scheduled against the queue so far,
-    and assigned its closed-form trajectories.  Queue ids are (re)assigned
-    at the gate, so they track the order vehicles actually enter rather
-    than the order they showed up upstream.  Scheduling never looks at the
-    merging-zone objective, so runs differing only in objective produce
-    identical schedules.
+    control zone earliest is admitted, scheduled against its conflict
+    predecessors, and assigned its closed-form trajectories.  Queue ids
+    are (re)assigned at the gate, so they track the order vehicles
+    actually enter rather than the order they showed up upstream.
+    Scheduling never looks at the merging-zone objective, so runs
+    differing only in objective produce identical schedules.  The run
+    keeps the queue as a PredecessorTable, so reading a vehicle's conflict
+    predecessors, for a gate search or its schedule, costs the same at
+    any queue length.
 
-    The next entry is found by branch and bound.  A head cannot enter
-    before its lower bound, the later of its arrival and the last
-    committed entry, so the heads are searched in order of that bound,
-    and the search stops at the first head whose bound is above the best
-    entry found so far.  Each head's search is cut off once its answer
-    must come after that best entry.  Ties go to the earlier arrival,
-    then the lower arrival id, as if every head were searched in full.
+    Each admission is one best-first search over the arm heads' gate
+    searches.  A heap holds each head under the key (lower bound, arrival
+    time, arrival id): its bound is at first the later of its arrival and
+    the last committed entry, and then the latest time its search found
+    not clear.  The head of least key is advanced, its search started on
+    first pop, until the search finishes or its key reaches the next
+    head's or the best finished (entry, arrival time, arrival id).  The
+    admission is decided once the least key left is above the best
+    finished one; the searches still open are dropped.  Since each search's probes do not depend on
+    when it is paused, every finished search has its full answer, and the
+    vehicle admitted is the one that searching every head in full would
+    admit.
     """
     g = cfg.geometry
     arrivals = generate_arrivals(cfg)
-    pending: Dict[Arm, Deque[VehicleSpec]] = {arm: deque() for arm in _ARM_ORDER}
+    # each arm's arrivals not yet admitted, by the arm's place in _ARM_ORDER
+    lines: List[Deque[VehicleSpec]] = [deque() for _ in _ARM_ORDER]
     for spec in arrivals:
-        pending[spec.movement.entry_arm].append(spec)
+        lines[_ARM_ORDER.index(spec.movement.entry_arm)].append(spec)
 
-    queue: List[Schedule] = []
+    table = PredecessorTable()
     records: List[VehicleRecord] = []
     # each arm's last admitted approach trajectory
-    lane_leader: Dict[Arm, PolyTrajectory] = {}
+    lane_leader: List[Optional[PolyTrajectory]] = [None] * len(_ARM_ORDER)
     gate = GateStats()
     clock = 0.0
 
-    while True:
+    while any(lines):
         # gate from no earlier than the last committed entry: a commit
         # elsewhere can lengthen a head's queue slot and relax its gate
         # below times the coordinator has already passed, and admitting it
         # retroactively would break entry-order ids
-        heads = sorted(
-            (max(line[0].t0, clock), line[0].t0, line[0].vehicle_id, arm)
-            for arm, line in pending.items()
-            if line
-        )
-        if not heads:
-            break
-        best = None
-        for bound, _, _, arm in heads:
-            if best is not None and bound > best[0][0]:
-                break
-            head = pending[arm][0]
-            candidate = head if head.t0 >= clock else replace(head, t0=clock)
-            gate.searches += 1
-            entry = _gated_entry(
-                candidate, queue, lane_leader.get(arm), g, gate,
-                math.inf if best is None else best[0][0],
-            )
-            if entry is None:
-                gate.cut += 1
+        heap = [((max(line[0].t0, clock), line[0].t0, line[0].vehicle_id), lane)
+                for lane, line in enumerate(lines) if line]
+        heapq.heapify(heap)
+        # each arm's gate search, from its first pop until it finishes
+        searches: List[Optional[Generator[float, None, float]]] = [None] * len(_ARM_ORDER)
+        # the least finished (entry, arrival time, arrival id), and its arm
+        best, winner = _NO_KEY, 0
+        while heap and heap[0][0] < best:
+            key, lane = heapq.heappop(heap)
+            _, t0, vehicle_id = key
+            search = searches[lane]
+            if search is None:
+                head = lines[lane][0]
+                candidate = head if t0 >= clock else replace(head, t0=clock)
+                gate.searches += 1
+                search = searches[lane] = _gated_entry(
+                    candidate, table.predecessors(head.movement), lane_leader[lane], g, gate
+                )
+            limit = min(heap[0][0], best) if heap else best
+            try:
+                while key < limit:
+                    key = (next(search), t0, vehicle_id)
+            except StopIteration as done:
+                searches[lane] = None
+                key = (done.value, t0, vehicle_id)
+                if key < best:
+                    best, winner = key, lane
                 continue
-            key = (entry, head.t0, head.vehicle_id)
-            if best is None or key < best[0]:
-                best = (key, arm, head, entry)
-        _, arm, head, entry = best
-        clock = entry
-        pending[arm].popleft()
-        spec = replace(head, vehicle_id=len(queue) + 1, t0=entry)
-        sched = schedule_vehicle(spec, queue, g)
+            heapq.heappush(heap, (key, lane))
+        # the searches still open could no longer give the next entry
+        gate.cut += len(searches) - searches.count(None)
+        entry = clock = best[0]
+        head = lines[winner].popleft()
+        spec = replace(head, vehicle_id=len(records) + 1, t0=entry)
+        sched = schedule_vehicle(spec, table.predecessors(spec.movement), g)
         cz, mz = plan_crossing(
             spec, sched.tm, sched.tf, g, cfg.objective, cfg.weight, cfg.jerk_scale
         )
         records.append(
             VehicleRecord(spec=spec, arrival_time=head.t0, schedule=sched, cz=cz, mz=mz)
         )
-        queue.append(sched)
-        lane_leader[arm] = cz
+        table.admit(sched)
+        lane_leader[winner] = cz
 
     return SimRun(config=cfg, vehicles=tuple(records), gate=gate)
 
@@ -584,7 +627,9 @@ def audit_run(run_result: SimRun) -> AuditReport:
       start, flagging crossing-path pairs that share more than
       _AUDIT_TIME_TOL;
     - exit_spacing: vehicles leaving into the same exit arm from
-      different entry arms, compared at their merge-zone exit times.
+      different entry arms, compared at their merge-zone exit times; each
+      vehicle is compared only with the earlier vehicles of its exit arm
+      that leave less than the largest headway before it, or after it.
 
     The spacing is the run's own geometry's min_safe_distance.  To audit
     the same records against another spacing, audit a copy of the run
@@ -629,13 +674,19 @@ def audit_run(run_result: SimRun) -> AuditReport:
     # the safety distance apart, at the leader's exit speed, when they
     # cross the merge-zone end.  Two movements are in the same-exit class
     # exactly when they share the exit arm but not the entry arm, so only
-    # each exit arm's earlier vehicles need checking.
-    earlier_by_exit: Dict[Arm, List[VehicleRecord]] = {}
+    # each exit arm's earlier vehicles need checking, and of those only the
+    # ones leaving less than the largest headway before the later vehicle,
+    # or after it.  Each exit arm keeps its earlier vehicles in order of
+    # merge-zone exit, so that window is one slice; the slice reaches
+    # _AUDIT_TIME_TOL further back than any finding can.
+    headway = max((delta / rec.schedule.vf for rec in ordered), default=0.0)
+    by_exit: Dict[Arm, Tuple[List[float], List[VehicleRecord]]] = {}
     for later in ordered:
         movement = later.spec.movement
-        exiting = earlier_by_exit.setdefault(movement.exit_arm, [])
+        exit_times, exiting = by_exit.setdefault(movement.exit_arm, ([], []))
         actual = later.mz.t1
-        for earlier in exiting:
+        first = bisect.bisect_left(exit_times, actual - headway - _AUDIT_TIME_TOL)
+        for earlier in exiting[first:]:
             if earlier.spec.movement.entry_arm is movement.entry_arm:
                 continue
             required = earlier.mz.t1 + delta / earlier.schedule.vf
@@ -650,7 +701,9 @@ def audit_run(run_result: SimRun) -> AuditReport:
                         delta / earlier.schedule.vf,
                     )
                 )
-        exiting.append(later)
+        at = bisect.bisect_right(exit_times, actual)
+        exit_times.insert(at, actual)
+        exiting.insert(at, later)
 
     findings.sort(key=lambda f: (f.time, f.kind, f.vehicle_id, f.other_id))
     return AuditReport(findings=tuple(findings))

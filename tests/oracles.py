@@ -404,13 +404,14 @@ def quintic_costs(coeffs, width):
 # The simulator's own versions must agree with these bit for bit.
 
 
-def gated_entry_by_full_schedule(spec, queue, leader, g, stats=None, cutoff=math.inf):
+def gated_entry_by_full_schedule(spec, preds, leader, g, stats=None):
     """Gate-clear entry time by the same galloping scan and guarded
-    Illinois narrowing, each probe rescheduled in full.  The search always
-    runs to the end: stats and cutoff are accepted and ignored."""
+    Illinois narrowing, each probe rescheduled in full behind preds.  A
+    generator with the gate's contract: it yields each probed time found
+    not clear and returns the answer.  stats is accepted and ignored."""
 
     def probe(t0):
-        sched = schedule(replace(spec, t0=t0), queue, g)
+        sched = schedule(replace(spec, t0=t0), preds, g)
         traj = solve_cz(t0, spec.v0, sched.tm, sched.vm, g.cz_length)
         found = rear_end_gap(leader, traj, g.min_safe_distance)
         if found is None:
@@ -422,6 +423,7 @@ def gated_entry_by_full_schedule(spec, queue, leader, g, stats=None, cutoff=math
     clear, f_low = probe(spec.t0)
     if clear:
         return spec.t0
+    yield spec.t0
     # gallop: steps of 1, 2, 4, ... scan steps, up to just past the
     # leader's exit, where every entry is clear
     low = spec.t0
@@ -430,6 +432,7 @@ def gated_entry_by_full_schedule(spec, queue, leader, g, stats=None, cutoff=math
     clear, f_high = probe(high)
     while not clear:
         low, f_low = high, f_high
+        yield low
         step *= 2.0
         high = min(low + step, leader.t1 + _GATE_SCAN_STEP)
         clear, f_high = probe(high)
@@ -457,14 +460,26 @@ def gated_entry_by_full_schedule(spec, queue, leader, g, stats=None, cutoff=math
             if last == "low":
                 f_high /= 2
             low, f_low, last = t, f, "low"
+            yield low
         j += 1
     return high
 
 
+def finish_search(search):
+    """Drive a gate search to its end: its yields, in order, and its answer."""
+    yields = []
+    while True:
+        try:
+            yields.append(next(search))
+        except StopIteration as done:
+            return yields, done.value
+
+
 def admissions_by_full_search(cfg):
     """(arrival time, gated entry) of each admission, in order, with every
-    arm head searched in full at every commit and the least
-    (entry, arrival time, arrival id) admitted."""
+    arm head searched in full at every commit, behind the predecessors a
+    forward queue scan finds, and the least (entry, arrival time, arrival
+    id) admitted."""
     g = cfg.geometry
     arrivals = generate_arrivals(cfg)
     pending = {arm: [s for s in arrivals if s.movement.entry_arm is arm] for arm in Arm}
@@ -476,11 +491,14 @@ def admissions_by_full_search(cfg):
             if line:
                 head = line[0]
                 candidate = replace(head, t0=max(head.t0, clock))
-                entry = gated_entry_by_full_schedule(candidate, queue, leaders.get(arm), g)
+                preds = conflict_predecessors_forward(head, queue)
+                _, entry = finish_search(
+                    gated_entry_by_full_schedule(candidate, preds, leaders.get(arm), g)
+                )
                 keys.append((entry, head.t0, head.vehicle_id, arm))
         clock, arrival_time, _, arm = min(keys)
         spec = replace(pending[arm].pop(0), vehicle_id=len(queue) + 1, t0=clock)
-        sched = schedule(spec, queue, g)
+        sched = schedule(spec, conflict_predecessors_forward(spec, queue), g)
         queue.append(sched)
         leaders[arm] = solve_cz(spec.t0, spec.v0, sched.tm, sched.vm, g.cz_length)
         admitted.append((arrival_time, clock))

@@ -585,6 +585,20 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         ("plan", "geometry:\n  right_path_length: 13\n", "geometry.right_path_length"),
         ("pareto", "pareto:\n  mz_entry_speed: 4\n", "pareto.mz_entry_speed"),
         ("pareto", "pareto:\n  mz_exit_speed: 4\n", "pareto.mz_exit_speed"),
+        # values whose use would overflow a 64-bit array, refused before any
+        # is allocated, and an integer past the float range
+        ("simulate", "sim:\n  sample_step: 100000000000000000000000000000\n",
+         "sim: sample_step must be at most"),
+        ("simulate", "sim:\n  vehicle_count: 100000000000000000000000000000\n",
+         "sim: vehicle_count must be at most"),
+        ("simulate", "sim:\n  arrival_rate: 1" + "0" * 400 + "\n", "sim.arrival_rate"),
+        # YAML reads an exponent without a dot and a sign as a string, so the
+        # refusal names the spelling it reads as a number; quoted, it is a string
+        ("pareto", "pareto:\n  w_min: 1e-3\n",
+         "pareto.w_min has a malformed value: '1e-3' (write a number unquoted, "
+         "and an exponent with a dot and a sign: 1.0e-3, not 1e-3)"),
+        ("simulate", "sim:\n  sample_step: 1e6\n", "1.0e-3, not 1e-3"),
+        ("pareto", 'pareto:\n  w_min: "1.0e-3"\n', "pareto.w_min has a malformed value"),
     ],
 )
 def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, text, key):
@@ -596,3 +610,11 @@ def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, tex
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_an_exponent_with_a_dot_and_a_sign_reads_as_a_number(tmp_path):
+    cfg = write_config(tmp_path, "pareto:\n  grid_size: 3\n  w_min: 1.0e-3\n  w_max: 9.0e-1\n")
+    out = tmp_path / "out"
+    assert cli.main(["pareto", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out / "pareto.csv")[1:]
+    assert [float(row[0]) for row in (rows[0], rows[-1])] == [1.0e-3, 0.9]

@@ -18,11 +18,16 @@ from crossflow import (
 )
 from crossflow import scheduler as scheduler_module
 from crossflow.geometry import ALL_MOVEMENTS
-from crossflow.scheduler import Schedule
+from crossflow.scheduler import PredecessorTable, Schedule
 
 
 def mv(arm: str, turn: str) -> Movement:
     return Movement(Arm(arm), Turn(turn))
+
+
+def schedule_behind(spec, queue, g):
+    """spec scheduled behind the conflict predecessors it has in queue."""
+    return schedule(spec, conflict_predecessors(spec, queue), g)
 
 
 def make_schedule(vehicle_id, movement, tm, tf, vm, g, t0=None, v0=10.0):
@@ -60,7 +65,7 @@ def test_predecessors_empty_queue():
 
 
 def test_predecessors_same_lane():
-    queue = [schedule(VehicleSpec(1, 0.0, 10.0, mv("W", "straight")), [], GEOMETRY)]
+    queue = [schedule_behind(VehicleSpec(1, 0.0, 10.0, mv("W", "straight")), [], GEOMETRY)]
     preds = conflict_predecessors(VehicleSpec(2, 1.0, 10.0, mv("W", "left")), queue)
     assert preds.same_entry.vehicle_id == 1
     assert preds.same_exit is None
@@ -70,8 +75,8 @@ def test_predecessors_same_lane():
 
 def test_predecessors_lane_and_crossing():
     queue = []
-    queue.append(schedule(VehicleSpec(1, 0.0, 10.0, mv("W", "straight")), queue, GEOMETRY))
-    queue.append(schedule(VehicleSpec(2, 1.0, 10.0, mv("N", "straight")), queue, GEOMETRY))
+    queue.append(schedule_behind(VehicleSpec(1, 0.0, 10.0, mv("W", "straight")), queue, GEOMETRY))
+    queue.append(schedule_behind(VehicleSpec(2, 1.0, 10.0, mv("N", "straight")), queue, GEOMETRY))
     preds = conflict_predecessors(VehicleSpec(3, 2.0, 10.0, mv("W", "straight")), queue)
     assert preds.same_entry.vehicle_id == 1
     assert preds.lateral.vehicle_id == 2
@@ -82,7 +87,8 @@ def test_predecessors_lane_and_crossing():
 def test_predecessors_keep_latest_per_class():
     queue = []
     for i, arm in enumerate(("W", "W", "N", "W"), start=1):
-        queue.append(schedule(VehicleSpec(i, float(i), 10.0, mv(arm, "straight")), queue, GEOMETRY))
+        spec = VehicleSpec(i, float(i), 10.0, mv(arm, "straight"))
+        queue.append(schedule_behind(spec, queue, GEOMETRY))
     preds = conflict_predecessors(VehicleSpec(5, 5.0, 10.0, mv("W", "straight")), queue)
     assert preds.same_entry.vehicle_id == 4
     assert preds.lateral.vehicle_id == 3
@@ -123,7 +129,9 @@ def test_predecessors_match_forward_scan(movements, own):
         (("W", "right"), [("W", "straight"), ("N", "straight"), ("E", "straight")]),
     ],
 )
-def test_predecessor_scan_stops_once_every_class_is_found(monkeypatch, own, tail):
+def test_predecessor_table_keeps_the_latest_of_each_class_without_classifying(
+    monkeypatch, own, tail
+):
     movements = [mv("W", "straight")] * 200 + [mv(*m) for m in tail]
     queue = [
         make_schedule(i, m, float(i), float(i) + 3.0, 10.0, GEOMETRY)
@@ -136,10 +144,16 @@ def test_predecessor_scan_stops_once_every_class_is_found(monkeypatch, own, tail
         calls.append((a, b))
         return classify(a, b)
 
+    # admitting and reading use the classes laid out once, so neither
+    # costs more behind a longer queue
     monkeypatch.setattr(scheduler_module, "classify", counted)
-    preds = conflict_predecessors(VehicleSpec(len(queue) + 1, 0.0, 10.0, mv(*own)), queue)
-    assert len(calls) == len(tail)
+    table = PredecessorTable()
+    for entry in queue:
+        table.admit(entry)
+    preds = table.predecessors(mv(*own))
+    assert calls == []
     assert {p.vehicle_id for p in preds if p is not None} == set(range(201, len(queue) + 1))
+    assert conflict_predecessors(VehicleSpec(len(queue) + 1, 0.0, 10.0, mv(*own)), queue) == preds
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +215,7 @@ def test_bound_rejects_out_of_range_speed():
 def test_schedule_empty_queue_cruise():
     g = IntersectionGeometry(v_max=10.0)
     spec = VehicleSpec(1, 5.0, 10.0, mv("W", "straight"))
-    sched = schedule(spec, [], g)
+    sched = schedule_behind(spec, [], g)
     assert sched.tm == pytest.approx(45.0, abs=1e-12)
     assert sched.tf == pytest.approx(48.0, abs=1e-12)
     assert sched.binding_case == "feasibility"
@@ -212,7 +226,7 @@ def test_schedule_exit_lane_candidate():
     # S:right exits East, same as W:straight; spacing delta / vf = 1 s
     leader = make_schedule(1, mv("W", "straight"), 97.0, 100.0, 10.0, GEOMETRY)
     spec = VehicleSpec(2, 10.0, 10.0, mv("S", "right"))
-    sched = schedule(spec, [leader], GEOMETRY)
+    sched = schedule_behind(spec, [leader], GEOMETRY)
     assert sched.tf == pytest.approx(101.0, abs=1e-12)
     assert sched.tm == pytest.approx(101.0 - RIGHT_WINDOW, abs=1e-12)
     assert sched.binding_case == "same_exit"
@@ -225,7 +239,7 @@ def test_schedule_entry_lane_candidate():
     # max(leader merge entry + headway + own transit, leader exit)
     leader = make_schedule(1, mv("W", "left"), 50.0, 50.0 + LEFT_WINDOW, 8.0, GEOMETRY)
     spec = VehicleSpec(2, 10.0, 10.0, mv("W", "right"))
-    sched = schedule(spec, [leader], GEOMETRY)
+    sched = schedule_behind(spec, [leader], GEOMETRY)
     # max(50 + 10/8 + 1.47, 53.93) = 53.93
     assert 50.0 + 10.0 / 8.0 + RIGHT_WINDOW < leader.tf
     assert sched.tf == pytest.approx(leader.tf, abs=1e-12)
@@ -238,7 +252,7 @@ def test_schedule_entry_lane_headway_branch():
     # straight leader: headway term 50 + 10/10 + 3.93 exceeds its exit 53
     leader = make_schedule(1, mv("W", "straight"), 50.0, 53.0, 10.0, GEOMETRY)
     spec = VehicleSpec(2, 10.0, 10.0, mv("W", "left"))
-    sched = schedule(spec, [leader], GEOMETRY)
+    sched = schedule_behind(spec, [leader], GEOMETRY)
     assert sched.tf == pytest.approx(51.0 + LEFT_WINDOW, abs=1e-12)
     assert sched.tm == pytest.approx(51.0, abs=1e-12)
     assert sched.binding_case == "same_entry"
@@ -247,7 +261,7 @@ def test_schedule_entry_lane_headway_branch():
 def test_schedule_crossing_candidate():
     leader = make_schedule(1, mv("N", "straight"), 57.0, 60.0, 10.0, GEOMETRY)
     spec = VehicleSpec(2, 10.0, 10.0, mv("W", "straight"))
-    sched = schedule(spec, [leader], GEOMETRY)
+    sched = schedule_behind(spec, [leader], GEOMETRY)
     assert sched.tf == pytest.approx(63.0, abs=1e-12)
     assert sched.tm == pytest.approx(60.0, abs=1e-12)
     assert sched.binding_case == "lateral"
@@ -259,7 +273,7 @@ def test_schedule_queue_order_candidate():
     # and the feasibility bound remain
     leader = make_schedule(1, mv("E", "right"), 100.0 - RIGHT_WINDOW, 100.0, 6.0, GEOMETRY)
     spec = VehicleSpec(2, 10.0, 10.0, mv("W", "right"))
-    sched = schedule(spec, [leader], GEOMETRY)
+    sched = schedule_behind(spec, [leader], GEOMETRY)
     assert sched.tf == pytest.approx(100.0, abs=1e-12)
     assert sched.binding_case == "fifo"
     assert sched.fifo_pred == 1
@@ -267,7 +281,7 @@ def test_schedule_queue_order_candidate():
 
 def test_schedule_feasibility_floor():
     spec = VehicleSpec(1, 0.0, 10.0, mv("W", "straight"))
-    sched = schedule(spec, [], GEOMETRY)
+    sched = schedule_behind(spec, [], GEOMETRY)
     bound = earliest_mz_arrival(spec.t0, spec.v0, GEOMETRY)
     assert sched.tm == pytest.approx(bound, abs=1e-12)
     assert sched.tf == sched.tm + 3.0
@@ -275,7 +289,7 @@ def test_schedule_feasibility_floor():
 
 @pytest.mark.parametrize("movement", ALL_MOVEMENTS, ids=str)
 def test_schedule_enters_at_curve_speed_and_leaves_at_through_speed(movement):
-    sched = schedule(VehicleSpec(1, 0.0, 10.0, movement), [], GEOMETRY)
+    sched = schedule_behind(VehicleSpec(1, 0.0, 10.0, movement), [], GEOMETRY)
     assert sched.vm == GEOMETRY.mz_speed(movement.turn)
     assert sched.vf == GEOMETRY.mz_speed_straight
     assert sched.tf - sched.tm == pytest.approx(GEOMETRY.transit_time(movement.turn), abs=1e-12)
@@ -306,7 +320,7 @@ def test_scheduled_queues_audit_clean():
     for seed in range(6):
         queue = []
         for spec in _random_specs(seed):
-            queue.append(schedule(spec, queue, GEOMETRY))
+            queue.append(schedule_behind(spec, queue, GEOMETRY))
         assert audit_queue(queue) == []
 
 
@@ -349,19 +363,19 @@ def test_audit_accepts_equal_exit_times_across_queue():
 def test_exit_times_monotone_and_deterministic(seed):
     queue = []
     for spec in _random_specs(seed, count=16):
-        queue.append(schedule(spec, queue, GEOMETRY))
+        queue.append(schedule_behind(spec, queue, GEOMETRY))
     exits = [s.tf for s in queue]
     assert all(b >= a for a, b in zip(exits, exits[1:]))
     again = []
     for spec in _random_specs(seed, count=16):
-        again.append(schedule(spec, again, GEOMETRY))
+        again.append(schedule_behind(spec, again, GEOMETRY))
     assert again == queue
 
 
 def test_headway_uses_leader_merge_speed():
     # a straight leader's merge headway is exactly delta / straight speed
     leader = make_schedule(1, mv("W", "straight"), 50.0, 53.0, 10.0, GEOMETRY)
-    follower = schedule(VehicleSpec(2, 10.0, 10.0, mv("W", "left")), [leader], GEOMETRY)
+    follower = schedule_behind(VehicleSpec(2, 10.0, 10.0, mv("W", "left")), [leader], GEOMETRY)
     assert follower.tm == pytest.approx(50.0 + 10.0 / 10.0, abs=1e-12)
 
 
@@ -369,12 +383,12 @@ def test_raising_predecessor_exit_never_lowers_follower():
     specs = _random_specs(3, count=12)
     queue = []
     for spec in specs[:-1]:
-        queue.append(schedule(spec, queue, GEOMETRY))
-    base = schedule(specs[-1], queue, GEOMETRY)
+        queue.append(schedule_behind(spec, queue, GEOMETRY))
+    base = schedule_behind(specs[-1], queue, GEOMETRY)
     for idx in range(len(queue)):
         bumped = list(queue)
         bumped[idx] = replace(queue[idx], tm=queue[idx].tm + 2.0, tf=queue[idx].tf + 2.0)
-        raised = schedule(specs[-1], bumped, GEOMETRY)
+        raised = schedule_behind(specs[-1], bumped, GEOMETRY)
         assert raised.tf >= base.tf - 1e-12
 
 
@@ -382,7 +396,7 @@ def test_schedule_satisfies_ordering_guarantees():
     for seed in range(4):
         queue = []
         for spec in _random_specs(seed, count=20):
-            sched = schedule(spec, queue, GEOMETRY)
+            sched = schedule_behind(spec, queue, GEOMETRY)
             if queue:
                 assert sched.tf >= queue[-1].tf
             preds = conflict_predecessors(spec, queue)

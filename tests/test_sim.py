@@ -1,5 +1,4 @@
 import dataclasses
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +26,7 @@ from crossflow import (
     solve_mz,
 )
 from crossflow import sim as sim_module
+from crossflow.cz_planner import too_close
 
 BASE = SimConfig(seed=7)
 
@@ -123,6 +123,25 @@ def test_config_bounds_the_weighted_rate_by_the_longest_window_drawn():
 def test_config_rejects_non_integer_seed_and_count(field, value):
     with pytest.raises(ValueError, match=field):
         SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vehicle_count", 10**29), ("vehicle_count", 10**400),
+    ("sample_step", 10**29), ("sample_step", 1e300), ("sample_step", 10**400),
+])
+def test_config_refuses_counts_and_steps_past_64_bit_arrays(field, value):
+    # refused on construction, so nothing of that size is ever allocated
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        SimConfig(**{field: value})
+
+
+def test_config_takes_the_largest_count_and_step_64_bit_arrays_hold():
+    SimConfig(vehicle_count=sim_module._MAX_VEHICLE_COUNT)
+    SimConfig(sample_step=sim_module._MAX_SAMPLE_STEP)
+    with pytest.raises(ValueError, match="vehicle_count"):
+        SimConfig(vehicle_count=sim_module._MAX_VEHICLE_COUNT + 1)
+    with pytest.raises(ValueError, match="sample_step"):
+        SimConfig(sample_step=sim_module._MAX_SAMPLE_STEP + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -524,32 +543,55 @@ def _assert_same_rows(table, slow):
             assert type(getattr(fast_row, name)) is float
 
 
+def _assert_gate_matches_oracle(monkeypatch, cfg):
+    fast = run(cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(sim_module, "_gated_entry", oracles.gated_entry_by_full_schedule)
+        slow = run(cfg)
+    assert any(rec.spec.t0 > rec.arrival_time for rec in slow.vehicles)
+    assert fast.vehicles == slow.vehicles
+    # the best-first admission against a full search of every arm head
+    admitted = [(rec.arrival_time, rec.spec.t0) for rec in fast.vehicles]
+    assert admitted == oracles.admissions_by_full_search(cfg)
+    return fast, slow
+
+
 @pytest.mark.parametrize("rate", [1.0, 2.0])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gate_matches_full_schedule_oracle(monkeypatch, seed, rate):
-    cfg = SimConfig(seed=seed, arrival_rate=rate, vehicle_count=24)
-    fast = run(cfg)
-    monkeypatch.setattr(sim_module, "_gated_entry", oracles.gated_entry_by_full_schedule)
-    slow = run(cfg)
-    assert any(rec.spec.t0 > rec.arrival_time for rec in slow.vehicles)
-    assert fast.vehicles == slow.vehicles
+    fast, slow = _assert_gate_matches_oracle(
+        monkeypatch, SimConfig(seed=seed, arrival_rate=rate, vehicle_count=24)
+    )
     assert fast.samples.tolist() == slow.samples.tolist()
-    # the bounded admission against a full search of every arm head
-    admitted = [(rec.arrival_time, rec.spec.t0) for rec in fast.vehicles]
-    assert admitted == oracles.admissions_by_full_search(cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # one busy arm: its heads queue behind their own lane leaders
+        SimConfig(seed=4, arrival_rate=1.0, vehicle_count=60,
+                  arm_probabilities=(0.7, 0.1, 0.15, 0.05)),
+        # deep saturation: many heads held at every admission
+        SimConfig(seed=5, arrival_rate=2.0, vehicle_count=120),
+    ],
+    ids=["skewed-arms", "saturated-120"],
+)
+def test_best_first_admission_matches_full_search_oracle(monkeypatch, cfg):
+    fast, _ = _assert_gate_matches_oracle(monkeypatch, cfg)
+    assert fast.gate.cut > 0
 
 
 def _held_searches(monkeypatch, cfg):
-    """Arguments and unbounded answer of each search in a run that holds
-    its vehicle past its gated t0."""
+    """Arguments and full answer of each search in a run that holds its
+    vehicle past its gated t0."""
     searches = []
     search = sim_module._gated_entry
 
-    def recording(spec, queue, leader, g, stats, cutoff=math.inf):
-        entry = search(spec, queue, leader, g, GateStats())
+    def recording(spec, preds, leader, g, stats):
+        _, entry = oracles.finish_search(search(spec, preds, leader, g, GateStats()))
         if entry > spec.t0:
-            searches.append((spec, list(queue), leader, g, entry))
-        return search(spec, queue, leader, g, stats, cutoff)
+            searches.append((spec, preds, leader, g, entry))
+        return search(spec, preds, leader, g, stats)
 
     with monkeypatch.context() as patch:
         patch.setattr(sim_module, "_gated_entry", recording)
@@ -557,20 +599,63 @@ def _held_searches(monkeypatch, cfg):
     return searches
 
 
+def _cut_off(search, cutoff):
+    """A gate search dropped at its first yield at or past cutoff, as the
+    admission drops a search that can no longer win: None then, and
+    otherwise its answer."""
+    try:
+        while next(search) < cutoff:
+            pass
+    except StopIteration as done:
+        return done.value
+    return None
+
+
+def _recording_probes(monkeypatch, probes, min_safe_distance):
+    """Record (t0, clear) of every gap the gate measures, one per probe."""
+    prepare = sim_module.gap_to
+
+    def recording(leader):
+        min_gap = prepare(leader)
+
+        def measured(coefficients, t0, t1):
+            found = min_gap(coefficients, t0, t1)
+            probes.append((t0, found is None or not too_close(found[0], min_safe_distance)))
+            return found
+
+        return measured
+
+    monkeypatch.setattr(sim_module, "gap_to", recording)
+
+
 @pytest.mark.parametrize("rate", [1.0, 2.0])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gate_cutoff_returns_unbounded_answer_or_none_above_it(monkeypatch, seed, rate):
-    searches = _held_searches(monkeypatch, SimConfig(seed=seed, arrival_rate=rate, vehicle_count=36))
+    cfg = SimConfig(seed=seed, arrival_rate=rate, vehicle_count=36)
+    searches = _held_searches(monkeypatch, cfg)
     assert len(searches) >= 10
+    probes = []
+    _recording_probes(monkeypatch, probes, cfg.geometry.min_safe_distance)
     outcomes = set()
-    for spec, queue, leader, g, entry in searches:
+    for spec, preds, leader, g, entry in searches:
+        # every yield is a probed time found not clear, from t0 on and below
+        # the answer, and a held search yields t0 first
+        probes.clear()
+        yields, answer = oracles.finish_search(
+            sim_module._gated_entry(spec, preds, leader, g, GateStats())
+        )
+        assert answer == entry
+        assert yields == [t for t, clear in probes if not clear]
+        assert yields[0] == spec.t0
+        assert all(spec.t0 <= t < entry for t in yields)
+        assert yields == sorted(set(yields))
         hold = entry - spec.t0
         cutoffs = [
             spec.t0 - 1.0, spec.t0, spec.t0 + 0.3 * hold, spec.t0 + 0.9 * hold,
             entry - 1e-7, entry - 1e-9, entry, entry + 1e-9, entry + 1.0,
         ]
         for cutoff in cutoffs:
-            got = sim_module._gated_entry(spec, queue, leader, g, GateStats(), cutoff)
+            got = _cut_off(sim_module._gated_entry(spec, preds, leader, g, GateStats()), cutoff)
             if got is None:
                 assert entry > cutoff
             else:
@@ -579,9 +664,8 @@ def test_gate_cutoff_returns_unbounded_answer_or_none_above_it(monkeypatch, seed
         # no probe found not clear reaches a cutoff at or past the answer,
         # and the first probe is not clear, so a cutoff at or before t0
         # ends the search at once
-        assert sim_module._gated_entry(spec, queue, leader, g, GateStats(), entry) == entry
         stats = GateStats()
-        assert sim_module._gated_entry(spec, queue, leader, g, stats, spec.t0) is None
+        assert _cut_off(sim_module._gated_entry(spec, preds, leader, g, stats), spec.t0) is None
         assert stats.probes == 1
     # both outcomes occur strictly between t0 and the answer
     assert (True, False, False) in outcomes
@@ -591,21 +675,16 @@ def test_gate_cutoff_returns_unbounded_answer_or_none_above_it(monkeypatch, seed
 @pytest.mark.parametrize("rate", [1.0, 2.0])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gate_answer_is_a_clear_probe_just_past_one_not_clear(monkeypatch, seed, rate):
-    searches = _held_searches(monkeypatch, SimConfig(seed=seed, arrival_rate=rate, vehicle_count=36))
+    cfg = SimConfig(seed=seed, arrival_rate=rate, vehicle_count=36)
+    searches = _held_searches(monkeypatch, cfg)
     assert len(searches) >= 10
     probes = []
-    gap = sim_module.rear_end_gap
-
-    def recording(leader, follower, min_safe_distance):
-        found = gap(leader, follower, min_safe_distance)
-        probes.append((follower.t0, found is None or not found.too_close))
-        return found
-
-    monkeypatch.setattr(sim_module, "rear_end_gap", recording)
-    for spec, queue, leader, g, entry in searches:
+    _recording_probes(monkeypatch, probes, cfg.geometry.min_safe_distance)
+    for spec, preds, leader, g, entry in searches:
         probes.clear()
         stats = GateStats()
-        assert sim_module._gated_entry(spec, queue, leader, g, stats) == entry
+        _, answer = oracles.finish_search(sim_module._gated_entry(spec, preds, leader, g, stats))
+        assert answer == entry
         assert stats.probes == len(probes) <= 40
         assert (entry, True) in probes
         # every probe not clear is a lower bound, and the last bracket is
@@ -626,15 +705,18 @@ def _gate_totals(rate, vehicles):
 def test_gate_work_on_saturated_and_light_runs():
     # the benchmark's saturated and light configurations; a search of
     # every arm head at every commit made 617 searches and 15,665 probes
-    # on the saturated six and 2,801 searches on the light six, and a
-    # 0.25 s scan with a bisection made 7,302 and 2,704 probes
+    # on the saturated six and 2,801 searches on the light six, a 0.25 s
+    # scan with a bisection made 7,302 and 2,704 probes, and searches in
+    # order of their heads' first bounds, each cut off at the best entry
+    # so far, made 1,923 and 1,237; the best-first admission makes 1,260
+    # and 1,171
     searches, cut, probes = _gate_totals(2.0, 30)
-    assert searches <= 340
-    assert probes <= 2_500
+    assert searches <= 300
+    assert probes <= 1_300
     assert 0 < cut < searches
     searches, _, probes = _gate_totals(0.25, 120)
     assert searches <= 750
-    assert 0 < probes <= 1_600
+    assert 0 < probes <= 1_200
 
 
 @pytest.mark.parametrize(

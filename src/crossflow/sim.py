@@ -578,9 +578,12 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarr
     """
     step = cfg.sample_step
     g = cfg.geometry
+    # a grid point up to 1e-9 grid units before the entry time counts as the
+    # entry, but never one more than 1e-9 of the entry time itself before it:
+    # a step far above the entry time would otherwise put a row at t = 0
     spans = [
         (
-            math.ceil(rec.spec.t0 / step - 1e-9),
+            math.ceil(rec.spec.t0 / step - 1e-9 * min(1.0, rec.spec.t0 / step)),
             math.floor((rec.schedule.tf + g.min_safe_distance / rec.schedule.vf) / step + 1e-9),
         )
         for rec in records

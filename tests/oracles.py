@@ -530,7 +530,8 @@ def sample_states_by_row(records, cfg):
     rows = []
     for rec in records:
         sched = rec.schedule
-        first = math.ceil(rec.spec.t0 / step - 1e-9)
+        entry = rec.spec.t0 / step
+        first = math.ceil(entry - 1e-9 * min(1.0, entry))
         leave_time = sched.tf + cfg.geometry.min_safe_distance / sched.vf
         last = math.floor(leave_time / step + 1e-9)
         for k in range(first, last + 1):

@@ -6,6 +6,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from crossflow import (
@@ -113,12 +115,28 @@ def test_simulate_reads_env_config(tmp_path, monkeypatch):
 
 
 def test_trajectory_lines_match_csv_writer_on_edge_values(tmp_path, monkeypatch):
-    # slices of 5 rows, the last one partial
-    monkeypatch.setattr(cli, "_TRAJECTORY_ROWS", 5)
+    # slices of 8 rows, the last one partial; t and j are each formatted
+    # once per distinct bit pattern in a slice, so each of the first two
+    # slices holds both zeros, and a repeated nan, inf and subnormal, in
+    # both columns and in their own orders: a cache keyed on the float,
+    # where 0.0 == -0.0, writes one zero's text for the other
+    monkeypatch.setattr(cli, "_TRAJECTORY_ROWS", 8)
+    tiny, inf, nan = 5e-324, math.inf, math.nan
+    repeated = [
+        ((0.0, -0.0, nan, inf, tiny, nan, inf, tiny),
+         (-0.0, nan, 0.0, tiny, inf, inf, tiny, nan)),
+        ((-0.0, tiny, -inf, 0.0, tiny, -inf, nan, nan),
+         (nan, 0.0, -inf, -inf, nan, -0.0, tiny, tiny)),
+    ]
+    rows = [
+        (t, k, "S", "straight", "mz", k, -t, t, j)
+        for ts, js in repeated
+        for k, (t, j) in enumerate(zip(ts, js), start=1)
+    ]
     values = [-0.0, 0.0, 1e-7, -1e-7, 1e21, -1e21, 8, 2.0 / 3.0, 123456789.5,
               5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
-    rows = [
-        (x, k, "N", "left", zone, x, -x, x, 0.0)
+    rows += [
+        (x, k, "N", "left", zone, x, -x, x, -x)
         for k, x in enumerate(values, start=1)
         for zone in ("cz", "mz", "out")
     ]
@@ -126,6 +144,38 @@ def test_trajectory_lines_match_csv_writer_on_edge_values(tmp_path, monkeypatch)
     table = np.array(rows, dtype=SAMPLE_DTYPE)
     path = tmp_path / "trajectories.csv"
     cli._write_trajectories(str(path), table)
+    expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(table))
+    assert path.read_bytes() == expected.encode()
+
+
+# t and j drawn from small pools, so that values repeat within a slice,
+# with both zeros, nan, both infinities and the smallest subnormal in each
+_REPEATED_POOL = st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 2.0 / 3.0, -1e21, 123456789.5]
+)
+_TRAJECTORY_ROW = st.tuples(
+    _REPEATED_POOL,
+    st.integers(0, 10**12),
+    st.sampled_from([arm.value for arm in Arm]),
+    st.sampled_from([turn.value for turn in Turn]),
+    st.sampled_from(["cz", "mz", "out"]),
+    st.floats(width=64),
+    st.floats(width=64),
+    st.floats(width=64),
+    _REPEATED_POOL,
+)
+
+
+# no shrinking: a failing table of at most 24 rows reads as it was drawn,
+# and shrinking one under pytest's assertion rewriting took minutes
+@settings(max_examples=60, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(rows=st.lists(_TRAJECTORY_ROW, max_size=24), slice_rows=st.integers(1, 7))
+def test_trajectory_csv_matches_csv_writer_on_drawn_tables(tmp_path_factory, rows, slice_rows):
+    table = np.array(rows, dtype=SAMPLE_DTYPE)
+    path = tmp_path_factory.getbasetemp() / "drawn-trajectories.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_TRAJECTORY_ROWS", slice_rows)
+        cli._write_trajectories(str(path), table)
     expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(table))
     assert path.read_bytes() == expected.encode()
 

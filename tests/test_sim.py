@@ -745,6 +745,20 @@ def test_sampler_orders_rows_by_time_then_id_in_any_record_order():
     )
 
 
+def test_sampler_writes_no_row_before_a_vehicles_entry_at_a_coarse_step():
+    # entry times far below one grid step: the grid point t = 0 lies within
+    # 1e-9 grid units of each entry, but before it
+    # (SimConfig refuses a step above 2**63 - 1, the int64 sample grid)
+    cfg = SimConfig(sample_step=1e18, vehicle_count=3)
+    result = run(cfg)
+    entry = {rec.spec.vehicle_id: rec.spec.t0 for rec in result.vehicles}
+    assert min(entry.values()) > 0.0
+    assert all(row.t >= entry[row.vehicle_id] for row in oracles.sample_rows(result.samples))
+    # the next grid point, t = 1e18, lies long past every exit
+    assert len(result.samples) == 0
+    _assert_same_rows(result.samples, oracles.sample_states_by_row(result.vehicles, cfg))
+
+
 def test_sampler_zone_boundaries_on_grid_points():
     # tm and tf sit exactly on grid points: the row at tm is the first
     # merge-zone row and the row at tf the first row past the merge zone

@@ -40,7 +40,15 @@ from crossflow.mz_planner import (
 )
 from crossflow.pareto import DEFAULT_GRID_SIZE, DEFAULT_W_MAX, DEFAULT_W_MIN, default_grid, sweep
 from crossflow.scheduler import VehicleSpec, earliest_mz_arrival
-from crossflow.sim import SimConfig, evaluate_crossing, merge_boundary, plan_crossing, run
+from crossflow.sim import (
+    MIN_SAMPLE_STEP,
+    SAMPLE_DTYPE,
+    SimConfig,
+    evaluate_crossing,
+    merge_boundary,
+    plan_crossing,
+    run,
+)
 
 SCHEMA_VERSION = 1
 CONFIG_ENV_VAR = "CROSSFLOW_CONFIG"
@@ -97,11 +105,14 @@ def _finite(value: Any) -> float:
     return float(_real(value))
 
 
-def _positive(value: Any) -> float:
-    """_finite(value), if it is above zero."""
-    if _finite(value) <= 0.0:
+def _sample_step(value: Any) -> float:
+    """_finite(value), if it is above zero and no finer than MIN_SAMPLE_STEP."""
+    step = _finite(value)
+    if step <= 0.0:
         raise ConfigError("must be positive")
-    return float(value)
+    if step < MIN_SAMPLE_STEP:
+        raise ConfigError(f"must be at least {MIN_SAMPLE_STEP}, the entry gate's resolution")
+    return step
 
 
 def _numbers(size: Optional[int] = None) -> Callable[[Any], Tuple[float, ...]]:
@@ -169,7 +180,7 @@ _CONFIG: Dict[str, Dict[str, _Key]] = {
         "objective": _Key(_member(MzVariant), MzVariant.JERK_ONLY),
         "weight": _Key(_real, None, null=True),
         "jerk_scale": _Key(_finite, DEFAULT_JERK_SCALE),
-        "sample_step": _Key(_positive, SimConfig.sample_step),
+        "sample_step": _Key(_sample_step, SimConfig.sample_step),
         # the requested merge time; the earliest feasible one if not given
         "tm": _Key(_finite, None, null=True),
     },
@@ -464,8 +475,8 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
         vm = geometry.mz_speed(turn)
         tf = tm + geometry.transit_time(turn)
         spec = VehicleSpec(vehicle_id=1, t0=t0, v0=v0, movement=Movement(arm, turn))
-        cz, mz = plan_crossing(spec, tm, tf, geometry, objective, section["weight"],
-                               section["jerk_scale"])
+        cz, mz, _ = plan_crossing(spec, tm, tf, geometry, objective, section["weight"],
+                                  section["jerk_scale"])
     except ValueError as exc:
         raise ConfigError(f"plan: {exc}") from exc
     report = check_feasibility(cz, geometry)
@@ -495,9 +506,13 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
     # enough steps to reach tf, the last one clipped to it
     steps = math.ceil((tf - t0) / section["sample_step"] - 1e-9)
     times = np.minimum(t0 + np.arange(steps + 1) * section["sample_step"], tf)
+    # the row at tf is the merge zone's last, not the exit lane's first
+    states = np.empty(len(times), SAMPLE_DTYPE)
+    states["t"] = times
+    evaluate_crossing((cz, mz), times, states)
     rows = [
         [_fmt(t), zone, _fmt(p), _fmt(v), _fmt(u), _fmt(j)]
-        for t, zone, p, v, u, j in zip(times.tolist(), *evaluate_crossing(cz, mz, times))
+        for t, zone, p, v, u, j in states[["t", "zone", "p", "v", "u", "j"]].tolist()
     ]
     _write_csv(os.path.join(out_dir, "plan.csv"), ["t", "zone", "p", "v", "u", "j"], rows)
 

@@ -11,7 +11,8 @@ all of them.  Speed and acceleration bounds are verified after the fact
 and reported, so a violating plan is surfaced, never clipped.  gap_to
 with too_close is the one closed-form rule for the gap to a lane leader:
 the leader's half of the exact minimum is prepared once, and each
-follower, a trajectory or bare approach coefficients, adds its own half.
+follower, its cubic's coefficients and window, adds its own half.  The
+entry gate and the run audit both use it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -252,31 +253,6 @@ def gap_to(
 def too_close(gap: float, min_safe_distance: float) -> bool:
     """Whether a gap falls below min_safe_distance by more than float slack."""
     return gap < min_safe_distance - _BOUND_EPS
-
-
-class GapCheck(NamedTuple):
-    """Closest approach of a follower to its lane leader in the control zone."""
-
-    gap: float         # minimum of p_leader - p_follower over the shared window
-    time: float        # when that minimum occurs
-    too_close: bool    # gap below min_safe_distance by more than float slack
-
-
-def rear_end_gap(
-    leader: PolyTrajectory, follower: PolyTrajectory, min_safe_distance: float
-) -> Optional[GapCheck]:
-    """Rear-end check of a follower against the vehicle ahead on its lane.
-
-    The gap is minimized in closed form (gap_to) over the window where
-    both are inside the control zone; None when that window is empty.
-    gap_to and too_close are the one rear-end rule, behind both the entry
-    gate and the run audit.
-    """
-    found = gap_to(leader)(follower.coefficients, follower.t0, follower.t1)
-    if found is None:
-        return None
-    gap, time = found
-    return GapCheck(gap, time, too_close(gap, min_safe_distance))
 
 
 def check_feasibility(traj: PolyTrajectory, g: IntersectionGeometry) -> FeasibilityReport:

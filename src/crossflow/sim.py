@@ -21,9 +21,10 @@ whose bound is least is advanced, and the admission is decided once no
 head's bound can beat the best entry found, so a search that cannot win
 is dropped at its first bound past that entry, and a head whose earliest
 possible entry is already later is not searched at all.  A vehicle's
-record (schedule, approach and merge trajectories) is built the moment
-it is admitted, and plan_crossing is the one rule that turns its merge
-window into its two trajectories.
+record, its schedule and its path, is built the moment it is admitted.
+plan_crossing is the one rule that turns a merge window into a path: the
+approach, the merge and the exit-lane pieces, each starting where the one
+before it ends, and evaluate_crossing the one evaluator of a path.
 
 A run keeps only decisions: its config, its records and the gate's
 work.  Everything derived from them is computed on first read and then
@@ -34,7 +35,8 @@ lane leader, sweeps the merge-zone windows in order of start, and pairs
 vehicles only within an exit arm and a headway of each other's exit.
 SimRun.binding_histogram counts the binding cases.  SimRun.samples, the
 sampled state table, only displays the decisions, as one structured
-array whose rows are ordered by one sort of their (t, vehicle_id) keys.
+array of the paths' values whose rows are ordered by one sort of their
+(t, vehicle_id) keys.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from crossflow.cz_planner import (
     PolyTrajectory,
     approach_coefficients,
     gap_to,
-    rear_end_gap,
     solve_cz,
     too_close,
 )
@@ -93,6 +94,8 @@ _TURN_ORDER = (Turn.LEFT, Turn.STRAIGHT, Turn.RIGHT)
 ZONE_CZ = "cz"
 ZONE_MZ = "mz"
 ZONE_OUT = "out"
+# the zone of each piece of a path, in order
+_ZONES = (ZONE_CZ, ZONE_MZ, ZONE_OUT)
 
 # One sampled state: which vehicle, where, and how fast, at time t.  The
 # text fields are as wide as the longest arm, turn and zone label.
@@ -110,6 +113,10 @@ _MAX_SAMPLE_STEP = np.iinfo(np.int64).max
 # entry-gate search: first forward scan step and commit-time resolution
 _GATE_SCAN_STEP = 0.25
 _GATE_RESOLUTION = 1e-6
+
+# the finest sample_step: the gate resolves no time finer, and the grid of
+# a much finer step would not fit in memory
+MIN_SAMPLE_STEP = _GATE_RESOLUTION
 
 # a key above every admission key (entry, arrival time, arrival id)
 _NO_KEY = (math.inf,)
@@ -183,6 +190,9 @@ class SimConfig:
             weighted_rate(self.weight, *normalization_weights(g.u_max, self.jerk_scale), width)
         if self.sample_step <= 0.0:
             raise ValueError(f"sample_step must be positive, got {self.sample_step}")
+        if self.sample_step < MIN_SAMPLE_STEP:
+            raise ValueError(f"sample_step must be at least {MIN_SAMPLE_STEP}, "
+                             f"the entry gate's resolution, got {self.sample_step}")
         if self.sample_step > _MAX_SAMPLE_STEP:
             raise ValueError(f"sample_step must be at most {_MAX_SAMPLE_STEP}, "
                              f"got {self.sample_step}")
@@ -219,13 +229,15 @@ def generate_arrivals(cfg: SimConfig) -> List[VehicleSpec]:
 
 @dataclass(frozen=True)
 class VehicleRecord:
-    """Everything the run decided about one vehicle."""
+    """Everything the run decided about one vehicle: its schedule, and its
+    path as the three consecutive pieces of plan_crossing."""
 
     spec: VehicleSpec          # entry-time spec (t0 is the gated entry)
     arrival_time: float        # when the vehicle reached the control-zone boundary
     schedule: Schedule
     cz: PolyTrajectory
     mz: Union[PolyTrajectory, MzTrajectory]
+    out: PolyTrajectory
 
 
 @dataclass(frozen=True)
@@ -328,16 +340,21 @@ def plan_crossing(
     objective: MzVariant,
     weight: Optional[float] = None,
     jerk_scale: float = DEFAULT_JERK_SCALE,
-) -> Tuple[PolyTrajectory, Union[PolyTrajectory, MzTrajectory]]:
-    """A vehicle's approach and merge trajectories for the merge window
-    [tm, tf]: the minimum-effort approach from its control-zone entry to
-    the merge entry at the movement's merge speed, then the merge-zone
-    optimum for objective over merge_boundary, entered with the
-    approach's end control."""
+) -> Tuple[PolyTrajectory, Union[PolyTrajectory, MzTrajectory], PolyTrajectory]:
+    """A vehicle's path for the merge window [tm, tf], as its approach,
+    merge and exit-lane pieces: the minimum-effort approach from its
+    control-zone entry to the merge entry at the movement's merge speed;
+    the merge-zone optimum for objective over merge_boundary, entered
+    with the approach's end control; then the exit lane at the through
+    speed, until the vehicle has cleared min_safe_distance past the merge
+    exit.  The exit-lane piece is a cubic with zero jerk and control, so
+    every piece is evaluated the same way."""
     turn = spec.movement.turn
     cz = solve_cz(spec.t0, spec.v0, tm, g.mz_speed(turn), g.cz_length)
     boundary = merge_boundary(turn, tm, tf, g, float(cz.control(tm)))
-    return cz, solve_mz(boundary, objective, weight, g.u_max, jerk_scale)
+    vf = boundary.vf
+    out = PolyTrajectory(tf, tf + g.min_safe_distance / vf, (0.0, 0.0, vf, boundary.p_end))
+    return cz, solve_mz(boundary, objective, weight, g.u_max, jerk_scale), out
 
 
 def _gated_entry(
@@ -531,12 +548,12 @@ def run(cfg: SimConfig) -> SimRun:
         head = lines[winner].popleft()
         spec = replace(head, vehicle_id=len(records) + 1, t0=entry)
         sched = schedule_vehicle(spec, table.predecessors(spec.movement), g)
-        cz, mz = plan_crossing(
+        cz, mz, out = plan_crossing(
             spec, sched.tm, sched.tf, g, cfg.objective, cfg.weight, cfg.jerk_scale
         )
-        records.append(
-            VehicleRecord(spec=spec, arrival_time=head.t0, schedule=sched, cz=cz, mz=mz)
-        )
+        records.append(VehicleRecord(
+            spec=spec, arrival_time=head.t0, schedule=sched, cz=cz, mz=mz, out=out
+        ))
         table.admit(sched)
         lane_leader[winner] = cz
 
@@ -544,55 +561,51 @@ def run(cfg: SimConfig) -> SimRun:
 
 
 def evaluate_crossing(
-    cz: PolyTrajectory, mz: Union[PolyTrajectory, MzTrajectory], t: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Zone labels and position, speed, control and jerk arrays of one
-    vehicle's approach and merge trajectories on the increasing times t,
-    none of them past the merge exit.  Times before the merge entry are
-    control-zone rows and the rest merge-zone rows; each zone is one slice
-    of t, evaluated in one call."""
-    m = int(np.searchsorted(t, cz.t1))
-    cz_t, mz_t = t[:m], t[m:]
-    zone = np.repeat([ZONE_CZ, ZONE_MZ], [m, len(t) - m])
-    p = np.concatenate((cz.position(cz_t), mz.position(mz_t)))
-    v = np.concatenate((cz.speed(cz_t), mz.speed(mz_t)))
-    u = np.concatenate((cz.control(cz_t), mz.control(mz_t)))
-    j = np.concatenate((cz.jerk(cz_t), mz.jerk(mz_t)))
-    return zone, p, v, u, j
+    pieces: Sequence[Union[PolyTrajectory, MzTrajectory]], t: np.ndarray, rows: np.ndarray
+) -> None:
+    """Fill the zone, p, v, u and j fields of rows, a SAMPLE_DTYPE array,
+    from one vehicle's consecutive path pieces on the increasing times t:
+    the approach, the merge and, if given, the exit lane.  A piece's rows
+    are the times from its own t0 up to the next piece's, so a time on a
+    boundary belongs to the later piece.  Each piece's slice of t is
+    evaluated in one call per field, straight into its rows."""
+    cuts = np.searchsorted(t, [piece.t0 for piece in pieces[1:]]).tolist()
+    for zone, piece, lo, hi in zip(_ZONES, pieces, [0, *cuts], [*cuts, len(t)]):
+        times, block = t[lo:hi], rows[lo:hi]
+        block["zone"] = zone
+        for order, name in enumerate(("p", "v", "u", "j")):
+            block[name] = piece.derivative(times, order)
 
 
 def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarray:
     """State table on the shared time grid k * sample_step, as one
     SAMPLE_DTYPE array.
 
-    Rows exist from a vehicle's control-zone entry until it has cleared
-    the safety window past the merge-zone exit; beyond the exit the speed
-    is held constant.  The table is the run's published output; the
-    auditor does not read it.  Rows come out ordered by (t, vehicle_id),
-    with ties in record order.
+    Rows exist from a vehicle's control-zone entry until the end of its
+    exit-lane piece, when it has cleared the safety distance past the
+    merge-zone exit; every row is evaluate_crossing's value of the
+    vehicle's path.  The table is the run's published output; the auditor
+    does not read it.  Rows come out ordered by (t, vehicle_id), with ties
+    in record order.
 
     The table is allocated once, and each vehicle's block of it filled in
-    one pass over its grid, with each zone slice evaluated in one call; one
-    stable lexsort of the (t, vehicle_id) columns then orders the table in
-    a single permutation.
+    one pass over its grid; one stable lexsort of the (t, vehicle_id)
+    columns then orders the table in a single permutation.
     """
     step = cfg.sample_step
-    g = cfg.geometry
     # a grid point up to 1e-9 grid units before the entry time counts as the
     # entry, but never one more than 1e-9 of the entry time itself before it:
     # a step far above the entry time would otherwise put a row at t = 0
     spans = [
         (
             math.ceil(rec.spec.t0 / step - 1e-9 * min(1.0, rec.spec.t0 / step)),
-            math.floor((rec.schedule.tf + g.min_safe_distance / rec.schedule.vf) / step + 1e-9),
+            math.floor(rec.out.t1 / step + 1e-9),
         )
         for rec in records
     ]
-    # zero-filled: past the merge exit, control and jerk stay zero
-    table = np.zeros(sum(last + 1 - first for first, last in spans), SAMPLE_DTYPE)
+    table = np.empty(sum(last + 1 - first for first, last in spans), SAMPLE_DTYPE)
     start = 0
     for rec, (first, last) in zip(records, spans):
-        sched = rec.schedule
         grid = np.arange(first, last + 1) * step
         block = table[start:start + len(grid)]
         start += len(grid)
@@ -600,18 +613,7 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarr
         block["vehicle_id"] = rec.spec.vehicle_id
         block["arm"] = rec.spec.movement.entry_arm.value
         block["turn"] = rec.spec.movement.turn.value
-        # the grid is increasing, so the rows at or past the merge exit tf
-        # are one slice of it
-        tf = rec.mz.t1
-        f = int(np.searchsorted(grid, tf))
-        crossing = evaluate_crossing(rec.cz, rec.mz, grid[:f])
-        for name, column in zip(("zone", "p", "v", "u", "j"), crossing):
-            block[name][:f] = column
-        out = block[f:]
-        out["zone"] = ZONE_OUT
-        p_end = g.cz_length + g.path_length(sched.movement.turn)
-        out["p"] = p_end + sched.vf * (grid[f:] - tf)
-        out["v"] = sched.vf
+        evaluate_crossing((rec.cz, rec.mz, rec.out), grid, block)
     return table[np.lexsort((table["vehicle_id"], table["t"]))]
 
 
@@ -625,7 +627,8 @@ def audit_run(run_result: SimRun) -> AuditReport:
 
     - cz_gap: each vehicle against the vehicle ahead of it on its entry
       arm, at the exact minimum of their gap over the window where both
-      are inside the control zone (rear_end_gap);
+      are inside the control zone, by the entry gate's rule (gap_to and
+      too_close);
     - mz_overlap: merge-zone windows [mz.t0, mz.t1] swept in order of
       start, flagging crossing-path pairs that share more than
       _AUDIT_TIME_TOL;
@@ -649,14 +652,12 @@ def audit_run(run_result: SimRun) -> AuditReport:
         ahead_on_arm[arm] = rec
         if leader is None:
             continue
-        found = rear_end_gap(leader.cz, rec.cz, delta)
-        if found is not None and found.too_close:
-            findings.append(
-                AuditFinding(
-                    "cz_gap", rec.spec.vehicle_id, leader.spec.vehicle_id,
-                    found.time, found.gap, delta,
-                )
-            )
+        found = gap_to(leader.cz)(rec.cz.coefficients, rec.cz.t0, rec.cz.t1)
+        if found is not None and too_close(found[0], delta):
+            gap, time = found
+            findings.append(AuditFinding(
+                "cz_gap", rec.spec.vehicle_id, leader.spec.vehicle_id, time, gap, delta
+            ))
 
     # a window that ends within _AUDIT_TIME_TOL of a start overlaps no window
     # starting later by more than _AUDIT_TIME_TOL, so it leaves the sweep

@@ -30,7 +30,7 @@ import scipy.sparse.linalg
 from scipy.integrate import quad, solve_ivp
 from scipy.spatial import cKDTree
 
-from crossflow.cz_planner import rear_end_gap, solve_cz
+from crossflow.cz_planner import gap_to, solve_cz, too_close
 from crossflow.geometry import Arm, ConflictClass, classify
 from crossflow.mz_planner import (
     _REGIME_SPLIT,
@@ -413,10 +413,11 @@ def gated_entry_by_full_schedule(spec, preds, leader, g, stats=None):
     def probe(t0):
         sched = schedule(replace(spec, t0=t0), preds, g)
         traj = solve_cz(t0, spec.v0, sched.tm, sched.vm, g.cz_length)
-        found = rear_end_gap(leader, traj, g.min_safe_distance)
+        found = gap_to(leader)(traj.coefficients, traj.t0, traj.t1)
         if found is None:
             return True, math.inf
-        return not found.too_close, found.gap - g.min_safe_distance
+        gap = found[0]
+        return not too_close(gap, g.min_safe_distance), gap - g.min_safe_distance
 
     if leader is None:
         return spec.t0
@@ -678,10 +679,11 @@ def audit_exact_pairwise(cfg, vehicles, time_tol=1e-6, min_safe_distance=None):
         if not ahead:
             continue
         leader = max(ahead, key=lambda other: other.spec.vehicle_id)
-        found = rear_end_gap(leader.cz, rec.cz, delta)
-        if found is not None and found.too_close:
+        found = gap_to(leader.cz)(rec.cz.coefficients, rec.cz.t0, rec.cz.t1)
+        if found is not None and too_close(found[0], delta):
+            gap, time = found
             findings.append(AuditFinding("cz_gap", rec.spec.vehicle_id,
-                                         leader.spec.vehicle_id, found.time, found.gap, delta))
+                                         leader.spec.vehicle_id, time, gap, delta))
 
     for first in vehicles:
         for second in vehicles:

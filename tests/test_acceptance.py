@@ -207,9 +207,9 @@ def test_criterion_9_audit_flags_perturbed_schedules(reference_runs):
                 records.append(rec)
                 continue
             sched = replace(rec.schedule, tm=rec.schedule.tm - 0.5)
-            cz, mz = plan_crossing(rec.spec, sched.tm, sched.tf, cfg.geometry, cfg.objective,
-                                   cfg.weight, cfg.jerk_scale)
-            records.append(replace(rec, schedule=sched, cz=cz, mz=mz))
+            cz, mz, out = plan_crossing(rec.spec, sched.tm, sched.tf, cfg.geometry,
+                                        cfg.objective, cfg.weight, cfg.jerk_scale)
+            records.append(replace(rec, schedule=sched, cz=cz, mz=mz, out=out))
         report = audit_run(replace(base, vehicles=tuple(records)))
         assert not report.ok
         assert any(f.kind == "mz_overlap" for f in report.findings)

@@ -428,7 +428,7 @@ def test_pareto_sweeps_the_window_the_program_plans(tmp_path, monkeypatch, turn,
     assert boundary == merge_boundary(turn, 0.0, g.transit_time(turn), g)
     tm = 40.0
     spec = VehicleSpec(vehicle_id=1, t0=0.0, v0=10.0, movement=Movement(Arm.WEST, turn))
-    _, mz = plan_crossing(spec, tm, tm + g.transit_time(turn), g, MzVariant.JERK_ONLY)
+    _, mz, _ = plan_crossing(spec, tm, tm + g.transit_time(turn), g, MzVariant.JERK_ONLY)
     assert float(mz.speed(mz.t0)) == pytest.approx(boundary.vm, rel=1e-12)
     assert float(mz.speed(mz.t1)) == pytest.approx(boundary.vf, rel=1e-12)
     assert mz.t1 - mz.t0 == pytest.approx(boundary.duration, rel=1e-12)
@@ -551,6 +551,23 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
     assert rows[-1][0] == format(boundary.tf, ".9g") and rows[-1][1] == "mz"
 
 
+@pytest.mark.parametrize("turn", list(Turn))
+def test_plan_row_at_the_merge_exit_is_the_merge_zones_own(tmp_path, turn):
+    # plan.csv ends at exactly tf with the merge trajectory's own values, not
+    # the exit lane's cruise: here each jerk-only merge ends with nonzero jerk
+    text = f"plan:\n  turn: {turn.value}\n  v0: 11\n  tm: 40\n"
+    out = tmp_path / "out"
+    assert cli.main(["plan", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    g = IntersectionGeometry()
+    tf = 40.0 + g.transit_time(turn)
+    spec = VehicleSpec(vehicle_id=1, t0=0.0, v0=11.0, movement=Movement(Arm.WEST, turn))
+    _, mz, _ = plan_crossing(spec, 40.0, tf, g, MzVariant.JERK_ONLY)
+    last = read_csv(out / "plan.csv")[-1]
+    assert last[:2] == [format(tf, ".9g"), "mz"]
+    assert last[2:] == [format(float(mz.derivative(tf, order)), ".9g") for order in range(4)]
+    assert float(last[5]) != 0.0
+
+
 @pytest.mark.parametrize(
     "command, text, key",
     [
@@ -642,6 +659,12 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
         ("simulate", "sim:\n  vehicle_count: 100000000000000000000000000000\n",
          "sim: vehicle_count must be at most"),
         ("simulate", "sim:\n  arrival_rate: 1" + "0" * 400 + "\n", "sim.arrival_rate"),
+        # a step finer than the entry gate's resolution, whose grid would not
+        # fit in memory, refused before any is allocated
+        ("simulate", "sim:\n  sample_step: 1.0e-12\n", "sim: sample_step must be at least 1e-06"),
+        ("simulate", "sim:\n  sample_step: 1.0e-300\n", "sim: sample_step must be at least 1e-06"),
+        ("plan", "plan:\n  sample_step: 1.0e-12\n", "plan.sample_step must be at least 1e-06"),
+        ("plan", "plan:\n  sample_step: 1.0e-300\n", "plan.sample_step must be at least 1e-06"),
         # YAML reads an exponent without a dot and a sign as a string, so the
         # refusal names the spelling it reads as a number; quoted, it is a string
         ("pareto", "pareto:\n  w_min: 1e-3\n",

@@ -19,7 +19,7 @@ from crossflow import (
     solve_mz_fuel,
     solve_mz_jerk,
 )
-from crossflow.cz_planner import hermite, rear_end_gap
+from crossflow.cz_planner import gap_to, hermite, too_close
 
 
 def test_cruise_boundary_gives_constant_speed():
@@ -184,11 +184,18 @@ def test_speed_bounds_checked():
         assert any(v.kind == "speed_high" for v in report.violations)
 
 
+def _min_gap(leader, follower):
+    """gap_to's least gap of follower behind leader over their shared
+    window, and its time; None when they share none."""
+    return gap_to(leader)(follower.coefficients, follower.t0, follower.t1)
+
+
 def test_follower_exact_headway_margin_passes():
     g = IntersectionGeometry()
     leader = solve_cz(0.0, 10.0, 40.0, 10.0, 400.0)
     follower = solve_cz(1.0, 10.0, 41.0, 10.0, 400.0)
-    assert not rear_end_gap(leader, follower, g.min_safe_distance).too_close
+    gap, _ = _min_gap(leader, follower)
+    assert not too_close(gap, g.min_safe_distance)
     # identical cruise offset by delta/v keeps the gap pinned at delta
     for t in np.linspace(1.0, 40.0, 50):
         gap = leader.position(t) - follower.position(t)
@@ -199,7 +206,8 @@ def test_follower_too_close_flagged():
     g = IntersectionGeometry()
     leader = solve_cz(0.0, 10.0, 40.0, 10.0, 400.0)
     follower = solve_cz(0.5, 10.0, 40.5, 10.0, 400.0)
-    assert rear_end_gap(leader, follower, g.min_safe_distance).too_close
+    gap, _ = _min_gap(leader, follower)
+    assert too_close(gap, g.min_safe_distance)
 
 
 def test_rear_end_catches_interior_minimum():
@@ -207,9 +215,9 @@ def test_rear_end_catches_interior_minimum():
     g = IntersectionGeometry()
     leader = solve_cz(0.0, 10.0, 40.0, 10.0, 400.0)
     follower = solve_cz(1.2, 12.0, 41.2, 8.0, 400.0)
-    found = rear_end_gap(leader, follower, g.min_safe_distance)
-    assert found.too_close
-    assert found.gap == pytest.approx(-8.0, abs=1e-6)
+    gap, _ = _min_gap(leader, follower)
+    assert too_close(gap, g.min_safe_distance)
+    assert gap == pytest.approx(-8.0, abs=1e-6)
 
 
 def test_rear_end_minimum_gap_on_random_pairs():
@@ -225,11 +233,11 @@ def test_rear_end_minimum_gap_on_random_pairs():
         headway = float(rng.uniform(0.0, 10.0))
         leader = solve_cz(0.0, lead_v0, lead_span, lead_vm, g.cz_length)
         follower = solve_cz(headway, v0, headway + span, vm, g.cz_length)
-        found = rear_end_gap(leader, follower, g.min_safe_distance)
+        gap, _ = _min_gap(leader, follower)
         times = np.linspace(headway, min(lead_span, headway + span), 4001)
         gaps = leader.position(times) - follower.position(times)
-        assert gaps.min() - 1e-3 <= found.gap <= gaps.min() + 1e-9
-        if found.too_close:
+        assert gaps.min() - 1e-3 <= gap <= gaps.min() + 1e-9
+        if too_close(gap, g.min_safe_distance):
             reported += 1
             recovered += float(gaps[-1]) >= g.min_safe_distance
     # the sample holds gaps that dip below the safe distance and recover
@@ -268,14 +276,15 @@ def test_cost_matches_quadrature():
 # the rear-end gap predicate shared by the entry gate and the run audit
 
 
-def _assert_gap_predicate(leader, follower, g):
-    found = rear_end_gap(leader, follower, g.min_safe_distance)
+def _assert_gap_predicate(leader, follower):
+    found = _min_gap(leader, follower)
     if found is None:
         return found
-    assert max(leader.t0, follower.t0) <= found.time <= min(leader.t1, follower.t1)
+    gap, time = found
+    assert max(leader.t0, follower.t0) <= time <= min(leader.t1, follower.t1)
     # evaluated on plain floats, the gap keeps every bit of the numpy path
-    assert type(found.gap) is float
-    assert found.gap == float(leader.position(found.time) - follower.position(found.time))
+    assert type(gap) is float
+    assert gap == float(leader.position(time) - follower.position(time))
     return found
 
 
@@ -293,7 +302,7 @@ def test_gap_predicate_matches_numpy_positions(lead_v0, lead_vm, lead_span, head
     g = IntersectionGeometry()
     leader = solve_cz(0.0, lead_v0, lead_span, lead_vm, g.cz_length)
     follower = solve_cz(headway, v0, headway + span, vm, g.cz_length)
-    found = _assert_gap_predicate(leader, follower, g)
+    found = _assert_gap_predicate(leader, follower)
     assert (found is None) == (headway > lead_span)
 
 
@@ -306,37 +315,31 @@ def test_gap_predicate_at_the_safety_distance_with_equal_profiles(offset, speed)
     leader = PolyTrajectory(t0=0.0, t1=40.0, coefficients=(0.0, 0.0, speed, 0.0))
     follower = PolyTrajectory(t0=g.min_safe_distance / speed, t1=41.0,
                               coefficients=(0.0, 0.0, speed, -offset))
-    found = _assert_gap_predicate(leader, follower, g)
-    assert abs(found.gap - (g.min_safe_distance + offset)) < 1e-12
+    gap, _ = _assert_gap_predicate(leader, follower)
+    assert abs(gap - (g.min_safe_distance + offset)) < 1e-12
     if offset < -2e-9:
-        assert found.too_close
+        assert too_close(gap, g.min_safe_distance)
     elif offset > -0.5e-9:
-        assert not found.too_close
+        assert not too_close(gap, g.min_safe_distance)
 
 
 def test_gap_predicate_windows():
     g = IntersectionGeometry()
     leader = solve_cz(0.0, 10.0, 40.0, 10.0, 400.0)
     # follower enters after the leader has left: lo > hi, nothing to check
-    assert _assert_gap_predicate(
-        leader, solve_cz(40.5, 10.0, 80.0, 10.0, 400.0), g
-    ) is None
+    assert _assert_gap_predicate(leader, solve_cz(40.5, 10.0, 80.0, 10.0, 400.0)) is None
     # windows touching at one instant still get a closed-form check
-    touching = _assert_gap_predicate(
-        leader, solve_cz(40.0, 10.0, 80.0, 10.0, 400.0), g
-    )
-    assert touching.time == 40.0 and not touching.too_close
+    gap, time = _assert_gap_predicate(leader, solve_cz(40.0, 10.0, 80.0, 10.0, 400.0))
+    assert time == 40.0 and not too_close(gap, g.min_safe_distance)
     # the interior dip of test_rear_end_catches_interior_minimum
-    dip = _assert_gap_predicate(
-        leader, solve_cz(1.2, 12.0, 41.2, 8.0, 400.0), g
-    )
-    assert dip.too_close and 1.2 < dip.time < 40.0
+    gap, time = _assert_gap_predicate(leader, solve_cz(1.2, 12.0, 41.2, 8.0, 400.0))
+    assert too_close(gap, g.min_safe_distance) and 1.2 < time < 40.0
     # equal jerk, different control: quad == 0 and the gap is quadratic,
     # smallest where the speeds match, inside the window
     speeding_up = PolyTrajectory(t0=0.0, t1=40.0, coefficients=(0.0, 0.2, 8.0, 0.0))
     cruising = PolyTrajectory(t0=0.5, t1=40.5, coefficients=(0.0, 0.0, 10.0, 0.0))
-    vertex = _assert_gap_predicate(speeding_up, cruising, g)
-    assert vertex.time == 10.0 and vertex.too_close
+    gap, time = _assert_gap_predicate(speeding_up, cruising)
+    assert time == 10.0 and too_close(gap, g.min_safe_distance)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from crossflow import (
     Movement,
     MzBoundary,
     MzVariant,
+    PolyTrajectory,
     Schedule,
     SimConfig,
     SimRun,
@@ -133,6 +134,14 @@ def test_config_refuses_counts_and_steps_past_64_bit_arrays(field, value):
     # refused on construction, so nothing of that size is ever allocated
     with pytest.raises(ValueError, match=f"{field} must be"):
         SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("step", [1e-300, 1e-12, np.nextafter(sim_module.MIN_SAMPLE_STEP, 0.0)])
+def test_config_refuses_steps_finer_than_the_gate_resolution(step):
+    # refused on construction, before a grid of that step is allocated
+    with pytest.raises(ValueError, match="sample_step must be at least 1e-06"):
+        SimConfig(sample_step=step)
+    SimConfig(sample_step=sim_module.MIN_SAMPLE_STEP)
 
 
 def test_config_takes_the_largest_count_and_step_64_bit_arrays_hold():
@@ -298,7 +307,8 @@ def test_replaced_run_derives_its_own_audit_histogram_and_samples(base_run):
 )
 def test_plan_crossing_reproduces_every_record(objective, weight):
     # against the rule written out by hand from the schedule: the approach
-    # to (tm, vm), then the merge optimum entered with its end control
+    # to (tm, vm), the merge optimum entered with its end control, then the
+    # exit lane at vf until min_safe_distance past the merge exit
     cfg = SimConfig(seed=7, objective=objective, weight=weight)
     g = cfg.geometry
     result = run(cfg)
@@ -311,10 +321,31 @@ def test_plan_crossing_reproduces_every_record(objective, weight):
             u_start=float(cz.control(sched.tm)),
         )
         mz = solve_mz(boundary, objective, weight, g.u_max, cfg.jerk_scale)
+        out = PolyTrajectory(sched.tf, sched.tf + g.min_safe_distance / sched.vf,
+                             (0.0, 0.0, sched.vf, boundary.p_end))
         # dataclass equality: every coefficient and constant, by ==
-        assert (rec.cz, rec.mz) == (cz, mz)
+        assert (rec.cz, rec.mz, rec.out) == (cz, mz, out)
         assert plan_crossing(rec.spec, sched.tm, sched.tf, g, objective, weight,
-                             cfg.jerk_scale) == (cz, mz)
+                             cfg.jerk_scale) == (cz, mz, out)
+
+
+@pytest.mark.parametrize("rate", [0.25, 2.0])
+def test_each_piece_starts_where_the_one_before_ends(rate):
+    # the approach ends at tm, the merge spans [tm, tf], and the exit lane
+    # starts at tf, bit for bit, and runs at vf with no control or jerk
+    # until the vehicle is min_safe_distance past the merge exit
+    cfg = SimConfig(seed=5, arrival_rate=rate, vehicle_count=40)
+    delta = cfg.geometry.min_safe_distance
+    for rec in run(cfg).vehicles:
+        sched, out = rec.schedule, rec.out
+        assert (rec.cz.t1, rec.mz.t0, rec.mz.t1) == (sched.tm, sched.tm, sched.tf)
+        assert out.t0 == sched.tf and out.t1 == sched.tf + delta / sched.vf
+        times = np.linspace(out.t0, out.t1, 7)
+        assert (out.speed(times) == sched.vf).all()
+        assert not out.control(times).any() and not out.jerk(times).any()
+        assert float(out.position(out.t0)) == pytest.approx(float(rec.mz.position(sched.tf)),
+                                                             abs=1e-9)
+        assert float(out.position(out.t1) - out.position(out.t0)) == pytest.approx(delta)
 
 
 def test_objective_changes_mz_only():
@@ -404,9 +435,9 @@ def _perturbed(base, vehicle_id, dt0=0.0, dtm=0.0, dtf=0.0):
         spec = replace(rec.spec, t0=rec.spec.t0 + dt0)
         tm, tf = rec.schedule.tm + dtm, rec.schedule.tf + dtf
         sched = replace(rec.schedule, t0=spec.t0, tm=tm, tf=tf)
-        cz, mz = plan_crossing(spec, tm, tf, cfg.geometry, cfg.objective, cfg.weight,
+        cz, mz, out = plan_crossing(spec, tm, tf, cfg.geometry, cfg.objective, cfg.weight,
                                cfg.jerk_scale)
-        records.append(replace(rec, spec=spec, schedule=sched, cz=cz, mz=mz))
+        records.append(replace(rec, spec=spec, schedule=sched, cz=cz, mz=mz, out=out))
     return replace(base, vehicles=tuple(records))
 
 
@@ -773,8 +804,9 @@ def test_sampler_zone_boundaries_on_grid_points():
         vehicle_id=1, movement=movement, t0=spec.t0, v0=spec.v0, tm=tm, tf=tf,
         vm=vm, vf=vm, binding_case="feasibility",
     )
-    cz, mz = plan_crossing(spec, tm, tf, g, MzVariant.JERK_ONLY)
-    record = VehicleRecord(spec=spec, arrival_time=spec.t0, schedule=sched, cz=cz, mz=mz)
+    cz, mz, out = plan_crossing(spec, tm, tf, g, MzVariant.JERK_ONLY)
+    record = VehicleRecord(spec=spec, arrival_time=spec.t0, schedule=sched, cz=cz, mz=mz,
+                           out=out)
     rows = sim_module._sample_states([record], cfg)
     _assert_same_rows(rows, oracles.sample_states_by_row([record], cfg))
     zone_at = {row.t: row.zone for row in oracles.sample_rows(rows)}

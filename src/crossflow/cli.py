@@ -47,6 +47,7 @@ from crossflow.sim import (
     evaluate_crossing,
     merge_boundary,
     plan_crossing,
+    require_sample_rows,
     run,
 )
 
@@ -334,20 +335,22 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
 
 
 # One trajectories.csv line per table row, taken a slice of rows at a time
-# to bound their memory, each field read as its own column of Python
-# values.  '%.9g' formats a number as _fmt does, and no field can hold a
-# comma, quote or newline, so the lines match what csv.writer makes of the
-# _fmt strings.  Every vehicle on the road at a time shares that t, and an
-# approach's jerk is constant, so a 120-vehicle light scenario's 43,064
-# rows hold 5,360 distinct t and 3,462 distinct j: those two columns are
-# formatted once per distinct value.  The writer then takes about 0.8 of
-# the CPU of one '%.9g' per field of each row, still about 70% of a
-# simulate run at that size, and a light benchmark round fell from 33.0
-# to 28.2 ref (BENCH_22.json).
+# to bound their memory.  '%.9g' formats a number as _fmt does, and no field
+# can hold a comma, quote or newline, so the lines match what csv.writer
+# makes of the _fmt strings.  Every vehicle on the road at a time shares
+# that t, an approach's jerk is constant, and a vehicle keeps its id, arm
+# and turn through its three zones, so t, j and id,arm,turn,zone are each
+# formatted once per distinct value in a slice: for the 42,803 rows of a
+# 120-vehicle light scenario under jerk_only, 4,688, 3,481 and 467 times.
+# A slice's lines are then one '%' of the line template repeated once per
+# row, on the slice's fields flattened row by row.  What is left is mostly
+# the '%.9g' of p, v and u, each a distinct float: the writer is still
+# about two thirds of a light simulate run, and with the one-pass sampler
+# a light benchmark round fell from 28.0 to 21.0 ref (BENCH_24.json).
 _TRAJECTORY_HEADER = "t,id,arm,turn,zone,p,v,u,j\n"
-_TRAJECTORY_LINE = "%s,%d,%s,%s,%s,%.9g,%.9g,%.9g,%s\n"
+_TRAJECTORY_LINE = "%s,%s,%.9g,%.9g,%.9g,%s\n"
 _TRAJECTORY_ROWS = 4096
-_TRAJECTORY_MIDDLE = ("vehicle_id", "arm", "turn", "zone", "p", "v", "u")
+_TRAJECTORY_KEY = ("vehicle_id", "arm", "turn", "zone")
 
 
 def _format_repeated(column: np.ndarray) -> List[str]:
@@ -359,24 +362,50 @@ def _format_repeated(column: np.ndarray) -> List[str]:
     return texts[inverse].tolist()
 
 
+def _format_keys(rows: np.ndarray) -> List[str]:
+    """'id,arm,turn,zone' of each row, formatted once per distinct
+    combination.  The combinations are the rows of integer keys, the id and
+    each label's code points, grouped by one lexsort."""
+    keys = np.column_stack([rows["vehicle_id"]] + [
+        rows[name].view((np.uint32, (rows.dtype[name].itemsize // 4,)))
+        for name in _TRAJECTORY_KEY[1:]
+    ])
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    # whether each row in sorted order starts a new combination
+    first = np.ones(len(rows), bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), np.intp)
+    inverse[order] = first.cumsum() - 1
+    combinations = rows[order[first]][list(_TRAJECTORY_KEY)].tolist()
+    texts = np.array(["%d,%s,%s,%s" % key for key in combinations], dtype=object)
+    return texts[inverse].tolist()
+
+
 def _write_trajectories(path: str, samples: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(_TRAJECTORY_HEADER)
         for start in range(0, len(samples), _TRAJECTORY_ROWS):
             rows = samples[start:start + _TRAJECTORY_ROWS]
-            middle = [rows[name].tolist() for name in _TRAJECTORY_MIDDLE]
-            fh.writelines(
-                _TRAJECTORY_LINE % row
-                for row in zip(_format_repeated(rows["t"]), *middle, _format_repeated(rows["j"]))
-            )
+            fields: List[Any] = [None] * (6 * len(rows))
+            fields[0::6] = _format_repeated(rows["t"])
+            fields[1::6] = _format_keys(rows)
+            for offset, name in enumerate(("p", "v", "u"), start=2):
+                fields[offset::6] = rows[name].tolist()
+            fields[5::6] = _format_repeated(rows["j"])
+            fh.write(_TRAJECTORY_LINE * len(rows) % tuple(fields))
 
 
 def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optional[int]) -> int:
     sim_config, resolved = _build_sim_config(config, seed_override)
     result = run(sim_config)
+    try:
+        samples = result.samples
+    except ValueError as exc:
+        raise ConfigError(f"sim.{exc}") from None
     os.makedirs(out_dir, exist_ok=True)
 
-    _write_trajectories(os.path.join(out_dir, "trajectories.csv"), result.samples)
+    _write_trajectories(os.path.join(out_dir, "trajectories.csv"), samples)
 
     schedule_rows = []
     for rec in result.vehicles:
@@ -479,6 +508,13 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
                                   section["jerk_scale"])
     except ValueError as exc:
         raise ConfigError(f"plan: {exc}") from exc
+    # enough steps to reach tf, the last one clipped to it
+    step = section["sample_step"]
+    steps = math.ceil((tf - t0) / step - 1e-9)
+    try:
+        require_sample_rows(steps + 1, step)
+    except ValueError as exc:
+        raise ConfigError(f"plan.{exc}") from None
     report = check_feasibility(cz, geometry)
     costs = mz_costs(mz)
 
@@ -503,13 +539,11 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
             )
 
     os.makedirs(out_dir, exist_ok=True)
-    # enough steps to reach tf, the last one clipped to it
-    steps = math.ceil((tf - t0) / section["sample_step"] - 1e-9)
-    times = np.minimum(t0 + np.arange(steps + 1) * section["sample_step"], tf)
+    times = np.minimum(t0 + np.arange(steps + 1) * step, tf)
     # the row at tf is the merge zone's last, not the exit lane's first
     states = np.empty(len(times), SAMPLE_DTYPE)
     states["t"] = times
-    evaluate_crossing((cz, mz), times, states)
+    evaluate_crossing([(cz, mz)], np.zeros(len(times), np.intp), times, states)
     rows = [
         [_fmt(t), zone, _fmt(p), _fmt(v), _fmt(u), _fmt(j)]
         for t, zone, p, v, u, j in states[["t", "zone", "p", "v", "u", "j"]].tolist()

@@ -24,7 +24,9 @@ possible entry is already later is not searched at all.  A vehicle's
 record, its schedule and its path, is built the moment it is admitted.
 plan_crossing is the one rule that turns a merge window into a path: the
 approach, the merge and the exit-lane pieces, each starting where the one
-before it ends, and evaluate_crossing the one evaluator of a path.
+before it ends.  evaluate_crossing is the one evaluator of paths, of many
+vehicles' at once: the polynomial pieces that share a slot and a degree
+are evaluated together, each weighted merge piece on its own.
 
 A run keeps only decisions: its config, its records and the gate's
 work.  Everything derived from them is computed on first read and then
@@ -35,8 +37,9 @@ lane leader, sweeps the merge-zone windows in order of start, and pairs
 vehicles only within an exit arm and a headway of each other's exit.
 SimRun.binding_histogram counts the binding cases.  SimRun.samples, the
 sampled state table, only displays the decisions, as one structured
-array of the paths' values whose rows are ordered by one sort of their
-(t, vehicle_id) keys.
+array of the paths' values in (t, vehicle_id) order: one sort of the
+rows' small keys places each row, and the table is then allocated once,
+at most MAX_SAMPLE_ROWS rows, and filled column by column in that order.
 """
 
 from __future__ import annotations
@@ -48,12 +51,13 @@ import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Deque, Dict, Generator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from crossflow.cz_planner import (
     PolyTrajectory,
+    _horner,
     approach_coefficients,
     gap_to,
     solve_cz,
@@ -73,6 +77,7 @@ from crossflow.mz_planner import (
     MzBoundary,
     MzTrajectory,
     MzVariant,
+    _evaluate,
     normalization_weights,
     refuse_ignored_weight,
     solve_mz,
@@ -117,6 +122,9 @@ _GATE_RESOLUTION = 1e-6
 # the finest sample_step: the gate resolves no time finer, and the grid of
 # a much finer step would not fit in memory
 MIN_SAMPLE_STEP = _GATE_RESOLUTION
+
+# the most rows a state table may hold: 2**25 rows of SAMPLE_DTYPE are 3.2 GB
+MAX_SAMPLE_ROWS = 2**25
 
 # a key above every admission key (entry, arrival time, arrival id)
 _NO_KEY = (math.inf,)
@@ -196,6 +204,14 @@ class SimConfig:
         if self.sample_step > _MAX_SAMPLE_STEP:
             raise ValueError(f"sample_step must be at most {_MAX_SAMPLE_STEP}, "
                              f"got {self.sample_step}")
+
+
+def require_sample_rows(rows: int, step: float) -> None:
+    """Refuse a state table of more than MAX_SAMPLE_ROWS rows, the rows
+    that sample_step step gives, before it is allocated."""
+    if rows > MAX_SAMPLE_ROWS:
+        raise ValueError(f"sample_step {step} gives {rows} sample rows, more than the "
+                         f"{MAX_SAMPLE_ROWS} a state table may hold")
 
 
 def generate_arrivals(cfg: SimConfig) -> List[VehicleSpec]:
@@ -561,20 +577,64 @@ def run(cfg: SimConfig) -> SimRun:
 
 
 def evaluate_crossing(
-    pieces: Sequence[Union[PolyTrajectory, MzTrajectory]], t: np.ndarray, rows: np.ndarray
+    paths: Sequence[Sequence[Union[PolyTrajectory, MzTrajectory]]],
+    owner: np.ndarray,
+    t: np.ndarray,
+    rows: np.ndarray,
 ) -> None:
     """Fill the zone, p, v, u and j fields of rows, a SAMPLE_DTYPE array,
-    from one vehicle's consecutive path pieces on the increasing times t:
-    the approach, the merge and, if given, the exit lane.  A piece's rows
-    are the times from its own t0 up to the next piece's, so a time on a
-    boundary belongs to the later piece.  Each piece's slice of t is
-    evaluated in one call per field, straight into its rows."""
-    cuts = np.searchsorted(t, [piece.t0 for piece in pieces[1:]]).tolist()
-    for zone, piece, lo, hi in zip(_ZONES, pieces, [0, *cuts], [*cuts, len(t)]):
-        times, block = t[lo:hi], rows[lo:hi]
-        block["zone"] = zone
-        for order, name in enumerate(("p", "v", "u", "j")):
-            block[name] = piece.derivative(times, order)
+    at the times t: row i from the path paths[owner[i]], a vehicle's
+    consecutive pieces (the approach, the merge and, if given, the exit
+    lane).  Row i's piece is the last of its path whose t0 <= t[i], or the
+    first, so a time on a boundary belongs to the later piece.
+
+    The polynomial pieces of one slot with one coefficient count are
+    evaluated together, one _horner call per field on per-row coefficient
+    columns, and each weighted piece by one _evaluate call for all four
+    fields, straight into its rows.  Every value keeps the bits of its own
+    piece's derivative."""
+    owner = np.asarray(owner, dtype=np.intp)
+    slots = max(map(len, paths), default=0)
+    starts = np.full((len(paths), slots), math.inf)
+    # the groups of pieces evaluated together, keyed by (slot, coefficient
+    # count) for the polynomials and (slot, -1 - path) for a weighted piece:
+    # each group's code and its (path, piece) pairs, and the code of each
+    # (path, slot), of the smallest integer type, which sorts in linear time
+    groups: Dict[Tuple[int, int], Tuple[int, List[Tuple[int, Any]]]] = {}
+    group = np.zeros((len(paths), slots), np.min_scalar_type(len(paths) * slots))
+    for i, path in enumerate(paths):
+        for j, piece in enumerate(path):
+            starts[i, j] = piece.t0
+            kind = len(piece.coefficients) if isinstance(piece, PolyTrajectory) else -1 - i
+            group[i, j], members = groups.setdefault((j, kind), (len(groups), []))
+            members.append((i, piece))
+    slot = np.zeros(len(t), np.intp)
+    for j in range(1, slots):
+        slot += t >= starts[owner, j]
+    rows["zone"] = np.array(_ZONES)[slot]
+    row_group = group[owner, slot]
+    order = np.argsort(row_group, kind="stable")
+    ends = np.bincount(row_group, minlength=len(groups)).cumsum().tolist()
+    fields = [rows[name] for name in ("p", "v", "u", "j")]
+    for ((j, kind), (_, members)), start, end in zip(groups.items(), [0, *ends], ends):
+        index = order[start:end]
+        if kind < 0:
+            ((_, piece),) = members
+            values = _evaluate(piece._regime, piece.rate_pos, piece.duration, piece._poly,
+                               piece._beta, t[index] - piece.t0, (0, 1, 2, 3))
+        else:
+            # each member's coefficients and start in its path's column
+            coefficients = np.zeros((kind, len(paths)))
+            t0 = np.zeros(len(paths))
+            for i, piece in members:
+                coefficients[:, i] = piece.coefficients
+                t0[i] = piece.t0
+            owners = owner[index]
+            columns = coefficients[:, owners]
+            tau = t[index] - t0[owners]
+            values = [_horner(columns[:kind - d], tau) for d in range(4)]
+        for field, value in zip(fields, values):
+            field[index] = value
 
 
 def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarray:
@@ -586,11 +646,12 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarr
     merge-zone exit; every row is evaluate_crossing's value of the
     vehicle's path.  The table is the run's published output; the auditor
     does not read it.  Rows come out ordered by (t, vehicle_id), with ties
-    in record order.
+    in record order.  A table of more than MAX_SAMPLE_ROWS rows is refused
+    before anything is allocated.
 
-    The table is allocated once, and each vehicle's block of it filled in
-    one pass over its grid; one stable lexsort of the (t, vehicle_id)
-    columns then orders the table in a single permutation.
+    One stable lexsort of the rows' (t, vehicle_id) keys, in record order,
+    gives each row of the table its time and record; the table is then
+    allocated once and each of its columns filled in place.
     """
     step = cfg.sample_step
     # a grid point up to 1e-9 grid units before the entry time counts as the
@@ -603,18 +664,25 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarr
         )
         for rec in records
     ]
-    table = np.empty(sum(last + 1 - first for first, last in spans), SAMPLE_DTYPE)
-    start = 0
-    for rec, (first, last) in zip(records, spans):
-        grid = np.arange(first, last + 1) * step
-        block = table[start:start + len(grid)]
-        start += len(grid)
-        block["t"] = grid
-        block["vehicle_id"] = rec.spec.vehicle_id
-        block["arm"] = rec.spec.movement.entry_arm.value
-        block["turn"] = rec.spec.movement.turn.value
-        evaluate_crossing((rec.cz, rec.mz, rec.out), grid, block)
-    return table[np.lexsort((table["vehicle_id"], table["t"]))]
+    counts = [last + 1 - first for first, last in spans]
+    require_sample_rows(sum(counts), step)
+    counts = np.array(counts, np.intp)
+    # each row's grid index and record, in record order
+    offsets = np.array([first for first, _ in spans], np.int64) - (counts.cumsum() - counts)
+    owner = np.arange(len(records)).repeat(counts)
+    t = (np.arange(len(owner)) + offsets.repeat(counts)) * step
+    ids = np.array([rec.spec.vehicle_id for rec in records], np.int64)
+    order = np.lexsort((ids[owner], t))
+    owner, t = owner[order], t[order]
+
+    table = np.empty(len(t), SAMPLE_DTYPE)
+    table["t"] = t
+    table["vehicle_id"] = ids[owner]
+    for name, labels in (("arm", [rec.spec.movement.entry_arm.value for rec in records]),
+                         ("turn", [rec.spec.movement.turn.value for rec in records])):
+        table[name] = np.array(labels, SAMPLE_DTYPE[name])[owner]
+    evaluate_crossing([(rec.cz, rec.mz, rec.out) for rec in records], owner, t, table)
+    return table
 
 
 def audit_run(run_result: SimRun) -> AuditReport:

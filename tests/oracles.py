@@ -525,6 +525,13 @@ def sample_rows(table):
     return tuple(map(SampleRow._make, table.tolist()))
 
 
+def row_bits(rows):
+    """rows with each float as its float.hex text, so that two rows are
+    equal only when their floats share a bit pattern: == cannot tell -0.0
+    from 0.0."""
+    return [tuple(x.hex() if isinstance(x, float) else x for x in row) for row in rows]
+
+
 def sample_states_by_row(records, cfg):
     """State table on the grid k * sample_step, one scalar evaluation per row."""
     step = cfg.sample_step

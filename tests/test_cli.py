@@ -149,13 +149,15 @@ def test_trajectory_lines_match_csv_writer_on_edge_values(tmp_path, monkeypatch)
 
 
 # t and j drawn from small pools, so that values repeat within a slice,
-# with both zeros, nan, both infinities and the smallest subnormal in each
+# with both zeros, nan, both infinities and the smallest subnormal in each;
+# ids from a small pool with both int64 extremes, so that one id recurs in a
+# slice with other arms, turns and zones
 _REPEATED_POOL = st.sampled_from(
     [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 2.0 / 3.0, -1e21, 123456789.5]
 )
 _TRAJECTORY_ROW = st.tuples(
     _REPEATED_POOL,
-    st.integers(0, 10**12),
+    st.sampled_from([-2**63, -1, 0, 7, 10**12, 2**63 - 1]),
     st.sampled_from([arm.value for arm in Arm]),
     st.sampled_from([turn.value for turn in Turn]),
     st.sampled_from(["cz", "mz", "out"]),
@@ -665,6 +667,12 @@ def test_plan_row_at_the_merge_exit_is_the_merge_zones_own(tmp_path, turn):
         ("simulate", "sim:\n  sample_step: 1.0e-300\n", "sim: sample_step must be at least 1e-06"),
         ("plan", "plan:\n  sample_step: 1.0e-12\n", "plan.sample_step must be at least 1e-06"),
         ("plan", "plan:\n  sample_step: 1.0e-300\n", "plan.sample_step must be at least 1e-06"),
+        # a step at the floor whose table would pass sim.MAX_SAMPLE_ROWS, 2**25
+        # rows: about 4e7 rows a vehicle, refused before any is allocated
+        ("simulate", "sim:\n  sample_step: 1.0e-6\n  vehicle_count: 2\n",
+         "sim.sample_step 1e-06 gives 68074355 sample rows, more than the 33554432"),
+        ("plan", "plan:\n  tm: 100\n  sample_step: 1.0e-6\n",
+         "plan.sample_step 1e-06 gives 103000001 sample rows, more than the 33554432"),
         # YAML reads an exponent without a dot and a sign as a string, so the
         # refusal names the spelling it reads as a number; quoted, it is a string
         ("pareto", "pareto:\n  w_min: 1e-3\n",
@@ -679,7 +687,9 @@ def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, tex
     out = tmp_path / "out"
     code = cli.main([command, "--config", cfg, "--out", str(out)])
     assert code == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
     assert not out.exists()

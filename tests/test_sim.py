@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from crossflow import (
@@ -567,7 +570,7 @@ def test_audit_matches_pairwise_oracle_on_perturbed_records(audit_runs, rate, ca
 def _assert_same_rows(table, slow):
     assert table.dtype == sim_module.SAMPLE_DTYPE
     fast = oracles.sample_rows(table)
-    assert fast == slow
+    assert oracles.row_bits(fast) == oracles.row_bits(slow)
     for fast_row, slow_row in zip(fast, slow):
         assert [type(x) for x in fast_row] == [type(x) for x in slow_row]
         for name in ("t", "p", "v", "u", "j"):
@@ -766,6 +769,48 @@ def test_sampler_matches_per_row_oracle(objective, weight):
     _assert_same_rows(
         sim_module._sample_states(records, cfg), oracles.sample_states_by_row(records, cfg)
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _small_run(objective, weight):
+    return run(SimConfig(seed=4, vehicle_count=4, objective=objective, weight=weight))
+
+
+# any subset of a small run's records in any order, at steps that put grid
+# points on and off the zone boundaries, under every objective and both
+# weighted bases (0.05 the series, 0.5 the boundary layer); no shrinking, so
+# a failing case reads as it was drawn
+@settings(max_examples=40, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(
+    objective=st.sampled_from([
+        (MzVariant.JERK_ONLY, None), (MzVariant.FUEL_ONLY, None),
+        (MzVariant.WEIGHTED, 0.05), (MzVariant.WEIGHTED, 0.5),
+    ]),
+    step=st.sampled_from([0.05, 0.1, 0.37, 1.0]),
+    order=st.permutations(range(4)),
+    kept=st.integers(0, 4),
+)
+def test_sampler_matches_per_row_oracle_on_any_records(objective, step, order, kept):
+    result = _small_run(*objective)
+    cfg = replace(result.config, sample_step=step)
+    records = [result.vehicles[i] for i in order[:kept]]
+    _assert_same_rows(
+        sim_module._sample_states(records, cfg), oracles.sample_states_by_row(records, cfg)
+    )
+
+
+def test_sampler_refuses_a_table_above_the_row_cap_before_allocating(monkeypatch):
+    cfg = SimConfig(seed=4, vehicle_count=3)
+    records = run(cfg).vehicles
+    rows = len(sim_module._sample_states(records, cfg))
+    monkeypatch.setattr(sim_module, "MAX_SAMPLE_ROWS", rows)
+    assert len(sim_module._sample_states(records, cfg)) == rows
+    monkeypatch.setattr(sim_module, "MAX_SAMPLE_ROWS", rows - 1)
+    # without numpy the sampler can allocate nothing: the refusal comes first
+    monkeypatch.setattr(sim_module, "np", None)
+    with pytest.raises(ValueError, match=f"sample_step 0.1 gives {rows} sample rows, "
+                                         f"more than the {rows - 1} a state table may hold"):
+        sim_module._sample_states(records, cfg)
 
 
 def test_sampler_orders_rows_by_time_then_id_in_any_record_order():

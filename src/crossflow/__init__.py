@@ -22,7 +22,6 @@ from crossflow.scheduler import (
     Schedule,
     VehicleSpec,
     audit_queue,
-    conflict_predecessors,
     earliest_mz_arrival,
     schedule,
 )

@@ -43,6 +43,7 @@ from crossflow.scheduler import VehicleSpec, earliest_mz_arrival
 from crossflow.sim import (
     MIN_SAMPLE_STEP,
     SAMPLE_DTYPE,
+    HorizonError,
     SimConfig,
     evaluate_crossing,
     merge_boundary,
@@ -334,20 +335,16 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
         writer.writerows(rows)
 
 
-# One trajectories.csv line per table row, taken a slice of rows at a time
-# to bound their memory.  '%.9g' formats a number as _fmt does, and no field
-# can hold a comma, quote or newline, so the lines match what csv.writer
-# makes of the _fmt strings.  Every vehicle on the road at a time shares
-# that t, an approach's jerk is constant, and a vehicle keeps its id, arm
-# and turn through its three zones, so t, j and id,arm,turn,zone are each
-# formatted once per distinct value in a slice: for the 42,803 rows of a
-# 120-vehicle light scenario under jerk_only, 4,688, 3,481 and 467 times.
-# A slice's lines are then one '%' of the line template repeated once per
-# row, on the slice's fields flattened row by row.  What is left is mostly
-# the '%.9g' of p, v and u, each a distinct float: the writer is still
-# about two thirds of a light simulate run, and with the one-pass sampler
-# a light benchmark round fell from 28.0 to 21.0 ref (BENCH_24.json).
-_TRAJECTORY_HEADER = "t,id,arm,turn,zone,p,v,u,j\n"
+# A state table is written one line per row, a slice of rows at a time to
+# bound their memory: trajectories.csv by (t, vehicle_id, arm, turn, zone)
+# and plan.csv by (t, zone), each then p, v, u and j.  '%.9g' formats a
+# number as _fmt does, and no field can hold a comma, quote or newline, so
+# the lines match what csv.writer makes of the _fmt strings.  Every vehicle
+# on the road at a time shares that t, an approach's jerk is constant, and a
+# vehicle keeps its key through each zone, so t, j and the key columns are
+# each formatted once per distinct value in a slice.  A slice's lines are
+# then one '%' of the line template repeated once per row, on the slice's
+# fields flattened row by row.
 _TRAJECTORY_LINE = "%s,%s,%.9g,%.9g,%.9g,%s\n"
 _TRAJECTORY_ROWS = 4096
 _TRAJECTORY_KEY = ("vehicle_id", "arm", "turn", "zone")
@@ -362,34 +359,36 @@ def _format_repeated(column: np.ndarray) -> List[str]:
     return texts[inverse].tolist()
 
 
-def _format_keys(rows: np.ndarray) -> List[str]:
-    """'id,arm,turn,zone' of each row, formatted once per distinct
-    combination.  The combinations are the rows of integer keys, the id and
-    each label's code points, grouped by one lexsort."""
-    keys = np.column_stack([rows["vehicle_id"]] + [
-        rows[name].view((np.uint32, (rows.dtype[name].itemsize // 4,)))
-        for name in _TRAJECTORY_KEY[1:]
+def _format_keys(rows: np.ndarray, key: Sequence[str]) -> List[str]:
+    """The key columns of each row joined by commas, formatted once per
+    distinct combination.  The combinations are the rows of each key
+    column's bytes as 32-bit words, grouped by one lexsort."""
+    words = np.column_stack([
+        rows[name].view((np.uint32, (rows.dtype[name].itemsize // 4,))) for name in key
     ])
-    order = np.lexsort(keys.T)
-    ranked = keys[order]
+    order = np.lexsort(words.T)
+    ranked = words[order]
     # whether each row in sorted order starts a new combination
     first = np.ones(len(rows), bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     inverse = np.empty(len(rows), np.intp)
     inverse[order] = first.cumsum() - 1
-    combinations = rows[order[first]][list(_TRAJECTORY_KEY)].tolist()
-    texts = np.array(["%d,%s,%s,%s" % key for key in combinations], dtype=object)
+    combinations = rows[order[first]][list(key)].tolist()
+    texts = np.array([",".join(map(str, values)) for values in combinations], dtype=object)
     return texts[inverse].tolist()
 
 
-def _write_trajectories(path: str, samples: np.ndarray) -> None:
+def _write_states(path: str, table: np.ndarray, key: Sequence[str]) -> None:
+    """table, a SAMPLE_DTYPE array, as CSV lines of t, the key columns (the
+    vehicle_id column headed id), p, v, u and j."""
+    header = ",".join(("t", *key, "p", "v", "u", "j")).replace("vehicle_id", "id")
     with open(path, "w", newline="") as fh:
-        fh.write(_TRAJECTORY_HEADER)
-        for start in range(0, len(samples), _TRAJECTORY_ROWS):
-            rows = samples[start:start + _TRAJECTORY_ROWS]
+        fh.write(header + "\n")
+        for start in range(0, len(table), _TRAJECTORY_ROWS):
+            rows = table[start:start + _TRAJECTORY_ROWS]
             fields: List[Any] = [None] * (6 * len(rows))
             fields[0::6] = _format_repeated(rows["t"])
-            fields[1::6] = _format_keys(rows)
+            fields[1::6] = _format_keys(rows, key)
             for offset, name in enumerate(("p", "v", "u"), start=2):
                 fields[offset::6] = rows[name].tolist()
             fields[5::6] = _format_repeated(rows["j"])
@@ -398,14 +397,17 @@ def _write_trajectories(path: str, samples: np.ndarray) -> None:
 
 def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optional[int]) -> int:
     sim_config, resolved = _build_sim_config(config, seed_override)
-    result = run(sim_config)
+    try:
+        result = run(sim_config)
+    except HorizonError as exc:
+        raise ConfigError(f"sim: {exc}") from None
     try:
         samples = result.samples
     except ValueError as exc:
         raise ConfigError(f"sim.{exc}") from None
     os.makedirs(out_dir, exist_ok=True)
 
-    _write_trajectories(os.path.join(out_dir, "trajectories.csv"), samples)
+    _write_states(os.path.join(out_dir, "trajectories.csv"), samples, _TRAJECTORY_KEY)
 
     schedule_rows = []
     for rec in result.vehicles:
@@ -544,11 +546,7 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
     states = np.empty(len(times), SAMPLE_DTYPE)
     states["t"] = times
     evaluate_crossing([(cz, mz)], np.zeros(len(times), np.intp), times, states)
-    rows = [
-        [_fmt(t), zone, _fmt(p), _fmt(v), _fmt(u), _fmt(j)]
-        for t, zone, p, v, u, j in states[["t", "zone", "p", "v", "u", "j"]].tolist()
-    ]
-    _write_csv(os.path.join(out_dir, "plan.csv"), ["t", "zone", "p", "v", "u", "j"], rows)
+    _write_states(os.path.join(out_dir, "plan.csv"), states, ("zone",))
 
     resolved = {"geometry": _field_values(geometry),
                 "plan": _recorded({**section, "planned_tm": tm})}

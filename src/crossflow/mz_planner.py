@@ -44,10 +44,10 @@ cubic's rows.  half_square_integrals lays the panels of all trajectories
 with the same window and basis out in one ragged node array, whatever
 their panel counts, and evaluates it in one _evaluate call; each
 trajectory's panel sums are reduced on their own, one stacked matrix
-product over the trajectories with the same panel count.
-MzTrajectory.derivative and the quadrature share that evaluator, on one
-trajectory's floats or over a batch's arrays, and every result keeps the
-bits of the weight-by-weight solve and quadrature.
+product over the trajectories with the same panel count, and a lone
+trajectory is the group of one.  MzTrajectory.derivative, the quadrature
+and the batched solve share one rule for the rate's powers, and every
+result keeps the bits of the weight-by-weight solve and quadrature.
 """
 
 from __future__ import annotations
@@ -170,11 +170,10 @@ def _remainders(x, ks):
 
 
 def _scales(rate, orders):
-    """rate**d and (-1)**d * rate**d for each order d, for a float rate or
-    elementwise for an array of rates.  Each power is Python's float power,
-    as numpy's array power can differ from it in the last bit."""
-    if isinstance(rate, float):
-        return [(rate**d, (-1.0) ** d * rate**d) for d in orders]
+    """rate**d and (-1)**d * rate**d for each order d, elementwise over a
+    rate or an array of rates.  Each power is Python's float power, as
+    numpy's array power can differ from it in the last bit."""
+    rate = np.asarray(rate, dtype=float)
     rates = rate.ravel().tolist()
     table = np.array([sign * r**d for d in orders for sign in (1.0, (-1.0) ** d) for r in rates])
     return table.reshape((len(orders), 2) + rate.shape)
@@ -182,12 +181,11 @@ def _scales(rate, orders):
 
 def _basis_pairs(regime: str, rate, width: float, tau, orders, repeats=None):
     """For each order, the order-th derivatives of the two non-polynomial
-    basis functions at tau, for one rate (a float) or for an array of
-    rates that broadcasts against tau.  Given repeats, rate is a column of
-    one rate per trajectory and tau's rows hold trajectory i's repeats[i]
-    rows in turn: each rate's powers are taken once, then repeated onto
-    its rows.  The orders share the boundary-layer exponentials and the
-    series remainders."""
+    basis functions at tau, for a rate or rates that broadcast against
+    tau.  Given repeats, rate is a column of one rate per trajectory and
+    tau's rows hold trajectory i's repeats[i] rows in turn: each rate's
+    powers are taken once, then repeated onto its rows.  The orders share
+    the boundary-layer exponentials and the series remainders."""
     tau = np.asarray(tau, dtype=float)
     per_row = rate if repeats is None else rate.repeat(repeats, axis=0)
     if regime == "layer":
@@ -216,10 +214,9 @@ def _cubic(poly, tau, order: int):
 
 def _evaluate(regime: str, rate, width: float, poly, beta, tau, orders, repeats=None):
     """For each order, the order-th derivative of position at tau: the
-    cubic plus the basis pair.  One trajectory passes floats; a batch
-    passes arrays for each entry of poly and beta, which broadcast against
-    tau, and for the rate, which does too or, given repeats, holds one
-    rate per trajectory as _basis_pairs takes it."""
+    cubic plus the basis pair.  Each entry of poly and beta is a float or
+    an array that broadcasts against tau, and so is the rate, or, given
+    repeats, it holds one rate per trajectory as _basis_pairs takes it."""
     pairs = _basis_pairs(regime, rate, width, tau, orders, repeats)
     return [_cubic(poly, tau, d) + beta[0] * head + beta[1] * tail
             for d, (head, tail) in zip(orders, pairs)]
@@ -300,35 +297,27 @@ def half_square_integrals(
         group = sorted(
             (max(3, math.ceil(trajectories[i].rate_pos * width / _GL_WIDTH)), i) for i in members
         )
-        if len(group) > 1:
-            counts = np.array([panels for panels, _ in group])
-            ends = counts.cumsum()
-            # each panel's index within its trajectory, that trajectory's
-            # edge step, and the rows of the trajectories' last panels
-            index = np.arange(ends[-1]) - (ends - counts).repeat(counts)
-            step = (width / counts).repeat(counts)
-            last = ends - 1
-            # each member's rate, then its p0..p3, beta1 and beta2 on each of its rows
-            params = np.array([
-                (trajectories[i].rate_pos, *trajectories[i]._poly, *trajectories[i]._beta)
-                for _, i in group
-            ])
-            rows = params[:, 1:].repeat(counts, axis=0).T[..., None]
-            rate, poly, beta, repeats = params[:, :1], rows[:4], rows[4:], counts
-        else:
-            # one trajectory lays out and evaluates on its own floats, as
-            # derivative does
-            ((panels, i),) = group
-            index, step, last = np.arange(panels), width / panels, -1
-            traj = trajectories[i]
-            rate, poly, beta, repeats = traj.rate_pos, traj._poly, traj._beta, None
+        counts = np.array([panels for panels, _ in group])
+        ends = counts.cumsum()
+        # each panel's index within its trajectory, that trajectory's
+        # edge step, and the rows of the trajectories' last panels
+        index = np.arange(ends[-1]) - (ends - counts).repeat(counts)
+        step = (width / counts).repeat(counts)
+        last = ends - 1
+        # each member's rate, then its p0..p3, beta1 and beta2 on each of its rows
+        params = np.array([
+            (trajectories[i].rate_pos, *trajectories[i]._poly, *trajectories[i]._beta)
+            for _, i in group
+        ])
+        rows = params[:, 1:].repeat(counts, axis=0).T[..., None]
         left = index * step
         right = (index + 1) * step
         right[last] = width
         mid = 0.5 * (left + right)
         half = 0.5 * (right - left)
         tau = (t0 + (mid[:, None] + half[:, None] * _GL_POINTS)) - t0
-        squares = np.array(_evaluate(regime, rate, width, poly, beta, tau, orders, repeats))
+        squares = np.array(_evaluate(regime, params[:, :1], width, rows[:4], rows[4:], tau,
+                                     orders, counts))
         squares *= squares
         start = 0
         for panels, same in groupby(group, key=itemgetter(0)):

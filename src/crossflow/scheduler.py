@@ -116,13 +116,6 @@ class PredecessorTable:
         return ConflictPredecessors._make(self._rows[movement._index])
 
 
-def conflict_predecessors(spec: VehicleSpec, q: Sequence[Schedule]) -> ConflictPredecessors:
-    """The most recent vehicle of q in each conflict class with spec's
-    movement: q folded into a PredecessorTable, and the movement's row
-    read."""
-    return PredecessorTable(q).predecessors(spec.movement)
-
-
 def earliest_mz_arrival(t0: float, v0: float, g: IntersectionGeometry) -> float:
     """Earliest merge-zone arrival: flat-out acceleration, then cruise.
 

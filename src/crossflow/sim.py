@@ -123,6 +123,10 @@ _GATE_RESOLUTION = 1e-6
 # a much finer step would not fit in memory
 MIN_SAMPLE_STEP = _GATE_RESOLUTION
 
+# a run's last arrival must reach the merge zone before this time: up to 2**33 s
+# a float64 still resolves the gate's 1e-6 s, and far beyond, a merge window vanishes
+MAX_TIME = 2.0**32
+
 # the most rows a state table may hold: 2**25 rows of SAMPLE_DTYPE are 3.2 GB
 MAX_SAMPLE_ROWS = 2**25
 
@@ -241,6 +245,10 @@ def generate_arrivals(cfg: SimConfig) -> List[VehicleSpec]:
         )
         for rank, idx in enumerate(order)
     ]
+
+
+class HorizonError(ValueError):
+    """A run whose last arrival cannot reach the merge zone before MAX_TIME."""
 
 
 @dataclass(frozen=True)
@@ -512,6 +520,12 @@ def run(cfg: SimConfig) -> SimRun:
     """
     g = cfg.geometry
     arrivals = generate_arrivals(cfg)
+    # the last arrival reaches the merge zone no sooner than this
+    horizon = arrivals[-1].t0 + g.cz_length / g.v_max
+    if not horizon < MAX_TIME:
+        raise HorizonError(
+            f"sim.arrival_rate, sim.vehicle_count and geometry.cz_length put the last "
+            f"merge-zone arrival at {horizon:.6g} s or later, not below {MAX_TIME:.6g} s")
     # each arm's arrivals not yet admitted, by the arm's place in _ARM_ORDER
     lines: List[Deque[VehicleSpec]] = [deque() for _ in _ARM_ORDER]
     for spec in arrivals:

@@ -734,6 +734,15 @@ def trajectory_csv_by_writer(samples):
     return out.getvalue()
 
 
+def plan_csv_by_writer(cz, mz, t0, tm, tf, step):
+    """plan.csv text: csv.writer lines of the header and plan_rows_by_scalar."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["t", "zone", "p", "v", "u", "j"])
+    writer.writerows(plan_rows_by_scalar(cz, mz, t0, tm, tf, step))
+    return out.getvalue()
+
+
 def plan_rows_by_scalar(cz, mz, t0, tm, tf, step):
     """plan.csv rows, one scalar evaluation per clipped sample time."""
     rows = []
@@ -815,6 +824,19 @@ def solve_weighted_by_weight(b, w, q1, q2):
     )
 
 
+def derivative_by_scalar(traj, t, order):
+    """The order-th derivative of a weighted trajectory's position at t:
+    the scalar cubic plus the scalar basis pair."""
+    tau = np.asarray(t, dtype=float) - traj.t0
+    return _value_scalar(traj, tau, order)
+
+
+def _value_scalar(traj, tau, order):
+    b1, b2 = traj._beta
+    head, tail = _basis_pair_scalar(traj._regime, traj.rate_pos, traj.duration, tau, order)
+    return _cubic_scalar(traj._poly, tau, order) + b1 * head + b2 * tail
+
+
 def half_square_by_trajectory(traj, order):
     """Half the integral of the order-th derivative squared over one
     weighted trajectory's window: its own panels and node evaluation."""
@@ -825,9 +847,7 @@ def half_square_by_trajectory(traj, order):
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     tau = (traj.t0 + (mid[:, None] + half[:, None] * nodes)) - traj.t0
-    b1, b2 = traj._beta
-    head, tail = _basis_pair_scalar(traj._regime, traj.rate_pos, width, tau, order)
-    values = _cubic_scalar(traj._poly, tau, order) + b1 * head + b2 * tail
+    values = _value_scalar(traj, tau, order)
     return 0.5 * float(half @ (values * values @ weights))
 
 

@@ -143,7 +143,7 @@ def test_trajectory_lines_match_csv_writer_on_edge_values(tmp_path, monkeypatch)
     rows.append((0.1, 10**9, "W", "right", "out", 3, 4, 0, 0))
     table = np.array(rows, dtype=SAMPLE_DTYPE)
     path = tmp_path / "trajectories.csv"
-    cli._write_trajectories(str(path), table)
+    cli._write_states(str(path), table, cli._TRAJECTORY_KEY)
     expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(table))
     assert path.read_bytes() == expected.encode()
 
@@ -177,7 +177,7 @@ def test_trajectory_csv_matches_csv_writer_on_drawn_tables(tmp_path_factory, row
     path = tmp_path_factory.getbasetemp() / "drawn-trajectories.csv"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_TRAJECTORY_ROWS", slice_rows)
-        cli._write_trajectories(str(path), table)
+        cli._write_states(str(path), table, cli._TRAJECTORY_KEY)
     expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(table))
     assert path.read_bytes() == expected.encode()
 
@@ -553,6 +553,32 @@ def test_plan_csv_matches_per_sample_oracle(tmp_path, objective, turn, t0):
     assert rows[-1][0] == format(boundary.tf, ".9g") and rows[-1][1] == "mz"
 
 
+@pytest.mark.parametrize("t0", [0.0, 0.33])
+@pytest.mark.parametrize("step", [0.1, 0.37])
+@pytest.mark.parametrize(
+    "objective, weight",
+    [("fuel_only", None), ("jerk_only", None), ("weighted", 0.01), ("weighted", 0.5)],
+)
+def test_plan_csv_is_csv_writer_lines_of_the_scalar_oracle(
+    tmp_path, monkeypatch, objective, weight, step, t0
+):
+    # slices of 7 rows end inside each zone; weights 0.01 and 0.5 plan the
+    # merge in the series and the boundary-layer basis
+    monkeypatch.setattr(cli, "_TRAJECTORY_ROWS", 7)
+    text = (f"plan:\n  turn: left\n  t0: {t0}\n  v0: 11\n  tm: 40\n"
+            f"  objective: {objective}\n  sample_step: {step}\n")
+    if weight is not None:
+        text += f"  weight: {weight}\n"
+    out = tmp_path / "out"
+    assert cli.main(["plan", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    g = IntersectionGeometry()
+    tf = 40.0 + g.transit_time(Turn.LEFT)
+    spec = VehicleSpec(vehicle_id=1, t0=t0, v0=11.0, movement=Movement(Arm.WEST, Turn.LEFT))
+    cz, mz, _ = plan_crossing(spec, 40.0, tf, g, MzVariant(objective), weight)
+    expected = oracles.plan_csv_by_writer(cz, mz, t0, 40.0, tf, step)
+    assert (out / "plan.csv").read_bytes() == expected.encode()
+
+
 @pytest.mark.parametrize("turn", list(Turn))
 def test_plan_row_at_the_merge_exit_is_the_merge_zones_own(tmp_path, turn):
     # plan.csv ends at exactly tf with the merge trajectory's own values, not
@@ -673,6 +699,17 @@ def test_plan_row_at_the_merge_exit_is_the_merge_zones_own(tmp_path, turn):
          "sim.sample_step 1e-06 gives 68074355 sample rows, more than the 33554432"),
         ("plan", "plan:\n  tm: 100\n  sample_step: 1.0e-6\n",
          "plan.sample_step 1e-06 gives 103000001 sample rows, more than the 33554432"),
+        # a run whose last arrival cannot reach the merge zone before
+        # sim.MAX_TIME = 2**32 s, where a merge window's end would round onto
+        # its start; the first at exactly 2**32 s past the last arrival
+        ("simulate", "geometry:\n  cz_length: 55834574848.0\nsim:\n  vehicle_count: 5\n",
+         "geometry.cz_length put the last merge-zone arrival at 4.29497e+09 s or later"),
+        ("simulate", "geometry:\n  cz_length: 100000000000000000000000000000\n"
+         "sim:\n  vehicle_count: 5\n",
+         "geometry.cz_length put the last merge-zone arrival at 7.69231e+27 s or later"),
+        ("simulate", "sim:\n  arrival_rate: 1.0e-30\n  vehicle_count: 5\n",
+         "sim: sim.arrival_rate, sim.vehicle_count and geometry.cz_length put the last "
+         "merge-zone arrival at 2.27195e+30 s or later, not below 4.29497e+09 s"),
         # YAML reads an exponent without a dot and a sign as a string, so the
         # refusal names the spelling it reads as a number; quoted, it is a string
         ("pareto", "pareto:\n  w_min: 1e-3\n",
@@ -693,6 +730,23 @@ def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, tex
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the last arrival, at 2.27 s, 100 s short of sim.MAX_TIME = 2**32 s
+        # at v_max = 13 m/s, and an arrival rate whose last arrival is at
+        # 2.27e9 s; a step of 1e6 s keeps the state table small
+        "geometry:\n  cz_length: 55834573548.0\nsim:\n  vehicle_count: 5\n"
+        "  sample_step: 1.0e+6\n",
+        "sim:\n  arrival_rate: 1.0e-9\n  vehicle_count: 5\n  sample_step: 1.0e+6\n",
+    ],
+)
+def test_simulate_just_inside_the_time_limit_runs_clean(tmp_path, text):
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    assert len(read_csv(out / "schedule.csv")) == 6
 
 
 def test_an_exponent_with_a_dot_and_a_sign_reads_as_a_number(tmp_path):

@@ -377,6 +377,25 @@ def test_single_weighted_solve_matches_per_weight_oracle():
             )
 
 
+@pytest.mark.parametrize("tm", [0.5, 1.0e6])
+@pytest.mark.parametrize("turn", list(Turn))
+def test_derivative_keeps_the_scalar_oracles_bits(turn, tm):
+    # each order at the window's ends and 23 points inside it, one time at
+    # a time and as one array, against the scalar cubic and basis pair;
+    # the weights span both bases
+    g = IntersectionGeometry()
+    b = merge_boundary(turn, tm, tm + g.transit_time(turn), g)
+    times = np.linspace(b.tm, b.tf, 25)
+    trajectories = solve_mz_weighted_grid(b, (1e-3, 0.01, 0.05, 0.2, 0.5, 0.9, 0.99), Q1, Q2)
+    assert {traj._regime for traj in trajectories} == {"series", "layer"}
+    for traj in trajectories:
+        for order in range(4):
+            expected = oracles.derivative_by_scalar(traj, times, order)
+            assert traj.derivative(times, order).tobytes() == expected.tobytes()
+            for t, value in zip(times.tolist(), expected.tolist()):
+                assert float(traj.derivative(t, order)).hex() == value.hex()
+
+
 def test_weighted_grid_raises_at_its_first_refused_weight():
     with pytest.raises(ValueError, match="weight 0.9999 gives"):
         solve_mz_weighted_grid(LEFT, (0.1, 0.5, 0.9999, 0.99999), Q1, Q2)

@@ -12,7 +12,6 @@ from crossflow import (
     Turn,
     VehicleSpec,
     audit_queue,
-    conflict_predecessors,
     earliest_mz_arrival,
     schedule,
 )
@@ -27,7 +26,7 @@ def mv(arm: str, turn: str) -> Movement:
 
 def schedule_behind(spec, queue, g):
     """spec scheduled behind the conflict predecessors it has in queue."""
-    return schedule(spec, conflict_predecessors(spec, queue), g)
+    return schedule(spec, PredecessorTable(queue).predecessors(spec.movement), g)
 
 
 def make_schedule(vehicle_id, movement, tm, tf, vm, g, t0=None, v0=10.0):
@@ -57,7 +56,7 @@ RIGHT_WINDOW = GEOMETRY.transit_time(Turn.RIGHT)
 
 def test_predecessors_empty_queue():
     spec = VehicleSpec(1, 0.0, 10.0, mv("W", "left"))
-    preds = conflict_predecessors(spec, [])
+    preds = PredecessorTable([]).predecessors(spec.movement)
     assert preds.same_exit is None
     assert preds.same_entry is None
     assert preds.lateral is None
@@ -66,7 +65,7 @@ def test_predecessors_empty_queue():
 
 def test_predecessors_same_lane():
     queue = [schedule_behind(VehicleSpec(1, 0.0, 10.0, mv("W", "straight")), [], GEOMETRY)]
-    preds = conflict_predecessors(VehicleSpec(2, 1.0, 10.0, mv("W", "left")), queue)
+    preds = PredecessorTable(queue).predecessors(mv("W", "left"))
     assert preds.same_entry.vehicle_id == 1
     assert preds.same_exit is None
     assert preds.lateral is None
@@ -77,7 +76,7 @@ def test_predecessors_lane_and_crossing():
     queue = []
     queue.append(schedule_behind(VehicleSpec(1, 0.0, 10.0, mv("W", "straight")), queue, GEOMETRY))
     queue.append(schedule_behind(VehicleSpec(2, 1.0, 10.0, mv("N", "straight")), queue, GEOMETRY))
-    preds = conflict_predecessors(VehicleSpec(3, 2.0, 10.0, mv("W", "straight")), queue)
+    preds = PredecessorTable(queue).predecessors(mv("W", "straight"))
     assert preds.same_entry.vehicle_id == 1
     assert preds.lateral.vehicle_id == 2
     assert preds.same_exit is None
@@ -89,7 +88,7 @@ def test_predecessors_keep_latest_per_class():
     for i, arm in enumerate(("W", "W", "N", "W"), start=1):
         spec = VehicleSpec(i, float(i), 10.0, mv(arm, "straight"))
         queue.append(schedule_behind(spec, queue, GEOMETRY))
-    preds = conflict_predecessors(VehicleSpec(5, 5.0, 10.0, mv("W", "straight")), queue)
+    preds = PredecessorTable(queue).predecessors(mv("W", "straight"))
     assert preds.same_entry.vehicle_id == 4
     assert preds.lateral.vehicle_id == 3
 
@@ -115,7 +114,7 @@ def test_predecessors_match_forward_scan(movements, own):
         for i, m in enumerate(movements, start=1)
     ]
     spec = VehicleSpec(len(queue) + 1, 0.0, 10.0, own)
-    fast = conflict_predecessors(spec, queue)
+    fast = PredecessorTable(queue).predecessors(spec.movement)
     slow = oracles.conflict_predecessors_forward(spec, queue)
     assert all(a is b for a, b in zip(fast, slow))
 
@@ -153,7 +152,7 @@ def test_predecessor_table_keeps_the_latest_of_each_class_without_classifying(
     preds = table.predecessors(mv(*own))
     assert calls == []
     assert {p.vehicle_id for p in preds if p is not None} == set(range(201, len(queue) + 1))
-    assert conflict_predecessors(VehicleSpec(len(queue) + 1, 0.0, 10.0, mv(*own)), queue) == preds
+    assert PredecessorTable(queue).predecessors(mv(*own)) == preds
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +398,7 @@ def test_schedule_satisfies_ordering_guarantees():
             sched = schedule_behind(spec, queue, GEOMETRY)
             if queue:
                 assert sched.tf >= queue[-1].tf
-            preds = conflict_predecessors(spec, queue)
+            preds = PredecessorTable(queue).predecessors(spec.movement)
             if preds.same_entry is not None:
                 assert sched.tm > preds.same_entry.tm
             if preds.same_exit is not None:

@@ -337,62 +337,180 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
 
 # A state table is written one line per row, a slice of rows at a time to
 # bound their memory: trajectories.csv by (t, vehicle_id, arm, turn, zone)
-# and plan.csv by (t, zone), each then p, v, u and j.  '%.9g' formats a
-# number as _fmt does, and no field can hold a comma, quote or newline, so
-# the lines match what csv.writer makes of the _fmt strings.  Every vehicle
-# on the road at a time shares that t, an approach's jerk is constant, and a
-# vehicle keeps its key through each zone, so t, j and the key columns are
-# each formatted once per distinct value in a slice.  A slice's lines are
-# then one '%' of the line template repeated once per row, on the slice's
-# fields flattened row by row.
-_TRAJECTORY_LINE = "%s,%s,%.9g,%.9g,%.9g,%s\n"
+# and plan.csv by (t, zone), each then p, v, u and j.  Each number's text is
+# '%.9g' of it, as _fmt writes it, and no field can hold a comma, quote or
+# newline, so the lines match what csv.writer makes of the _fmt strings.  A
+# slice is built as one uint8 matrix, a row per line: each field's text in a
+# fixed-width block of columns, padded with zero bytes (no text holds one),
+# then a comma or the newline.  Dropping the zero bytes of the matrix, read
+# row by row, leaves the slice's lines.  The numbers come from _format_g9
+# and the key columns from _column_text.
 _TRAJECTORY_ROWS = 4096
 _TRAJECTORY_KEY = ("vehicle_id", "arm", "turn", "zone")
 
+# _format_g9 writes a value in a 16-byte block, with zero bytes wherever it
+# has no character: '-' at byte 0 if its sign bit is set, then its nine
+# significant digits, less trailing zeros.  Before any point or prefix, digit
+# i goes at byte 1 + i.  Written fixed when its decimal exponent E is 0 to 8,
+# the digits after the first E + 1 move up one byte for the point at E + 2;
+# written scientific (E below -4 or above 8), the digits after the first do,
+# and e, the exponent's sign and its two digits go at bytes 11-14; for E of
+# -4 to -1, "0." and -1 - E zeros go from byte 1 and every digit moves up
+# five bytes.
+_G9_E_MIN, _G9_E_MAX = -14, 30
+_G9_GUARD = 1e-6
+# 10 ** (8 - E) for E from _G9_E_MIN to _G9_E_MAX, as a multiplier for E <= 8
+# and a divisor above, the other one 1.0: every one is exact in float64
+_G9_SCALE = 8 - np.arange(_G9_E_MIN, _G9_E_MAX + 1)
+_G9_UP = 10.0 ** np.maximum(_G9_SCALE, 0)
+_G9_DOWN = 10.0 ** np.maximum(-_G9_SCALE, 0)
 
-def _format_repeated(column: np.ndarray) -> List[str]:
-    """'%.9g' of each value of a float64 column, formatted once per distinct
-    bit pattern.  Not once per distinct float: 0.0 == -0.0, so a cache keyed
-    on the float would write one zero's text for the other."""
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    texts = np.array(["%.9g" % x for x in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
+
+def _g9_groups() -> Tuple[np.ndarray, np.ndarray]:
+    """The ASCII of every 4-digit group as a little-endian word, and its
+    trailing zeros, each indexed by the group's value."""
+    thousands, hundreds, tens, ones = np.ix_(*[np.arange(10, dtype=np.uint64)] * 4)
+    ascii = (48 + thousands) | (48 + hundreds) << 8 | (48 + tens) << 16 | (48 + ones) << 24
+    zeros = (ones == 0) * (1 + (tens == 0) * (1 + (hundreds == 0) * (1 + (thousands == 0))))
+    return ascii.ravel(), zeros.ravel()
 
 
-def _format_keys(rows: np.ndarray, key: Sequence[str]) -> List[str]:
-    """The key columns of each row joined by commas, formatted once per
-    distinct combination.  The combinations are the rows of each key
-    column's bytes as 32-bit words, grouped by one lexsort."""
-    words = np.column_stack([
-        rows[name].view((np.uint32, (rows.dtype[name].itemsize // 4,))) for name in key
-    ])
-    order = np.lexsort(words.T)
-    ranked = words[order]
-    # whether each row in sorted order starts a new combination
-    first = np.ones(len(rows), bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), np.intp)
-    inverse[order] = first.cumsum() - 1
-    combinations = rows[order[first]][list(key)].tolist()
-    texts = np.array([",".join(map(str, values)) for values in combinations], dtype=object)
-    return texts[inverse].tolist()
+_G9_GROUP, _G9_GROUP_ZEROS = _g9_groups()
+
+
+def _g9_layouts() -> np.ndarray:
+    """Rows of the layout of each code ((E - _G9_E_MIN) * 9 + trailing zeros)
+    * 2 + sign bit, E up to _G9_E_MAX + 1 (a mantissa that rounds up to 1e9
+    carries): the masks of the digit bytes that stay and of those that move,
+    each as two little-endian words of the block, the two words of the
+    characters that are not digits, and the bits the moving digits move by."""
+    codes = np.arange((_G9_E_MAX + 2 - _G9_E_MIN) * 18)
+    e = (codes // 18 + _G9_E_MIN)[:, None]
+    digits = 9 - codes[:, None] // 2 % 9
+    byte = np.arange(16)
+    fraction = (e >= -4) & (e < 0)
+    # the last digit before the point, at byte point + 1, and the digits written
+    point = np.where((e >= 0) & (e <= 8), e, 0)
+    written = np.where(e >= 0, np.maximum(digits, point + 1), digits)
+    # the digits at bytes 1 to last stay, and those after it up to written move
+    last = np.where(fraction, 0, point + 1)
+    stay = (byte >= 1) & (byte <= last)
+    move = (byte > last) & (byte <= written)
+    text = np.zeros((len(codes), 16), np.uint8)
+    text[(codes[:, None] % 2 == 1) & (byte == 0)] = ord("-")
+    text[~fraction & (written > point + 1) & (byte == point + 2)] = ord(".")
+    text[fraction & (byte >= 1) & (byte <= 1 - e)] = ord("0")
+    text[fraction & (byte == 2)] = ord(".")
+    scientific = ((e < -4) | (e > 8)) & (byte >= 11) & (byte <= 14)
+    exponent = np.column_stack([np.full(len(e), ord("e")), np.where(e < 0, ord("-"), ord("+")),
+                                48 + abs(e) // 10, 48 + abs(e) % 10])
+    text[scientific] = exponent[scientific.any(axis=1)].ravel()
+    blocks = np.concatenate([stay * np.uint8(255), move * np.uint8(255), text], axis=1)
+    shift = np.where(fraction[:, 0], 40, 8).astype(np.uint64)
+    return np.vstack([blocks.view("<u8").T.astype(np.uint64), shift])
+
+
+_G9_LAYOUTS = _g9_layouts()
+
+
+def _g9_round(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each value's nine significant digits as an integer below 1e9, its
+    layout code, and the indices of the values that are not rounded here.
+
+    A finite v with E = floor(log10 |v|) from -14 to 30 is scaled to
+    s = |v| * 10 ** (8 - E) by one multiply or divide by an exact power of
+    ten, correctly rounded, so s is within 2**-53 * s < 1.2e-7 of the exact
+    product.  Where 1e8 <= s < 1e9 and s is more than _G9_GUARD from a
+    half-integer, no half-integer lies between s and the exact product, so
+    rint(s) is the exact product rounded to nine digits as '%.9g' rounds it
+    (an exact tie falls in the guard band).  A rint of 1e9 is 1e8 with
+    E + 1.  Zero is the digits 000000000 at E = 0; every other value (nan,
+    the infinities, an E outside the range, a log10 off by one, the guard
+    band) is left to the caller."""
+    magnitude = np.abs(values)
+    with np.errstate(all="ignore"):
+        scaled = np.floor(np.log10(magnitude))
+        inside = (scaled >= _G9_E_MIN) & (scaled <= _G9_E_MAX)
+        row = np.where(inside, scaled - _G9_E_MIN, 0).astype(np.intp)
+        np.multiply(magnitude, _G9_UP[row], out=scaled)
+        scaled /= _G9_DOWN[row]
+        mantissa = np.rint(scaled)
+        inside &= (scaled >= 1e8) & (scaled < 1e9) & (np.abs(scaled - mantissa) < 0.5 - _G9_GUARD)
+    carry = mantissa == 1e9
+    row += carry
+    mantissa[carry | ~inside] = 1e8
+    zero = magnitude == 0.0
+    mantissa[zero] = 0.0
+    row[zero] = -_G9_E_MIN
+    mantissa = mantissa.astype(np.int64)
+    low = mantissa % 10000
+    zeros = np.where(low == 0, 4 + _G9_GROUP_ZEROS[mantissa // 10000 % 10000],
+                     _G9_GROUP_ZEROS[low])
+    code = (row * 9 + zeros) * 2 + np.signbit(values)
+    return mantissa, code, np.flatnonzero(~inside & ~zero)
+
+
+def _format_g9(values: np.ndarray) -> np.ndarray:
+    """'%.9g' of each value of a float64 array, as a (len, 16) uint8 matrix
+    whose row i, without its zero bytes, is "%.9g" % values[i]: by
+    _g9_round's digits and layout, or through _fmt one at a time for the
+    values it leaves."""
+    mantissa, code, rest = _g9_round(values)
+    # the digits at bytes 1-9 of the block, digit i at byte 1 + i: the lead
+    # digit, then two 4-digit groups
+    low = _G9_GROUP[mantissa % 10000]
+    digits_low = ((mantissa // 10**8).astype(np.uint64) + 48) << 8 | low << 48
+    digits_low |= _G9_GROUP[mantissa // 10000 % 10000] << 16
+    digits_high = low >> 16
+    stay_low, stay_high, move_low, move_high, text_low, text_high, shift = _G9_LAYOUTS
+    moved, shift = digits_low & move_low[code], shift[code]
+    words = np.empty((len(values), 2), "<u8")
+    words[:, 1] = ((digits_high & move_high[code]) << shift | moved >> 64 - shift
+                   | digits_high & stay_high[code] | text_high[code])
+    words[:, 0] = moved << shift | digits_low & stay_low[code] | text_low[code]
+    text = words.view(np.uint8)
+    text[rest] = np.array([_fmt(v) for v in values[rest].tolist()], "S16").view(
+        np.uint8).reshape(len(rest), 16)
+    return text
+
+
+def _column_text(column: np.ndarray) -> np.ndarray:
+    """The text of each value of an integer or string column, as a uint8
+    matrix padded with zero bytes: an integer formatted once per distinct
+    value, a string as its code points, which must be ASCII (a state
+    table's labels are)."""
+    if column.dtype.kind == "U":
+        codes = column.view((np.uint32, (column.dtype.itemsize // 4,)))
+        if codes.max(initial=0) > 127:
+            raise ValueError(f"a state table label is not ASCII: {column!r}")
+        return codes.astype(np.uint8)
+    values, inverse = np.unique(column, return_inverse=True)
+    texts = np.array([str(value) for value in values.tolist()], "S")
+    return texts.view(np.uint8).reshape(len(texts), -1)[inverse]
 
 
 def _write_states(path: str, table: np.ndarray, key: Sequence[str]) -> None:
     """table, a SAMPLE_DTYPE array, as CSV lines of t, the key columns (the
     vehicle_id column headed id), p, v, u and j."""
     header = ",".join(("t", *key, "p", "v", "u", "j")).replace("vehicle_id", "id")
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for start in range(0, len(table), _TRAJECTORY_ROWS):
             rows = table[start:start + _TRAJECTORY_ROWS]
-            fields: List[Any] = [None] * (6 * len(rows))
-            fields[0::6] = _format_repeated(rows["t"])
-            fields[1::6] = _format_keys(rows, key)
-            for offset, name in enumerate(("p", "v", "u"), start=2):
-                fields[offset::6] = rows[name].tolist()
-            fields[5::6] = _format_repeated(rows["j"])
-            fh.write(_TRAJECTORY_LINE * len(rows) % tuple(fields))
+            numbers = _format_g9(
+                np.column_stack([rows[name] for name in ("t", "p", "v", "u", "j")]).ravel()
+            ).reshape(len(rows), 5, 16)
+            fields = [numbers[:, 0], *(_column_text(rows[name]) for name in key),
+                      *numbers[:, 1:].transpose(1, 0, 2)]
+            # each field, then its separator
+            ends = np.cumsum([field.shape[1] + 1 for field in fields])
+            buffer = bytearray(len(rows) * int(ends[-1]))
+            lines = np.frombuffer(buffer, np.uint8).reshape(len(rows), -1)
+            for field, end in zip(fields, ends.tolist()):
+                lines[:, end - 1 - field.shape[1]:end - 1] = field
+                lines[:, end - 1] = ord(",")
+            lines[:, -1] = ord("\n")
+            fh.write(buffer.translate(None, b"\0"))
 
 
 def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optional[int]) -> int:

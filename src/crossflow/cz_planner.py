@@ -37,8 +37,11 @@ _GAUSS = tuple(np.polynomial.legendre.leggauss(n) for n in range(1, 7))
 
 
 def _horner(coeffs: Sequence[float], tau):
-    """sum of coeffs[i] * tau^k / k!, k = len(coeffs) - 1 - i, by Horner."""
+    """sum of coeffs[i] * tau^k / k!, k = len(coeffs) - 1 - i, by Horner:
+    zero for no coefficients."""
     degree = len(coeffs) - 1
+    if degree < 0:
+        return np.zeros_like(tau)
     if degree == 0:
         return np.full_like(tau, coeffs[0])
     top = _FACTORIAL[degree]
@@ -72,9 +75,10 @@ class PolyTrajectory:
         return self.t1 - self.t0
 
     def derivative(self, t, order: int):
-        """The order-th derivative of position at t, a scalar or an array."""
+        """The order-th derivative of position at t, a scalar or an array:
+        zero for an order above the degree."""
         tau = np.asarray(t, dtype=float) - self.t0
-        return _horner(self.coefficients[: len(self.coefficients) - order], tau)
+        return _horner(self.coefficients[: max(len(self.coefficients) - order, 0)], tau)
 
     def position(self, t):
         return self.derivative(t, 0)
@@ -91,8 +95,11 @@ class PolyTrajectory:
     def half_square_integral(self, order: int) -> float:
         """Half the integral of the order-th derivative squared over the
         window, exact: a derivative of degree k is squared to degree 2k,
-        which the (k+1)-node Gauss-Legendre rule integrates exactly."""
-        coeffs = self.coefficients[: len(self.coefficients) - order]
+        which the (k+1)-node Gauss-Legendre rule integrates exactly.  Zero
+        for an order above the degree."""
+        coeffs = self.coefficients[: max(len(self.coefficients) - order, 0)]
+        if not coeffs:
+            return 0.0
         nodes, weights = _GAUSS[len(coeffs) - 1]
         half = 0.5 * self.duration
         values = _horner(coeffs, half * (1.0 + nodes))

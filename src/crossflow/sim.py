@@ -646,7 +646,7 @@ def evaluate_crossing(
             owners = owner[index]
             columns = coefficients[:, owners]
             tau = t[index] - t0[owners]
-            values = [_horner(columns[:kind - d], tau) for d in range(4)]
+            values = [_horner(columns[:max(kind - d, 0)], tau) for d in range(4)]
         for field, value in zip(fields, values):
             field[index] = value
 

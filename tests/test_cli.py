@@ -27,6 +27,7 @@ from crossflow import (
     solve_mz_jerk,
 )
 from crossflow.sim import SAMPLE_DTYPE, merge_boundary
+from crossflow.sim import run as sim_run
 
 S_LEFT = 3.0 * math.pi * 30.0 / 8.0
 
@@ -180,6 +181,64 @@ def test_trajectory_csv_matches_csv_writer_on_drawn_tables(tmp_path_factory, row
         cli._write_states(str(path), table, cli._TRAJECTORY_KEY)
     expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(table))
     assert path.read_bytes() == expected.encode()
+
+
+def g9_texts(values):
+    """The bulk formatter's text of each value, its zero bytes dropped."""
+    blocks = cli._format_g9(np.asarray(values, dtype=np.float64))
+    lines = np.concatenate([blocks, np.full((len(blocks), 1), ord("\n"), np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
+# a fixed count of drawn arrays, every float64 a draw can give
+@settings(max_examples=60, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(values=st.lists(st.floats(width=64), min_size=1, max_size=64))
+def test_bulk_format_is_percent_g9_on_drawn_floats(values):
+    assert g9_texts(values) == ["%.9g" % x for x in values]
+
+
+def _with_neighbours(x):
+    return [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+
+
+_G9_EDGES = [
+    # each power of ten from 1e-20 to 1e35 and the floats either side of it
+    *(y for k in range(-20, 36) for y in _with_neighbours(10.0 ** k)),
+    # exact ties at the tenth significant digit, which round half to even
+    123456789.5, 123456788.5, 1234567895.0, 1234567885.0, 0.0003662109375, 12.0556640625,
+    # where '%.9g' switches between fixed and scientific, and rounds into the switch
+    0.0001, 9.99999999e-05, 9.999999995e-05, 999999999.0, 999999999.5, 999999999.4, 1e9,
+    # both ends of the bulk exponent range, -14 and 30, and past them
+    *_with_neighbours(1e-14), 9.99999999e-15, *_with_neighbours(1e31), 9.999999994e30,
+    9.999999996e30, 1e30, 123456789e22,
+    # trailing zeros cut, and an integer part of nine digits
+    0.5, 1.25, 100.0, 120000000.0, 123456789.0, 1.0000001, 0.000100000001,
+    0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, math.nan,
+]
+
+
+def test_bulk_format_is_percent_g9_on_edge_values():
+    values = _G9_EDGES + [-x for x in _G9_EDGES]
+    assert g9_texts(values) == ["%.9g" % x for x in values]
+
+
+def test_bulk_format_rarely_falls_back(monkeypatch):
+    # a guard that sent every value to the per-value fallback would stay
+    # exact but lose the bulk path's speed
+    table = sim_run(SimConfig(arrival_rate=0.25, vehicle_count=120, seed=2200)).samples
+    values = np.concatenate([table["p"], table["v"], table["u"]])
+    fallbacks = []
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda x: fallbacks.append(x) or fmt(x))
+    assert g9_texts(values) == ["%.9g" % x for x in values.tolist()]
+    assert len(fallbacks) < 0.01 * len(values)
+
+
+def test_state_table_labels_must_be_ascii(tmp_path):
+    table = np.array([(0.0, 1, "N", "left", "cz", 0.0, 1.0, 0.0, 0.0),
+                      (0.1, 1, "N", "l\u00e9ft", "cz", 0.1, 1.0, 0.0, 0.0)], dtype=SAMPLE_DTYPE)
+    with pytest.raises(ValueError, match="not ASCII"):
+        cli._write_states(str(tmp_path / "trajectories.csv"), table, cli._TRAJECTORY_KEY)
 
 
 def test_trajectory_csv_matches_csv_writer_with_integer_geometry(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from crossflow import (
     solve_mz_jerk,
 )
 from crossflow.cz_planner import gap_to, hermite, too_close
+from crossflow.sim import SAMPLE_DTYPE, evaluate_crossing
 
 
 def test_cruise_boundary_gives_constant_speed():
@@ -81,6 +82,27 @@ def test_derivative_chain_consistency():
         dv = (traj.speed(t + h) - traj.speed(t - h)) / (2 * h)
         assert abs(dp - traj.speed(t)) < 1e-6 * max(1.0, abs(traj.speed(t)))
         assert abs(dv - traj.control(t)) < 1e-6 * max(1.0, abs(traj.control(t)))
+
+
+def test_derivatives_above_the_degree_are_zero():
+    # a degree-1 piece, p = 5 + 2 * (t - 1): its control and jerk are zero,
+    # as are their half-square integrals, and the batched sampler agrees
+    line = PolyTrajectory(1.0, 3.0, (2.0, 5.0))
+    t = np.array([1.0, 2.0, 3.0])
+    assert line.position(t).tolist() == [5.0, 7.0, 9.0]
+    assert line.speed(2.0) == 2.0
+    for order in (2, 3, 4):
+        assert line.derivative(2.0, order) == 0.0
+        assert line.derivative(t, order).tolist() == [0.0, 0.0, 0.0]
+    assert line.half_square_integral(1) == 4.0
+    assert line.half_square_integral(2) == 0.0
+    assert line.half_square_integral(3) == 0.0
+    rows = np.zeros(len(t), SAMPLE_DTYPE)
+    evaluate_crossing([(line,)], np.zeros(len(t), np.intp), t, rows)
+    assert rows["p"].tolist() == [5.0, 7.0, 9.0]
+    assert rows["v"].tolist() == [2.0, 2.0, 2.0]
+    assert rows["u"].tolist() == [0.0, 0.0, 0.0]
+    assert rows["j"].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_linearity_in_boundary_data():

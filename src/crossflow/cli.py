@@ -427,25 +427,27 @@ def _g9_round(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     E + 1.  Zero is the digits 000000000 at E = 0; every other value (nan,
     the infinities, an E outside the range, a log10 off by one, the guard
     band) is left to the caller."""
-    magnitude = np.abs(values)
+    scaled = np.abs(values)
+    zero = scaled == 0.0
     with np.errstate(all="ignore"):
-        scaled = np.floor(np.log10(magnitude))
-        inside = (scaled >= _G9_E_MIN) & (scaled <= _G9_E_MAX)
-        row = np.where(inside, scaled - _G9_E_MIN, 0).astype(np.intp)
-        np.multiply(magnitude, _G9_UP[row], out=scaled)
+        row = np.log10(scaled)
+        np.floor(row, out=row)
+        inside = (row >= _G9_E_MIN) & (row <= _G9_E_MAX)
+        row = np.where(inside, row, 0.0).astype(np.intp) - _G9_E_MIN
+        scaled *= _G9_UP[row]
         scaled /= _G9_DOWN[row]
         mantissa = np.rint(scaled)
-        inside &= (scaled >= 1e8) & (scaled < 1e9) & (np.abs(scaled - mantissa) < 0.5 - _G9_GUARD)
+        inside &= (scaled >= 1e8) & (scaled < 1e9)
+        scaled -= mantissa
+        inside &= np.abs(scaled, out=scaled) < 0.5 - _G9_GUARD
     carry = mantissa == 1e9
     row += carry
     mantissa[carry | ~inside] = 1e8
-    zero = magnitude == 0.0
     mantissa[zero] = 0.0
-    row[zero] = -_G9_E_MIN
     mantissa = mantissa.astype(np.int64)
     low = mantissa % 10000
-    zeros = np.where(low == 0, 4 + _G9_GROUP_ZEROS[mantissa // 10000 % 10000],
-                     _G9_GROUP_ZEROS[low])
+    zeros = _G9_GROUP_ZEROS[low]
+    zeros += (low == 0) * _G9_GROUP_ZEROS[mantissa // 10000 % 10000]
     code = (row * 9 + zeros) * 2 + np.signbit(values)
     return mantissa, code, np.flatnonzero(~inside & ~zero)
 
@@ -458,10 +460,13 @@ def _format_g9(values: np.ndarray) -> np.ndarray:
     mantissa, code, rest = _g9_round(values)
     # the digits at bytes 1-9 of the block, digit i at byte 1 + i: the lead
     # digit, then two 4-digit groups
-    low = _G9_GROUP[mantissa % 10000]
-    digits_low = ((mantissa // 10**8).astype(np.uint64) + 48) << 8 | low << 48
-    digits_low |= _G9_GROUP[mantissa // 10000 % 10000] << 16
-    digits_high = low >> 16
+    digits_low = _G9_GROUP[mantissa % 10000]
+    digits_high = digits_low >> 16
+    digits_low <<= 48
+    mantissa //= 10000
+    digits_low |= _G9_GROUP[mantissa % 10000] << 16
+    mantissa //= 10000
+    digits_low |= (mantissa.astype(np.uint64) + 48) << 8
     stay_low, stay_high, move_low, move_high, text_low, text_high, shift = _G9_LAYOUTS
     moved, shift = digits_low & move_low[code], shift[code]
     words = np.empty((len(values), 2), "<u8")
@@ -489,6 +494,25 @@ def _column_text(column: np.ndarray) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(texts), -1)[inverse]
 
 
+def _state_lines(rows: np.ndarray, key: Sequence[str]) -> bytearray:
+    """The CSV lines of rows, a slice of a SAMPLE_DTYPE array: t, the key
+    columns, p, v, u and j."""
+    numbers = _format_g9(
+        np.column_stack([rows[name] for name in ("t", "p", "v", "u", "j")]).ravel()
+    ).reshape(len(rows), 5, 16)
+    fields = [numbers[:, 0], *(_column_text(rows[name]) for name in key),
+              *numbers[:, 1:].transpose(1, 0, 2)]
+    # each field, then its separator
+    ends = np.cumsum([field.shape[1] + 1 for field in fields])
+    buffer = bytearray(len(rows) * int(ends[-1]))
+    lines = np.frombuffer(buffer, np.uint8).reshape(len(rows), -1)
+    for field, end in zip(fields, ends.tolist()):
+        lines[:, end - 1 - field.shape[1]:end - 1] = field
+        lines[:, end - 1] = ord(",")
+    lines[:, -1] = ord("\n")
+    return buffer.translate(None, b"\0")
+
+
 def _write_states(path: str, table: np.ndarray, key: Sequence[str]) -> None:
     """table, a SAMPLE_DTYPE array, as CSV lines of t, the key columns (the
     vehicle_id column headed id), p, v, u and j."""
@@ -496,21 +520,7 @@ def _write_states(path: str, table: np.ndarray, key: Sequence[str]) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, len(table), _TRAJECTORY_ROWS):
-            rows = table[start:start + _TRAJECTORY_ROWS]
-            numbers = _format_g9(
-                np.column_stack([rows[name] for name in ("t", "p", "v", "u", "j")]).ravel()
-            ).reshape(len(rows), 5, 16)
-            fields = [numbers[:, 0], *(_column_text(rows[name]) for name in key),
-                      *numbers[:, 1:].transpose(1, 0, 2)]
-            # each field, then its separator
-            ends = np.cumsum([field.shape[1] + 1 for field in fields])
-            buffer = bytearray(len(rows) * int(ends[-1]))
-            lines = np.frombuffer(buffer, np.uint8).reshape(len(rows), -1)
-            for field, end in zip(fields, ends.tolist()):
-                lines[:, end - 1 - field.shape[1]:end - 1] = field
-                lines[:, end - 1] = ord(",")
-            lines[:, -1] = ord("\n")
-            fh.write(buffer.translate(None, b"\0"))
+            fh.write(_state_lines(table[start:start + _TRAJECTORY_ROWS], key))
 
 
 def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optional[int]) -> int:

@@ -18,6 +18,7 @@ from crossflow.geometry import (
     Turn,
     classify,
 )
+from crossflow.audit import AuditFinding, AuditReport, audit_run
 from crossflow.scheduler import (
     Schedule,
     VehicleSpec,
@@ -46,13 +47,10 @@ from crossflow.mz_planner import (
 )
 from crossflow.pareto import ParetoPoint, ParetoRun, default_grid, frontier, sweep
 from crossflow.sim import (
-    AuditFinding,
-    AuditReport,
     GateStats,
     SimConfig,
     SimRun,
     VehicleRecord,
-    audit_run,
     generate_arrivals,
     plan_crossing,
     run,

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+from crossflow.audit import AuditFinding
 from crossflow.geometry import (
     ALL_MOVEMENTS,
     IntersectionGeometry,
@@ -193,74 +194,40 @@ def schedule(spec: VehicleSpec, preds: ConflictPredecessors, g: IntersectionGeom
     )
 
 
-@dataclass(frozen=True)
-class QueueFinding:
-    """One violated ordering condition between two scheduled vehicles."""
-
-    kind: str
-    vehicle_id: int
-    other_id: int
-    detail: str
-
-
-def audit_queue(q: Sequence[Schedule]) -> List[QueueFinding]:
+def audit_queue(q: Sequence[Schedule]) -> List[AuditFinding]:
     """Re-check every pairwise ordering condition over a finished queue.
 
     Exit order must be strict between vehicles sharing an exit lane, entry
     order strict between vehicles sharing an entry lane, merge-zone
     occupancy intervals of laterally crossing vehicles must not overlap
     (touching endpoints are fine), and exit times must be non-decreasing
-    along the queue.  Returns every violation found; an empty list is the
-    expected outcome for queues built by schedule().
+    along the queue.  Returns every violation found, as the AuditFinding
+    kinds queue_order, exit_order, entry_order and lateral_overlap; an
+    empty list is the expected outcome for queues built by schedule().
     """
-    findings: List[QueueFinding] = []
+    findings: List[AuditFinding] = []
     for idx in range(1, len(q)):
-        if q[idx].tf < q[idx - 1].tf:
-            findings.append(
-                QueueFinding(
-                    kind="queue_order",
-                    vehicle_id=q[idx].vehicle_id,
-                    other_id=q[idx - 1].vehicle_id,
-                    detail=f"tf decreased: {q[idx].tf} < {q[idx - 1].tf}",
-                )
-            )
+        later, earlier = q[idx], q[idx - 1]
+        if later.tf < earlier.tf:
+            findings.append(AuditFinding("queue_order", later.vehicle_id, earlier.vehicle_id,
+                                         later.tf, later.tf - earlier.tf, 0.0))
     for later_idx in range(len(q)):
         later = q[later_idx]
         for earlier_idx in range(later_idx):
             earlier = q[earlier_idx]
             cls = classify(earlier.movement, later.movement)
             if cls is ConflictClass.SAME_EXIT and not later.tf > earlier.tf:
-                findings.append(
-                    QueueFinding(
-                        kind="exit_order",
-                        vehicle_id=later.vehicle_id,
-                        other_id=earlier.vehicle_id,
-                        detail=f"tf {later.tf} not strictly after {earlier.tf}",
-                    )
-                )
+                findings.append(AuditFinding("exit_order", later.vehicle_id, earlier.vehicle_id,
+                                             later.tf, later.tf - earlier.tf, 0.0))
             elif cls is ConflictClass.SAME_ENTRY and not later.tm > earlier.tm:
-                findings.append(
-                    QueueFinding(
-                        kind="entry_order",
-                        vehicle_id=later.vehicle_id,
-                        other_id=earlier.vehicle_id,
-                        detail=f"tm {later.tm} not strictly after {earlier.tm}",
-                    )
-                )
+                findings.append(AuditFinding("entry_order", later.vehicle_id, earlier.vehicle_id,
+                                             later.tm, later.tm - earlier.tm, 0.0))
             elif cls is ConflictClass.LATERAL:
                 # tm is recovered as tf - transit, so back-to-back windows can
                 # overlap by one ulp; only flag overlap beyond float noise
-                overlap = min(later.tf, earlier.tf) - max(later.tm, earlier.tm)
+                start = max(later.tm, earlier.tm)
+                overlap = min(later.tf, earlier.tf) - start
                 if overlap > 1e-9:
-                    findings.append(
-                        QueueFinding(
-                            kind="lateral_overlap",
-                            vehicle_id=later.vehicle_id,
-                            other_id=earlier.vehicle_id,
-                            detail=(
-                                f"merge windows [{later.tm}, {later.tf}] and "
-                                f"[{earlier.tm}, {earlier.tf}] overlap"
-                            ),
-                        )
-                    )
+                    findings.append(AuditFinding("lateral_overlap", later.vehicle_id,
+                                                 earlier.vehicle_id, start, overlap, 0.0))
     return findings

@@ -30,11 +30,7 @@ are evaluated together, each weighted merge piece on its own.
 
 A run keeps only decisions: its config, its records and the gate's
 work.  Everything derived from them is computed on first read and then
-kept.  SimRun.audit re-derives the safety story from the trajectory
-records alone, exactly on their closed forms, and reports every
-violation it finds: a single pass that checks each vehicle against its
-lane leader, sweeps the merge-zone windows in order of start, and pairs
-vehicles only within an exit arm and a headway of each other's exit.
+kept.  SimRun.audit is audit.audit_run's report on the run.
 SimRun.binding_histogram counts the binding cases.  SimRun.samples, the
 sampled state table, only displays the decisions, as one structured
 array of the paths' values in (t, vehicle_id) order: one sort of the
@@ -44,7 +40,6 @@ at most MAX_SAMPLE_ROWS rows, and filled column by column in that order.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import numbers
@@ -55,6 +50,7 @@ from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
+from crossflow.audit import AuditReport, audit_run
 from crossflow.cz_planner import (
     PolyTrajectory,
     _horner,
@@ -65,11 +61,9 @@ from crossflow.cz_planner import (
 )
 from crossflow.geometry import (
     Arm,
-    ConflictClass,
     IntersectionGeometry,
     Movement,
     Turn,
-    classify,
     require_finite,
 )
 from crossflow.mz_planner import (
@@ -132,10 +126,6 @@ MAX_SAMPLE_ROWS = 2**25
 
 # a key above every admission key (entry, arrival time, arrival id)
 _NO_KEY = (math.inf,)
-
-# merge-zone windows may share, and exit headways fall short by, this much
-_AUDIT_TIME_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -262,41 +252,6 @@ class VehicleRecord:
     cz: PolyTrajectory
     mz: Union[PolyTrajectory, MzTrajectory]
     out: PolyTrajectory
-
-
-@dataclass(frozen=True)
-class AuditFinding:
-    """One safety violation between two vehicles.
-
-    Per kind:
-
-    - cz_gap: vehicle_id follows other_id on its entry arm; time is when
-      their control-zone gap is smallest, value that gap, bound the
-      minimum safe distance.
-    - mz_overlap: vehicle_id is the higher id of a crossing-path pair;
-      time is when their merge-zone windows start to overlap, value the
-      length of the overlap, bound 0.
-    - exit_spacing: vehicle_id leaves into other_id's exit lane too soon;
-      time is its merge-zone exit, value the headway behind other_id's
-      exit, bound the headway the safe distance needs at other_id's exit
-      speed.
-    """
-
-    kind: str                  # "cz_gap" | "mz_overlap" | "exit_spacing"
-    vehicle_id: int
-    other_id: int
-    time: float
-    value: float
-    bound: float
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    findings: Tuple[AuditFinding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
 
 
 @dataclass
@@ -697,99 +652,3 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarr
         table[name] = np.array(labels, SAMPLE_DTYPE[name])[owner]
     evaluate_crossing([(rec.cz, rec.mz, rec.out) for rec in records], owner, t, table)
     return table
-
-
-def audit_run(run_result: SimRun) -> AuditReport:
-    """Safety findings of a finished run, from its trajectory records alone.
-
-    Neither the sampled state table nor the scheduler's candidate
-    bookkeeping plays any part.  Records may come in any order: lane
-    order is entry order, which the vehicle ids follow.  Every check is
-    exact on the closed forms:
-
-    - cz_gap: each vehicle against the vehicle ahead of it on its entry
-      arm, at the exact minimum of their gap over the window where both
-      are inside the control zone, by the entry gate's rule (gap_to and
-      too_close);
-    - mz_overlap: merge-zone windows [mz.t0, mz.t1] swept in order of
-      start, flagging crossing-path pairs that share more than
-      _AUDIT_TIME_TOL;
-    - exit_spacing: vehicles leaving into the same exit arm from
-      different entry arms, compared at their merge-zone exit times; each
-      vehicle is compared only with the earlier vehicles of its exit arm
-      that leave less than the largest headway before it, or after it.
-
-    The spacing is the run's own geometry's min_safe_distance.  To audit
-    the same records against another spacing, audit a copy of the run
-    whose config carries a geometry with that min_safe_distance.
-    """
-    delta = run_result.config.geometry.min_safe_distance
-    ordered = sorted(run_result.vehicles, key=lambda rec: rec.spec.vehicle_id)
-    findings: List[AuditFinding] = []
-
-    ahead_on_arm: Dict[Arm, VehicleRecord] = {}
-    for rec in ordered:
-        arm = rec.spec.movement.entry_arm
-        leader = ahead_on_arm.get(arm)
-        ahead_on_arm[arm] = rec
-        if leader is None:
-            continue
-        found = gap_to(leader.cz)(rec.cz.coefficients, rec.cz.t0, rec.cz.t1)
-        if found is not None and too_close(found[0], delta):
-            gap, time = found
-            findings.append(AuditFinding(
-                "cz_gap", rec.spec.vehicle_id, leader.spec.vehicle_id, time, gap, delta
-            ))
-
-    # a window that ends within _AUDIT_TIME_TOL of a start overlaps no window
-    # starting later by more than _AUDIT_TIME_TOL, so it leaves the sweep
-    inside: List[VehicleRecord] = []
-    for rec in sorted(ordered, key=lambda rec: rec.mz.t0):
-        start = rec.mz.t0
-        inside = [other for other in inside if other.mz.t1 - start > _AUDIT_TIME_TOL]
-        for other in inside:
-            overlap = min(other.mz.t1, rec.mz.t1) - start
-            if overlap > _AUDIT_TIME_TOL and (
-                classify(other.spec.movement, rec.spec.movement) is ConflictClass.LATERAL
-            ):
-                low, high = sorted((other.spec.vehicle_id, rec.spec.vehicle_id))
-                findings.append(AuditFinding("mz_overlap", high, low, start, overlap, 0.0))
-        inside.append(rec)
-
-    # Exit spacing: vehicles leaving into the same lane must be at least
-    # the safety distance apart, at the leader's exit speed, when they
-    # cross the merge-zone end.  Two movements are in the same-exit class
-    # exactly when they share the exit arm but not the entry arm, so only
-    # each exit arm's earlier vehicles need checking, and of those only the
-    # ones leaving less than the largest headway before the later vehicle,
-    # or after it.  Each exit arm keeps its earlier vehicles in order of
-    # merge-zone exit, so that window is one slice; the slice reaches
-    # _AUDIT_TIME_TOL further back than any finding can.
-    headway = max((delta / rec.schedule.vf for rec in ordered), default=0.0)
-    by_exit: Dict[Arm, Tuple[List[float], List[VehicleRecord]]] = {}
-    for later in ordered:
-        movement = later.spec.movement
-        exit_times, exiting = by_exit.setdefault(movement.exit_arm, ([], []))
-        actual = later.mz.t1
-        first = bisect.bisect_left(exit_times, actual - headway - _AUDIT_TIME_TOL)
-        for earlier in exiting[first:]:
-            if earlier.spec.movement.entry_arm is movement.entry_arm:
-                continue
-            required = earlier.mz.t1 + delta / earlier.schedule.vf
-            if actual < required - _AUDIT_TIME_TOL:
-                findings.append(
-                    AuditFinding(
-                        "exit_spacing",
-                        later.spec.vehicle_id,
-                        earlier.spec.vehicle_id,
-                        actual,
-                        actual - earlier.mz.t1,
-                        delta / earlier.schedule.vf,
-                    )
-                )
-        at = bisect.bisect_right(exit_times, actual)
-        exit_times.insert(at, actual)
-        exiting.insert(at, later)
-
-    findings.sort(key=lambda f: (f.time, f.kind, f.vehicle_id, f.other_id))
-    return AuditReport(findings=tuple(findings))

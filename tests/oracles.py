@@ -38,6 +38,7 @@ from crossflow.mz_planner import (
     _canonical_weighted_coefficients,
     weighted_rate,
 )
+from crossflow.audit import AuditFinding, AuditReport
 from crossflow.scheduler import ConflictPredecessors, schedule
 from crossflow.sim import (
     _GATE_RESOLUTION,
@@ -45,8 +46,6 @@ from crossflow.sim import (
     ZONE_CZ,
     ZONE_MZ,
     ZONE_OUT,
-    AuditFinding,
-    AuditReport,
     generate_arrivals,
 )
 

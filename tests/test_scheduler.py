@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from crossflow import (
     Arm,
+    AuditFinding,
     IntersectionGeometry,
     Movement,
     Turn,
@@ -329,21 +330,34 @@ def test_audit_flags_crossing_overlap():
     findings = audit_queue([first, second])
     assert len(findings) == 1
     assert findings[0].kind == "lateral_overlap"
+    # the later vehicle against the earlier, at the overlap's start and length
+    assert findings[0] == AuditFinding("lateral_overlap", 2, 1, 52.0, 1.0, 0.0)
 
 
 def test_audit_entry_order_is_strict():
     first = make_schedule(1, mv("W", "straight"), 50.0, 53.0, 10.0, GEOMETRY)
     # equal merge-entry times on the same lane violate the strict ordering
     second = make_schedule(2, mv("W", "left"), 50.0, 50.0 + LEFT_WINDOW, 8.0, GEOMETRY)
-    kinds = {f.kind for f in audit_queue([first, second])}
+    findings = audit_queue([first, second])
+    kinds = {f.kind for f in findings}
     assert "entry_order" in kinds
+    assert AuditFinding("entry_order", 2, 1, 50.0, 0.0, 0.0) in findings
 
 
 def test_audit_exit_order_is_strict():
     first = make_schedule(1, mv("W", "straight"), 50.0, 53.0, 10.0, GEOMETRY)
     second = make_schedule(2, mv("S", "right"), 53.0 - RIGHT_WINDOW, 53.0, 6.0, GEOMETRY)
-    kinds = {f.kind for f in audit_queue([first, second])}
+    findings = audit_queue([first, second])
+    kinds = {f.kind for f in findings}
     assert "exit_order" in kinds
+    assert AuditFinding("exit_order", 2, 1, 53.0, 0.0, 0.0) in findings
+
+
+def test_audit_flags_a_decreasing_exit_time_along_the_queue():
+    # no conflict between the two, so queue order is the only rule broken
+    first = make_schedule(1, mv("E", "right"), 100.0 - RIGHT_WINDOW, 100.0, 6.0, GEOMETRY)
+    second = make_schedule(2, mv("W", "right"), 99.5 - RIGHT_WINDOW, 99.5, 6.0, GEOMETRY)
+    assert audit_queue([first, second]) == [AuditFinding("queue_order", 2, 1, 99.5, -0.5, 0.0)]
 
 
 def test_audit_accepts_equal_exit_times_across_queue():

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import functools
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +31,8 @@ from crossflow import (
     solve_cz,
     solve_mz,
 )
+import crossflow
+from crossflow import audit as audit_module
 from crossflow import sim as sim_module
 from crossflow.cz_planner import too_close
 
@@ -476,6 +480,55 @@ def test_audit_ignores_scheduler_bookkeeping(base_run):
     )
     report = audit_run(replace(base_run, vehicles=records))
     assert report.ok
+
+
+def test_audit_reads_no_schedule(base_run):
+    # exit speeds come from the exit-lane pieces, so the same records with no
+    # schedule at all give the same report, clean or with findings of every kind
+    lateral = next(r for r in base_run.vehicles if r.schedule.binding_case == "lateral")
+    runs = (base_run, _with_spacing(base_run, 2 * BASE.geometry.min_safe_distance),
+            _perturbed(base_run, lateral.spec.vehicle_id, dtm=-0.5, dtf=-0.5))
+    kinds = set()
+    for result in runs:
+        report = audit_run(result)
+        kinds.update(f.kind for f in report.findings)
+        bare = tuple(replace(rec, schedule=None) for rec in result.vehicles)
+        assert audit_run(replace(result, vehicles=bare)) == report
+    assert kinds == {"cz_gap", "mz_overlap", "exit_spacing"}
+
+
+def _imported_modules(path):
+    """Every module an import statement in the source file at path names,
+    with each name a from-import takes from a package, relative ones
+    resolved against the crossflow package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, ["crossflow", module]))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_audit_module_imports_neither_the_scheduler_nor_the_simulator():
+    path = pathlib.Path(audit_module.__file__)
+    assert path.name == "audit.py"
+    imported = _imported_modules(path)
+    assert "crossflow.cz_planner" in imported
+    for module in ("crossflow.scheduler", "crossflow.sim"):
+        assert not {name for name in imported if name == module or name.startswith(module + ".")}
+
+
+def test_the_audit_has_one_home():
+    assert sim_module.audit_run is audit_module.audit_run
+    assert crossflow.audit_run is audit_module.audit_run
+    assert crossflow.AuditFinding is audit_module.AuditFinding
+    assert crossflow.AuditReport is audit_module.AuditReport
+    assert not hasattr(crossflow.scheduler, "QueueFinding")
 
 
 @pytest.mark.parametrize("shift", [0.05, 0.01])

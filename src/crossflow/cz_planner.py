@@ -7,7 +7,8 @@ the squared-acceleration integral makes the control linear in time, so
 the approach plan is the cubic (m = 2); the merge-zone planners take the
 same closed-form coefficients, with no linear solve, for their fuel-only
 cubic and jerk-only quintic (m = 3).  One PolyTrajectory type carries
-all of them.  Speed and acceleration bounds are verified after the fact
+all of them; its accessors are those of Trajectory, which the weighted
+merge piece shares.  Speed and acceleration bounds are verified after the fact
 and reported, so a violating plan is surfaced, never clipped.  gap_to
 with too_close is the one closed-form rule for the gap to a lane leader:
 the leader's half of the exact minimum is prepared once, and each
@@ -54,8 +55,30 @@ def _horner(coeffs: Sequence[float], tau):
     return value
 
 
+class Trajectory:
+    """A position profile over the window [t0, t1]: its duration, and its
+    position, speed, control and jerk at t, a scalar or an array, each
+    the subclass's derivative(t, order) of that order."""
+
+    @property
+    def duration(self) -> float:
+        return self.t1 - self.t0
+
+    def position(self, t):
+        return self.derivative(t, 0)
+
+    def speed(self, t):
+        return self.derivative(t, 1)
+
+    def control(self, t):
+        return self.derivative(t, 2)
+
+    def jerk(self, t):
+        return self.derivative(t, 3)
+
+
 @dataclass(frozen=True)
-class PolyTrajectory:
+class PolyTrajectory(Trajectory):
     """Polynomial position profile over the window [t0, t1].
 
     ``coefficients`` are the derivatives of position at t0, highest order
@@ -70,27 +93,11 @@ class PolyTrajectory:
     t1: float
     coefficients: Tuple[float, ...]
 
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
     def derivative(self, t, order: int):
         """The order-th derivative of position at t, a scalar or an array:
         zero for an order above the degree."""
         tau = np.asarray(t, dtype=float) - self.t0
         return _horner(self.coefficients[: max(len(self.coefficients) - order, 0)], tau)
-
-    def position(self, t):
-        return self.derivative(t, 0)
-
-    def speed(self, t):
-        return self.derivative(t, 1)
-
-    def control(self, t):
-        return self.derivative(t, 2)
-
-    def jerk(self, t):
-        return self.derivative(t, 3)
 
     def half_square_integral(self, order: int) -> float:
         """Half the integral of the order-th derivative squared over the
@@ -263,13 +270,17 @@ def too_close(gap: float, min_safe_distance: float) -> bool:
 
 
 def check_feasibility(traj: PolyTrajectory, g: IntersectionGeometry) -> FeasibilityReport:
-    """Verify one trajectory's speed and acceleration bounds.
+    """Verify one cubic's speed and acceleration bounds.
 
     The control law is linear and the speed quadratic, so both are
     extremized analytically instead of sampled.  Violations are report
     entries, not exceptions: downstream stages decide what to do with an
-    infeasible plan.
+    infeasible plan.  Any other piece, a quintic or a weighted merge
+    piece, is refused with a ValueError.
     """
+    if not (isinstance(traj, PolyTrajectory) and len(traj.coefficients) == 4):
+        raise ValueError(f"check_feasibility takes a cubic, got {type(traj).__name__} "
+                         f"with {len(traj.coefficients)} coefficients")
     violations = []
     for t in (traj.t0, traj.t1):
         u = float(traj.control(t))

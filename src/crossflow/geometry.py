@@ -98,6 +98,13 @@ def require_finite(config) -> None:
                     raise ValueError(f"{field.name} must be finite, got {value}")
 
 
+# A run's last arrival must reach the merge zone before MAX_TIME, in seconds,
+# and each merge-zone exit must leave a queue step before 2 * MAX_TIME: up to
+# there a float64 still resolves 1e-6 s, the entry gate's resolution, and
+# MIN_TRANSIT_TIME, the shortest merge window; far beyond, a window vanishes.
+MAX_TIME = 2.0**32
+MIN_TRANSIT_TIME = 1e-6
+
 # the curve-design relation's units, in SI: meters per foot, and meters per
 # second per mile per hour
 _FOOT = 0.3048
@@ -160,6 +167,25 @@ class IntersectionGeometry:
                 raise ValueError(
                     f"{name} must lie in ({self.v_min}, {self.v_max}], got {speed}"
                 )
+        for turn in Turn:
+            window = self.transit_time(turn)
+            if not window >= MIN_TRANSIT_TIME:
+                raise ValueError(f"mz_side {self.mz_side} and the merge speeds give the "
+                                 f"{turn.value} turn a merge window of {window:.6g} s, "
+                                 f"shorter than {MIN_TRANSIT_TIME} s")
+        if not self.queue_step < MAX_TIME:
+            slowest = min(("mz_speed_left", "mz_speed_straight", "mz_speed_right"),
+                          key=lambda name: getattr(self, name))
+            raise ValueError(f"{slowest} {getattr(self, slowest)} lets one queue step take "
+                             f"{self.queue_step:.6g} s, not below {MAX_TIME:.6g} s")
+
+    @property
+    def queue_step(self) -> float:
+        """The most a conflict predecessor's merge-zone exit can delay a
+        vehicle's, in seconds: the safe distance at the slowest merge speed,
+        then the longest merge window."""
+        slowest = min(self.mz_speed_left, self.mz_speed_straight, self.mz_speed_right)
+        return self.min_safe_distance / slowest + max(map(self.transit_time, Turn))
 
     def path_length(self, turn: Turn) -> float:
         """Distance along the merge-zone curve for one turn choice, in

@@ -61,7 +61,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from crossflow.cz_planner import PolyTrajectory, hermite
+from crossflow.cz_planner import PolyTrajectory, Trajectory, hermite
 from crossflow.geometry import require_finite
 
 # objective normalization: q1 = 1/u_max^2 keeps q1*u^2 in [0,1] at the
@@ -93,6 +93,11 @@ def normalization_weights(
     """Scale factors (q1, q2) that normalize acceleration and jerk terms."""
     if u_max <= 0 or jerk_scale <= 0:
         raise ValueError("u_max and jerk_scale must be positive")
+    for name, scale in (("u_max", u_max), ("jerk_scale", jerk_scale)):
+        square = scale * scale
+        if not (square > 0.0 and 0.0 < 1.0 / square < math.inf):
+            raise ValueError(f"{name} {scale} has a square of {square}, whose inverse, "
+                             "a weighted objective's scale factor, is not a positive float")
     return 1.0 / (u_max * u_max), 1.0 / (jerk_scale * jerk_scale)
 
 
@@ -223,7 +228,7 @@ def _evaluate(regime: str, rate, width: float, poly, beta, tau, orders, repeats=
 
 
 @dataclass(frozen=True)
-class MzTrajectory:
+class MzTrajectory(Trajectory):
     """One weighted merging-zone trajectory over the window [t0, t1].
 
     ``coefficients`` holds the canonical constants (a..f) of the
@@ -244,27 +249,11 @@ class MzTrajectory:
     _poly: Tuple[float, float, float, float]
     _beta: Tuple[float, float]
 
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
     def derivative(self, t, order: int):
         """The order-th derivative of position at t, a scalar or an array."""
         tau = np.asarray(t, dtype=float) - self.t0
         return _evaluate(self._regime, self.rate_pos, self.duration, self._poly, self._beta,
                          tau, (order,))[0]
-
-    def position(self, t):
-        return self.derivative(t, 0)
-
-    def speed(self, t):
-        return self.derivative(t, 1)
-
-    def control(self, t):
-        return self.derivative(t, 2)
-
-    def jerk(self, t):
-        return self.derivative(t, 3)
 
 
 def half_square_integrals(

@@ -123,14 +123,16 @@ def earliest_mz_arrival(t0: float, v0: float, g: IntersectionGeometry) -> float:
     When the speed cap is reached inside the control zone the arrival time
     is t0 + L/v_max + (v_max - v0)^2 / (2 u_max v_max); otherwise the
     vehicle is still accelerating at the merge-zone boundary and arrives at
-    t0 + (sqrt(2 L u_max + v0^2) - v0) / u_max.
+    t0 + (sqrt(2 L u_max + v0^2) - v0) / u_max, computed as
+    t0 + 2 L / (sqrt(2 L u_max + v0^2) + v0), which does not cancel when
+    2 L u_max is small against v0^2.
     """
     if not g.v_min <= v0 <= g.v_max:
         raise ValueError(f"entry speed {v0} outside [{g.v_min}, {g.v_max}]")
     length, u_max, v_max = g.cz_length, g.u_max, g.v_max
     if 2.0 * length * u_max + v0 * v0 >= v_max * v_max:
         return t0 + length / v_max + (v_max - v0) ** 2 / (2.0 * u_max * v_max)
-    return t0 + (math.sqrt(2.0 * length * u_max + v0 * v0) - v0) / u_max
+    return t0 + 2.0 * length / (math.sqrt(2.0 * length * u_max + v0 * v0) + v0)
 
 
 def conflict_candidates(

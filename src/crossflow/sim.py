@@ -60,6 +60,7 @@ from crossflow.cz_planner import (
     too_close,
 )
 from crossflow.geometry import (
+    MAX_TIME,
     Arm,
     IntersectionGeometry,
     Movement,
@@ -116,10 +117,6 @@ _GATE_RESOLUTION = 1e-6
 # the finest sample_step: the gate resolves no time finer, and the grid of
 # a much finer step would not fit in memory
 MIN_SAMPLE_STEP = _GATE_RESOLUTION
-
-# a run's last arrival must reach the merge zone before this time: up to 2**33 s
-# a float64 still resolves the gate's 1e-6 s, and far beyond, a merge window vanishes
-MAX_TIME = 2.0**32
 
 # the most rows a state table may hold: 2**25 rows of SAMPLE_DTYPE are 3.2 GB
 MAX_SAMPLE_ROWS = 2**25
@@ -238,7 +235,8 @@ def generate_arrivals(cfg: SimConfig) -> List[VehicleSpec]:
 
 
 class HorizonError(ValueError):
-    """A run whose last arrival cannot reach the merge zone before MAX_TIME."""
+    """A run whose last arrival cannot reach the merge zone before MAX_TIME,
+    or whose queue puts a merge-zone exit at or past it."""
 
 
 @dataclass(frozen=True)
@@ -481,6 +479,9 @@ def run(cfg: SimConfig) -> SimRun:
         raise HorizonError(
             f"sim.arrival_rate, sim.vehicle_count and geometry.cz_length put the last "
             f"merge-zone arrival at {horizon:.6g} s or later, not below {MAX_TIME:.6g} s")
+    # each merge-zone exit leaves a queue step before 2 * MAX_TIME, so that
+    # every exit-time candidate and gate probe is resolved
+    last_exit = 2.0 * MAX_TIME - g.queue_step
     # each arm's arrivals not yet admitted, by the arm's place in _ARM_ORDER
     lines: List[Deque[VehicleSpec]] = [deque() for _ in _ARM_ORDER]
     for spec in arrivals:
@@ -533,6 +534,10 @@ def run(cfg: SimConfig) -> SimRun:
         head = lines[winner].popleft()
         spec = replace(head, vehicle_id=len(records) + 1, t0=entry)
         sched = schedule_vehicle(spec, table.predecessors(spec.movement), g)
+        if not sched.tf < last_exit:
+            raise HorizonError(
+                f"sim.vehicle_count and the queue put vehicle {spec.vehicle_id}'s merge-zone "
+                f"exit at {sched.tf:.6g} s, not below {last_exit:.6g} s")
         cz, mz, out = plan_crossing(
             spec, sched.tm, sched.tf, g, cfg.objective, cfg.weight, cfg.jerk_scale
         )

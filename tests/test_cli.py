@@ -776,6 +776,35 @@ def test_plan_row_at_the_merge_exit_is_the_merge_zones_own(tmp_path, turn):
          "and an exponent with a dot and a sign: 1.0e-3, not 1e-3)"),
         ("simulate", "sim:\n  sample_step: 1e6\n", "1.0e-3, not 1e-3"),
         ("pareto", 'pareto:\n  w_min: "1.0e-3"\n', "pareto.w_min has a malformed value"),
+        # a merge window shorter than the gate's resolution, which vanishes in
+        # rounding at some time before sim.MAX_TIME, in every command
+        *((command, "geometry:\n  mz_side: 1.0e-300\nsim:\n  vehicle_count: 3\n",
+           "geometry: mz_side 1e-300 and the merge speeds give the left turn a merge "
+           "window of 1.309e-301 s, shorter than 1e-06 s")
+          for command in ("simulate", "plan", "pareto")),
+        ("simulate", "geometry:\n  mz_side: 1.0e-12\nsim:\n  vehicle_count: 200\n"
+         "  arrival_rate: 0.1\n", "geometry: mz_side 1e-12"),
+        # a merge speed whose same-entry clearance, min_safe_distance / speed,
+        # is about 1e301 s
+        ("simulate", "geometry:\n  mz_speed_left: 1.0e-300\n",
+         "geometry: mz_speed_left 1e-300 lets one queue step take 1e+301 s"),
+        ("simulate", "geometry:\n  mz_speed_right: 1.0e-300\n", "geometry: mz_speed_right"),
+        # a queue of same-lane left turns 1e9 s apart, whose exits would pass
+        # the gate's resolution near 2 * sim.MAX_TIME
+        ("simulate", "geometry:\n  mz_speed_left: 1.0e-8\nsim:\n  vehicle_count: 12\n"
+         "  turn_probabilities: [1.0, 0.0, 0.0]\n  arm_probabilities: [1.0, 0.0, 0.0, 0.0]\n"
+         "  sample_step: 1.0e+6\n",
+         "sim: sim.vehicle_count and the queue put vehicle 9's merge-zone exit at 8e+09 s"),
+        # a scale whose square underflows, so a weighted objective's factor
+        # 1 / scale^2 does not exist
+        ("pareto", "pareto:\n  jerk_scale: 1.0e-300\n", "pareto: jerk_scale 1e-300"),
+        ("plan", "plan:\n  objective: weighted\n  weight: 0.5\n  jerk_scale: 1.0e-300\n",
+         "plan: jerk_scale 1e-300"),
+        ("simulate", "sim:\n  objective: weighted\n  weight: 0.5\n  jerk_scale: 1.0e-300\n",
+         "sim: jerk_scale 1e-300"),
+        ("pareto", "geometry:\n  u_max: 1.0e-300\n", "pareto: u_max 1e-300"),
+        ("simulate", "geometry:\n  u_max: 1.0e-300\nsim:\n  objective: weighted\n"
+         "  weight: 0.5\n", "sim: u_max 1e-300"),
     ],
 )
 def test_malformed_numeric_value_is_a_usage_error(tmp_path, capsys, command, text, key):
@@ -806,6 +835,15 @@ def test_simulate_just_inside_the_time_limit_runs_clean(tmp_path, text):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
     assert len(read_csv(out / "schedule.csv")) == 6
+
+
+def test_simulate_at_a_tiny_acceleration_bound_runs_clean(tmp_path):
+    # no vehicle reaches v_max, and the earliest arrival keeps its digits,
+    # so no gated entry probes a merge time before its own entry
+    text = "geometry:\n  u_max: 1.0e-300\n  u_min: -1.0e-300\nsim:\n  vehicle_count: 30\n"
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    assert json.loads((out / "audit.json").read_text())["ok"] is True
 
 
 def test_an_exponent_with_a_dot_and_a_sign_reads_as_a_number(tmp_path):

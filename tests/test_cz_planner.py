@@ -15,9 +15,11 @@ from crossflow import (
     Turn,
     check_feasibility,
     mz_costs,
+    normalization_weights,
     solve_cz,
     solve_mz_fuel,
     solve_mz_jerk,
+    solve_mz_weighted,
 )
 from crossflow.cz_planner import gap_to, hermite, too_close
 from crossflow.sim import SAMPLE_DTYPE, evaluate_crossing
@@ -204,6 +206,20 @@ def test_speed_bounds_checked():
     if max(speeds) > g.v_max + 1e-9:
         report = check_feasibility(traj, g)
         assert any(v.kind == "speed_high" for v in report.violations)
+
+
+def test_feasibility_refuses_any_piece_but_a_cubic():
+    # the merge pieces of a left turn: the jerk quintic and the weighted
+    # pieces of both bases are refused, and the fuel cubic is checked
+    g = IntersectionGeometry()
+    b = MzBoundary(tm=40.0, tf=43.93, vm=8.0, vf=10.0, p_start=400.0,
+                   p_end=400.0 + g.path_length(Turn.LEFT))
+    q1, q2 = normalization_weights(g.u_max)
+    for piece in (solve_mz_jerk(b), solve_mz_weighted(b, 0.01, q1, q2),
+                  solve_mz_weighted(b, 0.5, q1, q2)):
+        with pytest.raises(ValueError, match="check_feasibility takes a cubic"):
+            check_feasibility(piece, g)
+    assert check_feasibility(solve_mz_fuel(b), g).ok
 
 
 def _min_gap(leader, follower):

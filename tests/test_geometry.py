@@ -194,6 +194,23 @@ def test_geometry_validation():
         IntersectionGeometry(cz_length=25.0, mz_side=30.0)
 
 
+def test_queue_step_and_its_time_limits():
+    g = IntersectionGeometry()
+    # 10 m at the right turn's 6 m/s, then the left turn's 3.93 s window
+    assert g.queue_step == 10.0 / 6.0 + g.transit_time(Turn.LEFT)
+    # the shortest window, the right turn's, at the gate's resolution and
+    # just below it
+    side = 1e-6 * 64.0 / math.pi
+    assert IntersectionGeometry(mz_side=side * 1.001).transit_time(Turn.RIGHT) >= 1e-6
+    with pytest.raises(ValueError, match="mz_side .* right turn a merge window of"):
+        IntersectionGeometry(mz_side=side * 0.999)
+    # a queue step just below and at 2**32 s
+    speed = 10.0 / (2.0**32 - g.transit_time(Turn.LEFT))
+    assert IntersectionGeometry(mz_speed_right=speed * 1.001).queue_step < 2.0**32
+    with pytest.raises(ValueError, match="mz_speed_right .* lets one queue step take"):
+        IntersectionGeometry(mz_speed_right=speed * 0.999)
+
+
 NAN, INF = math.nan, math.inf
 WINDOW = dict(tm=40.0, tf=43.0, vm=10.0, vf=10.0, p_start=400.0, p_end=430.0)
 

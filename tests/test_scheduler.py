@@ -185,6 +185,16 @@ def test_bound_accelerating_throughout():
     assert earliest_mz_arrival(spec.t0, spec.v0, g) == pytest.approx(oracle, abs=1e-9)
 
 
+@pytest.mark.parametrize("u_max", [1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 0.05, 1.0, 3.0])
+def test_bound_keeps_its_digits_at_any_acceleration(u_max):
+    # below u_max = 0.08625 the vehicle never reaches v_max, and 2 L u_max is
+    # far below v0^2 = 100: sqrt(2 L u_max + v0^2) - v0 cancelled 8e-8 of the
+    # bound at u_max = 1e-12
+    g = IntersectionGeometry(u_max=u_max)
+    oracle = oracles.bang_cruise_arrival(0.0, 10.0, 400.0, 13.0, u_max)
+    assert earliest_mz_arrival(0.0, 10.0, g) == pytest.approx(oracle, rel=1e-14)
+
+
 def test_bound_randomized_against_forward_integration():
     import numpy as np
 

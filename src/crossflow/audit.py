@@ -141,8 +141,9 @@ def audit_run(run_result: Any) -> AuditReport:
     # or after it.  Each exit arm keeps its earlier vehicles, each with the
     # headway its exit speed needs, in order of merge-zone exit, so that
     # window is one slice; the slice reaches _AUDIT_TIME_TOL further back
-    # than any finding can.
-    headways = [delta / float(rec.out.speed(rec.out.t0)) for rec in ordered]
+    # than any finding can.  A vehicle's exit speed is its exit-lane
+    # piece's speed at its start, the order-1 coefficient of the piece.
+    headways = [delta / rec.out.coefficients[-2] for rec in ordered]
     headway = max(headways, default=0.0)
     by_exit: Dict[Arm, Tuple[List[float], List[Tuple[Any, float]]]] = {}
     for later, later_headway in zip(ordered, headways):

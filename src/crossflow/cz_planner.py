@@ -8,8 +8,8 @@ the approach plan is the cubic (m = 2); the merge-zone planners take the
 same closed-form coefficients, with no linear solve, for their fuel-only
 cubic and jerk-only quintic (m = 3).  One PolyTrajectory type carries
 all of them; its accessors are those of Trajectory, which the weighted
-merge piece shares.  Speed and acceleration bounds are verified after the fact
-and reported, so a violating plan is surfaced, never clipped.  gap_to
+merge piece shares.  Speed and acceleration bounds are verified after
+the fact and reported, so a violating plan is surfaced, never clipped.  gap_to
 with too_close is the one closed-form rule for the gap to a lane leader:
 the leader's half of the exact minimum is prepared once, and each
 follower, its cubic's coefficients and window, adds its own half.  The

@@ -124,6 +124,7 @@ MAX_SAMPLE_ROWS = 2**25
 # a key above every admission key (entry, arrival time, arrival id)
 _NO_KEY = (math.inf,)
 
+
 @dataclass(frozen=True)
 class SimConfig:
     """One reproducible scenario: geometry, traffic mix, objective, seed.
@@ -236,7 +237,8 @@ def generate_arrivals(cfg: SimConfig) -> List[VehicleSpec]:
 
 class HorizonError(ValueError):
     """A run whose last arrival cannot reach the merge zone before MAX_TIME,
-    or whose queue puts a merge-zone exit at or past it."""
+    or whose queue puts a merge-zone exit within a queue step of
+    2 * MAX_TIME."""
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import crossflow
 import oracles
 from crossflow import (
     Arm,
@@ -31,7 +32,6 @@ from crossflow import (
     solve_cz,
     solve_mz,
 )
-import crossflow
 from crossflow import audit as audit_module
 from crossflow import sim as sim_module
 from crossflow.cz_planner import too_close

@@ -18,21 +18,17 @@ from crossflow.geometry import (
     Turn,
     classify,
 )
-from crossflow.audit import AuditFinding, AuditReport, audit_run
-from crossflow.scheduler import (
-    Schedule,
-    VehicleSpec,
-    audit_queue,
-    earliest_mz_arrival,
-    schedule,
-)
-from crossflow.cz_planner import (
+from crossflow.audit import (
+    AuditFinding,
+    AuditReport,
     FeasibilityReport,
-    PolyTrajectory,
     Violation,
+    audit_queue,
+    audit_run,
     check_feasibility,
-    solve_cz,
 )
+from crossflow.scheduler import Schedule, VehicleSpec, earliest_mz_arrival, schedule
+from crossflow.cz_planner import PolyTrajectory, solve_cz
 from crossflow.mz_planner import (
     MzBoundary,
     MzCosts,

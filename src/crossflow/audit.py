@@ -1,30 +1,149 @@
-"""The safety audit of a finished run, and the one record of a finding.
+"""Every closed-form safety check, and the one record of a finding.
 
 audit_run re-derives the safety story from a run's trajectory records
-alone, exactly on their closed forms, and reports every violation it
-finds: a single pass that checks each vehicle against its lane leader,
-sweeps the merge-zone windows in order of start, and pairs vehicles only
-within an exit arm and a headway of each other's exit.  It reads no
-schedule, no sampled state and no scheduler bookkeeping: a vehicle's
-exit speed is the speed its exit-lane piece starts with.  So this module
-imports neither the scheduler nor the simulator; the lane-leader gap is
-the closed-form rule the entry gate also uses (gap_to and too_close).
-
-scheduler.audit_queue reports its ordering findings in the same
-AuditFinding record.
+alone, exactly on their closed forms: each vehicle against its lane
+leader, the merge-zone windows swept in order of start, and vehicles
+paired only within an exit arm and a headway of each other's exit.  It
+reads no schedule, no sampled state and no scheduler bookkeeping: a
+vehicle's exit speed is the speed its exit-lane piece starts with.
+audit_queue re-checks a finished queue's ordering rules.  gap_to with
+too_close is the one rule for the gap to a lane leader, which the entry
+gate shares, and check_feasibility verifies one cubic's speed and
+control bounds, so a violating plan is surfaced, never clipped; both
+find their extrema by one root rule, _real_roots.  Pieces are read by
+their coefficients, window and derivative alone, so among the package's
+modules this one imports only the geometry.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from crossflow.cz_planner import gap_to, too_close
-from crossflow.geometry import Arm, ConflictClass, classify
+from crossflow.geometry import Arm, ConflictClass, IntersectionGeometry, classify
+
+# slack applied to all bound comparisons so exact-boundary profiles pass
+_BOUND_EPS = 1e-9
 
 # merge-zone windows may share, and exit headways fall short by, this much
 _AUDIT_TIME_TOL = 1e-6
+
+
+def _real_roots(quad: float, lin: float, const: float) -> List[float]:
+    """The real roots of quad*x^2 + lin*x + const, none for a constant.  A
+    quadratic's roots take the stable form: the naive (-lin + sqrt)
+    numerator cancels badly when quad is tiny, as it often is for
+    near-cruise profiles.  A double root may come twice."""
+    if quad == 0.0:
+        return [-const / lin] if lin != 0.0 else []
+    disc = lin * lin - 4.0 * quad * const
+    if not disc >= 0.0:
+        return []
+    root = math.sqrt(disc)
+    q = -0.5 * (lin + math.copysign(root, lin) if lin != 0.0 else -root)
+    return [q / quad, const / q] if q != 0.0 else [q / quad]
+
+
+def gap_to(
+    leader: "PolyTrajectory",
+) -> Callable[[Sequence[float], float, float], Optional[Tuple[float, float]]]:
+    """The exact minimum of the gap to one cubic lane leader, prepared once.
+
+    Returns min_gap(coefficients, t0, t1): the least leader-follower gap
+    over the window a cubic follower with those coefficients on [t0, t1]
+    shares with the leader, and its time, or None when they share none.
+    The gap is cubic in t, so its minimum over a closed window sits either
+    at a window endpoint or at a stationary point: a real root of the
+    quadratic speed difference.  The leader's terms of that quadratic are
+    computed here, so each follower costs only its own terms; no object is
+    built beyond the result.
+    """
+    la, lb, lc, ld = leader.coefficients
+    lt0, lt1 = leader.t0, leader.t1
+    half_lb = 0.5 * lb
+    lead_lin = lb - la * lt0
+    lead_const = 0.5 * la * lt0**2 - lb * lt0 + lc
+
+    def min_gap(coefficients: Sequence[float], ft0: float, ft1: float):
+        lo = lt0 if lt0 > ft0 else ft0
+        hi = lt1 if lt1 < ft1 else ft1
+        if lo > hi:
+            return None
+        fa, fb, fc, fd = coefficients
+        quad = 0.5 * (la - fa)
+        lin = lead_lin - (fb - fa * ft0)
+        const = lead_const - (0.5 * fa * ft0**2 - fb * ft0 + fc)
+        # both positions by the Horner steps of PolyTrajectory.position, on
+        # plain floats: the same operations in the same order give the same
+        # bits; ties in the gap go to the earlier time
+        half_fb = 0.5 * fb
+        best_gap = best_t = None
+        for t in (lo, hi, *_real_roots(quad, lin, const)):
+            if lo <= t <= hi:
+                lt, ft = t - lt0, t - ft0
+                gap = ((la * lt / 6.0 + half_lb) * lt + lc) * lt + ld - (
+                    ((fa * ft / 6.0 + half_fb) * ft + fc) * ft + fd
+                )
+                if best_t is None or gap < best_gap or (gap == best_gap and t < best_t):
+                    best_gap, best_t = gap, t
+        return best_gap, best_t
+
+    return min_gap
+
+
+def too_close(gap: float, min_safe_distance: float) -> bool:
+    """Whether a gap falls below min_safe_distance by more than float slack."""
+    return gap < min_safe_distance - _BOUND_EPS
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One bound violation: what was exceeded, when, by how much."""
+
+    kind: str
+    time: float
+    value: float
+    bound: float
+
+
+@dataclass(frozen=True)
+class FeasibilityReport:
+    ok: bool
+    violations: Tuple[Violation, ...]
+
+
+def check_feasibility(traj: "PolyTrajectory", g: IntersectionGeometry) -> FeasibilityReport:
+    """Verify one cubic's speed and acceleration bounds.
+
+    The control law is linear and the speed quadratic, so both are
+    extremized analytically instead of sampled: the control at the window
+    ends, the speed there and at the control's root inside the window.
+    Violations are report entries, not exceptions: downstream stages
+    decide what to do with an infeasible plan.  Any piece whose
+    coefficients are not a cubic's four, a quintic or a weighted merge
+    piece, is refused with a ValueError.
+    """
+    if len(traj.coefficients) != 4:
+        raise ValueError(f"check_feasibility takes a cubic, got {type(traj).__name__} "
+                         f"with {len(traj.coefficients)} coefficients")
+    t0, t1 = traj.t0, traj.t1
+    a, b, _, _ = traj.coefficients
+    stationary = [t0 + tau for tau in _real_roots(0.0, a, b)]
+    violations = []
+    for kind, order, times, low, high in (
+        ("control", 2, (t0, t1), g.u_min, g.u_max),
+        ("speed", 1, (t0, t1, *(t for t in stationary if t0 < t < t1)), g.v_min, g.v_max),
+    ):
+        for t in times:
+            value = float(traj.derivative(t, order))
+            if value < low - _BOUND_EPS:
+                violations.append(Violation(f"{kind}_low", t, value, low))
+            elif value > high + _BOUND_EPS:
+                violations.append(Violation(f"{kind}_high", t, value, high))
+    violations.sort(key=lambda item: item.time)
+    return FeasibilityReport(ok=not violations, violations=tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -44,7 +163,7 @@ class AuditFinding:
       exit, bound the headway the safe distance needs at other_id's exit
       speed.
 
-    From scheduler.audit_queue, where vehicle_id is the later vehicle in
+    From audit_queue, where vehicle_id is the later vehicle in
     the queue, other_id the earlier one, and bound 0:
 
     - queue_order: other_id is the vehicle just before in the queue;
@@ -165,3 +284,42 @@ def audit_run(run_result: Any) -> AuditReport:
 
     findings.sort(key=lambda f: (f.time, f.kind, f.vehicle_id, f.other_id))
     return AuditReport(findings=tuple(findings))
+
+
+def audit_queue(q: Sequence["Schedule"]) -> List[AuditFinding]:
+    """Re-check every pairwise ordering condition over a finished queue.
+
+    Exit order must be strict between vehicles sharing an exit lane, entry
+    order strict between vehicles sharing an entry lane, merge-zone
+    occupancy intervals of laterally crossing vehicles must not overlap
+    (touching endpoints are fine), and exit times must be non-decreasing
+    along the queue.  Returns every violation found, as the AuditFinding
+    kinds queue_order, exit_order, entry_order and lateral_overlap; an
+    empty list is the expected outcome for queues built by schedule().
+    """
+    findings: List[AuditFinding] = []
+    for idx in range(1, len(q)):
+        later, earlier = q[idx], q[idx - 1]
+        if later.tf < earlier.tf:
+            findings.append(AuditFinding("queue_order", later.vehicle_id, earlier.vehicle_id,
+                                         later.tf, later.tf - earlier.tf, 0.0))
+    for later_idx in range(len(q)):
+        later = q[later_idx]
+        for earlier_idx in range(later_idx):
+            earlier = q[earlier_idx]
+            cls = classify(earlier.movement, later.movement)
+            if cls is ConflictClass.SAME_EXIT and not later.tf > earlier.tf:
+                findings.append(AuditFinding("exit_order", later.vehicle_id, earlier.vehicle_id,
+                                             later.tf, later.tf - earlier.tf, 0.0))
+            elif cls is ConflictClass.SAME_ENTRY and not later.tm > earlier.tm:
+                findings.append(AuditFinding("entry_order", later.vehicle_id, earlier.vehicle_id,
+                                             later.tm, later.tm - earlier.tm, 0.0))
+            elif cls is ConflictClass.LATERAL:
+                # tm is recovered as tf - transit, so back-to-back windows can
+                # overlap by one ulp; only flag overlap beyond float noise
+                start = max(later.tm, earlier.tm)
+                overlap = min(later.tf, earlier.tf) - start
+                if overlap > 1e-9:
+                    findings.append(AuditFinding("lateral_overlap", later.vehicle_id,
+                                                 earlier.vehicle_id, start, overlap, 0.0))
+    return findings

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Seq
 import numpy as np
 
 from crossflow import __version__
-from crossflow.cz_planner import check_feasibility
+from crossflow.audit import check_feasibility
 from crossflow.geometry import Arm, IntersectionGeometry, Movement, Turn
 from crossflow.mz_planner import (
     DEFAULT_JERK_SCALE,

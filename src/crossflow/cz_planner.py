@@ -8,12 +8,8 @@ the approach plan is the cubic (m = 2); the merge-zone planners take the
 same closed-form coefficients, with no linear solve, for their fuel-only
 cubic and jerk-only quintic (m = 3).  One PolyTrajectory type carries
 all of them; its accessors are those of Trajectory, which the weighted
-merge piece shares.  Speed and acceleration bounds are verified after
-the fact and reported, so a violating plan is surfaced, never clipped.  gap_to
-with too_close is the one closed-form rule for the gap to a lane leader:
-the leader's half of the exact minimum is prepared once, and each
-follower, its cubic's coefficients and window, adds its own half.  The
-entry gate and the run audit both use it.
+merge piece shares.  The checks of a plan, its bounds and its gap to a
+lane leader, live in crossflow.audit.
 """
 
 from __future__ import annotations
@@ -21,14 +17,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from crossflow.geometry import IntersectionGeometry
-
-# slack applied to all bound comparisons so exact-boundary profiles pass
-_BOUND_EPS = 1e-9
+# kept until ROADMAP item 10: the benchmark traces check_feasibility by this module
+from crossflow.audit import check_feasibility  # noqa: F401
 
 _FACTORIAL = tuple(float(math.factorial(k)) for k in range(8))
 
@@ -176,123 +170,3 @@ def solve_cz(t0: float, v0: float, tm: float, vm: float, length: float) -> PolyT
     """The fuel-minimal approach trajectory: the cubic with
     p(t0) = 0, v(t0) = v0, p(tm) = length, v(tm) = vm."""
     return PolyTrajectory(t0, tm, approach_coefficients(t0, v0, tm, vm, length))
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One bound violation: what was exceeded, when, by how much."""
-
-    kind: str
-    time: float
-    value: float
-    bound: float
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    ok: bool
-    violations: Tuple[Violation, ...]
-
-
-def _speed_extremum_times(traj: PolyTrajectory):
-    a, b, _, _ = traj.coefficients
-    times = [traj.t0, traj.t1]
-    if a != 0.0:
-        stationary = traj.t0 - b / a
-        if traj.t0 < stationary < traj.t1:
-            times.append(stationary)
-    return times
-
-
-def gap_to(
-    leader: PolyTrajectory,
-) -> Callable[[Sequence[float], float, float], Optional[Tuple[float, float]]]:
-    """The exact minimum of the gap to one cubic lane leader, prepared once.
-
-    Returns min_gap(coefficients, t0, t1): the least leader-follower gap
-    over the window a cubic follower with those coefficients on [t0, t1]
-    shares with the leader, and its time, or None when they share none.
-    The gap is cubic in t, so its minimum over a closed window sits either
-    at a window endpoint or at a stationary point: a real root of the
-    quadratic speed difference.  The leader's terms of that quadratic are
-    computed here, so each follower costs only its own terms; no object is
-    built beyond the result.
-    """
-    la, lb, lc, ld = leader.coefficients
-    lt0, lt1 = leader.t0, leader.t1
-    half_lb = 0.5 * lb
-    lead_lin = lb - la * lt0
-    lead_const = 0.5 * la * lt0**2 - lb * lt0 + lc
-
-    def min_gap(coefficients: Sequence[float], ft0: float, ft1: float):
-        lo = lt0 if lt0 > ft0 else ft0
-        hi = lt1 if lt1 < ft1 else ft1
-        if lo > hi:
-            return None
-        fa, fb, fc, fd = coefficients
-        quad = 0.5 * (la - fa)
-        lin = lead_lin - (fb - fa * ft0)
-        const = lead_const - (0.5 * fa * ft0**2 - fb * ft0 + fc)
-        candidates = [lo, hi]
-        if quad != 0.0:
-            disc = lin * lin - 4.0 * quad * const
-            if disc >= 0.0:
-                # stable form: the naive (-lin + sqrt) numerator cancels badly
-                # when quad is tiny, which it often is for near-cruise profiles
-                root = math.sqrt(disc)
-                q = -0.5 * (lin + math.copysign(root, lin) if lin != 0.0 else -root)
-                candidates.append(q / quad)
-                if q != 0.0:
-                    candidates.append(const / q)
-        elif lin != 0.0:
-            candidates.append(-const / lin)
-        # both positions by the Horner steps of PolyTrajectory.position, on
-        # plain floats: the same operations in the same order give the same
-        # bits; ties in the gap go to the earlier time
-        half_fb = 0.5 * fb
-        best_gap = best_t = None
-        for t in candidates:
-            if lo <= t <= hi:
-                lt, ft = t - lt0, t - ft0
-                gap = ((la * lt / 6.0 + half_lb) * lt + lc) * lt + ld - (
-                    ((fa * ft / 6.0 + half_fb) * ft + fc) * ft + fd
-                )
-                if best_t is None or gap < best_gap or (gap == best_gap and t < best_t):
-                    best_gap, best_t = gap, t
-        return best_gap, best_t
-
-    return min_gap
-
-
-def too_close(gap: float, min_safe_distance: float) -> bool:
-    """Whether a gap falls below min_safe_distance by more than float slack."""
-    return gap < min_safe_distance - _BOUND_EPS
-
-
-def check_feasibility(traj: PolyTrajectory, g: IntersectionGeometry) -> FeasibilityReport:
-    """Verify one cubic's speed and acceleration bounds.
-
-    The control law is linear and the speed quadratic, so both are
-    extremized analytically instead of sampled.  Violations are report
-    entries, not exceptions: downstream stages decide what to do with an
-    infeasible plan.  Any other piece, a quintic or a weighted merge
-    piece, is refused with a ValueError.
-    """
-    if not (isinstance(traj, PolyTrajectory) and len(traj.coefficients) == 4):
-        raise ValueError(f"check_feasibility takes a cubic, got {type(traj).__name__} "
-                         f"with {len(traj.coefficients)} coefficients")
-    violations = []
-    for t in (traj.t0, traj.t1):
-        u = float(traj.control(t))
-        if u < g.u_min - _BOUND_EPS:
-            violations.append(Violation("control_low", t, u, g.u_min))
-        elif u > g.u_max + _BOUND_EPS:
-            violations.append(Violation("control_high", t, u, g.u_max))
-    for t in _speed_extremum_times(traj):
-        v = float(traj.speed(t))
-        if v < g.v_min - _BOUND_EPS:
-            violations.append(Violation("speed_low", t, v, g.v_min))
-        elif v > g.v_max + _BOUND_EPS:
-            violations.append(Violation("speed_high", t, v, g.v_max))
-    violations.sort(key=lambda item: item.time)
-    return FeasibilityReport(ok=not violations, violations=tuple(violations))

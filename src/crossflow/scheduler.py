@@ -11,16 +11,19 @@ acceleration to the speed cap.  The rule never delays a vehicle beyond
 what its conflicts require, and whichever candidate wins is recorded so
 runs can be analyzed case by case.  A schedule reads only those latest
 vehicles, the conflict predecessors, which a PredecessorTable keeps for
-every movement as the queue grows.
+every movement as the queue grows.  The re-check of a finished queue,
+audit_queue, lives in crossflow.audit with every other check; its name
+is also bound here, where the benchmark calls it, until ROADMAP item 10.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from crossflow.audit import AuditFinding
+# kept until ROADMAP item 10: the benchmark calls audit_queue by this module
+from crossflow.audit import audit_queue  # noqa: F401
 from crossflow.geometry import (
     ALL_MOVEMENTS,
     IntersectionGeometry,
@@ -194,42 +197,3 @@ def schedule(spec: VehicleSpec, preds: ConflictPredecessors, g: IntersectionGeom
         lateral_pred=preds.lateral.vehicle_id if preds.lateral else None,
         fifo_pred=preds.fifo.vehicle_id if preds.fifo else None,
     )
-
-
-def audit_queue(q: Sequence[Schedule]) -> List[AuditFinding]:
-    """Re-check every pairwise ordering condition over a finished queue.
-
-    Exit order must be strict between vehicles sharing an exit lane, entry
-    order strict between vehicles sharing an entry lane, merge-zone
-    occupancy intervals of laterally crossing vehicles must not overlap
-    (touching endpoints are fine), and exit times must be non-decreasing
-    along the queue.  Returns every violation found, as the AuditFinding
-    kinds queue_order, exit_order, entry_order and lateral_overlap; an
-    empty list is the expected outcome for queues built by schedule().
-    """
-    findings: List[AuditFinding] = []
-    for idx in range(1, len(q)):
-        later, earlier = q[idx], q[idx - 1]
-        if later.tf < earlier.tf:
-            findings.append(AuditFinding("queue_order", later.vehicle_id, earlier.vehicle_id,
-                                         later.tf, later.tf - earlier.tf, 0.0))
-    for later_idx in range(len(q)):
-        later = q[later_idx]
-        for earlier_idx in range(later_idx):
-            earlier = q[earlier_idx]
-            cls = classify(earlier.movement, later.movement)
-            if cls is ConflictClass.SAME_EXIT and not later.tf > earlier.tf:
-                findings.append(AuditFinding("exit_order", later.vehicle_id, earlier.vehicle_id,
-                                             later.tf, later.tf - earlier.tf, 0.0))
-            elif cls is ConflictClass.SAME_ENTRY and not later.tm > earlier.tm:
-                findings.append(AuditFinding("entry_order", later.vehicle_id, earlier.vehicle_id,
-                                             later.tm, later.tm - earlier.tm, 0.0))
-            elif cls is ConflictClass.LATERAL:
-                # tm is recovered as tf - transit, so back-to-back windows can
-                # overlap by one ulp; only flag overlap beyond float noise
-                start = max(later.tm, earlier.tm)
-                overlap = min(later.tf, earlier.tf) - start
-                if overlap > 1e-9:
-                    findings.append(AuditFinding("lateral_overlap", later.vehicle_id,
-                                                 earlier.vehicle_id, start, overlap, 0.0))
-    return findings

@@ -50,15 +50,8 @@ from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from crossflow.audit import AuditReport, audit_run
-from crossflow.cz_planner import (
-    PolyTrajectory,
-    _horner,
-    approach_coefficients,
-    gap_to,
-    solve_cz,
-    too_close,
-)
+from crossflow.audit import AuditReport, audit_run, gap_to, too_close
+from crossflow.cz_planner import PolyTrajectory, _horner, approach_coefficients, solve_cz
 from crossflow.geometry import (
     MAX_TIME,
     Arm,

@@ -30,7 +30,8 @@ import scipy.sparse.linalg
 from scipy.integrate import quad, solve_ivp
 from scipy.spatial import cKDTree
 
-from crossflow.cz_planner import gap_to, solve_cz, too_close
+from crossflow.audit import AuditFinding, AuditReport, gap_to, too_close
+from crossflow.cz_planner import solve_cz
 from crossflow.geometry import Arm, ConflictClass, classify
 from crossflow.mz_planner import (
     _REGIME_SPLIT,
@@ -38,7 +39,6 @@ from crossflow.mz_planner import (
     _canonical_weighted_coefficients,
     weighted_rate,
 )
-from crossflow.audit import AuditFinding, AuditReport
 from crossflow.scheduler import ConflictPredecessors, schedule
 from crossflow.sim import (
     _GATE_RESOLUTION,

@@ -21,7 +21,8 @@ from crossflow import (
     solve_mz_jerk,
     solve_mz_weighted,
 )
-from crossflow.cz_planner import gap_to, hermite, too_close
+from crossflow.audit import gap_to, too_close
+from crossflow.cz_planner import hermite
 from crossflow.sim import SAMPLE_DTYPE, evaluate_crossing
 
 

@@ -34,7 +34,7 @@ from crossflow import (
 )
 from crossflow import audit as audit_module
 from crossflow import sim as sim_module
-from crossflow.cz_planner import too_close
+from crossflow.audit import too_close
 
 BASE = SimConfig(seed=7)
 
@@ -515,12 +515,21 @@ def _imported_modules(path):
 
 
 def test_audit_module_imports_neither_the_scheduler_nor_the_simulator():
+    # nor any planner: among the package's modules the audit imports only
+    # the geometry, under TYPE_CHECKING too
     path = pathlib.Path(audit_module.__file__)
     assert path.name == "audit.py"
     imported = _imported_modules(path)
-    assert "crossflow.cz_planner" in imported
-    for module in ("crossflow.scheduler", "crossflow.sim"):
+    assert "crossflow.geometry" in imported
+    for module in ("crossflow.cz_planner", "crossflow.mz_planner", "crossflow.scheduler",
+                   "crossflow.sim"):
         assert not {name for name in imported if name == module or name.startswith(module + ".")}
+    assert {name.split(".")[1] for name in imported if name.startswith("crossflow.")} == {
+        "geometry"}
+
+
+CHECKS = ("_BOUND_EPS", "too_close", "gap_to", "Violation", "FeasibilityReport",
+          "check_feasibility", "audit_queue", "audit_run", "AuditFinding", "AuditReport")
 
 
 def test_the_audit_has_one_home():
@@ -529,6 +538,27 @@ def test_the_audit_has_one_home():
     assert crossflow.AuditFinding is audit_module.AuditFinding
     assert crossflow.AuditReport is audit_module.AuditReport
     assert not hasattr(crossflow.scheduler, "QueueFinding")
+    # every closed-form check is defined in the audit module alone; the
+    # planner and the scheduler each keep one name bound to it
+    assert crossflow.cz_planner.check_feasibility is audit_module.check_feasibility
+    assert crossflow.scheduler.audit_queue is audit_module.audit_queue
+    assert not hasattr(crossflow.cz_planner, "_speed_extremum_times")
+    kept = {"cz_planner": {"check_feasibility"}, "scheduler": {"audit_queue"}}
+    for path in pathlib.Path(audit_module.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        if path.stem == "audit":
+            assert set(CHECKS) <= defined
+            continue
+        assert not defined & set(CHECKS), path.name
+        if path.stem in kept:
+            bound = {alias.asname or alias.name for node in tree.body
+                     if isinstance(node, ast.ImportFrom) and node.module == "crossflow.audit"
+                     for alias in node.names}
+            assert bound == kept[path.stem], path.name
 
 
 @pytest.mark.parametrize("shift", [0.05, 0.01])

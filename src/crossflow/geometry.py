@@ -173,6 +173,12 @@ class IntersectionGeometry:
                 raise ValueError(f"mz_side {self.mz_side} and the merge speeds give the "
                                  f"{turn.value} turn a merge window of {window:.6g} s, "
                                  f"shorter than {MIN_TRANSIT_TIME} s")
+            # a path below half a float step of cz_length ends where it starts
+            path = self.path_length(turn)
+            if not self.cz_length + path > self.cz_length:
+                raise ValueError(f"mz_side {self.mz_side:.6g} gives the {turn.value} turn a "
+                                 f"{path:.6g} m path, which vanishes against cz_length "
+                                 f"{self.cz_length:.6g}")
         if not self.queue_step < MAX_TIME:
             slowest = min(("mz_speed_left", "mz_speed_straight", "mz_speed_right"),
                           key=lambda name: getattr(self, name))

@@ -763,9 +763,20 @@ def test_plan_row_at_the_merge_exit_is_the_merge_zones_own(tmp_path, turn):
         # its start; the first at exactly 2**32 s past the last arrival
         ("simulate", "geometry:\n  cz_length: 55834574848.0\nsim:\n  vehicle_count: 5\n",
          "geometry.cz_length put the last merge-zone arrival at 4.29497e+09 s or later"),
+        # a merge path below half a float step of cz_length, which ends where
+        # it starts: every path at 1e29 m, and the right turn's 0.39 um at
+        # 1e10 m, in every command
         ("simulate", "geometry:\n  cz_length: 100000000000000000000000000000\n"
          "sim:\n  vehicle_count: 5\n",
-         "geometry.cz_length put the last merge-zone arrival at 7.69231e+27 s or later"),
+         "geometry: mz_side 30 gives the left turn a 35.3429 m path, which vanishes against "
+         "cz_length 1e+29"),
+        *((command, "geometry:\n  cz_length: 1.0e+10\n  mz_side: 1.0e-6\n  mz_speed_left: 0.1\n"
+           "  mz_speed_straight: 0.1\n  mz_speed_right: 0.1\n" + section,
+           "geometry: mz_side 1e-06 gives the right turn a 3.92699e-07 m path, which vanishes "
+           "against cz_length 1e+10")
+          for command, section in (
+              ("simulate", "sim:\n  vehicle_count: 3\n  sample_step: 1.0e+6\n"),
+              ("plan", "plan:\n  turn: right\n"), ("pareto", "pareto:\n  turn: right\n"))),
         ("simulate", "sim:\n  arrival_rate: 1.0e-30\n  vehicle_count: 5\n",
          "sim: sim.arrival_rate, sim.vehicle_count and geometry.cz_length put the last "
          "merge-zone arrival at 2.27195e+30 s or later, not below 4.29497e+09 s"),

@@ -465,6 +465,75 @@ def gated_entry_by_full_schedule(spec, preds, leader, g, stats=None):
     return high
 
 
+# ---------------------------------------------------------------------------
+# The lane-leader gap rule decided in exact arithmetic: every float of both
+# pieces becomes a Fraction, the gap less the bound is expanded into a
+# polynomial in t, and its stationary points, the roots (-B +- sqrt(D)) / 2A
+# of its derivative, are kept exact as x + y sqrt(D) with rational x, y, so
+# every sign it needs is decided exactly.  It shares no root formula and
+# no rounding with gap_to.
+
+
+def _in_t_exact(coefficients, t0):
+    """Coefficients, lowest order first, in t of sum c_i (t - t0)^k / k!
+    (coefficients highest order first), as Fractions."""
+    t0 = Fraction(t0)
+    degree = len(coefficients) - 1
+    terms = [Fraction(0)] * (degree + 1)
+    for i, c in enumerate(coefficients):
+        k = degree - i
+        scale = Fraction(c) / math.factorial(k)
+        for j in range(k + 1):
+            terms[j] += scale * math.comb(k, j) * (-t0) ** (k - j)
+    return terms
+
+
+def _surd_sign(x, y, d):
+    """The sign of x + y sqrt(d), d >= 0, exactly."""
+    sx = (x > 0) - (x < 0)
+    sy = (y > 0) - (y < 0) if d else 0
+    if sy == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    diff = x * x - y * y * d
+    return sx if diff > 0 else sy if diff < 0 else 0
+
+
+def _surd_value(poly, x, y, d):
+    """poly, lowest order first, at x + y sqrt(d): (u, v) of u + v sqrt(d)."""
+    u = v = Fraction(0)
+    for c in reversed(poly):
+        u, v = u * x + v * y * d + c, u * y + v * x
+    return u, v
+
+
+def gap_below_exact(leader, coefficients, t0, t1, bound):
+    """Whether the gap of a cubic follower, coefficients on [t0, t1], behind
+    a cubic leader falls below bound somewhere on the window both share,
+    decided exactly: None when they share none.  The least gap over a
+    closed window sits at an end or at a stationary point inside it."""
+    lo, hi = Fraction(max(leader.t0, t0)), Fraction(min(leader.t1, t1))
+    if lo > hi:
+        return None
+    excess = [a - b for a, b in zip(_in_t_exact(leader.coefficients, leader.t0),
+                                    _in_t_exact(coefficients, t0))]
+    excess[0] -= Fraction(bound)
+    const, lin, quad = (k * c for k, c in enumerate(excess[1:], start=1))
+    stationary = []
+    if quad != 0:
+        disc = lin * lin - 4 * quad * const
+        if disc >= 0:
+            stationary = [(-lin / (2 * quad), side / (2 * quad), disc) for side in (1, -1)]
+    elif lin != 0:
+        stationary = [(-const / lin, 0, 0)]
+    points = [(lo, 0, 0), (hi, 0, 0)] + [
+        (x, y, d) for x, y, d in stationary
+        if _surd_sign(x - lo, y, d) > 0 and _surd_sign(hi - x, -y, d) > 0
+    ]
+    return any(_surd_sign(*_surd_value(excess, x, y, d), d) < 0 for x, y, d in points)
+
+
 def finish_search(search):
     """Drive a gate search to its end: its yields, in order, and its answer."""
     yields = []

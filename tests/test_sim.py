@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import pathlib
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -809,6 +810,67 @@ def test_gate_answer_is_a_clear_probe_just_past_one_not_clear(monkeypatch, seed,
         not_clear = [t for t, clear in probes if not clear]
         assert all(spec.t0 <= t < entry for t in not_clear)
         assert max(not_clear) >= entry - sim_module._GATE_RESOLUTION
+
+
+def _exact_verdict(leader, coefficients, t0, t1, min_safe_distance):
+    """The exact oracle's verdict on too_close, against the same bound."""
+    bound = Fraction(min_safe_distance) - Fraction(audit_module._BOUND_EPS)
+    return oracles.gap_below_exact(leader, coefficients, t0, t1, bound)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_gap_rule_matches_exact_arithmetic(monkeypatch, seed):
+    # the gate, the audit and the oracles all reach the lane-leader gap
+    # through gap_to, so its verdict is checked here against exact
+    # arithmetic: on every lane pair of a run, at the run's spacing and at
+    # twice it, and on every probe of its held gate searches
+    cfg = SimConfig(seed=seed, arrival_rate=2.0, vehicle_count=24)
+    delta = cfg.geometry.min_safe_distance
+    verdicts = []
+    ahead = {}
+    for rec in sorted(run(cfg).vehicles, key=lambda rec: rec.spec.vehicle_id):
+        leader = ahead.get(rec.spec.movement.entry_arm)
+        ahead[rec.spec.movement.entry_arm] = rec
+        if leader is None:
+            continue
+        found = audit_module.gap_to(leader.cz)(rec.cz.coefficients, rec.cz.t0, rec.cz.t1)
+        for spacing in (delta, 2.0 * delta):
+            exact = _exact_verdict(leader.cz, rec.cz.coefficients, rec.cz.t0, rec.cz.t1, spacing)
+            assert (found is None) == (exact is None)
+            if found is not None:
+                assert too_close(found[0], spacing) == exact
+                verdicts.append(exact)
+    assert True in verdicts and False in verdicts
+
+    searches = _held_searches(monkeypatch, cfg)
+    assert len(searches) >= 5
+    probes = []
+    prepare = sim_module.gap_to
+
+    def recording(leader):
+        min_gap = prepare(leader)
+
+        def measured(coefficients, t0, t1):
+            found = min_gap(coefficients, t0, t1)
+            probes.append((leader, coefficients, t0, t1, found))
+            return found
+
+        return measured
+
+    monkeypatch.setattr(sim_module, "gap_to", recording)
+    for spec, preds, leader, g, entry in searches:
+        probes.clear()
+        _, answer = oracles.finish_search(sim_module._gated_entry(spec, preds, leader, g, GateStats()))
+        clear_at = {}
+        for lead, coefficients, t0, t1, found in probes:
+            exact = _exact_verdict(lead, coefficients, t0, t1, delta)
+            assert (found is None) == (exact is None)
+            clear_at[t0] = found is None or not too_close(found[0], delta)
+            assert clear_at[t0] == (exact is not True)
+        # the answer is the last clear probe, and the last probe found not
+        # clear lies within the gate's resolution below it
+        last_not_clear = max(t for t, clear in clear_at.items() if not clear)
+        assert clear_at[answer] and 0.0 < answer - last_not_clear <= sim_module._GATE_RESOLUTION
 
 
 def _gate_totals(rate, vehicles):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, given, reject, settings
 from hypothesis import strategies as st
 
 import crossflow
@@ -27,6 +27,7 @@ from crossflow import (
     VehicleRecord,
     VehicleSpec,
     audit_run,
+    earliest_mz_arrival,
     generate_arrivals,
     plan_crossing,
     run,
@@ -402,6 +403,101 @@ def test_rotating_every_arrival_rotates_every_record(monkeypatch, rate):
                 assert got.schedule == replace(rec.schedule, movement=movement)
                 assert (got.cz, got.mz) == (rec.cz, rec.mz)
             assert turned.gate == base.gate
+
+
+# the same three properties on random valid geometries, rates and entry
+# speeds; a config drawn is one that IntersectionGeometry and SimConfig
+# accept, and no shrinking, so a failing case reads as it was drawn
+
+
+@st.composite
+def _random_configs(draw):
+    mz_side = draw(st.floats(5.0, 60.0))
+    v_max = draw(st.floats(5.0, 30.0))
+    low = draw(st.floats(1.0, v_max))
+    speeds = [draw(st.floats(1.0, v_max)) for _ in range(3)]
+    try:
+        geometry = IntersectionGeometry(
+            cz_length=draw(st.floats(2.0 * mz_side, 1000.0)), mz_side=mz_side,
+            min_safe_distance=draw(st.floats(2.0, 30.0)), v_max=v_max,
+            u_min=-draw(st.floats(0.5, 5.0)), u_max=draw(st.floats(0.5, 5.0)),
+            mz_speed_left=speeds[0], mz_speed_straight=speeds[1], mz_speed_right=speeds[2],
+        )
+        return SimConfig(
+            geometry=geometry, arrival_rate=draw(st.floats(0.05, 3.0)),
+            entry_speed_range=(low, draw(st.floats(low, v_max))),
+            vehicle_count=draw(st.integers(6, 12)), seed=draw(st.integers(0, 2**16)),
+        )
+    except ValueError:
+        reject()
+
+
+_RANDOM_CONFIG_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
+                                   phases=[Phase.generate])
+
+
+@_RANDOM_CONFIG_SETTINGS
+@given(cfg=_random_configs(), k=st.integers(1, 3))
+def test_rotating_every_arrival_rotates_every_record_on_random_geometries(cfg, k):
+    base = run(cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_module, "generate_arrivals", lambda c: [
+            replace(spec, movement=_rotated(spec.movement, k)) for spec in generate_arrivals(c)
+        ])
+        turned = run(cfg)
+    assert len(turned.vehicles) == len(base.vehicles)
+    for got, rec in zip(turned.vehicles, base.vehicles):
+        movement = _rotated(rec.spec.movement, k)
+        assert got.spec == replace(rec.spec, movement=movement)
+        assert got.arrival_time == rec.arrival_time
+        assert got.schedule == replace(rec.schedule, movement=movement)
+        assert (got.cz, got.mz) == (rec.cz, rec.mz)
+    assert turned.gate == base.gate
+
+
+@_RANDOM_CONFIG_SETTINGS
+@given(cfg=_random_configs())
+def test_objective_changes_mz_only_on_random_geometries(cfg):
+    try:
+        weighted = replace(cfg, objective=MzVariant.WEIGHTED, weight=0.5)
+    except ValueError:
+        reject()
+    jerk = run(cfg)
+    for other in (replace(cfg, objective=MzVariant.FUEL_ONLY), weighted):
+        result = run(other)
+        assert [r.schedule for r in result.vehicles] == [r.schedule for r in jerk.vehicles]
+        assert [r.cz for r in result.vehicles] == [r.cz for r in jerk.vehicles]
+
+
+@_RANDOM_CONFIG_SETTINGS
+@given(cfg=_random_configs())
+def test_exit_times_meet_their_binding_candidate_on_random_geometries(cfg):
+    # each tf is exactly the candidate its binding case names, and no
+    # candidate exceeds it; tm is tf less the window, and tf never falls
+    # along the queue
+    g = cfg.geometry
+    delta = g.min_safe_distance
+    queue = [rec.schedule for rec in run(cfg).vehicles]
+    by_id = {sched.vehicle_id: sched for sched in queue}
+    for sched in queue:
+        transit = g.transit_time(sched.movement.turn)
+        candidates = {"feasibility": earliest_mz_arrival(sched.t0, sched.v0, g) + transit}
+        for case, pred_id in (("same_exit", sched.same_exit_pred),
+                              ("same_entry", sched.same_entry_pred),
+                              ("lateral", sched.lateral_pred), ("fifo", sched.fifo_pred)):
+            if pred_id is None:
+                continue
+            pred = by_id[pred_id]
+            candidates[case] = {
+                "same_exit": pred.tf + delta / pred.vf,
+                "same_entry": max(pred.tm + delta / pred.vm + transit, pred.tf),
+                "lateral": pred.tf + transit,
+                "fifo": pred.tf,
+            }[case]
+        assert sched.tf == candidates[sched.binding_case]
+        assert max(candidates.values()) == sched.tf
+        assert sched.tm == sched.tf - transit
+    assert all(later.tf >= earlier.tf for earlier, later in zip(queue, queue[1:]))
 
 
 def test_weighted_objective_runs_clean():

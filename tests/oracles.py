@@ -285,40 +285,49 @@ def panelled_half_square(fn, lo: float, hi: float, rate: float) -> float:
 def hermite_exact(t0, t1, start, end):
     """Coefficients, highest order first, of the polynomial of degree
     2m-1 whose position and first m-1 derivatives take the m values
-    start at t0 and end at t1, as Fractions: the 2m x 2m boundary system
-    solved by Gauss-Jordan elimination in exact rational arithmetic."""
+    start at t0 and end at t1, as Fractions.  The conditions at t0 fix
+    the m low-order coefficients to the start values, so only the m x m
+    block of the conditions at t1 is solved, by Gauss-Jordan elimination
+    in exact rational arithmetic."""
     m = len(start)
-    n = 2 * m
     width = Fraction(t1) - Fraction(t0)
-    orders = range(n - 1, -1, -1)
-    rows = [[Fraction(int(k == r)) for k in orders] for r in range(m)]
-    rows += [
-        [width ** (k - r) / math.factorial(k - r) if k >= r else Fraction(0) for k in orders]
-        for r in range(m)
-    ]
-    rhs = [Fraction(x) for x in (*start, *end)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if rows[i][col] != 0)
+    low = [Fraction(x) for x in start]
+
+    def term(k, r):
+        # the order-k coefficient's share of the order-r derivative at t1
+        return width ** (k - r) / math.factorial(k - r)
+
+    rows = [[term(k, r) for k in range(2 * m - 1, m - 1, -1)] for r in range(m)]
+    rhs = [Fraction(x) - sum(term(k, r) * low[k] for k in range(r, m))
+           for r, x in enumerate(end)]
+    for col in range(m):
+        pivot = next(i for i in range(col, m) if rows[i][col] != 0)
         rows[col], rows[pivot] = rows[pivot], rows[col]
         rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        for i in range(n):
+        for i in range(m):
             if i != col and rows[i][col] != 0:
                 factor = rows[i][col] / rows[col][col]
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
                 rhs[i] -= factor * rhs[col]
-    return tuple(rhs[i] / rows[i][i] for i in range(n))
+    return (*(rhs[i] / rows[i][i] for i in range(m)), *reversed(low))
 
 
 def poly_derivative_exact(coeffs, tau, order):
     """The order-th derivative of sum c_i tau^k / k! (highest order
-    first) at the shifted time tau, by Horner in exact rational arithmetic."""
-    kept = coeffs[: len(coeffs) - order]
+    first) at the shifted time tau, exactly: with tau = p / q and every
+    c_i / k! an integer A_k over one common denominator, Horner sums the
+    integers A_k p^k q^(degree - k), and one Fraction divides them out."""
+    kept = [c.as_integer_ratio() for c in coeffs[: len(coeffs) - order]]
+    if not kept:
+        return Fraction(0)
     degree = len(kept) - 1
-    tau = Fraction(tau)
-    value = Fraction(0)
-    for i, c in enumerate(kept):
-        value = value * tau + Fraction(c) / math.factorial(degree - i)
-    return value
+    p, q = tau.as_integer_ratio()
+    scales = [den * math.factorial(degree - i) for i, (_, den) in enumerate(kept)]
+    common = math.lcm(*scales)
+    value = 0
+    for i, ((num, _), scale) in enumerate(zip(kept, scales)):
+        value = value * p + num * (common // scale) * q**i
+    return Fraction(value, common * q**degree)
 
 
 def cubic_coefficients(t0, t1, p0, v0, p1, v1):

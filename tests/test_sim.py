@@ -432,7 +432,7 @@ def _random_configs(draw):
         reject()
 
 
-_RANDOM_CONFIG_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
+_RANDOM_CONFIG_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None,
                                    phases=[Phase.generate])
 
 

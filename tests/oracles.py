@@ -7,7 +7,8 @@ discretized trajectory optimization (KKT systems of small quadratic
 programs) instead of polynomial boundary-value solves, hand-written cubic
 and quintic boundary systems and evaluators, and the Hermite boundary
 system solved in exact rational arithmetic, instead of the closed-form
-Hermite coefficients and Horner loop, a full
+Hermite coefficients and Horner loop, the lane-leader gap decided in
+exact arithmetic instead of by gap_to's floats and root rule, a full
 reschedule per entry-gate probe, a full gate search of every arm head at
 every admission, one scalar evaluation per sampled row, a
 forward queue scan, all-pairs audits and a csv.writer per output line
@@ -477,10 +478,9 @@ def gated_entry_by_full_schedule(spec, preds, leader, g, stats=None):
 # ---------------------------------------------------------------------------
 # The lane-leader gap rule decided in exact arithmetic: every float of both
 # pieces becomes a Fraction, the gap less the bound is expanded into a
-# polynomial in t, and its stationary points, the roots (-B +- sqrt(D)) / 2A
-# of its derivative, are kept exact as x + y sqrt(D) with rational x, y, so
-# every sign it needs is decided exactly.  It shares no root formula and
-# no rounding with gap_to.
+# polynomial in t, and its interior minima are isolated between rational
+# points by the sign of its slope.  It shares no root formula and no
+# rounding with gap_to.
 
 
 def _in_t_exact(coefficients, t0):
@@ -497,50 +497,69 @@ def _in_t_exact(coefficients, t0):
     return terms
 
 
-def _surd_sign(x, y, d):
-    """The sign of x + y sqrt(d), d >= 0, exactly."""
-    sx = (x > 0) - (x < 0)
-    sy = (y > 0) - (y < 0) if d else 0
-    if sy == 0 or sx == sy:
-        return sx
-    if sx == 0:
-        return sy
-    diff = x * x - y * y * d
-    return sx if diff > 0 else sy if diff < 0 else 0
-
-
-def _surd_value(poly, x, y, d):
-    """poly, lowest order first, at x + y sqrt(d): (u, v) of u + v sqrt(d)."""
-    u = v = Fraction(0)
+def _at(poly, t):
+    """poly, lowest order first, at the rational t."""
+    value = Fraction(0)
     for c in reversed(poly):
-        u, v = u * x + v * y * d + c, u * y + v * x
-    return u, v
+        value = value * t + c
+    return value
+
+
+def _rational_sqrt(square):
+    """The rational square root of a Fraction, or None if it has none."""
+    if square < 0:
+        return None
+    num, den = math.isqrt(square.numerator), math.isqrt(square.denominator)
+    return Fraction(num, den) if Fraction(num * num, den * den) == square else None
 
 
 def gap_below_exact(leader, coefficients, t0, t1, bound):
     """Whether the gap of a cubic follower, coefficients on [t0, t1], behind
     a cubic leader falls below bound somewhere on the window both share,
-    decided exactly: None when they share none.  The least gap over a
-    closed window sits at an end or at a stationary point inside it."""
+    decided exactly: None when they share none.
+
+    The least gap over a closed window sits at an end or at an interior
+    minimum, where the gap's slope, of degree 2 at most, rises through
+    zero.  The slope is monotone on each side of its vertex, so each side
+    isolates at most one such root between rational ends.  A rational
+    root is evaluated as it is.  An irrational one is no root of the gap,
+    since a cubic with rational coefficients has no irrational double
+    root, so bisection on the slope's sign ends: once the gap is below the
+    bound at a point, or gap(a) + (b - a) slope(a), the least it can be
+    on [a, b], is not.
+    """
     lo, hi = Fraction(max(leader.t0, t0)), Fraction(min(leader.t1, t1))
     if lo > hi:
         return None
     excess = [a - b for a, b in zip(_in_t_exact(leader.coefficients, leader.t0),
                                     _in_t_exact(coefficients, t0))]
     excess[0] -= Fraction(bound)
-    const, lin, quad = (k * c for k, c in enumerate(excess[1:], start=1))
-    stationary = []
-    if quad != 0:
-        disc = lin * lin - 4 * quad * const
-        if disc >= 0:
-            stationary = [(-lin / (2 * quad), side / (2 * quad), disc) for side in (1, -1)]
-    elif lin != 0:
-        stationary = [(-const / lin, 0, 0)]
-    points = [(lo, 0, 0), (hi, 0, 0)] + [
-        (x, y, d) for x, y, d in stationary
-        if _surd_sign(x - lo, y, d) > 0 and _surd_sign(hi - x, -y, d) > 0
-    ]
-    return any(_surd_sign(*_surd_value(excess, x, y, d), d) < 0 for x, y, d in points)
+    slope = [k * c for k, c in enumerate(excess)][1:]
+    const, lin, quad = slope
+    if _at(excess, lo) < 0 or _at(excess, hi) < 0:
+        return True
+    if quad == 0:
+        rational = [-const / lin] if lin != 0 else []
+    else:
+        root = _rational_sqrt(lin * lin - 4 * quad * const)
+        rational = [] if root is None else [(-lin + side * root) / (2 * quad) for side in (1, -1)]
+    cuts = [lo, hi]
+    if quad != 0 and lo < -lin / (2 * quad) < hi:
+        cuts.insert(1, -lin / (2 * quad))
+    for a, b in zip(cuts, cuts[1:]):
+        if not _at(slope, a) < 0 < _at(slope, b):
+            continue
+        exact = [r for r in rational if a < r < b]
+        if exact:
+            if _at(excess, exact[0]) < 0:
+                return True
+            continue
+        while _at(excess, a) + (b - a) * _at(slope, a) < 0:
+            mid = (a + b) / 2
+            if _at(excess, mid) < 0:
+                return True
+            a, b = (mid, b) if _at(slope, mid) < 0 else (a, mid)
+    return False
 
 
 def finish_search(search):

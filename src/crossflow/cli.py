@@ -42,7 +42,7 @@ from crossflow.pareto import DEFAULT_GRID_SIZE, DEFAULT_W_MAX, DEFAULT_W_MIN, de
 from crossflow.scheduler import VehicleSpec, earliest_mz_arrival
 from crossflow.sim import (
     MIN_SAMPLE_STEP,
-    SAMPLE_DTYPE,
+    ZONES,
     HorizonError,
     SimConfig,
     evaluate_crossing,
@@ -50,6 +50,7 @@ from crossflow.sim import (
     plan_crossing,
     require_sample_rows,
     run,
+    sample_grid,
 )
 
 SCHEMA_VERSION = 1
@@ -335,18 +336,24 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
         writer.writerows(rows)
 
 
-# A state table is written one line per row, a slice of rows at a time to
-# bound their memory: trajectories.csv by (t, vehicle_id, arm, turn, zone)
-# and plan.csv by (t, zone), each then p, v, u and j.  Each number's text is
-# '%.9g' of it, as _fmt writes it, and no field can hold a comma, quote or
-# newline, so the lines match what csv.writer makes of the _fmt strings.  A
-# slice is built as one uint8 matrix, a row per line: each field's text in a
-# fixed-width block of columns, padded with zero bytes (no text holds one),
-# then a comma or the newline.  Dropping the zero bytes of the matrix, read
-# row by row, leaves the slice's lines.  The numbers come from _format_g9
-# and the key columns from _column_text.
+# trajectories.csv and plan.csv are written one line per sampled row, a
+# slice of rows at a time to bound their memory: t, then id, arm, turn and
+# zone or zone alone, then p, v, u and j.  The writer reads the columns as
+# sim.sample_grid and sim.evaluate_crossing give them, with no state table
+# between: t, a small matrix of key texts and each row's index into it (for
+# trajectories.csv one "id,arm,turn,zone" text per vehicle and piece, for
+# plan.csv the three zone texts), and the (4, n) array of p, v, u and j.  Each number's text is '%.9g' of it, as _fmt
+# writes it, and no field can hold a comma, quote or newline, so the lines
+# match what csv.writer makes of the _fmt strings.  A slice is built as one
+# uint8 matrix, a row per line: each field's text in a fixed-width block of
+# columns, padded with zero bytes (no text holds one), then a comma or the
+# newline.  Dropping the zero bytes of the matrix, read row by row, leaves
+# the slice's lines.  The numbers come from _format_g9, t once for each run
+# of rows that share its bits (the rows come in time order, so a run holds
+# every vehicle sampled at that time), and the keys from _key_texts.
 _TRAJECTORY_ROWS = 4096
-_TRAJECTORY_KEY = ("vehicle_id", "arm", "turn", "zone")
+_TRAJECTORY_HEADER = "t,id,arm,turn,zone,p,v,u,j"
+_PLAN_HEADER = "t,zone,p,v,u,j"
 
 # _format_g9 writes a value in a 16-byte block, with zero bytes wherever it
 # has no character: '-' at byte 0 if its sign bit is set, then its nine
@@ -479,33 +486,31 @@ def _format_g9(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def _column_text(column: np.ndarray) -> np.ndarray:
-    """The text of each value of an integer or string column, as a uint8
-    matrix padded with zero bytes: an integer formatted once per distinct
-    value, a string as its code points, which must be ASCII (a state
-    table's labels are)."""
-    if column.dtype.kind == "U":
-        codes = column.view((np.uint32, (column.dtype.itemsize // 4,)))
-        if codes.max(initial=0) > 127:
-            raise ValueError(f"a state table label is not ASCII: {column!r}")
-        return codes.astype(np.uint8)
-    values, inverse = np.unique(column, return_inverse=True)
-    texts = np.array([str(value) for value in values.tolist()], "S")
-    return texts.view(np.uint8).reshape(len(texts), -1)[inverse]
+def _key_texts(texts: Sequence[str]) -> np.ndarray:
+    """texts as a uint8 matrix, a row per text padded with zero bytes; each
+    text must be ASCII."""
+    try:
+        matrix = np.array(texts, "S")
+    except UnicodeEncodeError:
+        raise ValueError(f"a state table label is not ASCII: {texts!r}") from None
+    return matrix.view(np.uint8).reshape(len(texts), matrix.itemsize)
 
 
-def _state_lines(rows: np.ndarray, key: Sequence[str]) -> bytearray:
-    """The CSV lines of rows, a slice of a SAMPLE_DTYPE array: t, the key
-    columns, p, v, u and j."""
-    numbers = _format_g9(
-        np.column_stack([rows[name] for name in ("t", "p", "v", "u", "j")]).ravel()
-    ).reshape(len(rows), 5, 16)
-    fields = [numbers[:, 0], *(_column_text(rows[name]) for name in key),
-              *numbers[:, 1:].transpose(1, 0, 2)]
+def _state_lines(t: np.ndarray, keys: np.ndarray, values: np.ndarray) -> bytearray:
+    """The CSV lines of one slice: each row's t, its key text, then its p,
+    v, u and j, a column of values."""
+    bits = t.view(np.uint64)
+    # the first row of each run of equal bits
+    new = np.empty(len(t), bool)
+    new[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    times = _format_g9(t[new])[np.cumsum(new) - 1]
+    numbers = _format_g9(values.ravel()).reshape(len(values), len(t), 16)
+    fields = [times, keys, *numbers]
     # each field, then its separator
     ends = np.cumsum([field.shape[1] + 1 for field in fields])
-    buffer = bytearray(len(rows) * int(ends[-1]))
-    lines = np.frombuffer(buffer, np.uint8).reshape(len(rows), -1)
+    buffer = bytearray(len(t) * int(ends[-1]))
+    lines = np.frombuffer(buffer, np.uint8).reshape(len(t), -1)
     for field, end in zip(fields, ends.tolist()):
         lines[:, end - 1 - field.shape[1]:end - 1] = field
         lines[:, end - 1] = ord(",")
@@ -513,14 +518,15 @@ def _state_lines(rows: np.ndarray, key: Sequence[str]) -> bytearray:
     return buffer.translate(None, b"\0")
 
 
-def _write_states(path: str, table: np.ndarray, key: Sequence[str]) -> None:
-    """table, a SAMPLE_DTYPE array, as CSV lines of t, the key columns (the
-    vehicle_id column headed id), p, v, u and j."""
-    header = ",".join(("t", *key, "p", "v", "u", "j")).replace("vehicle_id", "id")
+def _write_states(path: str, header: str, t: np.ndarray, keys: np.ndarray,
+                  key_index: np.ndarray, values: np.ndarray) -> None:
+    """CSV lines under header: row i is t[i], the key text keys[key_index[i]]
+    (a _key_texts matrix), then column i of values, its p, v, u and j."""
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for start in range(0, len(table), _TRAJECTORY_ROWS):
-            fh.write(_state_lines(table[start:start + _TRAJECTORY_ROWS], key))
+        for start in range(0, len(t), _TRAJECTORY_ROWS):
+            rows = slice(start, start + _TRAJECTORY_ROWS)
+            fh.write(_state_lines(t[rows], keys[key_index[rows]], values[:, rows]))
 
 
 def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optional[int]) -> int:
@@ -529,13 +535,20 @@ def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optiona
         result = run(sim_config)
     except HorizonError as exc:
         raise ConfigError(f"sim: {exc}") from None
+    records = result.vehicles
     try:
-        samples = result.samples
+        owner, t = sample_grid(records, sim_config.sample_step)
     except ValueError as exc:
         raise ConfigError(f"sim.{exc}") from None
+    slot, values = evaluate_crossing([(rec.cz, rec.mz, rec.out) for rec in records], owner, t)
+    # one key text for each vehicle and piece, row i's at owner * 3 + slot
+    keys = _key_texts([f"{rec.spec.vehicle_id},{rec.spec.movement.entry_arm.value},"
+                       f"{rec.spec.movement.turn.value},{zone}"
+                       for rec in records for zone in ZONES])
     os.makedirs(out_dir, exist_ok=True)
 
-    _write_states(os.path.join(out_dir, "trajectories.csv"), samples, _TRAJECTORY_KEY)
+    _write_states(os.path.join(out_dir, "trajectories.csv"), _TRAJECTORY_HEADER, t, keys,
+                  owner * len(ZONES) + slot, values)
 
     schedule_rows = []
     for rec in result.vehicles:
@@ -671,10 +684,9 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     times = np.minimum(t0 + np.arange(steps + 1) * step, tf)
     # the row at tf is the merge zone's last, not the exit lane's first
-    states = np.empty(len(times), SAMPLE_DTYPE)
-    states["t"] = times
-    evaluate_crossing([(cz, mz)], np.zeros(len(times), np.intp), times, states)
-    _write_states(os.path.join(out_dir, "plan.csv"), states, ("zone",))
+    slot, values = evaluate_crossing([(cz, mz)], np.zeros(len(times), np.intp), times)
+    _write_states(os.path.join(out_dir, "plan.csv"), _PLAN_HEADER, times, _key_texts(ZONES),
+                  slot, values)
 
     resolved = {"geometry": _field_values(geometry),
                 "plan": _recorded({**section, "planned_tm": tm})}

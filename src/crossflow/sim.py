@@ -24,18 +24,24 @@ possible entry is already later is not searched at all.  A vehicle's
 record, its schedule and its path, is built the moment it is admitted.
 plan_crossing is the one rule that turns a merge window into a path: the
 approach, the merge and the exit-lane pieces, each starting where the one
-before it ends.  evaluate_crossing is the one evaluator of paths, of many
-vehicles' at once: the polynomial pieces that share a slot and a degree
-are evaluated together, each weighted merge piece on its own.
+before it ends.
+
+Sampling has two parts.  sample_grid is the one grid: each sampled row's
+record and time on the shared grid k * sample_step, in (t, vehicle_id)
+order, placed by one sort of the rows' small keys after the row count is
+checked against MAX_SAMPLE_ROWS.  evaluate_crossing is the one evaluator
+of paths, of many vehicles' at once: it gives each row's piece index and
+a contiguous array of p, v, u and j, evaluating the polynomial pieces
+that share a slot and a degree together and each weighted merge piece on
+its own.  crossflow simulate writes trajectories.csv straight from these
+columns.
 
 A run keeps only decisions: its config, its records and the gate's
 work.  Everything derived from them is computed on first read and then
 kept.  SimRun.audit is audit.audit_run's report on the run.
 SimRun.binding_histogram counts the binding cases.  SimRun.samples, the
 sampled state table, only displays the decisions, as one structured
-array of the paths' values in (t, vehicle_id) order: one sort of the
-rows' small keys places each row, and the table is then allocated once,
-at most MAX_SAMPLE_ROWS rows, and filled column by column in that order.
+array built from the same grid and evaluator; simulate does not read it.
 """
 
 from __future__ import annotations
@@ -88,7 +94,7 @@ ZONE_CZ = "cz"
 ZONE_MZ = "mz"
 ZONE_OUT = "out"
 # the zone of each piece of a path, in order
-_ZONES = (ZONE_CZ, ZONE_MZ, ZONE_OUT)
+ZONES = (ZONE_CZ, ZONE_MZ, ZONE_OUT)
 
 # One sampled state: which vehicle, where, and how fast, at time t.  The
 # text fields are as wide as the longest arm, turn and zone label.
@@ -288,7 +294,9 @@ class SimRun:
 
     @cached_property
     def samples(self) -> np.ndarray:
-        """The state table of _sample_states."""
+        """The state table of _sample_states: the rows that simulate writes
+        to trajectories.csv, as a SAMPLE_DTYPE array.  simulate does not
+        read it."""
         return _sample_states(self.vehicles, self.config)
 
 
@@ -549,18 +557,18 @@ def evaluate_crossing(
     paths: Sequence[Sequence[Union[PolyTrajectory, MzTrajectory]]],
     owner: np.ndarray,
     t: np.ndarray,
-    rows: np.ndarray,
-) -> None:
-    """Fill the zone, p, v, u and j fields of rows, a SAMPLE_DTYPE array,
-    at the times t: row i from the path paths[owner[i]], a vehicle's
-    consecutive pieces (the approach, the merge and, if given, the exit
-    lane).  Row i's piece is the last of its path whose t0 <= t[i], or the
-    first, so a time on a boundary belongs to the later piece.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The state of each row at the times t, row i on the path paths[owner[i]],
+    a vehicle's consecutive pieces (the approach, the merge and, if given,
+    the exit lane): each row's piece index, and a contiguous (4, len(t))
+    array of its p, v, u and j.  Row i's piece is the last of its path whose
+    t0 <= t[i], or the first, so a time on a boundary belongs to the later
+    piece.
 
     The polynomial pieces of one slot with one coefficient count are
-    evaluated together, one _horner call per field on per-row coefficient
-    columns, and each weighted piece by one _evaluate call for all four
-    fields, straight into its rows.  Every value keeps the bits of its own
+    evaluated together, one _horner call per derivative on per-row
+    coefficient columns, and each weighted piece by one _evaluate call for
+    all four, straight into its rows.  Every value keeps the bits of its own
     piece's derivative."""
     owner = np.asarray(owner, dtype=np.intp)
     slots = max(map(len, paths), default=0)
@@ -580,17 +588,16 @@ def evaluate_crossing(
     slot = np.zeros(len(t), np.intp)
     for j in range(1, slots):
         slot += t >= starts[owner, j]
-    rows["zone"] = np.array(_ZONES)[slot]
     row_group = group[owner, slot]
     order = np.argsort(row_group, kind="stable")
     ends = np.bincount(row_group, minlength=len(groups)).cumsum().tolist()
-    fields = [rows[name] for name in ("p", "v", "u", "j")]
+    values = np.empty((4, len(t)))
     for ((j, kind), (_, members)), start, end in zip(groups.items(), [0, *ends], ends):
         index = order[start:end]
         if kind < 0:
             ((_, piece),) = members
-            values = _evaluate(piece._regime, piece.rate_pos, piece.duration, piece._poly,
-                               piece._beta, t[index] - piece.t0, (0, 1, 2, 3))
+            derivatives = _evaluate(piece._regime, piece.rate_pos, piece.duration, piece._poly,
+                                    piece._beta, t[index] - piece.t0, (0, 1, 2, 3))
         else:
             # each member's coefficients and start in its path's column
             coefficients = np.zeros((kind, len(paths)))
@@ -601,28 +608,23 @@ def evaluate_crossing(
             owners = owner[index]
             columns = coefficients[:, owners]
             tau = t[index] - t0[owners]
-            values = [_horner(columns[:max(kind - d, 0)], tau) for d in range(4)]
-        for field, value in zip(fields, values):
-            field[index] = value
+            derivatives = [_horner(columns[:max(kind - d, 0)], tau) for d in range(4)]
+        for row, value in zip(values, derivatives):
+            row[index] = value
+    return slot, values
 
 
-def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarray:
-    """State table on the shared time grid k * sample_step, as one
-    SAMPLE_DTYPE array.
+def sample_grid(records: Sequence[VehicleRecord], step: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The sampled rows of records on the shared time grid k * step: each
+    row's record index and time, in (t, vehicle_id) order, with ties in
+    record order.
 
-    Rows exist from a vehicle's control-zone entry until the end of its
+    A vehicle has rows from its control-zone entry until the end of its
     exit-lane piece, when it has cleared the safety distance past the
-    merge-zone exit; every row is evaluate_crossing's value of the
-    vehicle's path.  The table is the run's published output; the auditor
-    does not read it.  Rows come out ordered by (t, vehicle_id), with ties
-    in record order.  A table of more than MAX_SAMPLE_ROWS rows is refused
-    before anything is allocated.
-
-    One stable lexsort of the rows' (t, vehicle_id) keys, in record order,
-    gives each row of the table its time and record; the table is then
-    allocated once and each of its columns filled in place.
+    merge-zone exit.  More than MAX_SAMPLE_ROWS rows are refused before
+    anything is allocated.  One stable lexsort of the rows' (t, vehicle_id)
+    keys, built in record order, places every row.
     """
-    step = cfg.sample_step
     # a grid point up to 1e-9 grid units before the entry time counts as the
     # entry, but never one more than 1e-9 of the entry time itself before it:
     # a step far above the entry time would otherwise put a row at t = 0
@@ -642,13 +644,22 @@ def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarr
     t = (np.arange(len(owner)) + offsets.repeat(counts)) * step
     ids = np.array([rec.spec.vehicle_id for rec in records], np.int64)
     order = np.lexsort((ids[owner], t))
-    owner, t = owner[order], t[order]
+    return owner[order], t[order]
 
+
+def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarray:
+    """State table of records, as one SAMPLE_DTYPE array: the rows of
+    sample_grid at cfg.sample_step, each evaluate_crossing's state of its
+    vehicle's path.  The auditor does not read it."""
+    owner, t = sample_grid(records, cfg.sample_step)
+    slot, values = evaluate_crossing([(rec.cz, rec.mz, rec.out) for rec in records], owner, t)
     table = np.empty(len(t), SAMPLE_DTYPE)
     table["t"] = t
-    table["vehicle_id"] = ids[owner]
-    for name, labels in (("arm", [rec.spec.movement.entry_arm.value for rec in records]),
+    for name, labels in (("vehicle_id", [rec.spec.vehicle_id for rec in records]),
+                         ("arm", [rec.spec.movement.entry_arm.value for rec in records]),
                          ("turn", [rec.spec.movement.turn.value for rec in records])):
         table[name] = np.array(labels, SAMPLE_DTYPE[name])[owner]
-    evaluate_crossing([(rec.cz, rec.mz, rec.out) for rec in records], owner, t, table)
+    table["zone"] = np.array(ZONES)[slot]
+    for name, value in zip(("p", "v", "u", "j"), values):
+        table[name] = value
     return table

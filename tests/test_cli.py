@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from dataclasses import fields, replace
@@ -48,6 +49,16 @@ def read_files(out_dir, names):
 
 
 SIM_FILES = ("trajectories.csv", "schedule.csv", "audit.json", "manifest.json")
+
+
+def write_table(path, table):
+    """table, a SAMPLE_DTYPE array, through the state writer as
+    trajectories.csv lines: each row its own key text."""
+    keys = cli._key_texts([f"{row['vehicle_id']},{row['arm']},{row['turn']},{row['zone']}"
+                           for row in table])
+    values = np.stack([table[name] for name in ("p", "v", "u", "j")])
+    cli._write_states(str(path), cli._TRAJECTORY_HEADER, table["t"], keys,
+                      np.arange(len(table)), values)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +111,33 @@ def test_simulate_outputs_ignore_gate_stats(tmp_path, monkeypatch):
     assert read_files(out_a, SIM_FILES) == read_files(out_b, SIM_FILES)
 
 
+# sha256 of schedule.csv and trajectories.csv for two configs: 240 vehicles
+# at 2.0 veh/s, where nearly every entry is gated and the gap rule's exact
+# minima decide the entries, and 120 fuel-only vehicles at 0.25 veh/s.  A
+# change that moves any output byte, such as a root formula that cancels
+# where the committed one does not, fails here; the weighted objective,
+# whose solve goes through LAPACK, is left out
+_OUTPUT_DIGESTS = [
+    ("sim:\n  arrival_rate: 2.0\n  vehicle_count: 240\n",
+     "73310e8faa68c9dd0fdba14ef41931d7360f4e9d9d2564e2fb07ca254140c798",
+     "7ae53d8fc6cbf6805f0ce2cabf361051f6534cb6cbc091c6c781b0dbae8539d8"),
+    ("sim:\n  arrival_rate: 0.25\n  vehicle_count: 120\n  seed: 2200\n"
+     "  objective: fuel_only\n",
+     "447b1c3f37f5b62f6d82250b2a141dd81f9a23ebb56041a6c998867d3baa3cd9",
+     "79dbbb27ad85c1d961890b0edf785ad0cf5d6444e968c201f6c1ed23958a7116"),
+]
+
+
+@pytest.mark.parametrize("text, schedule_digest, trajectory_digest", _OUTPUT_DIGESTS,
+                         ids=["jerk_only-2.0-240", "fuel_only-0.25-120"])
+def test_simulate_output_bytes_are_pinned(tmp_path, text, schedule_digest, trajectory_digest):
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("schedule.csv", "trajectories.csv")]
+    assert digests == [schedule_digest, trajectory_digest]
+
+
 def test_simulate_honors_config_file(tmp_path):
     cfg = write_config(tmp_path, "sim:\n  vehicle_count: 5\n  seed: 2\n")
     out = tmp_path / "out"
@@ -116,11 +154,11 @@ def test_simulate_reads_env_config(tmp_path, monkeypatch):
 
 
 def test_trajectory_lines_match_csv_writer_on_edge_values(tmp_path, monkeypatch):
-    # slices of 8 rows, the last one partial; t and j are each formatted
-    # once per distinct bit pattern in a slice, so each of the first two
-    # slices holds both zeros, and a repeated nan, inf and subnormal, in
-    # both columns and in their own orders: a cache keyed on the float,
-    # where 0.0 == -0.0, writes one zero's text for the other
+    # slices of 8 rows, the last one partial; t is formatted once for each
+    # run of rows that share its bits, so each of the first two slices holds
+    # both zeros side by side, and a repeated nan, inf and subnormal, in t
+    # and in j and in their own orders: runs found by ==, where
+    # 0.0 == -0.0, write one zero's text for the other
     monkeypatch.setattr(cli, "_TRAJECTORY_ROWS", 8)
     tiny, inf, nan = 5e-324, math.inf, math.nan
     repeated = [
@@ -144,7 +182,7 @@ def test_trajectory_lines_match_csv_writer_on_edge_values(tmp_path, monkeypatch)
     rows.append((0.1, 10**9, "W", "right", "out", 3, 4, 0, 0))
     table = np.array(rows, dtype=SAMPLE_DTYPE)
     path = tmp_path / "trajectories.csv"
-    cli._write_states(str(path), table, cli._TRAJECTORY_KEY)
+    write_table(path, table)
     expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(table))
     assert path.read_bytes() == expected.encode()
 
@@ -178,7 +216,7 @@ def test_trajectory_csv_matches_csv_writer_on_drawn_tables(tmp_path_factory, row
     path = tmp_path_factory.getbasetemp() / "drawn-trajectories.csv"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_TRAJECTORY_ROWS", slice_rows)
-        cli._write_states(str(path), table, cli._TRAJECTORY_KEY)
+        write_table(path, table)
     expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(table))
     assert path.read_bytes() == expected.encode()
 
@@ -234,11 +272,37 @@ def test_bulk_format_rarely_falls_back(monkeypatch):
     assert len(fallbacks) < 0.01 * len(values)
 
 
-def test_state_table_labels_must_be_ascii(tmp_path):
-    table = np.array([(0.0, 1, "N", "left", "cz", 0.0, 1.0, 0.0, 0.0),
-                      (0.1, 1, "N", "l\u00e9ft", "cz", 0.1, 1.0, 0.0, 0.0)], dtype=SAMPLE_DTYPE)
+def test_state_table_labels_must_be_ascii():
+    assert cli._key_texts(["1,N,left,cz", "cz"]).tolist() == [
+        list(b"1,N,left,cz"), list(b"cz") + [0] * 9]
     with pytest.raises(ValueError, match="not ASCII"):
-        cli._write_states(str(tmp_path / "trajectories.csv"), table, cli._TRAJECTORY_KEY)
+        cli._key_texts(["1,N,left,cz", "1,N,l\u00e9ft,cz"])
+
+
+def test_simulate_writes_trajectories_without_the_state_table(tmp_path, monkeypatch, capsys):
+    runs = []
+    run = cli.run
+
+    def capture(sim_config):
+        runs.append(run(sim_config))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run", capture)
+    cfg = write_config(tmp_path, "sim:\n  vehicle_count: 12\n  seed: 4\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert "samples" not in runs[0].__dict__
+    expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(runs[0].samples))
+    assert (out / "trajectories.csv").read_bytes() == expected.encode()
+    # a table past sim.MAX_SAMPLE_ROWS is refused before any output
+    cfg = write_config(tmp_path, "sim:\n  sample_step: 1.0e-6\n  vehicle_count: 2\n")
+    out = tmp_path / "capped"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: sim.sample_step 1e-06 gives 68074355 sample rows, more than the 33554432 "
+        "a state table may hold\n")
+    assert not out.exists()
+    assert "samples" not in runs[1].__dict__
 
 
 def test_trajectory_csv_matches_csv_writer_with_integer_geometry(tmp_path, monkeypatch):

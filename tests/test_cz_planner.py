@@ -23,7 +23,7 @@ from crossflow import (
 )
 from crossflow.audit import gap_to, too_close
 from crossflow.cz_planner import hermite
-from crossflow.sim import SAMPLE_DTYPE, evaluate_crossing
+from crossflow.sim import evaluate_crossing
 
 
 def test_cruise_boundary_gives_constant_speed():
@@ -100,12 +100,11 @@ def test_derivatives_above_the_degree_are_zero():
     assert line.half_square_integral(1) == 4.0
     assert line.half_square_integral(2) == 0.0
     assert line.half_square_integral(3) == 0.0
-    rows = np.zeros(len(t), SAMPLE_DTYPE)
-    evaluate_crossing([(line,)], np.zeros(len(t), np.intp), t, rows)
-    assert rows["p"].tolist() == [5.0, 7.0, 9.0]
-    assert rows["v"].tolist() == [2.0, 2.0, 2.0]
-    assert rows["u"].tolist() == [0.0, 0.0, 0.0]
-    assert rows["j"].tolist() == [0.0, 0.0, 0.0]
+    slot, values = evaluate_crossing([(line,)], np.zeros(len(t), np.intp), t)
+    assert slot.tolist() == [0, 0, 0]
+    assert values.shape == (4, 3) and values.flags.c_contiguous
+    assert values.tolist() == [[5.0, 7.0, 9.0], [2.0, 2.0, 2.0], [0.0, 0.0, 0.0],
+                               [0.0, 0.0, 0.0]]
 
 
 def test_linearity_in_boundary_data():
@@ -327,7 +326,7 @@ def _assert_gap_predicate(leader, follower):
     return found
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     lead_v0=st.floats(8.0, 13.0),
     lead_vm=st.floats(6.0, 13.0),
@@ -345,7 +344,7 @@ def test_gap_predicate_matches_numpy_positions(lead_v0, lead_vm, lead_span, head
     assert (found is None) == (headway > lead_span)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(offset=st.floats(-3e-9, 3e-9), speed=st.floats(8.0, 13.0))
 def test_gap_predicate_at_the_safety_distance_with_equal_profiles(offset, speed):
     # equal cubic coefficients make quad == 0; the constant gap sits within
@@ -424,7 +423,7 @@ def _assert_matches_reference(traj, states, costs, fractions):
     assert traj.half_square_integral(3) == pytest.approx(discomfort, rel=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     t0=st.floats(0.0, 1000.0),
     width=st.floats(0.5, 60.0),
@@ -461,7 +460,7 @@ def _merge_boundary(tm, width, vm, vf, p_start, distance, u_start, u_end):
                       p_end=p_start + distance, u_start=u_start, u_end=u_end)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(**MERGE_WINDOWS)
 def test_merge_fuel_plan_matches_hand_written_cubic(fractions, **window):
     b = _merge_boundary(**window)
@@ -475,7 +474,7 @@ def test_merge_fuel_plan_matches_hand_written_cubic(fractions, **window):
                                               traj.half_square_integral(3))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(**MERGE_WINDOWS)
 def test_merge_jerk_plan_matches_hand_written_quintic(fractions, **window):
     b = _merge_boundary(**window)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import functools
+import hashlib
 import pathlib
 from dataclasses import replace
 from fractions import Fraction
@@ -995,6 +996,42 @@ def test_gate_work_on_saturated_and_light_runs():
     searches, _, probes = _gate_totals(0.25, 120)
     assert searches <= 750
     assert 0 < probes <= 1_200
+
+
+# sha256 of every gate probe, GateStats and record of the saturated six and
+# one 240-vehicle 2.0 veh/s run; plain-float arithmetic alone feeds them
+PROBE_DIGEST = "ea7409dfb1715272b73c35454d6cb350eb64e965cdd6445549d635563559d400"
+
+
+def test_every_gate_probe_keeps_its_bits(monkeypatch):
+    digest = hashlib.sha256()
+    count = 0
+    prepare = sim_module.gap_to
+
+    def recording(leader):
+        min_gap = prepare(leader)
+        lead = (leader.coefficients, leader.t0, leader.t1)
+
+        def measured(coefficients, t0, t1):
+            nonlocal count
+            found = min_gap(coefficients, t0, t1)
+            digest.update(repr((lead, coefficients, t0, t1, found)).encode())
+            count += 1
+            return found
+
+        return measured
+
+    monkeypatch.setattr(sim_module, "gap_to", recording)
+    configs = [SimConfig(arrival_rate=2.0, vehicle_count=30, seed=seed)
+               for seed in range(1_000_000, 1_000_006)]
+    configs.append(SimConfig(arrival_rate=2.0, vehicle_count=240))
+    for cfg in configs:
+        result = run(cfg)
+        digest.update(repr(result.gate).encode())
+        for rec in result.vehicles:
+            digest.update(repr((rec.spec, rec.schedule)).encode())
+    assert count == 5_154
+    assert digest.hexdigest() == PROBE_DIGEST
 
 
 @pytest.mark.parametrize(

@@ -249,11 +249,16 @@ class MzTrajectory(Trajectory):
     _poly: Tuple[float, float, float, float]
     _beta: Tuple[float, float]
 
-    def derivative(self, t, order: int):
-        """The order-th derivative of position at t, a scalar or an array."""
+    def derivatives(self, t, orders: Sequence[int]):
+        """For each of orders, that derivative of position at t, a scalar or
+        an array: one evaluation of the basis for them all."""
         tau = np.asarray(t, dtype=float) - self.t0
         return _evaluate(self._regime, self.rate_pos, self.duration, self._poly, self._beta,
-                         tau, (order,))[0]
+                         tau, orders)
+
+    def derivative(self, t, order: int):
+        """The order-th derivative of position at t, a scalar or an array."""
+        return self.derivatives(t, (order,))[0]
 
 
 def half_square_integrals(

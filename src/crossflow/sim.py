@@ -7,15 +7,18 @@ zones.  An upstream entry gate holds a vehicle at the control-zone
 boundary until its planned approach keeps the minimum safe distance to
 the vehicle ahead on the same lane for the whole stretch where both are
 inside the control zone; beyond that gate, safety is entirely the
-scheduler's job.  The gate searches entry times by a galloping forward
-scan, whose step doubles, and a regula falsi on the probe's exact gap,
-guarded to take at most four probes more than bisection would.  The run
-keeps, for each movement, the latest queued vehicle of each conflict
-class, so a search reads its predecessors in one step; each probe then
-costs one earliest-arrival bound, one set of approach coefficients and
-the follower's half of the exact minimum gap, whose leader half is
-prepared once per search, and builds no trajectory.  Each search yields
-every probed time found not clear, a strict lower bound of its answer.
+scheduler's job.  The gate is a search and a probe.  The search,
+_earliest_clear, knows nothing of vehicles: it scans entry times forward
+by a step that doubles, then narrows the last step by a regula falsi on
+the probe's signed slack, guarded to take at most four probes more than
+bisection would, and yields every probed time found not clear, a strict
+lower bound of its answer.  The probe, which _gated_entry builds for one
+vehicle, checks one entry time against the lane leader: the run keeps,
+for each movement, the latest queued vehicle of each conflict class, so
+a search reads its predecessors in one step; each probe then costs one
+earliest-arrival bound, one set of approach coefficients and the
+follower's half of the exact minimum gap, whose leader half is prepared
+once per search, and builds no trajectory.
 Each admission is one best-first search over the arm heads: the head
 whose bound is least is advanced, and the admission is decided once no
 head's bound can beat the best entry found, so a search that cannot win
@@ -52,7 +55,7 @@ import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,7 +74,6 @@ from crossflow.mz_planner import (
     MzBoundary,
     MzTrajectory,
     MzVariant,
-    _evaluate,
     normalization_weights,
     refuse_ignored_weight,
     solve_mz,
@@ -337,76 +339,40 @@ def plan_crossing(
     return cz, solve_mz(boundary, objective, weight, g.u_max, jerk_scale), out
 
 
-def _gated_entry(
-    spec: VehicleSpec,
-    preds: ConflictPredecessors,
-    leader: Optional[PolyTrajectory],
-    g: IntersectionGeometry,
-    stats: GateStats,
+def _earliest_clear(
+    probe: Callable[[float], Tuple[bool, float]], start: float, cap: float
 ) -> Generator[float, None, float]:
-    """Gated control-zone entry at or after spec.t0, behind the conflict
-    predecessors preds: the first time found clear, where clear means the
-    planned approach stays at least min_safe_distance behind the lane
-    leader.
+    """The first time found clear from start on, by probe(t), which says
+    whether t is clear and gives a signed slack that is negative where it
+    is not; cap must be clear.  The search knows nothing else of what it
+    probes.
 
     A generator: it yields each probed time found not clear, and returns
     the answer.  Every yield is a strict lower bound of the answer, and
     the yields increase, so a caller that drives several searches at once
     can pause each at its latest yield and drop it once that bound can no
-    longer win.  Each probe adds one to stats.probes.
+    longer win.
 
-    The search probes spec.t0, then gallops forward: the step starts at
-    _GATE_SCAN_STEP and doubles until a probe is clear, capped just past
-    the leader's control-zone exit.  The last step is then narrowed to
-    _GATE_RESOLUTION by regula falsi on the probe's gap, with the
-    Illinois rule: when the same end of the bracket moves twice in a row,
-    the other end's gap is halved.  Each estimate is held at least half
-    the resolution inside the bracket and close enough to its midpoint
-    that after j probes the bracket is no wider than bisection's after
-    j - 4, so no narrowing takes more than four probes beyond
-    bisection's count.  When the clear end shares no control-zone window
-    with the leader, its gap is infinite and the estimate is the
-    midpoint.  The answer is the clear end of the last bracket; a clear
-    pocket that opens and closes again between two scan points is
-    skipped, so the answer need not be the earliest clear time.  The
-    probes are a pure function of spec.t0, spec.v0, the predecessors'
-    exit-time floor and the leader.
-
-    Only the feasibility bound of the schedule depends on the entry time,
-    so the predecessors' candidates are reduced to one floor, and the
-    leader's half of the gap rule prepared, once per search.  Each probe
-    then costs one earliest_mz_arrival, one set of approach coefficients
-    and the follower's half of the exact minimum gap, and builds no
-    trajectory; it plans the same tm that schedule() would.
+    The search probes start, then gallops forward: the step starts at
+    _GATE_SCAN_STEP and doubles until a probe is clear, capped at cap.
+    The last step is then narrowed to _GATE_RESOLUTION by regula falsi on
+    the probe's slack, with the Illinois rule: when the same end of the
+    bracket moves twice in a row, the other end's slack is halved.  Each
+    estimate is held at least half the resolution inside the bracket and
+    close enough to its midpoint that after j probes the bracket is no
+    wider than bisection's after j - 4, so no narrowing takes more than
+    four probes beyond bisection's count.  When the clear end's slack is
+    infinite, the estimate is the midpoint.  The answer is the clear end
+    of the last bracket; a clear pocket that opens and closes again
+    between two scan points is skipped, so the answer need not be the
+    earliest clear time.  The probed times are a pure function of start,
+    cap and the probe's answers.
     """
-    if leader is None:
-        return spec.t0
-    t0, v0 = spec.t0, spec.v0
-    transit = g.transit_time(spec.movement.turn)
-    vm = g.mz_speed(spec.movement.turn)
-    length, delta = g.cz_length, g.min_safe_distance
-    floor = max((tf for _, tf in conflict_candidates(preds, transit, g)), default=-math.inf)
-    min_gap = gap_to(leader)
-
-    def probe(t: float) -> Tuple[bool, float]:
-        # whether entry at t is clear, and the least gap to the leader less
-        # the safe distance: infinite when they share no control-zone window
-        stats.probes += 1
-        tm = max(floor, earliest_mz_arrival(t, v0, g) + transit) - transit
-        found = min_gap(approach_coefficients(t, v0, tm, vm, length), t, tm)
-        if found is None:
-            return True, math.inf
-        gap = found[0]
-        return not too_close(gap, delta), gap - delta
-
-    clear, f_low = probe(t0)
+    clear, f_low = probe(start)
     if clear:
-        return t0
-    low = t0
+        return start
+    low = start
     yield low
-    # the gap condition holds trivially once the leader has left the
-    # control zone, so the scan ends at the cap at the latest
-    cap = leader.t1 + _GATE_SCAN_STEP
     step = _GATE_SCAN_STEP
     while True:
         high = min(low + step, cap)
@@ -444,6 +410,55 @@ def _gated_entry(
             low, f_low = t, f
             yield low
     return high
+
+
+def _gated_entry(
+    spec: VehicleSpec,
+    preds: ConflictPredecessors,
+    leader: Optional[PolyTrajectory],
+    g: IntersectionGeometry,
+    stats: GateStats,
+) -> Generator[float, None, float]:
+    """Gated control-zone entry at or after spec.t0, behind the conflict
+    predecessors preds: _earliest_clear's answer from spec.t0 on, where
+    clear means the planned approach stays at least min_safe_distance
+    behind the lane leader, and the slack is the least gap to the leader
+    less that distance.  It yields what that search yields, and each
+    probe adds one to stats.probes.  The search is capped a scan step
+    past the leader's control-zone exit, which is clear: the gap
+    condition holds trivially once the leader has left the control zone.
+    When the clear end shares no control-zone window with the leader, its
+    slack is infinite.  The probes are a pure function of spec.t0,
+    spec.v0, the predecessors' exit-time floor and the leader.
+
+    Only the feasibility bound of the schedule depends on the entry time,
+    so the predecessors' candidates are reduced to one floor, and the
+    leader's half of the gap rule prepared, once per search.  Each probe
+    then costs one earliest_mz_arrival, one set of approach coefficients
+    and the follower's half of the exact minimum gap, and builds no
+    trajectory; it plans the same tm that schedule() would.
+    """
+    if leader is None:
+        return spec.t0
+    v0 = spec.v0
+    transit = g.transit_time(spec.movement.turn)
+    vm = g.mz_speed(spec.movement.turn)
+    length, delta = g.cz_length, g.min_safe_distance
+    floor = max((tf for _, tf in conflict_candidates(preds, transit, g)), default=-math.inf)
+    min_gap = gap_to(leader)
+
+    def probe(t: float) -> Tuple[bool, float]:
+        # whether entry at t is clear, and the least gap to the leader less
+        # the safe distance: infinite when they share no control-zone window
+        stats.probes += 1
+        tm = max(floor, earliest_mz_arrival(t, v0, g) + transit) - transit
+        found = min_gap(approach_coefficients(t, v0, tm, vm, length), t, tm)
+        if found is None:
+            return True, math.inf
+        gap = found[0]
+        return not too_close(gap, delta), gap - delta
+
+    return (yield from _earliest_clear(probe, spec.t0, leader.t1 + _GATE_SCAN_STEP))
 
 
 def run(cfg: SimConfig) -> SimRun:
@@ -567,9 +582,9 @@ def evaluate_crossing(
 
     The polynomial pieces of one slot with one coefficient count are
     evaluated together, one _horner call per derivative on per-row
-    coefficient columns, and each weighted piece by one _evaluate call for
-    all four, straight into its rows.  Every value keeps the bits of its own
-    piece's derivative."""
+    coefficient columns, and each weighted piece by one call of its
+    derivatives for all four, straight into its rows.  Every value keeps
+    the bits of its own piece's derivative."""
     owner = np.asarray(owner, dtype=np.intp)
     slots = max(map(len, paths), default=0)
     starts = np.full((len(paths), slots), math.inf)
@@ -596,8 +611,7 @@ def evaluate_crossing(
         index = order[start:end]
         if kind < 0:
             ((_, piece),) = members
-            derivatives = _evaluate(piece._regime, piece.rate_pos, piece.duration, piece._poly,
-                                    piece._beta, t[index] - piece.t0, (0, 1, 2, 3))
+            derivatives = piece.derivatives(t[index], (0, 1, 2, 3))
         else:
             # each member's coefficients and start in its path's column
             coefficients = np.zeros((kind, len(paths)))

@@ -389,9 +389,11 @@ def test_derivative_keeps_the_scalar_oracles_bits(turn, tm):
     trajectories = solve_mz_weighted_grid(b, (1e-3, 0.01, 0.05, 0.2, 0.5, 0.9, 0.99), Q1, Q2)
     assert {traj._regime for traj in trajectories} == {"series", "layer"}
     for traj in trajectories:
+        together = traj.derivatives(times, range(4))
         for order in range(4):
             expected = oracles.derivative_by_scalar(traj, times, order)
             assert traj.derivative(times, order).tobytes() == expected.tobytes()
+            assert together[order].tobytes() == expected.tobytes()
             for t, value in zip(times.tolist(), expected.tolist()):
                 assert float(traj.derivative(t, order)).hex() == value.hex()
 

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import functools
 import hashlib
+import math
 import pathlib
 from dataclasses import replace
 from fractions import Fraction
@@ -626,6 +627,20 @@ def test_audit_module_imports_neither_the_scheduler_nor_the_simulator():
         "geometry"}
 
 
+def test_the_simulator_reads_no_merge_planner_internals():
+    # a weighted merge piece is evaluated through MzTrajectory's public
+    # derivatives, not its basis fields
+    path = pathlib.Path(sim_module.__file__)
+    assert path.name == "sim.py"
+    imported = _imported_modules(path)
+    assert "crossflow.mz_planner.MzTrajectory" in imported
+    assert not {name for name in imported
+                if name.startswith("crossflow.mz_planner._")}
+    attributes = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute)}
+    assert not attributes & {"_regime", "_poly", "_beta", "rate_pos"}
+
+
 CHECKS = ("_BOUND_EPS", "too_close", "gap_to", "Violation", "FeasibilityReport",
           "check_feasibility", "audit_queue", "audit_run", "AuditFinding", "AuditReport")
 
@@ -971,6 +986,95 @@ def test_gap_rule_matches_exact_arithmetic(monkeypatch, seed):
         # clear lies within the gate's resolution below it
         last_not_clear = max(t for t, clear in clear_at.items() if not clear)
         assert clear_at[answer] and 0.0 < answer - last_not_clear <= sim_module._GATE_RESOLUTION
+
+
+# slack profiles clear exactly from the boundary on, each of the signed
+# distance d = t - boundary: linear, a steep root, a flat cubic, and a knee
+# that is steep below the boundary and flat on the clear side, as a traced
+# gate gap was (+0.0104 m at the clear end, -0.0013 m 1.2e-4 s earlier)
+_SLACKS = {
+    "linear": lambda d: d,
+    "root": lambda d: math.copysign(abs(d) ** 0.2, d),
+    "cubic": lambda d: d**3,
+    "knee": lambda d: 10.8 * d if d < 0.0 else -0.0104 * math.expm1(-d * 10.8 / 0.0104),
+}
+
+
+def _clear_search(slack, start, boundary, cap):
+    """Every probe (t, clear) of one _earliest_clear search on a probe clear
+    exactly from boundary on, with the slack slack(t - boundary), and the
+    search's yields and answer."""
+    probes = []
+
+    def probe(t):
+        probes.append((t, t >= boundary))
+        return t >= boundary, slack(t - boundary)
+
+    yields, answer = oracles.finish_search(sim_module._earliest_clear(probe, start, cap))
+    return probes, yields, answer
+
+
+def _narrowing(probes):
+    """The first bracket's width and the probes after the first clear one."""
+    first = next(i for i, (_, clear) in enumerate(probes) if clear)
+    return probes[first][0] - probes[first - 1][0], probes[first + 1:]
+
+
+def _bisections(width):
+    """How many probes bisection takes to narrow width to the resolution."""
+    return max(0, math.ceil(math.log2(width / sim_module._GATE_RESOLUTION)))
+
+
+_SEARCHES = dict(
+    start=st.floats(0.0, 200.0),
+    hold=st.floats(0.0, 100.0),
+    past=st.floats(0.0, 50.0),
+    scale=st.floats(1e-3, 1e3),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(sorted(_SLACKS)), **_SEARCHES)
+def test_earliest_clear_narrows_within_four_probes_of_bisection(kind, start, hold, past, scale):
+    boundary = start + hold
+    probes, yields, answer = _clear_search(
+        lambda d: scale * _SLACKS[kind](d), start, boundary, boundary + past
+    )
+    resolution = sim_module._GATE_RESOLUTION
+    if start >= boundary:
+        assert (probes, yields, answer) == ([(start, True)], [], start)
+        return
+    # the yields increase, each a probed time found not clear below the answer
+    not_clear = [t for t, clear in probes if not clear]
+    assert yields == not_clear
+    assert all(a < b for a, b in zip(yields, yields[1:]))
+    assert yields[0] == start and yields[-1] < answer
+    # the answer is a clear probe within the resolution of the last one not clear
+    assert (answer, True) in probes
+    assert 0.0 < answer - yields[-1] <= resolution
+    assert 0.0 <= answer - boundary < resolution
+    width, narrowing = _narrowing(probes)
+    assert len(narrowing) <= _bisections(width) + 4
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(**_SEARCHES)
+def test_earliest_clear_bisects_when_the_clear_end_has_infinite_slack(start, hold, past, scale):
+    boundary = start + hold
+    probes, _, answer = _clear_search(
+        lambda d: -scale if d < 0.0 else math.inf, start, boundary, boundary + past
+    )
+    if start >= boundary:
+        return
+    width, narrowing = _narrowing(probes)
+    assert len(narrowing) == _bisections(width)
+    # every narrowing probe is the midpoint of the bracket before it
+    first = len(probes) - len(narrowing) - 1
+    low, high = probes[first - 1][0], probes[first][0]
+    for t, clear in narrowing:
+        assert t == 0.5 * (low + high)
+        low, high = (low, t) if clear else (t, high)
+    assert answer == high
 
 
 def _gate_totals(rate, vehicles):

@@ -44,13 +44,13 @@ from crossflow.sim import (
     MIN_SAMPLE_STEP,
     ZONES,
     HorizonError,
+    SampledStates,
     SimConfig,
     evaluate_crossing,
     merge_boundary,
     plan_crossing,
     require_sample_rows,
     run,
-    sample_grid,
 )
 
 SCHEMA_VERSION = 1
@@ -338,11 +338,11 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
 
 # trajectories.csv and plan.csv are written one line per sampled row, a
 # slice of rows at a time to bound their memory: t, then id, arm, turn and
-# zone or zone alone, then p, v, u and j.  The writer reads the columns as
-# sim.sample_grid and sim.evaluate_crossing give them, with no state table
-# between: t, a small matrix of key texts and each row's index into it (for
-# trajectories.csv one "id,arm,turn,zone" text per vehicle and piece, for
-# plan.csv the three zone texts), and the (4, n) array of p, v, u and j.  Each number's text is '%.9g' of it, as _fmt
+# zone or zone alone, then p, v, u and j.  The writer reads the columns of
+# a sim.SampledStates, with no table of rows between, and a small matrix of
+# key texts, len(ZONES) per record: for trajectories.csv one
+# "id,arm,turn,zone" text per vehicle and piece, for plan.csv the zone
+# texts of its one record.  Each number's text is '%.9g' of it, as _fmt
 # writes it, and no field can hold a comma, quote or newline, so the lines
 # match what csv.writer makes of the _fmt strings.  A slice is built as one
 # uint8 matrix, a row per line: each field's text in a fixed-width block of
@@ -518,15 +518,17 @@ def _state_lines(t: np.ndarray, keys: np.ndarray, values: np.ndarray) -> bytearr
     return buffer.translate(None, b"\0")
 
 
-def _write_states(path: str, header: str, t: np.ndarray, keys: np.ndarray,
-                  key_index: np.ndarray, values: np.ndarray) -> None:
-    """CSV lines under header: row i is t[i], the key text keys[key_index[i]]
-    (a _key_texts matrix), then column i of values, its p, v, u and j."""
+def _write_states(path: str, header: str, states: SampledStates, keys: np.ndarray) -> None:
+    """CSV lines under header, one per row of states: its t, the key text of
+    its record and piece, then its p, v, u and j.  keys is a _key_texts
+    matrix of len(ZONES) texts per record, the record's piece i's at row
+    record * len(ZONES) + i."""
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for start in range(0, len(t), _TRAJECTORY_ROWS):
+        for start in range(0, len(states), _TRAJECTORY_ROWS):
             rows = slice(start, start + _TRAJECTORY_ROWS)
-            fh.write(_state_lines(t[rows], keys[key_index[rows]], values[:, rows]))
+            key_index = states.owner[rows] * len(ZONES) + states.slot[rows]
+            fh.write(_state_lines(states.t[rows], keys[key_index], states.values[:, rows]))
 
 
 def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optional[int]) -> int:
@@ -535,20 +537,16 @@ def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optiona
         result = run(sim_config)
     except HorizonError as exc:
         raise ConfigError(f"sim: {exc}") from None
-    records = result.vehicles
     try:
-        owner, t = sample_grid(records, sim_config.sample_step)
+        samples = result.samples
     except ValueError as exc:
         raise ConfigError(f"sim.{exc}") from None
-    slot, values = evaluate_crossing([(rec.cz, rec.mz, rec.out) for rec in records], owner, t)
-    # one key text for each vehicle and piece, row i's at owner * 3 + slot
     keys = _key_texts([f"{rec.spec.vehicle_id},{rec.spec.movement.entry_arm.value},"
                        f"{rec.spec.movement.turn.value},{zone}"
-                       for rec in records for zone in ZONES])
+                       for rec in result.vehicles for zone in ZONES])
     os.makedirs(out_dir, exist_ok=True)
 
-    _write_states(os.path.join(out_dir, "trajectories.csv"), _TRAJECTORY_HEADER, t, keys,
-                  owner * len(ZONES) + slot, values)
+    _write_states(os.path.join(out_dir, "trajectories.csv"), _TRAJECTORY_HEADER, samples, keys)
 
     schedule_rows = []
     for rec in result.vehicles:
@@ -683,10 +681,11 @@ def cmd_plan(config: Mapping[str, Any], out_dir: str) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     times = np.minimum(t0 + np.arange(steps + 1) * step, tf)
+    owner = np.zeros(len(times), np.intp)
     # the row at tf is the merge zone's last, not the exit lane's first
-    slot, values = evaluate_crossing([(cz, mz)], np.zeros(len(times), np.intp), times)
-    _write_states(os.path.join(out_dir, "plan.csv"), _PLAN_HEADER, times, _key_texts(ZONES),
-                  slot, values)
+    slot, values = evaluate_crossing([(cz, mz)], owner, times)
+    _write_states(os.path.join(out_dir, "plan.csv"), _PLAN_HEADER,
+                  SampledStates(times, owner, slot, values), _key_texts(ZONES))
 
     resolved = {"geometry": _field_values(geometry),
                 "plan": _recorded({**section, "planned_tm": tm})}

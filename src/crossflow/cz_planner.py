@@ -31,7 +31,7 @@ _FACTORIAL = tuple(float(math.factorial(k)) for k in range(8))
 _GAUSS = tuple(np.polynomial.legendre.leggauss(n) for n in range(1, 7))
 
 
-def _horner(coeffs: Sequence[float], tau):
+def horner(coeffs: Sequence[float], tau):
     """sum of coeffs[i] * tau^k / k!, k = len(coeffs) - 1 - i, by Horner:
     zero for no coefficients."""
     degree = len(coeffs) - 1
@@ -91,7 +91,7 @@ class PolyTrajectory(Trajectory):
         """The order-th derivative of position at t, a scalar or an array:
         zero for an order above the degree."""
         tau = np.asarray(t, dtype=float) - self.t0
-        return _horner(self.coefficients[: max(len(self.coefficients) - order, 0)], tau)
+        return horner(self.coefficients[: max(len(self.coefficients) - order, 0)], tau)
 
     def half_square_integral(self, order: int) -> float:
         """Half the integral of the order-th derivative squared over the
@@ -103,7 +103,7 @@ class PolyTrajectory(Trajectory):
             return 0.0
         nodes, weights = _GAUSS[len(coeffs) - 1]
         half = 0.5 * self.duration
-        values = _horner(coeffs, half * (1.0 + nodes))
+        values = horner(coeffs, half * (1.0 + nodes))
         return 0.5 * half * float(np.dot(weights, values * values))
 
 

@@ -36,15 +36,15 @@ checked against MAX_SAMPLE_ROWS.  evaluate_crossing is the one evaluator
 of paths, of many vehicles' at once: it gives each row's piece index and
 a contiguous array of p, v, u and j, evaluating the polynomial pieces
 that share a slot and a degree together and each weighted merge piece on
-its own.  crossflow simulate writes trajectories.csv straight from these
-columns.
+its own.  SampledStates holds the two parts' columns.
 
 A run keeps only decisions: its config, its records and the gate's
 work.  Everything derived from them is computed on first read and then
 kept.  SimRun.audit is audit.audit_run's report on the run.
 SimRun.binding_histogram counts the binding cases.  SimRun.samples, the
-sampled state table, only displays the decisions, as one structured
-array built from the same grid and evaluator; simulate does not read it.
+sampled states that only display the decisions, is the grid's rows
+through the evaluator, the columns crossflow simulate writes to
+trajectories.csv.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Sequen
 import numpy as np
 
 from crossflow.audit import AuditReport, audit_run, gap_to, too_close
-from crossflow.cz_planner import PolyTrajectory, _horner, approach_coefficients, solve_cz
+from crossflow.cz_planner import PolyTrajectory, approach_coefficients, horner, solve_cz
 from crossflow.geometry import (
     MAX_TIME,
     Arm,
@@ -98,13 +98,6 @@ ZONE_OUT = "out"
 # the zone of each piece of a path, in order
 ZONES = (ZONE_CZ, ZONE_MZ, ZONE_OUT)
 
-# One sampled state: which vehicle, where, and how fast, at time t.  The
-# text fields are as wide as the longest arm, turn and zone label.
-SAMPLE_DTYPE = np.dtype([
-    ("t", "f8"), ("vehicle_id", "i8"), ("arm", "U1"), ("turn", "U8"), ("zone", "U3"),
-    ("p", "f8"), ("v", "f8"), ("u", "f8"), ("j", "f8"),
-])
-
 # the largest vehicle_count and sample_step whose use fits 64-bit arrays:
 # the arrival arrays hold vehicle_count float64 values, and the sample
 # grid is sample_step times 64-bit integer indices
@@ -119,7 +112,8 @@ _GATE_RESOLUTION = 1e-6
 # a much finer step would not fit in memory
 MIN_SAMPLE_STEP = _GATE_RESOLUTION
 
-# the most rows a state table may hold: 2**25 rows of SAMPLE_DTYPE are 3.2 GB
+# the most rows a state table may hold: 2**25 rows of SampledStates columns,
+# 56 bytes a row, are 1.9 GB
 MAX_SAMPLE_ROWS = 2**25
 
 # a key above every admission key (entry, arrival time, arrival id)
@@ -266,13 +260,28 @@ class GateStats:
     probes: int = 0
 
 
+@dataclass(frozen=True, eq=False)
+class SampledStates:
+    """Sampled rows as columns: each row's time, the index of its record,
+    the index into ZONES of its piece, and a contiguous (4, len) array of
+    its p, v, u and j."""
+
+    t: np.ndarray
+    owner: np.ndarray
+    slot: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+
 @dataclass(frozen=True)
 class SimRun:
     """One simulated scenario: its config, its records and the gate's work.
 
-    The audit, the binding histogram and the state table are derived from
-    the records: each is computed on its first read and is the same object
-    on every later one.  A run copied with replace() derives its own.
+    The audit, the binding histogram and the sampled states are derived
+    from the records: each is computed on its first read and is the same
+    object on every later one.  A run copied with replace() derives its own.
     """
 
     config: SimConfig
@@ -295,11 +304,14 @@ class SimRun:
         return histogram
 
     @cached_property
-    def samples(self) -> np.ndarray:
-        """The state table of _sample_states: the rows that simulate writes
-        to trajectories.csv, as a SAMPLE_DTYPE array.  simulate does not
-        read it."""
-        return _sample_states(self.vehicles, self.config)
+    def samples(self) -> SampledStates:
+        """The rows that simulate writes to trajectories.csv: sample_grid's
+        rows at config.sample_step, each evaluate_crossing's state of its
+        vehicle's path.  The auditor does not read them."""
+        owner, t = sample_grid(self.vehicles, self.config.sample_step)
+        slot, values = evaluate_crossing([(rec.cz, rec.mz, rec.out) for rec in self.vehicles],
+                                         owner, t)
+        return SampledStates(t, owner, slot, values)
 
 
 def merge_boundary(
@@ -581,7 +593,7 @@ def evaluate_crossing(
     piece.
 
     The polynomial pieces of one slot with one coefficient count are
-    evaluated together, one _horner call per derivative on per-row
+    evaluated together, one horner call per derivative on per-row
     coefficient columns, and each weighted piece by one call of its
     derivatives for all four, straight into its rows.  Every value keeps
     the bits of its own piece's derivative."""
@@ -622,7 +634,7 @@ def evaluate_crossing(
             owners = owner[index]
             columns = coefficients[:, owners]
             tau = t[index] - t0[owners]
-            derivatives = [_horner(columns[:max(kind - d, 0)], tau) for d in range(4)]
+            derivatives = [horner(columns[:max(kind - d, 0)], tau) for d in range(4)]
         for row, value in zip(values, derivatives):
             row[index] = value
     return slot, values
@@ -659,21 +671,3 @@ def sample_grid(records: Sequence[VehicleRecord], step: float) -> Tuple[np.ndarr
     ids = np.array([rec.spec.vehicle_id for rec in records], np.int64)
     order = np.lexsort((ids[owner], t))
     return owner[order], t[order]
-
-
-def _sample_states(records: Sequence[VehicleRecord], cfg: SimConfig) -> np.ndarray:
-    """State table of records, as one SAMPLE_DTYPE array: the rows of
-    sample_grid at cfg.sample_step, each evaluate_crossing's state of its
-    vehicle's path.  The auditor does not read it."""
-    owner, t = sample_grid(records, cfg.sample_step)
-    slot, values = evaluate_crossing([(rec.cz, rec.mz, rec.out) for rec in records], owner, t)
-    table = np.empty(len(t), SAMPLE_DTYPE)
-    table["t"] = t
-    for name, labels in (("vehicle_id", [rec.spec.vehicle_id for rec in records]),
-                         ("arm", [rec.spec.movement.entry_arm.value for rec in records]),
-                         ("turn", [rec.spec.movement.turn.value for rec in records])):
-        table[name] = np.array(labels, SAMPLE_DTYPE[name])[owner]
-    table["zone"] = np.array(ZONES)[slot]
-    for name, value in zip(("p", "v", "u", "j"), values):
-        table[name] = value
-    return table

@@ -47,6 +47,7 @@ from crossflow.sim import (
     ZONE_CZ,
     ZONE_MZ,
     ZONE_OUT,
+    ZONES,
     generate_arrivals,
 )
 
@@ -616,9 +617,17 @@ class SampleRow(NamedTuple):
     j: float
 
 
-def sample_rows(table):
-    """The rows of a state table (a sim.SAMPLE_DTYPE array) as SampleRows."""
-    return tuple(map(SampleRow._make, table.tolist()))
+def sample_rows(run):
+    """The rows of run.samples as SampleRows, each read from its columns
+    and its record."""
+    samples = run.samples
+    labels = [(rec.spec.vehicle_id, rec.spec.movement.entry_arm.value,
+               rec.spec.movement.turn.value) for rec in run.vehicles]
+    return tuple(
+        SampleRow(t, *labels[owner], ZONES[slot], *state)
+        for t, owner, slot, *state in zip(samples.t.tolist(), samples.owner.tolist(),
+                                          samples.slot.tolist(), *samples.values.tolist())
+    )
 
 
 def row_bits(rows):
@@ -628,16 +637,30 @@ def row_bits(rows):
     return [tuple(x.hex() if isinstance(x, float) else x for x in row) for row in rows]
 
 
+def _grid_span(rec, cfg):
+    """The first and last index k of rec's rows on the grid k * sample_step:
+    from its control-zone entry until it has cleared min_safe_distance
+    past its merge-zone exit."""
+    step = cfg.sample_step
+    entry = rec.spec.t0 / step
+    sched = rec.schedule
+    leave_time = sched.tf + cfg.geometry.min_safe_distance / sched.vf
+    return math.ceil(entry - 1e-9 * min(1.0, entry)), math.floor(leave_time / step + 1e-9)
+
+
+def sample_row_count(records, cfg):
+    """How many rows sample_states_by_row gives records, counted from
+    their grid spans alone."""
+    return sum(last + 1 - first for first, last in (_grid_span(rec, cfg) for rec in records))
+
+
 def sample_states_by_row(records, cfg):
     """State table on the grid k * sample_step, one scalar evaluation per row."""
     step = cfg.sample_step
     rows = []
     for rec in records:
         sched = rec.schedule
-        entry = rec.spec.t0 / step
-        first = math.ceil(entry - 1e-9 * min(1.0, entry))
-        leave_time = sched.tf + cfg.geometry.min_safe_distance / sched.vf
-        last = math.floor(leave_time / step + 1e-9)
+        first, last = _grid_span(rec, cfg)
         for k in range(first, last + 1):
             t = k * step
             if t < sched.tm:

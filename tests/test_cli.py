@@ -27,7 +27,8 @@ from crossflow import (
     solve_mz,
     solve_mz_jerk,
 )
-from crossflow.sim import SAMPLE_DTYPE, merge_boundary
+from crossflow import sim as sim_module
+from crossflow.sim import ZONES, SampledStates, merge_boundary
 from crossflow.sim import run as sim_run
 
 S_LEFT = 3.0 * math.pi * 30.0 / 8.0
@@ -51,14 +52,25 @@ def read_files(out_dir, names):
 SIM_FILES = ("trajectories.csv", "schedule.csv", "audit.json", "manifest.json")
 
 
-def write_table(path, table):
-    """table, a SAMPLE_DTYPE array, through the state writer as
-    trajectories.csv lines: each row its own key text."""
-    keys = cli._key_texts([f"{row['vehicle_id']},{row['arm']},{row['turn']},{row['zone']}"
-                           for row in table])
-    values = np.stack([table[name] for name in ("p", "v", "u", "j")])
-    cli._write_states(str(path), cli._TRAJECTORY_HEADER, table["t"], keys,
-                      np.arange(len(table)), values)
+def write_rows(path, rows):
+    """rows, oracles.SampleRows, through the state writer as
+    trajectories.csv lines: each row its own record, with a key text for
+    each of its record's pieces."""
+    keys = cli._key_texts([f"{row.vehicle_id},{row.arm},{row.turn},{zone}"
+                           for row in rows for zone in ZONES])
+    states = SampledStates(
+        t=np.array([row.t for row in rows], np.float64),
+        owner=np.arange(len(rows)),
+        slot=np.array([ZONES.index(row.zone) for row in rows], np.intp),
+        values=np.array([row[5:] for row in rows], np.float64).reshape(-1, 4).T,
+    )
+    cli._write_states(str(path), cli._TRAJECTORY_HEADER, states, keys)
+
+
+# the run that the row cap refuses, about 3.4e7 rows a vehicle, and its row
+# count by the per-row oracle's grid spans
+_CAPPED_SIM = SimConfig(sample_step=1e-6, vehicle_count=2)
+_CAPPED_ROWS = oracles.sample_row_count(sim_run(_CAPPED_SIM).vehicles, _CAPPED_SIM)
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +180,21 @@ def test_trajectory_lines_match_csv_writer_on_edge_values(tmp_path, monkeypatch)
          (nan, 0.0, -inf, -inf, nan, -0.0, tiny, tiny)),
     ]
     rows = [
-        (t, k, "S", "straight", "mz", k, -t, t, j)
+        oracles.SampleRow(t, k, "S", "straight", "mz", k, -t, t, j)
         for ts, js in repeated
         for k, (t, j) in enumerate(zip(ts, js), start=1)
     ]
     values = [-0.0, 0.0, 1e-7, -1e-7, 1e21, -1e21, 8, 2.0 / 3.0, 123456789.5,
               5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
     rows += [
-        (x, k, "N", "left", zone, x, -x, x, -x)
+        oracles.SampleRow(x, k, "N", "left", zone, x, -x, x, -x)
         for k, x in enumerate(values, start=1)
         for zone in ("cz", "mz", "out")
     ]
-    rows.append((0.1, 10**9, "W", "right", "out", 3, 4, 0, 0))
-    table = np.array(rows, dtype=SAMPLE_DTYPE)
+    rows.append(oracles.SampleRow(0.1, 10**9, "W", "right", "out", 3.0, 4.0, 0.0, 0.0))
     path = tmp_path / "trajectories.csv"
-    write_table(path, table)
-    expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(table))
+    write_rows(path, rows)
+    expected = oracles.trajectory_csv_by_writer(rows)
     assert path.read_bytes() == expected.encode()
 
 
@@ -212,12 +223,12 @@ _TRAJECTORY_ROW = st.tuples(
 @settings(max_examples=60, derandomize=True, deadline=None, phases=[Phase.generate])
 @given(rows=st.lists(_TRAJECTORY_ROW, max_size=24), slice_rows=st.integers(1, 7))
 def test_trajectory_csv_matches_csv_writer_on_drawn_tables(tmp_path_factory, rows, slice_rows):
-    table = np.array(rows, dtype=SAMPLE_DTYPE)
+    rows = [oracles.SampleRow._make(row) for row in rows]
     path = tmp_path_factory.getbasetemp() / "drawn-trajectories.csv"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_TRAJECTORY_ROWS", slice_rows)
-        write_table(path, table)
-    expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(table))
+        write_rows(path, rows)
+    expected = oracles.trajectory_csv_by_writer(rows)
     assert path.read_bytes() == expected.encode()
 
 
@@ -263,8 +274,8 @@ def test_bulk_format_is_percent_g9_on_edge_values():
 def test_bulk_format_rarely_falls_back(monkeypatch):
     # a guard that sent every value to the per-value fallback would stay
     # exact but lose the bulk path's speed
-    table = sim_run(SimConfig(arrival_rate=0.25, vehicle_count=120, seed=2200)).samples
-    values = np.concatenate([table["p"], table["v"], table["u"]])
+    samples = sim_run(SimConfig(arrival_rate=0.25, vehicle_count=120, seed=2200)).samples
+    values = samples.values[:3].ravel()
     fallbacks = []
     fmt = cli._fmt
     monkeypatch.setattr(cli, "_fmt", lambda x: fallbacks.append(x) or fmt(x))
@@ -280,29 +291,49 @@ def test_state_table_labels_must_be_ascii():
 
 
 def test_simulate_writes_trajectories_without_the_state_table(tmp_path, monkeypatch, capsys):
+    # simulate's rows are SimRun.samples, built by one sample_grid and one
+    # evaluate_crossing of sim's; run() builds none
+    calls = []
     runs = []
     run = cli.run
 
     def capture(sim_config):
         runs.append(run(sim_config))
+        assert calls == []
         return runs[-1]
 
+    def counting(module, name):
+        function = getattr(module, name)
+
+        def counted(*args):
+            calls.append(f"{module.__name__}.{name}")
+            return function(*args)
+        monkeypatch.setattr(module, name, counted)
+
     monkeypatch.setattr(cli, "run", capture)
+    counting(sim_module, "sample_grid")
+    counting(sim_module, "evaluate_crossing")
+    counting(cli, "evaluate_crossing")
     cfg = write_config(tmp_path, "sim:\n  vehicle_count: 12\n  seed: 4\n")
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    assert "samples" not in runs[0].__dict__
-    expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(runs[0].samples))
-    assert (out / "trajectories.csv").read_bytes() == expected.encode()
-    # a table past sim.MAX_SAMPLE_ROWS is refused before any output
+    assert calls == ["crossflow.sim.sample_grid", "crossflow.sim.evaluate_crossing"]
+    assert "samples" in runs[0].__dict__
+    text = (out / "trajectories.csv").read_bytes()
+    assert text.count(b"\n") == len(runs[0].samples) + 1
+    assert text == oracles.trajectory_csv_by_writer(oracles.sample_rows(runs[0])).encode()
+    # a table past sim.MAX_SAMPLE_ROWS is refused by SimRun.samples's grid
+    # before any output
+    calls.clear()
     cfg = write_config(tmp_path, "sim:\n  sample_step: 1.0e-6\n  vehicle_count: 2\n")
     out = tmp_path / "capped"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: sim.sample_step 1e-06 gives 68074355 sample rows, more than the 33554432 "
+        f"error: sim.sample_step 1e-06 gives {_CAPPED_ROWS} sample rows, more than the 33554432 "
         "a state table may hold\n")
     assert not out.exists()
-    assert "samples" not in runs[1].__dict__
+    assert runs[1].config == _CAPPED_SIM
+    assert calls == ["crossflow.sim.sample_grid"]
 
 
 def test_trajectory_csv_matches_csv_writer_with_integer_geometry(tmp_path, monkeypatch):
@@ -323,7 +354,7 @@ def test_trajectory_csv_matches_csv_writer_with_integer_geometry(tmp_path, monke
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert type(runs[0].config.geometry.mz_speed_left) is int
-    expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(runs[0].samples)).encode()
+    expected = oracles.trajectory_csv_by_writer(oracles.sample_rows(runs[0])).encode()
     assert (out / "trajectories.csv").read_bytes() == expected
 
 
@@ -819,7 +850,7 @@ def test_plan_row_at_the_merge_exit_is_the_merge_zones_own(tmp_path, turn):
         # a step at the floor whose table would pass sim.MAX_SAMPLE_ROWS, 2**25
         # rows: about 4e7 rows a vehicle, refused before any is allocated
         ("simulate", "sim:\n  sample_step: 1.0e-6\n  vehicle_count: 2\n",
-         "sim.sample_step 1e-06 gives 68074355 sample rows, more than the 33554432"),
+         f"sim.sample_step 1e-06 gives {_CAPPED_ROWS} sample rows, more than the 33554432"),
         ("plan", "plan:\n  tm: 100\n  sample_step: 1.0e-6\n",
          "plan.sample_step 1e-06 gives 103000001 sample rows, more than the 33554432"),
         # a run whose last arrival cannot reach the merge zone before

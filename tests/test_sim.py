@@ -185,7 +185,7 @@ def test_single_vehicle_cruises_for_free():
     a, b, _, _ = rec.cz.coefficients
     assert abs(a) < 1e-12 and abs(b) < 1e-12
     assert result.audit.ok
-    for row in oracles.sample_rows(result.samples):
+    for row in oracles.sample_rows(result):
         assert row.v == pytest.approx(10.0, abs=1e-9)
         assert abs(row.u) < 1e-9
 
@@ -202,7 +202,7 @@ def test_reference_scenario_runs_clean(base_run):
 
 def test_run_is_deterministic(base_run):
     again = run(BASE)
-    assert again.samples.tolist() == base_run.samples.tolist()
+    assert oracles.sample_rows(again) == oracles.sample_rows(base_run)
     assert [r.schedule for r in again.vehicles] == [r.schedule for r in base_run.vehicles]
     assert again.binding_histogram == base_run.binding_histogram
 
@@ -229,7 +229,7 @@ def test_trajectories_meet_zone_boundaries(base_run):
 
 def test_sample_table_covers_zones(base_run):
     step = BASE.sample_step
-    table = oracles.sample_rows(base_run.samples)
+    table = oracles.sample_rows(base_run)
     for rec in base_run.vehicles:
         rows = [r for r in table if r.vehicle_id == rec.spec.vehicle_id]
         assert rows
@@ -247,20 +247,20 @@ def test_sample_table_covers_zones(base_run):
 
 def test_sample_grid_is_shared(base_run):
     step = BASE.sample_step
-    for row in oracles.sample_rows(base_run.samples):
+    for row in oracles.sample_rows(base_run):
         k = row.t / step
         assert abs(k - round(k)) < 1e-9
 
 
 def test_run_builds_the_state_table_only_when_read(monkeypatch):
     calls = []
-    sample_states = sim_module._sample_states
+    sample_grid = sim_module.sample_grid
 
-    def counting(records, cfg):
+    def counting(records, step):
         calls.append(len(records))
-        return sample_states(records, cfg)
+        return sample_grid(records, step)
 
-    monkeypatch.setattr(sim_module, "_sample_states", counting)
+    monkeypatch.setattr(sim_module, "sample_grid", counting)
     result = run(SimConfig(seed=7, vehicle_count=8))
     audit_run(result)
     assert calls == []
@@ -296,19 +296,20 @@ def test_replaced_run_derives_its_own_audit_histogram_and_samples(base_run):
     assert base_run.audit.ok
     histogram = base_run.binding_histogram
     samples = base_run.samples
+    rows = oracles.sample_rows(base_run)
     lateral = next(r for r in base_run.vehicles if r.schedule.binding_case == "lateral")
     perturbed = _perturbed(base_run, lateral.spec.vehicle_id, dtm=-0.5)
     assert not perturbed.audit.ok
     assert perturbed.audit == audit_run(perturbed)
-    assert perturbed.samples.tolist() != samples.tolist()
-    assert perturbed.samples.tolist() == sim_module._sample_states(
-        perturbed.vehicles, BASE).tolist()
+    assert oracles.sample_rows(perturbed) != rows
+    assert oracles.sample_rows(perturbed) == oracles.sample_rows(
+        SimRun(BASE, perturbed.vehicles, GateStats()))
     head = replace(base_run, vehicles=base_run.vehicles[:10])
     assert sum(head.binding_histogram.values()) == 10
     assert head.binding_histogram == {
         case: sum(r.schedule.binding_case == case for r in head.vehicles) for case in histogram
     }
-    assert set(head.samples["vehicle_id"].tolist()) == set(range(1, 11))
+    assert {row.vehicle_id for row in oracles.sample_rows(head)} == set(range(1, 11))
     assert base_run.binding_histogram is histogram and base_run.samples is samples
 
 
@@ -634,8 +635,11 @@ def test_the_simulator_reads_no_merge_planner_internals():
     assert path.name == "sim.py"
     imported = _imported_modules(path)
     assert "crossflow.mz_planner.MzTrajectory" in imported
+    # nor any other module's private name: the polynomial pieces go through
+    # cz_planner's public horner
+    assert "crossflow.cz_planner.horner" in imported
     assert not {name for name in imported
-                if name.startswith("crossflow.mz_planner._")}
+                if name.startswith("crossflow.") and name.rsplit(".", 1)[1].startswith("_")}
     attributes = {node.attr for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Attribute)}
     assert not attributes & {"_regime", "_poly", "_beta", "rate_pos"}
@@ -715,7 +719,7 @@ def _assert_audits_agree(result, min_safe_distance=None):
     kwargs = {"min_safe_distance": min_safe_distance}
     assert report == oracles.audit_exact_pairwise(cfg, records, **kwargs)
     assert audit_run(replace(audited, vehicles=records[::-1])) == report
-    sampled = oracles.audit_pairwise(cfg, records, oracles.sample_rows(result.samples), **kwargs)
+    sampled = oracles.audit_pairwise(cfg, records, oracles.sample_rows(result), **kwargs)
     exact_pairs = {(f.kind, f.vehicle_id, f.other_id) for f in report.findings}
     assert {(f.kind, f.vehicle_id, f.other_id) for f in sampled.findings} <= exact_pairs
     return report
@@ -766,9 +770,13 @@ def test_audit_matches_pairwise_oracle_on_perturbed_records(audit_runs, rate, ca
 # the fast gate and sampler against their per-probe and per-row oracles
 
 
-def _assert_same_rows(table, slow):
-    assert table.dtype == sim_module.SAMPLE_DTYPE
-    fast = oracles.sample_rows(table)
+def _assert_same_rows(result, slow):
+    samples = result.samples
+    assert isinstance(samples, sim_module.SampledStates)
+    assert [column.dtype for column in (samples.t, samples.owner, samples.slot, samples.values)] \
+        == [np.float64, np.intp, np.intp, np.float64]
+    assert samples.values.shape == (4, len(samples)) and samples.values.flags.c_contiguous
+    fast = oracles.sample_rows(result)
     assert oracles.row_bits(fast) == oracles.row_bits(slow)
     for fast_row, slow_row in zip(fast, slow):
         assert [type(x) for x in fast_row] == [type(x) for x in slow_row]
@@ -795,7 +803,7 @@ def test_gate_matches_full_schedule_oracle(monkeypatch, seed, rate):
     fast, slow = _assert_gate_matches_oracle(
         monkeypatch, SimConfig(seed=seed, arrival_rate=rate, vehicle_count=24)
     )
-    assert fast.samples.tolist() == slow.samples.tolist()
+    assert oracles.sample_rows(fast) == oracles.sample_rows(slow)
 
 
 @pytest.mark.parametrize(
@@ -1152,7 +1160,7 @@ def test_sampler_matches_per_row_oracle(objective, weight):
     cfg = SimConfig(seed=4, vehicle_count=12, objective=objective, weight=weight)
     records = run(cfg).vehicles
     _assert_same_rows(
-        sim_module._sample_states(records, cfg), oracles.sample_states_by_row(records, cfg)
+        SimRun(cfg, records, GateStats()), oracles.sample_states_by_row(records, cfg)
     )
 
 
@@ -1180,29 +1188,29 @@ def test_sampler_matches_per_row_oracle_on_any_records(objective, step, order, k
     cfg = replace(result.config, sample_step=step)
     records = [result.vehicles[i] for i in order[:kept]]
     _assert_same_rows(
-        sim_module._sample_states(records, cfg), oracles.sample_states_by_row(records, cfg)
+        SimRun(cfg, tuple(records), GateStats()), oracles.sample_states_by_row(records, cfg)
     )
 
 
 def test_sampler_refuses_a_table_above_the_row_cap_before_allocating(monkeypatch):
     cfg = SimConfig(seed=4, vehicle_count=3)
     records = run(cfg).vehicles
-    rows = len(sim_module._sample_states(records, cfg))
+    rows = len(SimRun(cfg, records, GateStats()).samples)
     monkeypatch.setattr(sim_module, "MAX_SAMPLE_ROWS", rows)
-    assert len(sim_module._sample_states(records, cfg)) == rows
+    assert len(SimRun(cfg, records, GateStats()).samples) == rows
     monkeypatch.setattr(sim_module, "MAX_SAMPLE_ROWS", rows - 1)
     # without numpy the sampler can allocate nothing: the refusal comes first
     monkeypatch.setattr(sim_module, "np", None)
     with pytest.raises(ValueError, match=f"sample_step 0.1 gives {rows} sample rows, "
                                          f"more than the {rows - 1} a state table may hold"):
-        sim_module._sample_states(records, cfg)
+        SimRun(cfg, records, GateStats()).samples
 
 
 def test_sampler_orders_rows_by_time_then_id_in_any_record_order():
     cfg = SimConfig(seed=4, vehicle_count=12)
     records = run(cfg).vehicles[::-1]
     _assert_same_rows(
-        sim_module._sample_states(records, cfg), oracles.sample_states_by_row(records, cfg)
+        SimRun(cfg, records, GateStats()), oracles.sample_states_by_row(records, cfg)
     )
 
 
@@ -1214,10 +1222,10 @@ def test_sampler_writes_no_row_before_a_vehicles_entry_at_a_coarse_step():
     result = run(cfg)
     entry = {rec.spec.vehicle_id: rec.spec.t0 for rec in result.vehicles}
     assert min(entry.values()) > 0.0
-    assert all(row.t >= entry[row.vehicle_id] for row in oracles.sample_rows(result.samples))
+    assert all(row.t >= entry[row.vehicle_id] for row in oracles.sample_rows(result))
     # the next grid point, t = 1e18, lies long past every exit
     assert len(result.samples) == 0
-    _assert_same_rows(result.samples, oracles.sample_states_by_row(result.vehicles, cfg))
+    _assert_same_rows(result, oracles.sample_states_by_row(result.vehicles, cfg))
 
 
 def test_sampler_zone_boundaries_on_grid_points():
@@ -1237,9 +1245,9 @@ def test_sampler_zone_boundaries_on_grid_points():
     cz, mz, out = plan_crossing(spec, tm, tf, g, MzVariant.JERK_ONLY)
     record = VehicleRecord(spec=spec, arrival_time=spec.t0, schedule=sched, cz=cz, mz=mz,
                            out=out)
-    rows = sim_module._sample_states([record], cfg)
-    _assert_same_rows(rows, oracles.sample_states_by_row([record], cfg))
-    zone_at = {row.t: row.zone for row in oracles.sample_rows(rows)}
+    result = SimRun(cfg, (record,), GateStats())
+    _assert_same_rows(result, oracles.sample_states_by_row([record], cfg))
+    zone_at = {row.t: row.zone for row in oracles.sample_rows(result)}
     assert zone_at[399 * step] == sim_module.ZONE_CZ
     assert zone_at[tm] == sim_module.ZONE_MZ
     assert zone_at[429 * step] == sim_module.ZONE_MZ

@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -345,12 +346,18 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
 # texts of its one record.  Each number's text is '%.9g' of it, as _fmt
 # writes it, and no field can hold a comma, quote or newline, so the lines
 # match what csv.writer makes of the _fmt strings.  A slice is built as one
-# uint8 matrix, a row per line: each field's text in a fixed-width block of
-# columns, padded with zero bytes (no text holds one), then a comma or the
-# newline.  Dropping the zero bytes of the matrix, read row by row, leaves
-# the slice's lines.  The numbers come from _format_g9, t once for each run
-# of rows that share its bits (the rows come in time order, so a run holds
-# every vehicle sampled at that time), and the keys from _key_texts.
+# uint64 matrix, a row per line: t's text in as few words as the file's
+# longest takes, the key text framed by commas, then the two words of each
+# of p, v, u and j with its comma or the newline in the top byte of the
+# second (in a third word where some text fills all 16 bytes), every byte
+# without a character zero (no text holds one).  Dropping the zero bytes of
+# the matrix, read row by row, leaves the slice's lines.  Whatever repeats
+# is formatted once per file: t for each run of rows that share its bits
+# (the rows come in time order, so a run holds every vehicle sampled at that
+# time), the key texts, and j for each record and piece, a text reused on
+# each of the piece's rows whose j has its bits (a cubic piece's j is one
+# constant) and formatted apart for every other row.  Each slice formats
+# its rows' p, v and u, written straight into the matrix.
 _TRAJECTORY_ROWS = 4096
 _TRAJECTORY_HEADER = "t,id,arm,turn,zone,p,v,u,j"
 _PLAN_HEADER = "t,zone,p,v,u,j"
@@ -363,7 +370,8 @@ _PLAN_HEADER = "t,zone,p,v,u,j"
 # written scientific (E below -4 or above 8), the digits after the first do,
 # and e, the exponent's sign and its two digits go at bytes 11-14; for E of
 # -4 to -1, "0." and -1 - E zeros go from byte 1 and every digit moves up
-# five bytes.
+# five bytes.  So byte 15 is free, except in a text of _fmt's that fills
+# all 16 bytes, such as -1.79769313e+308.
 _G9_E_MIN, _G9_E_MAX = -14, 30
 _G9_GUARD = 1e-6
 # 10 ** (8 - E) for E from _G9_E_MIN to _G9_E_MAX, as a multiplier for E <= 8
@@ -373,16 +381,47 @@ _G9_UP = 10.0 ** np.maximum(_G9_SCALE, 0)
 _G9_DOWN = 10.0 ** np.maximum(-_G9_SCALE, 0)
 
 
-def _g9_groups() -> Tuple[np.ndarray, np.ndarray]:
-    """The ASCII of every 4-digit group as a little-endian word, and its
-    trailing zeros, each indexed by the group's value."""
-    thousands, hundreds, tens, ones = np.ix_(*[np.arange(10, dtype=np.uint64)] * 4)
-    ascii = (48 + thousands) | (48 + hundreds) << 8 | (48 + tens) << 16 | (48 + ones) << 24
-    zeros = (ones == 0) * (1 + (tens == 0) * (1 + (hundreds == 0) * (1 + (thousands == 0))))
-    return ascii.ravel(), zeros.ravel()
+def _g9_digits(count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ASCII of every count-digit group as a little-endian word, its
+    first digit in the low byte, and twice its trailing zeros, each indexed
+    by the group's value: built a digit at a time, each new one the last."""
+    ascii, zeros = np.zeros(1, np.uint64), np.zeros(1, np.int16)
+    digit = np.arange(10)
+    for place in range(count):
+        ascii = (ascii[:, None] | (48 + digit.astype(np.uint64)) << np.uint64(8 * place)).ravel()
+        zeros = np.where(digit == 0, zeros[:, None] + 1, 0).astype(np.int16).ravel()
+    return ascii, 2 * zeros
 
 
-_G9_GROUP, _G9_GROUP_ZEROS = _g9_groups()
+class _G9Digits(NamedTuple):
+    """A nine-digit mantissa's leading five digits at bytes 1-5 of the
+    block, and twice the trailing zeros of all nine where the last four are
+    zeros, counting at most four of the first five, plus 18 for each E the
+    code moves up: a mantissa that rounds up to 1e9 leads with 100000,
+    written as 10000 one E up, and zero, scaled at E = _G9_E_MIN, is written
+    at E = 0.  Its trailing four digits at bytes 6-9, two in the first word
+    and two in the second, and twice their trailing zeros."""
+
+    high: np.ndarray
+    high_zeros: np.ndarray
+    low_first: np.ndarray
+    low_second: np.ndarray
+    low_zeros: np.ndarray
+
+
+@functools.cache
+def _g9_tables() -> _G9Digits:
+    """The digit tables, built on first use: a process that formats no
+    state table never holds their megabyte."""
+    high, high_zeros = _g9_digits(5)
+    high_zeros = np.append(8 + np.minimum(high_zeros, 8), 8 + 8 + 18).astype(np.int16)
+    high_zeros[0] += 18 * -_G9_E_MIN
+    low, low_zeros = _g9_digits(4)
+    tables = _G9Digits(np.append(high, high[10000]) << np.uint64(8), high_zeros,
+                       low << np.uint64(48), low >> np.uint64(16), low_zeros)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _g9_layouts() -> np.ndarray:
@@ -420,70 +459,98 @@ def _g9_layouts() -> np.ndarray:
 _G9_LAYOUTS = _g9_layouts()
 
 
-def _g9_round(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each value's nine significant digits as an integer below 1e9, its
-    layout code, and the indices of the values that are not rounded here.
+class _Rounded(NamedTuple):
+    """_g9_round's result: each value's leading five and trailing four
+    digits, its layout code, and the flat indices and texts of the values
+    left to _fmt, each text as two little-endian words."""
 
-    A finite v with E = floor(log10 |v|) from -14 to 30 is scaled to
-    s = |v| * 10 ** (8 - E) by one multiply or divide by an exact power of
-    ten, correctly rounded, so s is within 2**-53 * s < 1.2e-7 of the exact
-    product.  Where 1e8 <= s < 1e9 and s is more than _G9_GUARD from a
-    half-integer, no half-integer lies between s and the exact product, so
-    rint(s) is the exact product rounded to nine digits as '%.9g' rounds it
-    (an exact tie falls in the guard band).  A rint of 1e9 is 1e8 with
-    E + 1.  Zero is the digits 000000000 at E = 0; every other value (nan,
-    the infinities, an E outside the range, a log10 off by one, the guard
-    band) is left to the caller."""
+    high: np.ndarray
+    low: np.ndarray
+    code: np.ndarray
+    rest: np.ndarray
+    fallback: np.ndarray
+
+
+def _g9_round(values: np.ndarray) -> _Rounded:
+    """Each value's nine significant digits as an integer up to 1e9, split
+    into its leading five and its trailing four, and its layout code; the
+    values that are not rounded here go through _fmt one at a time.
+
+    A finite v is scaled to s = |v| * 10 ** (8 - E), E = floor(log10 |v|)
+    clamped to _G9_E_MIN to _G9_E_MAX, by one multiply or divide by an exact
+    power of ten, correctly rounded, so s is within 2**-53 * s of the exact
+    product.  Where s >= 1e8, rint(s) <= 1e9 and s is more than _G9_GUARD
+    from a half-integer, no half-integer lies between s and the exact
+    product, so rint(s) is the exact product rounded to nine digits as
+    '%.9g' rounds it, at E if below 1e9, else as 1e8 at E + 1 (an exact tie
+    falls in the guard band).  Zero is the digits 000000000 at E = 0; every
+    other value (nan, the infinities, an E outside the range or a log10 off
+    by one, both of which put s out of bounds, the guard band) is left to
+    _fmt."""
     scaled = np.abs(values)
-    zero = scaled == 0.0
     with np.errstate(all="ignore"):
+        # E - _G9_E_MIN, nan and zero at 0: truncation floors what is not negative
         row = np.log10(scaled)
-        np.floor(row, out=row)
-        inside = (row >= _G9_E_MIN) & (row <= _G9_E_MAX)
-        row = np.where(inside, row, 0.0).astype(np.intp) - _G9_E_MIN
-        scaled *= _G9_UP[row]
-        scaled /= _G9_DOWN[row]
+        row -= _G9_E_MIN
+        np.fmax(row, 0.0, out=row)
+        np.fmin(row, _G9_E_MAX - _G9_E_MIN, out=row)
+        row = row.astype(np.intp)
+        scaled *= _G9_UP.take(row)
+        scaled /= _G9_DOWN.take(row)
         mantissa = np.rint(scaled)
-        inside &= (scaled >= 1e8) & (scaled < 1e9)
+        # any value left to _fmt, nan too, still indexes the tables
+        np.fmin(mantissa, 1e9, out=mantissa)
+        inside = scaled >= 1e8
         scaled -= mantissa
         inside &= np.abs(scaled, out=scaled) < 0.5 - _G9_GUARD
-    carry = mantissa == 1e9
-    row += carry
-    mantissa[carry | ~inside] = 1e8
-    mantissa[zero] = 0.0
-    mantissa = mantissa.astype(np.int64)
-    low = mantissa % 10000
-    zeros = _G9_GROUP_ZEROS[low]
-    zeros += (low == 0) * _G9_GROUP_ZEROS[mantissa // 10000 % 10000]
-    code = (row * 9 + zeros) * 2 + np.signbit(values)
-    return mantissa, code, np.flatnonzero(~inside & ~zero)
+    # the split by uint32 division and a multiply-subtract, not an int64 %
+    low = mantissa.astype(np.uint32)
+    high = low // 10000
+    low -= high * np.uint32(10000)
+    high, low = high.astype(np.intp), low.astype(np.intp)
+    digits = _g9_tables()
+    code = row * 18
+    code += np.where(low == 0, digits.high_zeros.take(high), digits.low_zeros.take(low))
+    code += np.signbit(values)
+    rest = np.flatnonzero(~inside)
+    rest = rest[values.flat[rest] != 0.0]
+    fallback = np.array([_fmt(v) for v in values.flat[rest].tolist()], "S16")
+    return _Rounded(high, low, code, rest, fallback.view("<u8").reshape(len(rest), 2))
+
+
+def _g9_write(rounded: _Rounded, out: np.ndarray, separator: np.uint64 = np.uint64(0)) -> None:
+    """Write each rounded value's text as two words into out, an array of
+    the values' shape and then 2, and separator into the top byte of the
+    second word, a byte that only a 16-byte text of _fmt's fills."""
+    high, low, code, rest, fallback = rounded
+    digits = _g9_tables()
+    first = digits.high.take(high)
+    first |= digits.low_first.take(low)
+    second = digits.low_second.take(low)
+    stay_low, stay_high, move_low, move_high, text_low, text_high, shift = _G9_LAYOUTS
+    moved = first & move_low.take(code)
+    first &= stay_low.take(code)
+    first |= text_low.take(code)
+    moved_high = second & move_high.take(code)
+    second &= stay_high.take(code)
+    second |= (text_high | separator).take(code)
+    shift = shift.take(code)
+    moved_high <<= shift
+    second |= moved_high
+    np.bitwise_or(second, moved >> (64 - shift), out=out[..., 1])
+    moved <<= shift
+    np.bitwise_or(first, moved, out=out[..., 0])
+    out[np.unravel_index(rest, code.shape)] = fallback | np.array([0, separator], np.uint64)
 
 
 def _format_g9(values: np.ndarray) -> np.ndarray:
-    """'%.9g' of each value of a float64 array, as a (len, 16) uint8 matrix
-    whose row i, without its zero bytes, is "%.9g" % values[i]: by
+    """'%.9g' of each value of a 1-D float64 array, as a (len, 16) uint8
+    matrix whose row i, without its zero bytes, is "%.9g" % values[i]: by
     _g9_round's digits and layout, or through _fmt one at a time for the
     values it leaves."""
-    mantissa, code, rest = _g9_round(values)
-    # the digits at bytes 1-9 of the block, digit i at byte 1 + i: the lead
-    # digit, then two 4-digit groups
-    digits_low = _G9_GROUP[mantissa % 10000]
-    digits_high = digits_low >> 16
-    digits_low <<= 48
-    mantissa //= 10000
-    digits_low |= _G9_GROUP[mantissa % 10000] << 16
-    mantissa //= 10000
-    digits_low |= (mantissa.astype(np.uint64) + 48) << 8
-    stay_low, stay_high, move_low, move_high, text_low, text_high, shift = _G9_LAYOUTS
-    moved, shift = digits_low & move_low[code], shift[code]
     words = np.empty((len(values), 2), "<u8")
-    words[:, 1] = ((digits_high & move_high[code]) << shift | moved >> 64 - shift
-                   | digits_high & stay_high[code] | text_high[code])
-    words[:, 0] = moved << shift | digits_low & stay_low[code] | text_low[code]
-    text = words.view(np.uint8)
-    text[rest] = np.array([_fmt(v) for v in values[rest].tolist()], "S16").view(
-        np.uint8).reshape(len(rest), 16)
-    return text
+    _g9_write(_g9_round(values), words)
+    return words.view(np.uint8)
 
 
 def _key_texts(texts: Sequence[str]) -> np.ndarray:
@@ -496,39 +563,105 @@ def _key_texts(texts: Sequence[str]) -> np.ndarray:
     return matrix.view(np.uint8).reshape(len(texts), matrix.itemsize)
 
 
-def _state_lines(t: np.ndarray, keys: np.ndarray, values: np.ndarray) -> bytearray:
-    """The CSV lines of one slice: each row's t, its key text, then its p,
-    v, u and j, a column of values."""
-    bits = t.view(np.uint64)
-    # the first row of each run of equal bits
-    new = np.empty(len(t), bool)
+class _FileTexts(NamedTuple):
+    """What a state file's slices share, each text one void element of
+    whole words: each row's t text, formatted once for each run of rows with
+    equal bits and in as few words as the longest takes; each key text
+    framed by commas; one j text for each record and piece; the rows whose
+    j has other bits than their piece's, in order, with their own j texts;
+    and the words j takes with the newline after it."""
+
+    times: np.ndarray
+    keys: np.ndarray
+    pieces: np.ndarray
+    fresh: np.ndarray
+    fresh_texts: np.ndarray
+    width: int
+
+
+def _words_as_texts(words: np.ndarray) -> np.ndarray:
+    """Each row of a uint64 matrix as one void element."""
+    return np.ascontiguousarray(words).view(f"V{8 * words.shape[1]}")[:, 0]
+
+
+def _file_texts(states: SampledStates, keys: np.ndarray, key_index: np.ndarray) -> _FileTexts:
+    """The texts the slices of a state file share."""
+    bits = states.t.view(np.uint64)
+    new = np.empty(len(bits), bool)
     new[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=new[1:])
-    times = _format_g9(t[new])[np.cumsum(new) - 1]
-    numbers = _format_g9(values.ravel()).reshape(len(values), len(t), 16)
-    fields = [times, keys, *numbers]
-    # each field, then its separator
-    ends = np.cumsum([field.shape[1] + 1 for field in fields])
-    buffer = bytearray(len(t) * int(ends[-1]))
-    lines = np.frombuffer(buffer, np.uint8).reshape(len(t), -1)
-    for field, end in zip(fields, ends.tolist()):
-        lines[:, end - 1 - field.shape[1]:end - 1] = field
-        lines[:, end - 1] = ord(",")
-    lines[:, -1] = ord("\n")
-    return buffer.translate(None, b"\0")
+    starts = np.flatnonzero(new)
+    # the j of one row of each piece, whichever row: its text serves each
+    # row of the piece with its bits
+    j = states.values[3]
+    piece_j = np.zeros(len(keys))
+    piece_j[key_index] = j
+    fresh = np.flatnonzero(j.view(np.uint64) != piece_j.view(np.uint64).take(key_index))
+    # formatted as many at a time as a slice's p, v and u, to bound the
+    # formatter's memory
+    values = np.concatenate((states.t[starts], piece_j, j[fresh]))
+    texts = np.empty((len(values), 16), np.uint8)
+    for start in range(0, len(values), 3 * _TRAJECTORY_ROWS):
+        chunk = slice(start, start + 3 * _TRAJECTORY_ROWS)
+        texts[chunk] = _format_g9(values[chunk])
+    # a j text that fills all 16 bytes leaves none for the newline
+    width = 3 if texts[len(starts):, 15].any() else 2
+    times, pieces, fresh_texts = np.split(texts.view(np.uint64),
+                                          [len(starts), len(starts) + len(keys)])
+    # t needs no separator of its own: the key text starts with it
+    times = _words_as_texts(times[:, :1 + bool(times[:, 1].any())])
+    framed = np.zeros((len(keys), -(-(keys.shape[1] + 2) // 8) * 8), np.uint8)
+    framed[:, 0] = framed[:, -1] = ord(",")
+    framed[:, 1:1 + keys.shape[1]] = keys
+    return _FileTexts(np.repeat(times, np.diff(starts, append=len(bits))),
+                      _words_as_texts(framed.view(np.uint64)), _words_as_texts(pieces), fresh,
+                      _words_as_texts(fresh_texts), width)
+
+
+_COMMA, _NEWLINE = np.uint64(ord(",") << 56), np.uint64(ord("\n") << 56)
+
+
+def _state_lines(texts: _FileTexts, rows: slice, key_index: np.ndarray,
+                 values: np.ndarray) -> bytes:
+    """The CSV lines of the rows of one slice: each row's t text, its key
+    text by its key index, then its p, v, u and j, a column of values."""
+    n = len(key_index)
+    rounded = _g9_round(values[:3])
+    # a third word for the separators where a text fills all 16 bytes
+    width = 3 if texts.width == 3 or rounded.fallback[:, 1].max(initial=0) >> 56 else 2
+    ends = np.cumsum([texts.times.itemsize // 8, texts.keys.itemsize // 8, 4 * width])
+    lines = (np.empty if width == 2 else np.zeros)((n, ends[-1]), np.uint64)
+    lines[:, :ends[0]].view(texts.times.dtype)[:, 0] = texts.times[rows]
+    # every index is in range; numpy would copy out through a buffer under mode="raise"
+    np.take(texts.keys, key_index, out=lines[:, ends[0]:ends[1]].view(texts.keys.dtype)[:, 0],
+            mode="clip")
+    # p, v, u and j, each in width words, the separator in the top byte of the last
+    fields = lines[:, ends[1]:].reshape(n, 4, width)
+    _g9_write(rounded, fields[:, :3, :2].transpose(1, 0, 2), _COMMA if width == 2 else 0)
+    j_text = fields[:, 3, :2].view("V16")[:, 0]
+    np.take(texts.pieces, key_index, out=j_text, mode="clip")
+    fresh = slice(*np.searchsorted(texts.fresh, (rows.start, rows.start + n)))
+    j_text[texts.fresh[fresh] - rows.start] = texts.fresh_texts[fresh]
+    if width > 2:
+        fields[:, :3, -1] = _COMMA
+    fields[:, 3, -1] |= _NEWLINE
+    return lines.tobytes().translate(None, b"\0")
 
 
 def _write_states(path: str, header: str, states: SampledStates, keys: np.ndarray) -> None:
     """CSV lines under header, one per row of states: its t, the key text of
     its record and piece, then its p, v, u and j.  keys is a _key_texts
     matrix of len(ZONES) texts per record, the record's piece i's at row
-    record * len(ZONES) + i."""
+    record * len(ZONES) + i.  What repeats is formatted once, before the
+    first slice (_file_texts); each slice of _TRAJECTORY_ROWS rows then
+    formats its p, v and u (_state_lines)."""
+    key_index = states.owner * len(ZONES) + states.slot
+    texts = _file_texts(states, keys, key_index)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, len(states), _TRAJECTORY_ROWS):
             rows = slice(start, start + _TRAJECTORY_ROWS)
-            key_index = states.owner[rows] * len(ZONES) + states.slot[rows]
-            fh.write(_state_lines(states.t[rows], keys[key_index], states.values[:, rows]))
+            fh.write(_state_lines(texts, rows, key_index[rows], states.values[:, rows]))
 
 
 def cmd_simulate(config: Mapping[str, Any], out_dir: str, seed_override: Optional[int]) -> int:

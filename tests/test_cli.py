@@ -232,6 +232,44 @@ def test_trajectory_csv_matches_csv_writer_on_drawn_tables(tmp_path_factory, row
     assert path.read_bytes() == expected.encode()
 
 
+# three records that the drawn rows share, so that a piece holds several
+# rows within a slice and across slices; its j text is formatted once and
+# reused only on rows whose j has its bits, so both zeros and nan sit in
+# one piece
+_SHARED_RECORDS = [(-2**63, "N", "left"), (7, "E", "straight"), (2**63 - 1, "W", "right")]
+_SHARED_ROW = st.tuples(
+    st.integers(0, len(_SHARED_RECORDS) - 1),
+    st.sampled_from(ZONES),
+    # and a t whose text fills all 16 bytes, which needs no separator's byte
+    st.one_of(_REPEATED_POOL, st.sampled_from([-5e-324, -1.7976931348623157e308])),
+    st.floats(width=64),
+    st.floats(width=64),
+    st.floats(width=64),
+    _REPEATED_POOL,
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(rows=st.lists(_SHARED_ROW, max_size=24), slice_rows=st.integers(1, 7))
+def test_trajectory_csv_matches_csv_writer_on_shared_pieces(tmp_path_factory, rows, slice_rows):
+    keys = cli._key_texts([f"{vehicle_id},{arm},{turn},{zone}"
+                           for vehicle_id, arm, turn in _SHARED_RECORDS for zone in ZONES])
+    states = SampledStates(
+        t=np.array([row[2] for row in rows], np.float64),
+        owner=np.array([row[0] for row in rows], np.intp),
+        slot=np.array([ZONES.index(row[1]) for row in rows], np.intp),
+        values=np.array([row[3:] for row in rows], np.float64).reshape(-1, 4).T,
+    )
+    path = tmp_path_factory.getbasetemp() / "shared-trajectories.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_TRAJECTORY_ROWS", slice_rows)
+        cli._write_states(str(path), cli._TRAJECTORY_HEADER, states, keys)
+    expected = oracles.trajectory_csv_by_writer(
+        [oracles.SampleRow(t, *_SHARED_RECORDS[owner], zone, p, v, u, j)
+         for owner, zone, t, p, v, u, j in rows])
+    assert path.read_bytes() == expected.encode()
+
+
 def g9_texts(values):
     """The bulk formatter's text of each value, its zero bytes dropped."""
     blocks = cli._format_g9(np.asarray(values, dtype=np.float64))
@@ -271,16 +309,65 @@ def test_bulk_format_is_percent_g9_on_edge_values():
     assert g9_texts(values) == ["%.9g" % x for x in values]
 
 
-def test_bulk_format_rarely_falls_back(monkeypatch):
-    # a guard that sent every value to the per-value fallback would stay
-    # exact but lose the bulk path's speed
-    samples = sim_run(SimConfig(arrival_rate=0.25, vehicle_count=120, seed=2200)).samples
-    values = samples.values[:3].ravel()
-    fallbacks = []
-    fmt = cli._fmt
-    monkeypatch.setattr(cli, "_fmt", lambda x: fallbacks.append(x) or fmt(x))
-    assert g9_texts(values) == ["%.9g" % x for x in values.tolist()]
-    assert len(fallbacks) < 0.01 * len(values)
+# two of the light benchmark's scenarios, 120 vehicles at 0.25 veh/s; the
+# output digests above pin fuel_only's
+_LIGHT_CONFIGS = {
+    "jerk_only": "sim:\n  arrival_rate: 0.25\n  vehicle_count: 120\n  seed: 2200\n",
+    "weighted": "sim:\n  arrival_rate: 0.25\n  vehicle_count: 120\n  seed: 2200\n"
+                "  objective: weighted\n  weight: 0.5\n",
+}
+
+
+def simulate_capturing_run(tmp_path, monkeypatch, text):
+    """cli.main simulate of the config text: its SimRun and trajectories.csv."""
+    runs = []
+    run = cli.run
+
+    def capture(sim_config):
+        runs.append(run(sim_config))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run", capture)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    return runs[0], (out / "trajectories.csv").read_bytes()
+
+
+def test_bulk_format_rarely_falls_back(tmp_path, monkeypatch):
+    # a guard that sent every value, or a whole column, to the per-value
+    # fallback would stay exact but lose the bulk path's speed: over one
+    # light simulate, the formatter's _fmt calls stay under 1% of the values
+    # it formats, which are each row's p, v and u, t once per run of equal
+    # bits, j once per piece and j of each row whose bits differ from its
+    # piece's (schedule.csv's and the JSON files' _fmt calls are not counted)
+    calls, formatted, fallbacks = [], [], []
+    fmt, g9_round = cli._fmt, cli._g9_round
+
+    def counted(values):
+        first = len(calls)
+        rounded = g9_round(values)
+        formatted.append(values.size)
+        fallbacks.append(len(calls) - first)
+        return rounded
+
+    monkeypatch.setattr(cli, "_fmt", lambda x: calls.append(x) or fmt(x))
+    monkeypatch.setattr(cli, "_g9_round", counted)
+    run, text = simulate_capturing_run(tmp_path, monkeypatch, _LIGHT_CONFIGS["jerk_only"])
+    samples = run.samples
+    runs = 1 + np.count_nonzero(np.diff(samples.t.view(np.uint64)))
+    assert sum(formatted) >= 3 * len(samples) + runs + len(ZONES) * len(run.vehicles)
+    assert sum(fallbacks) < 0.01 * sum(formatted)
+    assert text.count(b"\n") == len(samples) + 1
+
+
+@pytest.mark.parametrize("objective", sorted(_LIGHT_CONFIGS))
+def test_light_trajectories_match_csv_writer(tmp_path, monkeypatch, objective):
+    # at the benchmark's scale, where pieces hold many rows and slices many
+    # pieces: jerk_only's quintic merges and weighted's exponential ones
+    # have a j of their own on each row, every other piece one j
+    run, text = simulate_capturing_run(tmp_path, monkeypatch, _LIGHT_CONFIGS[objective])
+    assert len(run.samples) > 10 * cli._TRAJECTORY_ROWS
+    assert text == oracles.trajectory_csv_by_writer(oracles.sample_rows(run)).encode()
 
 
 def test_state_table_labels_must_be_ascii():
